@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from .errors import BigradeError, ParseError, PreconditionFailed, UnitIdeal, ZeroIdeal, ZeroModule
+from .errors import BigradeError, InternalCheckFailed, ParseError
 from .filtration import ass_quotients, dimension_filtration, sequentially_cm
 from .hypersurface import classify, monomial_crosscheck, parse_profile, profile_of_monomial
 from .invariants import analyze
@@ -16,6 +16,7 @@ from .rings import (
     RingSpec,
     associated_primes,
     irreducible_decomposition,
+    minimal_generators,
     primary_decomposition,
     render_monomial,
 )
@@ -39,8 +40,23 @@ def _dim_or_infinite(v):
     return "infinite" if v is None else v
 
 
-def cmd_analyze(args):
+def _load(args):
+    """Parse the input ideal file; the ideal stays on `args` for error reports."""
     ring, I = parse_ideal_file(args.input, char=args.char)
+    args.ideal = I
+    return ring, I
+
+
+def _ring(m, n, char):
+    """RingSpec from option values; a bad value is a parse error, as in an ideal file."""
+    try:
+        return RingSpec(m, n, char)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def cmd_analyze(args):
+    ring, I = _load(args)
     rep = analyze(I, _axis(ring, args.axis))
     return {
         "schema": SCHEMA,
@@ -59,7 +75,7 @@ def cmd_analyze(args):
 
 
 def cmd_decompose(args):
-    ring, I = parse_ideal_file(args.input, char=args.char)
+    ring, I = _load(args)
     irr = irreducible_decomposition(I)
     prim = primary_decomposition(I)
     return {
@@ -86,7 +102,7 @@ def cmd_decompose(args):
 
 
 def cmd_filtration(args):
-    ring, I = parse_ideal_file(args.input, char=args.char)
+    ring, I = _load(args)
     ladder = dimension_filtration(I, _axis(ring, args.axis))
     blocks = ass_quotients(ladder)
     return {
@@ -106,7 +122,7 @@ def cmd_filtration(args):
 
 
 def cmd_seqcm(args):
-    ring, I = parse_ideal_file(args.input, char=args.char)
+    ring, I = _load(args)
     res = sequentially_cm(I, _axis(ring, args.axis))
     return {
         "schema": SCHEMA,
@@ -118,7 +134,7 @@ def cmd_seqcm(args):
 
 
 def cmd_lc(args):
-    ring, I = parse_ideal_file(args.input, char=args.char)
+    ring, I = _load(args)
     rep = lc_report(I, args.i, _axis(ring, args.axis))
     return {
         "schema": SCHEMA,
@@ -141,7 +157,7 @@ def cmd_lc(args):
 
 
 def cmd_gencm(args):
-    ring, I = parse_ideal_file(args.input, char=args.char)
+    ring, I = _load(args)
     return {
         "schema": SCHEMA,
         "command": "gencm",
@@ -151,8 +167,11 @@ def cmd_gencm(args):
 
 
 def cmd_growth(args):
-    ring, I = parse_ideal_file(args.input, char=args.char)
-    radii = [int(r) for r in args.radii.split(",")]
+    try:
+        radii = [int(r) for r in args.radii.split(",")]
+    except ValueError:
+        raise ParseError(f"--radii needs comma-separated integers, got {args.radii!r}") from None
+    ring, I = _load(args)
     sums = growth_scan(I, args.i, radii, _axis(ring, args.axis))
     return {
         "schema": SCHEMA,
@@ -165,9 +184,11 @@ def cmd_growth(args):
 
 
 def cmd_hypersurface(args):
-    ring = RingSpec(args.ring[0], args.ring[1], args.char)
+    ring = _ring(args.ring[0], args.ring[1], args.char)
     if args.factors:
         profile = parse_profile(args.factors)
+    elif args.input is None:
+        raise ParseError("hypersurface needs a profile file or --factors")
     else:
         with open(args.input, encoding="utf-8") as fh:
             profile = parse_profile(fh.read())
@@ -185,8 +206,9 @@ def cmd_hypersurface(args):
 
 
 def cmd_crosscheck(args):
-    ring = RingSpec(args.ring[0], args.ring[1], args.char)
+    ring = _ring(args.ring[0], args.ring[1], args.char)
     f = parse_term(ring, args.monomial)
+    args.ideal = minimal_generators(ring, [f])
     ok = monomial_crosscheck(f, ring)
     profile = profile_of_monomial(ring, f)
     verdict = classify(profile, ring)
@@ -204,6 +226,7 @@ def cmd_crosscheck(args):
 def cmd_suite(args):
     from .suite import run_property_suite
 
+    _ring(1, 1, args.char)  # rejects a bad --char before the run starts
     result = run_property_suite(
         count=args.count, seed=args.seed, char=args.char
     )
@@ -218,7 +241,7 @@ def cmd_suite(args):
 
 
 def cmd_render(args):
-    _, I = parse_ideal_file(args.input, char=args.char)
+    _, I = _load(args)
     return {"schema": SCHEMA, "command": "render", "canonical": render_ideal(I)}
 
 
@@ -293,21 +316,28 @@ def build_parser():
     return parser
 
 
+def _error(message, code) -> int:
+    print(json.dumps({"schema": SCHEMA, "error": message}, sort_keys=True))
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         doc = args.fn(args)
+    except InternalCheckFailed as exc:
+        # a theorem-backed assertion failed: a bug, reported with the input that shows it
+        ideal = getattr(args, "ideal", None)
+        repro = f"; input ideal:\n{render_ideal(ideal)}" if ideal is not None else ""
+        return _error(f"internal: {exc}{repro}", 4)
     except ParseError as exc:
         where = f" (line {exc.line})" if exc.line else ""
-        print(json.dumps({"schema": SCHEMA, "error": f"parse: {exc}{where}"}, sort_keys=True))
-        return 2
+        return _error(f"parse: {exc}{where}", 2)
     except FileNotFoundError as exc:
-        print(json.dumps({"schema": SCHEMA, "error": f"parse: {exc}"}, sort_keys=True))
-        return 2
-    except (PreconditionFailed, UnitIdeal, ZeroIdeal, ZeroModule, BigradeError) as exc:
-        print(json.dumps({"schema": SCHEMA, "error": f"precondition: {exc}"}, sort_keys=True))
-        return 3
+        return _error(f"parse: {exc}", 2)
+    except BigradeError as exc:
+        return _error(f"precondition: {exc}", 3)
     print(json.dumps(doc, sort_keys=True, indent=2))
     return 0
 

@@ -1,170 +1,92 @@
-"""Exact integer matrix rank kernels.
+"""Exact matrix rank over Q and over GF(p), in plain Python integers.
 
 All homology in this package reduces to ranks of small integer matrices with
-entries 0/+-1.  Characteristic 0 uses fraction-free Bareiss elimination in
-int64 (with a bigint fallback if intermediate minors could overflow);
-characteristic p uses division-free elimination mod p.
+entries 0/+-1.  Characteristic 0 uses fraction-free Bareiss elimination: every
+intermediate entry is a minor of the input, so Python's unbounded ints keep it
+exact whatever its size.  Characteristic p uses Gaussian elimination that
+scales the pivot row by the pivot's inverse ``pow(piv, -1, p)``; entries stay
+reduced mod p, so no prime is too large.
 
-The hot loops carry numba @njit versions; set BIGRADE_NO_NUMBA=1 to force the
-pure-numpy path (same algorithms, no JIT).  `bench/bench_kernels.py` compares
-the two.
+Matrices are sequences of equal-length rows of integers (lists, tuples, or
+anything ``int`` accepts entry by entry).
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 
-import numpy as np
 
-_USE_NUMBA = os.environ.get("BIGRADE_NO_NUMBA", "").strip() not in ("1", "true", "yes")
-
-if _USE_NUMBA:
+def _int_rows(matrix, name) -> list:
+    """A fresh list of int rows; ValueError unless `matrix` is 2-d and rectangular."""
     try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _USE_NUMBA = False
-
-# abort Bareiss to the bigint path before any product can leave int64
-_SAFE = np.int64(1) << 30
-
-
-def _bareiss_impl(a):
-    """Fraction-free elimination; returns (rank, ok) with ok=False on overflow risk."""
-    nr, nc = a.shape
-    rank = 0
-    prev = np.int64(1)
-    r = 0
-    c = 0
-    while r < nr and c < nc:
-        # pivot search in the remaining submatrix, current column first
-        pr = -1
-        for i in range(r, nr):
-            if a[i, c] != 0:
-                pr = i
-                break
-        if pr < 0:
-            c += 1
-            continue
-        if pr != r:
-            for j in range(nc):
-                tmp = a[r, j]
-                a[r, j] = a[pr, j]
-                a[pr, j] = tmp
-        piv = a[r, c]
-        if piv > _SAFE or -piv > _SAFE:
-            return rank, False
-        for i in range(r + 1, nr):
-            q = a[i, c]
-            if q > _SAFE or -q > _SAFE:
-                return rank, False
-            if q == 0 and piv == prev:
-                continue
-            for j in range(c + 1, nc):
-                x = a[i, j]
-                y = a[r, j]
-                if x > _SAFE or -x > _SAFE or y > _SAFE or -y > _SAFE:
-                    return rank, False
-                a[i, j] = (x * piv - q * y) // prev
-            a[i, c] = 0
-        prev = piv
-        rank += 1
-        r += 1
-        c += 1
-    return rank, True
-
-
-def _modp_impl(a, p):
-    """Division-free elimination mod p; row-scaling by the pivot keeps rank."""
-    nr, nc = a.shape
-    rank = 0
-    r = 0
-    c = 0
-    while r < nr and c < nc:
-        pr = -1
-        for i in range(r, nr):
-            if a[i, c] % p != 0:
-                pr = i
-                break
-        if pr < 0:
-            c += 1
-            continue
-        if pr != r:
-            for j in range(nc):
-                tmp = a[r, j]
-                a[r, j] = a[pr, j]
-                a[pr, j] = tmp
-        piv = a[r, c] % p
-        for i in range(r + 1, nr):
-            f = a[i, c] % p
-            if f == 0:
-                continue
-            for j in range(c, nc):
-                a[i, j] = (a[i, j] * piv - f * a[r, j]) % p
-        rank += 1
-        r += 1
-        c += 1
-    return rank
-
-
-if _USE_NUMBA:
-    _bareiss_fast = njit(cache=True)(_bareiss_impl)
-    _modp_fast = njit(cache=True)(_modp_impl)
-else:
-    _bareiss_fast = _bareiss_impl
-    _modp_fast = _modp_impl
-
-
-def _rank_bigint(rows) -> int:
-    """Exact rank over Q with python ints; no overflow, used as Bareiss fallback."""
-    rows = [list(map(int, r)) for r in rows]
-    if not rows or not rows[0]:
-        return 0
-    nr, nc = len(rows), len(rows[0])
-    rank = 0
-    prev = 1
-    r = c = 0
-    while r < nr and c < nc:
-        pr = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-        if pr is None:
-            c += 1
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, nr):
-            for j in range(c + 1, nc):
-                rows[i][j] = (rows[i][j] * piv - rows[i][c] * rows[r][j]) // prev
-            rows[i][c] = 0
-        prev = piv
-        rank += 1
-        r += 1
-        c += 1
-    return rank
+        rows = [list(map(int, row)) for row in matrix]
+    except TypeError:
+        raise ValueError(f"{name} expects a 2-d matrix") from None
+    if len(set(map(len, rows))) > 1:
+        raise ValueError(f"{name} expects a rectangular matrix")
+    return rows
 
 
 def rank_char0(matrix) -> int:
     """Exact rank over Q of an integer matrix."""
-    a = np.asarray(matrix, dtype=np.int64)
-    if a.size == 0:
-        return 0
-    if a.ndim != 2:
-        raise ValueError("rank_char0 expects a 2-d matrix")
-    rank, ok = _bareiss_fast(a.copy())
-    if ok:
-        return rank
-    return _rank_bigint(np.asarray(matrix, dtype=object))
+    rows = _int_rows(matrix, "rank_char0")
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    rank = 0
+    prev = 1
+    for c in range(ncols):
+        for i in range(rank, nrows):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        rows[rank], rows[i] = rows[i], rows[rank]
+        piv = rows[rank][c]
+        tail = rows[rank][c + 1:]
+        # only columns right of c are read again; the division is exact
+        for i in range(rank + 1, nrows):
+            row = rows[i]
+            q = row[c]
+            if q:
+                row[c + 1:] = [(x * piv - q * y) // prev for x, y in zip(row[c + 1:], tail)]
+            elif piv != prev:
+                row[c + 1:] = [x * piv // prev for x in row[c + 1:]]
+        prev = piv
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
 
 
 def rank_mod_p(matrix, p: int) -> int:
-    """Rank over the prime field GF(p)."""
+    """Rank over the prime field GF(p) of an integer matrix; `p` must be prime."""
     if p < 2:
         raise ValueError(f"p must be prime, got {p}")
-    a = np.asarray(matrix, dtype=np.int64)
-    if a.size == 0:
-        return 0
-    if a.ndim != 2:
-        raise ValueError("rank_mod_p expects a 2-d matrix")
-    return int(_modp_fast(np.mod(a, p), np.int64(p)))
+    rows = [[x % p for x in row] for row in _int_rows(matrix, "rank_mod_p")]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    rank = 0
+    for c in range(ncols):
+        for i in range(rank, nrows):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        rows[rank], rows[i] = rows[i], rows[rank]
+        piv = rows[rank][c]
+        tail = rows[rank][c + 1:]
+        if piv != 1:
+            inv = pow(piv, -1, p)
+            tail = [y * inv % p for y in tail]
+        for i in range(rank + 1, nrows):
+            row = rows[i]
+            f = row[c]
+            if f:
+                row[c + 1:] = [(x - f * y) % p for x, y in zip(row[c + 1:], tail)]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
 
 
 def rank(matrix, char: int = 0) -> int:
@@ -174,13 +96,9 @@ def rank(matrix, char: int = 0) -> int:
     return rank_mod_p(matrix, char)
 
 
-def numba_enabled() -> bool:
-    return _USE_NUMBA
-
-
 def rank_fraction_oracle(matrix) -> int:
     """Independent rank oracle via Fraction Gaussian elimination (tests only)."""
-    rows = [[Fraction(int(x)) for x in r] for r in np.asarray(matrix, dtype=object)]
+    rows = [[Fraction(int(x)) for x in r] for r in matrix]
     if not rows or not rows[0]:
         return 0
     nc = len(rows[0])

@@ -7,9 +7,7 @@ both by `bigrade suite` and the acceptance tests.
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import InternalCheckFailed
 from .filtration import ass_quotients, dimension_filtration, mgrade_constancy, sequentially_cm
@@ -146,17 +144,9 @@ def run_property_suite(count=200, seed=20240811, max_m=3, max_n=3, max_exp=2,
         if not I.is_unit:
             instances.append((ring, I))
 
-    # BIGRADE_THREADS caps the worker count; results merge in submission order
-    workers = max(1, int(os.environ.get("BIGRADE_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda ri: check_instance(*ri), instances))
-    else:
-        results = [check_instance(ring, I) for ring, I in instances]
-
     violations = {}
-    for (ring, I), failed in zip(instances, results):
-        for name in failed:
+    for ring, I in instances:
+        for name in check_instance(ring, I):
             violations.setdefault(name, []).append(f"ring {ring.m} {ring.n}: {I}")
     return {
         "count": len(instances),

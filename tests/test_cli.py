@@ -143,3 +143,38 @@ def test_infinite_encoding(tmp_path, capsys):
     assert code == 0
     assert doc["finitely_generated"] is True
     assert doc["total_dim"] == "infinite"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hypersurface", "--factors", "(1,1)", "--ring", "2", "2", "--char", "4"),
+        ("hypersurface", "--factors", "(1,1)", "--ring", "0", "0"),
+        ("hypersurface", "--ring", "2", "2"),
+        ("crosscheck", "--monomial", "x1*y1", "--ring", "2", "2", "--char", "4"),
+        ("suite", "--count", "2", "--char", "4"),
+        ("growth", "{sample}", "--i", "1", "--radii", "1,x"),
+        ("growth", "{sample}", "--i", "1", "--radii", ""),
+    ],
+)
+def test_bad_option_values_are_parse_errors(sample_file, capsys, argv):
+    code, out = run_cli(capsys, *(a.format(sample=sample_file) for a in argv))
+    assert code == 2
+    assert json.loads(out)["error"].startswith("parse: ")
+
+
+def test_internal_check_failure_is_reported_with_its_input(sample_file, capsys, monkeypatch):
+    from bigrade import cli
+    from bigrade.errors import InternalCheckFailed
+    from bigrade.io_formats import parse_ideal_text
+
+    def broken(*args):
+        raise InternalCheckFailed("invariant chain violated")
+
+    monkeypatch.setattr(cli, "analyze", broken)
+    code, out = run_cli(capsys, "analyze", sample_file)
+    assert code == 4
+    error = json.loads(out)["error"]
+    head, canonical = error.split("\n", 1)
+    assert head == "internal: invariant chain violated; input ideal:"
+    assert parse_ideal_text(canonical) == parse_ideal_text(SAMPLE)
