@@ -171,6 +171,8 @@ def cmd_growth(args):
         radii = [int(r) for r in args.radii.split(",")]
     except ValueError:
         raise ParseError(f"--radii needs comma-separated integers, got {args.radii!r}") from None
+    if any(r < 0 for r in radii):
+        raise ParseError(f"--radii must be nonnegative, got {args.radii!r}")
     ring, I = _load(args)
     sums = growth_scan(I, args.i, radii, _axis(ring, args.axis))
     return {

@@ -4,6 +4,13 @@ A subquotient J/J' has a monomial K-basis (monomials in J but not J'), so in
 each fine degree every term of a Koszul or Cech complex is 0- or 1-dimensional
 and the differentials are 0/+-1 matrices.  All dimensions come out of exact
 integer ranks over the ring's configured characteristic.
+
+Graded Betti numbers of J/J' over K[Z] live only in degrees of the lcm
+lattice of the generators of J and J' (on Z; the Taylor resolution and the
+long exact Tor sequence of 0 -> J' -> J -> J/J' -> 0, Gasharov-Peeva-Welker
+1999), so the Betti scan visits those degrees and no others.  It requires
+J/J' to be finitely generated over K[Z], i.e. (J' : J) to contain a pure
+power of every variable outside Z.
 """
 
 from __future__ import annotations
@@ -21,9 +28,12 @@ from .errors import (
 from .rings import (
     MonomialIdeal,
     RingSpec,
+    colon,
     colon_ideal,
     dim_quotient,
+    lcm,
     minimal_generators,
+    support,
     unit_ideal,
 )
 
@@ -133,39 +143,55 @@ def koszul_homology_dim(N: Subquotient, Z, j: int, b) -> int:
     return koszul_dims_at(N, Z, b)[j]
 
 
-def _scan_koszul(N: Subquotient, Z, max_retries: int = 3):
-    """Scan the certified box; returns {degree: [dims per j]} with zero rows dropped.
+def _lcm_closure(monomials) -> set:
+    """The lcms of all nonempty subsets of `monomials` (their lcm lattice)."""
+    closure = set()
+    for g in monomials:
+        closure |= {lcm(g, c) for c in closure}
+        closure.add(g)
+    return closure
 
-    The shell (some coordinate = box + 1) must vanish entirely; a violation
-    doubles the offending coordinate and rescans.  For finitely generated
-    modules stabilization of membership makes the first pass certify.
+
+def _scan_koszul(N: Subquotient, Z):
+    """Koszul homology over K[Z] on the lcm lattice; {degree: dims per j}, zero rows dropped.
+
+    Over K[Z] the module splits into slices by the exponents outside Z.  Each
+    slice is J_c/J'_c for ideals of K[Z] generated by Z-parts of generators of
+    J and J', so its Betti numbers sit at lcms of those Z-parts.  Finite
+    generation puts the nonzero slices inside the box.
     """
-    box = list(N.box())
-    for _ in range(max_retries):
-        table = {}
-        violation = None
-        for b in product(*(range(e + 2) for e in box)):
-            dims = koszul_dims_at(N, Z, b)
-            if any(dims):
-                table[b] = dims
-                if any(b[i] == box[i] + 1 for i in range(len(box))):
-                    violation = b
-        if violation is None:
-            return table
-        for i in range(len(box)):
-            if violation[i] == box[i] + 1:
-                box[i] = 2 * (box[i] + 1)
-    raise InternalCheckFailed(
-        f"shell certification failed; module is not finitely generated over the "
-        f"chosen variables {sorted(Z)}"
-    )
+    zvars = sorted(Z)
+    outside = [v for v in range(N.ring.nvars) if v not in zvars]
+    if outside:
+        ann = colon_ideal(N.Jp, N.J)
+        if not all(any(support(g) <= {v} for g in ann.gens) for v in outside):
+            raise InternalCheckFailed(
+                f"module is not finitely generated over the chosen variables {zvars}"
+            )
+    box = N.box()
+    degrees = []
+    for zpart in _lcm_closure(tuple(g[z] for z in zvars) for g in N.J.gens + N.Jp.gens):
+        for rest in product(*(range(box[v] + 1) for v in outside)):
+            b = [0] * N.ring.nvars
+            for v, e in zip(zvars + outside, zpart + rest):
+                b[v] = e
+            degrees.append(tuple(b))
+    table = {}
+    for b in sorted(degrees):
+        dims = koszul_dims_at(N, Z, b)
+        if any(dims):
+            table[b] = dims
+    return table
 
 
 def betti_and_projdim(N: Subquotient, Z):
     """Graded Betti numbers over K[Z] and the projective dimension.
 
-    Only valid when N is finitely generated over K[Z] (Z = all variables of
-    the ring, or a restricted fiber module).
+    Betti numbers are read off Koszul homology at the lcms of the Z-parts of
+    the generators of J and J' (times the bounded exponents outside Z).  N must
+    be finitely generated over K[Z]: (J' : J) contains a pure power of every
+    variable outside Z, which always holds for Z = all variables.  Otherwise
+    InternalCheckFailed is raised before any degree is scanned.
     """
     if N.is_zero:
         raise ZeroModule("Betti numbers of the zero module")
@@ -261,8 +287,6 @@ def ass_subquotient(J: MonomialIdeal, Jp: MonomialIdeal) -> set:
     N = Subquotient(J.ring, J, Jp)
     box = N.box()
     found = set()
-    from .rings import colon, support
-
     for u in product(*(range(e + 1) for e in box)):
         if not fine_piece(N, u):
             continue

@@ -129,7 +129,11 @@ def growth_scan(I: MonomialIdeal, i: int, box_radii, Z=None) -> list:
     Radius r covers fine degrees with Z-coordinates in [-r, r] and the rest in
     [0, r].  A strictly increasing tail witnesses non-finite-generation.
     Degrees are aggregated by stabilized class, so cost is radius-independent.
+    Radii must be nonnegative.
     """
+    box_radii = list(box_radii)
+    if any(r < 0 for r in box_radii):
+        raise ValueError(f"growth radii must be nonnegative, got {box_radii}")
     if I.is_unit:
         raise UnitIdeal("growth scan of the zero module")
     if Z is None:

@@ -26,6 +26,8 @@ class RingSpec:
     def __post_init__(self):
         if self.m < 0 or self.n < 0 or self.m + self.n < 1:
             raise ValueError(f"need m, n >= 0 and m + n >= 1, got m={self.m} n={self.n}")
+        if self.char >= MAX_CHAR:
+            raise ValueError(f"characteristic must be below {MAX_CHAR}, got {self.char}")
         if self.char < 0 or self.char == 1 or (self.char > 1 and not _is_prime(self.char)):
             raise ValueError(f"characteristic must be 0 or prime, got {self.char}")
 
@@ -48,14 +50,33 @@ class RingSpec:
         return frozenset(range(self.nvars))
 
 
+# Strong-probable-prime tests to these bases decide primality exactly below
+# MAX_CHAR (Sorenson-Webster, Math. Comp. 2017); larger characteristics are refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_CHAR = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; exact for p < MAX_CHAR."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

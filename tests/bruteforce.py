@@ -1,13 +1,21 @@
-"""Independent brute-force oracle for local cohomology of S/I.
+"""Independent brute-force oracles: local cohomology of S/I and the Betti scan.
 
-Deliberately shares no code with the package: its own divisibility, its own
-Cech complex built from literal large exponents (no capped-class reasoning),
-and exact ranks over the rationals via Fraction elimination.  Slow and only
-usable on tiny inputs, which is the point.
+The local cohomology oracle deliberately shares no code with the package: its
+own divisibility, its own Cech complex built from literal large exponents (no
+capped-class reasoning), and exact ranks over the rationals via Fraction
+elimination.  Slow and only usable on tiny inputs, which is the point.
+
+The Betti scan reference walks the whole exponent box plus a shell, doubling
+the box where the shell is hit.  It reuses the package's per-degree Koszul
+dimensions (in the ring's characteristic) and checks only which degrees the
+lcm-lattice scan may skip.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
+
+from bigrade.errors import InternalCheckFailed
+from bigrade.homology import koszul_dims_at
 
 
 def bf_divides(g, u):
@@ -130,3 +138,41 @@ def bf_grade_cd(nvars, gens, zvars):
     if not nonzero:
         return None, None
     return nonzero[0], nonzero[-1]
+
+
+def bf_scan_koszul(N, Z, max_retries=3):
+    """Scan the certified box; returns {degree: [dims per j]} with zero rows dropped.
+
+    The shell (some coordinate = box + 1) must vanish entirely; a violation
+    doubles the offending coordinate and rescans.
+    """
+    box = list(N.box())
+    for _ in range(max_retries):
+        table = {}
+        violation = None
+        for b in product(*(range(e + 2) for e in box)):
+            dims = koszul_dims_at(N, Z, b)
+            if any(dims):
+                table[b] = dims
+                if any(b[i] == box[i] + 1 for i in range(len(box))):
+                    violation = b
+        if violation is None:
+            return table
+        for i in range(len(box)):
+            if violation[i] == box[i] + 1:
+                box[i] = 2 * (box[i] + 1)
+    raise InternalCheckFailed(
+        f"shell certification failed; module is not finitely generated over the "
+        f"chosen variables {sorted(Z)}"
+    )
+
+
+def bf_betti_and_projdim(N, Z):
+    """(Betti table {(j, degree): dim}, projective dimension) from the box scan."""
+    betti = {
+        (j, b): d
+        for b, dims in bf_scan_koszul(N, Z).items()
+        for j, d in enumerate(dims)
+        if d
+    }
+    return betti, max((j for j, _ in betti), default=0)

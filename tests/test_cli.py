@@ -155,6 +155,8 @@ def test_infinite_encoding(tmp_path, capsys):
         ("suite", "--count", "2", "--char", "4"),
         ("growth", "{sample}", "--i", "1", "--radii", "1,x"),
         ("growth", "{sample}", "--i", "1", "--radii", ""),
+        ("growth", "{sample}", "--i", "1", "--radii=-3,0,3"),
+        ("analyze", "{sample}", "--char", str(2 ** 89 - 1)),
     ],
 )
 def test_bad_option_values_are_parse_errors(sample_file, capsys, argv):

@@ -1,5 +1,9 @@
+import random
+
 import pytest
 
+from bruteforce import bf_betti_and_projdim
+from bigrade import homology
 from bigrade.errors import InternalCheckFailed, PreconditionFailed, RingMismatch, ZeroModule
 from bigrade.homology import (
     Subquotient,
@@ -14,11 +18,15 @@ from bigrade.homology import (
     restrict_ideal,
     sub_ring_for,
 )
+from bigrade.invariants import ordinary_depth
 from bigrade.rings import (
     RingSpec,
     associated_primes,
+    intersect,
     minimal_generators,
+    sum_ideal,
     unit_ideal,
+    var_power,
     zero_ideal,
 )
 
@@ -93,6 +101,66 @@ def test_scan_rejects_non_finite_module():
     N = Subquotient.cyclic(ideal(R11, (0, 1)))
     with pytest.raises(InternalCheckFailed):
         depth_module(N, R11.y_block())
+
+
+def _random_ideal(rnd, ring, max_exp):
+    """A random monomial ideal with 0-4 generators, none of them 1."""
+    count = rnd.randint(0, 4)
+    gens = []
+    while len(gens) < count:
+        g = tuple(rnd.randint(0, max_exp) for _ in range(ring.nvars))
+        if any(g):
+            gens.append(g)
+    return minimal_generators(ring, gens)
+
+
+def _random_subquotient(rnd, unit_J, proper_Z, char):
+    """A nonzero J/J' with J' inside J, finitely generated over K[Z]."""
+    while True:
+        nvars = rnd.randint(2, 4)
+        m = rnd.randint(0, nvars)
+        ring = RingSpec(m, nvars - m, char)
+        max_exp = rnd.randint(1, 5 - nvars // 2)
+        J = unit_ideal(ring) if unit_J else _random_ideal(rnd, ring, max_exp)
+        if J.is_zero:
+            continue
+        K = _random_ideal(rnd, ring, max_exp)
+        Z = ring.all_vars()
+        if proper_Z:
+            Z = frozenset(rnd.sample(range(nvars), rnd.randint(1, nvars - 1)))
+            powers = [var_power(ring, v, rnd.randint(1, max_exp)) for v in range(nvars) if v not in Z]
+            K = sum_ideal(K, minimal_generators(ring, powers))
+        N = Subquotient(ring, J, intersect(J, K))
+        if not N.is_zero:
+            return N, Z
+
+
+def test_lcm_scan_matches_box_scan_reference():
+    rnd = random.Random(20261017)
+    for k in range(240):
+        N, Z = _random_subquotient(
+            rnd, unit_J=k % 2 == 0, proper_Z=k % 4 >= 2, char=(0, 2)[(k // 4) % 2]
+        )
+        assert betti_and_projdim(N, Z) == bf_betti_and_projdim(N, Z), (N, sorted(Z))
+
+
+def test_large_exponents_scan_only_the_lcm_lattice(monkeypatch):
+    def ideal_e(e):
+        return ideal(RingSpec(2, 2), (e, 0, e, 0), (0, e, 0, 1), (1, 0, 0, e))
+
+    assert ordinary_depth(ideal_e(4)) == 1
+    calls = []
+    inner = homology.koszul_dims_at
+
+    def counting(N, zvars, b):
+        calls.append(b)
+        return inner(N, zvars, b)
+
+    monkeypatch.setattr(homology, "koszul_dims_at", counting)
+    monkeypatch.setattr(homology, "_depth_cache", {})
+    assert ordinary_depth(ideal_e(1000)) == 1
+    # the lcm closure of 1 and the three generators has at most 8 elements
+    assert 0 < len(calls) <= 8
 
 
 def test_dim_module():

@@ -80,6 +80,12 @@ def test_growth_eight_gen_strictly_increasing():
     assert all(a < b for a, b in zip(sums, sums[1:]))
 
 
+def test_growth_rejects_negative_radius():
+    r, I = two_prime_ideal()
+    with pytest.raises(ValueError):
+        growth_scan(I, 1, [-3, 0, 3])
+
+
 def test_corollary_check_two_prime():
     r, I = two_prime_ideal()
     triple = corollary_check(I)

@@ -1,11 +1,15 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bigrade.errors import DimensionMismatch, UnitIdeal, ZeroIdeal
 from bigrade.rings import (
+    MAX_CHAR,
     MonomialIdeal,
     RingSpec,
+    _is_prime,
     associated_primes,
     colon,
     colon_ideal,
@@ -40,6 +44,35 @@ def test_ringspec_validation():
         RingSpec(1, 1, 4)
     with pytest.raises(ValueError):
         RingSpec(1, 1, -2)
+
+
+def _trial_division_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_prime_check_agrees_with_trial_division():
+    assert all(_is_prime(n) == _trial_division_prime(n) for n in range(10 ** 4))
+
+
+def test_prime_check_rejects_strong_pseudoprimes():
+    # 561 is a Carmichael number; the others are strong pseudoprimes to
+    # bases 2-7, 2-31 and 2-37, so the later bases must catch them
+    for n in (561, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n)
+        with pytest.raises(ValueError):
+            RingSpec(1, 1, n)
+
+
+def test_large_prime_characteristic_is_accepted_quickly():
+    start = time.perf_counter()
+    assert RingSpec(1, 1, 10 ** 18 + 3).char == 10 ** 18 + 3
+    assert time.perf_counter() - start < 1.0
+
+
+def test_characteristic_above_the_exact_bound_is_refused():
+    with pytest.raises(ValueError, match="below"):
+        RingSpec(1, 1, 2 ** 89 - 1)  # prime, but beyond the exact range
+    assert 2 ** 89 - 1 >= MAX_CHAR
 
 
 def test_var_names_and_blocks():
