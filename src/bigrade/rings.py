@@ -277,7 +277,7 @@ def irreducible_decomposition(I: MonomialIdeal) -> list:
 
     Splits the lex-first mixed generator u = u1*u2 (u1 the leading variable
     power) into I = (I + (u1)) cap (I + (u2)) until every branch is
-    irreducible, then removes redundant components.
+    irreducible, then keeps the branches minimal under inclusion.
     """
     if I.is_unit:
         raise UnitIdeal("unit ideal has no decomposition")
@@ -301,19 +301,13 @@ def irreducible_decomposition(I: MonomialIdeal) -> list:
 
     comps = [MonomialIdeal(ring, g) for g in sorted(components)]
 
-    # irredundancy: drop q when the intersection of the others is inside q
-    kept = list(comps)
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(kept)):
-            others = kept[:idx] + kept[idx + 1:]
-            if not others:
-                break
-            if kept[idx].contains_ideal(intersect_all(others)):
-                del kept[idx]
-                changed = True
-                break
+    # irredundancy: an irreducible q contains an intersection of monomial
+    # ideals only if it contains one of them (the lcm of generators outside
+    # q lies outside q), so the irredundant components are the minimal ones
+    kept = [
+        q for q in comps
+        if not any(o is not q and q.contains_ideal(o) for o in comps)
+    ]
 
     return [PrimaryComponent(q, support(lcm_of_gens(q))) for q in kept]
 

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -15,6 +16,7 @@ from bigrade.rings import (
     colon_ideal,
     dim_quotient,
     intersect,
+    intersect_all,
     irreducible_decomposition,
     membership,
     minimal_generators,
@@ -192,6 +194,24 @@ def test_decomposition_intersects_back(gens):
         for k in range(len(comps)):
             rest = [pc.component for j, pc in enumerate(comps) if j != k]
             assert intersect_all(rest) != I
+
+
+def test_decomposition_is_irredundant_in_larger_rings():
+    # irredundant irreducible decompositions are unique, so intersecting back
+    # and losing I when any component is dropped pin the output down
+    rnd = random.Random(20261018)
+    for _ in range(200):
+        ring = RingSpec(rnd.randint(1, 3), rnd.randint(1, 3))
+        gens = [
+            tuple(rnd.choice([0, 0, 1, rnd.randint(1, 3)]) for _ in range(ring.nvars))
+            for _ in range(rnd.randint(1, 6))
+        ]
+        I = minimal_generators(ring, [g for g in gens if any(g)] or [(1,) * ring.nvars])
+        comps = [pc.component for pc in irreducible_decomposition(I)]
+        assert intersect_all(comps) == I
+        for k in range(len(comps)):
+            rest = comps[:k] + comps[k + 1:]
+            assert not rest or intersect_all(rest) != I, (I, comps[k])
 
 
 def test_primary_groups_by_radical():
