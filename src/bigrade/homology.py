@@ -11,6 +11,10 @@ long exact Tor sequence of 0 -> J' -> J -> J/J' -> 0, Gasharov-Peeva-Welker
 1999), so the Betti scan visits those degrees and no others.  It requires
 J/J' to be finitely generated over K[Z], i.e. (J' : J) to contain a pure
 power of every variable outside Z.
+
+Membership, colons and Cech pieces only change where an exponent crosses a
+generator exponent, so the walks that need one degree per class visit
+exponent cells (`exponent_cells`) instead of the whole exponent box.
 """
 
 from __future__ import annotations
@@ -278,16 +282,53 @@ def cech_piece_dim(N: Subquotient, Z, i: int, c) -> int:
     return len(present[1]) - rank_out - rank_in
 
 
-def ass_subquotient(J: MonomialIdeal, Jp: MonomialIdeal) -> set:
-    """Ass of the module J/J' by enumerating annihilators of capped monomials.
+def _axis_cells(gens, k, negative=False) -> list:
+    """Exponent cells of coordinate k for the monomials gens, as (start, length).
 
-    (J' : u) and membership only see exponents up to the generator maxima, so
-    the capped box covers every element class.
+    With d_0 = 0 < d_1 < ... < d_r the distinct exponents of gens at k, the
+    cells are [d_j, d_{j+1} - 1] and the cap [d_r, inf) (length None).  On a
+    negative coordinate the class (-1, None) of all negative exponents comes
+    first.  Whether g_k <= e holds for a generator g is constant on a cell.
+    """
+    d = sorted({0} | {g[k] for g in gens})
+    cells = [(-1, None)] if negative else []
+    cells += [(a, b - a) for a, b in zip(d, d[1:])]
+    cells.append((d[-1], None))
+    return cells
+
+
+def exponent_cells(N: Subquotient, coords, negative=frozenset()):
+    """Products of the exponent cells of N over coords, in lex order of corners.
+
+    Yields (corner, lengths): the smallest exponent of the cell on each of
+    coords and the cell lengths (None for the cap and the -1 class, each of
+    which stands for infinitely many exponents).  The cells come from the
+    generators of J and J', so membership, colons and Cech pieces of N are
+    constant on a cell; coordinates in `negative` also get the -1 class.
+    """
+    gens = N.J.gens + N.Jp.gens
+    axes = [_axis_cells(gens, k, k in negative) for k in coords]
+    for cell in product(*axes):
+        yield tuple(s for s, _ in cell), tuple(n for _, n in cell)
+
+
+def ass_subquotient(J: MonomialIdeal, Jp: MonomialIdeal) -> set:
+    """Ass of the module J/J' by enumerating annihilators of corner monomials.
+
+    If (J' : u) = P is prime for u in J \\ J', then raising u_k to the box on a
+    variable k outside P keeps u in J and its annihilator P, and on a variable
+    k of P some generator g of J' has g_k = u_k + 1.  So it suffices to try
+    u_k in {g_k - 1 : g in gens(J'), g_k >= 1} (the last exponent of each
+    bounded cell of J') together with box_k.
     """
     N = Subquotient(J.ring, J, Jp)
     box = N.box()
+    candidates = [
+        sorted({s + n - 1 for s, n in _axis_cells(Jp.gens, k) if n is not None} | {box[k]})
+        for k in range(J.ring.nvars)
+    ]
     found = set()
-    for u in product(*(range(e + 1) for e in box)):
+    for u in product(*candidates):
         if not fine_piece(N, u):
             continue
         ann = colon(Jp, u)

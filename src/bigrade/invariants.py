@@ -9,14 +9,23 @@ H^i_Z of the module is the direct sum of the fibers' local cohomologies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from math import prod
 from typing import Optional
 
-from .errors import EmptyList, InternalCheckFailed, RingMismatch, UnitIdeal, WrongBlock, ZeroModule
+from .errors import (
+    EmptyList,
+    InternalCheckFailed,
+    PreconditionFailed,
+    RingMismatch,
+    UnitIdeal,
+    WrongBlock,
+    ZeroModule,
+)
 from .homology import (
     Subquotient,
     depth_module,
     dim_module,
+    exponent_cells,
     restrict_ideal,
     sub_ring_for,
 )
@@ -34,10 +43,11 @@ from .rings import (
 class FiberClass:
     """A class of x-slices with a common capped colon pattern.
 
-    `patterns` collects every capped exponent pattern (over the complement of
-    Z, in complement order) whose colon pair coincides; `n_single` counts the
-    patterns representing exactly one slice, `infinite_family` flags classes
-    standing for infinitely many slices.
+    `patterns` holds the smallest pattern (over the complement of Z, in
+    complement order) of each exponent cell whose colon pair is the class's,
+    in lex order, so `patterns[0]` is the smallest slice of the class;
+    `n_single` counts the slices in bounded cells, `infinite_family` flags
+    classes standing for infinitely many slices (a capped cell).
     """
 
     complement: tuple
@@ -70,18 +80,23 @@ class InvariantReport:
 
 
 def fibers(N: Subquotient, Z) -> list:
-    """Fiber decomposition of N along the complement of Z, merged by colon pair."""
+    """Fiber decomposition of N along the complement of Z, merged by colon pair.
+
+    The restricted colons (J : u), (J' : u) only change where u crosses a
+    generator exponent, so one slice per exponent cell of the complement
+    stands for the whole cell.
+    """
     if N.is_zero:
         raise ZeroModule("fiber decomposition of the zero module")
+    if not Z:
+        raise PreconditionFailed("the axis has no variables")
     ring = N.ring
     comp = tuple(sorted(set(range(ring.nvars)) - set(Z)))
-    box = N.box()
-    caps = [box[i] for i in comp]
     sub = sub_ring_for(ring, Z)
 
     classes = {}
     order = []
-    for a in product(*(range(c + 1) for c in caps)):
+    for a, lengths in exponent_cells(N, comp):
         u = [0] * ring.nvars
         for idx, i in enumerate(comp):
             u[i] = a[idx]
@@ -91,21 +106,20 @@ def fibers(N: Subquotient, Z) -> list:
         if key not in classes:
             classes[key] = []
             order.append(key)
-        classes[key].append(a)
+        classes[key].append((a, lengths))
 
     out = []
     for key in order:
-        pats = tuple(sorted(classes[key]))
-        capped = [any(a[idx] == caps[idx] for idx in range(len(comp))) for a in pats]
+        cells = classes[key]  # in lex order of corners
         Ja = MonomialIdeal(sub, key[0])
         Jpa = MonomialIdeal(sub, key[1])
         out.append(
             FiberClass(
                 complement=comp,
-                patterns=pats,
+                patterns=tuple(a for a, _ in cells),
                 fiber=Subquotient(sub, Ja, Jpa),
-                infinite_family=any(capped) and bool(comp),
-                n_single=sum(1 for c in capped if not c),
+                infinite_family=any(None in lengths for _, lengths in cells) and bool(comp),
+                n_single=sum(prod(lengths) for _, lengths in cells if None not in lengths),
             )
         )
     return out

@@ -1,8 +1,14 @@
 """Degreewise local cohomology H^i_Z(S/I) and its finiteness decisions.
 
+Cech pieces only change where a degree crosses a generator exponent, so every
+scan here visits one degree per exponent cell (the intervals between
+consecutive distinct generator exponents, the cap from the largest one on, and
+the class of all negative exponents) and weights it by the cell's length, the
+interval structure of Takayama's formula.
+
 H^i_Z splits over the fiber decomposition; a fiber contributes finite length
-iff its cohomology vanishes on every degree class with a negative coordinate
-(and on the capped classes, each of which stands for infinitely many degrees).
+iff its cohomology vanishes on every cell with a negative coordinate (and on
+the capped cells, each of which stands for infinitely many degrees).
 The module is finitely generated iff every fiber contributes finite length:
 beyond the caps the complementary variables act as isomorphisms, so the capped
 box generates; a nonvanishing negative-degree family can never be generated.
@@ -12,12 +18,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import product
+from math import prod
 from typing import Optional
 
 from .errors import InternalCheckFailed, PreconditionFailed, UnitIdeal
 from .filtration import sequentially_cm
-from .homology import Subquotient, cech_piece_dim
+from .homology import Subquotient, cech_piece_dim, exponent_cells
 from .invariants import analyze, cd, fibers
 from .rings import MonomialIdeal, associated_primes
 
@@ -28,8 +34,8 @@ logger = logging.getLogger("bigrade")
 class FiberLC:
     """Local cohomology data of one fiber class at a fixed index."""
 
-    pattern: tuple  # representative capped pattern over the complement
-    patterns: tuple
+    pattern: tuple  # smallest capped pattern of the class, over the complement
+    patterns: tuple  # smallest pattern of each exponent cell in the class
     infinite_family: bool
     n_single: int
     finite_length: bool
@@ -47,29 +53,23 @@ class LCReport:
     char: int
 
 
-def _rep_classes(box):
-    """Degree classes {-1} u [0, box_z] per coordinate; -1 stands for all negatives."""
-    return product(*([-1] + list(range(b + 1)) for b in box))
-
-
 def _fiber_lc(fc, i: int) -> FiberLC:
     fiber = fc.fiber
-    box = fiber.box()
     allvars = fiber.ring.all_vars()
     finite = True
     witness = None
     total = 0
-    for c in _rep_classes(box):
+    for c, lengths in exponent_cells(fiber, range(fiber.ring.nvars), allvars):
         d = cech_piece_dim(fiber, allvars, i, c)
         if d == 0:
             continue
-        if any(e < 0 for e in c) or any(e == box[k] for k, e in enumerate(c)):
-            # the class stands for infinitely many fine degrees
+        if None in lengths:
+            # the cell stands for infinitely many fine degrees
             finite = False
             if witness is None:
                 witness = c
         else:
-            total += d
+            total += d * prod(lengths)
     return FiberLC(
         pattern=fc.patterns[0],
         patterns=fc.patterns,
@@ -128,8 +128,9 @@ def growth_scan(I: MonomialIdeal, i: int, box_radii, Z=None) -> list:
 
     Radius r covers fine degrees with Z-coordinates in [-r, r] and the rest in
     [0, r].  A strictly increasing tail witnesses non-finite-generation.
-    Degrees are aggregated by stabilized class, so cost is radius-independent.
-    Radii must be nonnegative.
+    Degrees are aggregated by exponent cell, and each cell's degrees within
+    radius r are counted, not visited, so the cost depends on neither the
+    radius nor the size of the exponents.  Radii must be nonnegative.
     """
     box_radii = list(box_radii)
     if any(r < 0 for r in box_radii):
@@ -140,31 +141,25 @@ def growth_scan(I: MonomialIdeal, i: int, box_radii, Z=None) -> list:
         Z = I.ring.y_block()
     Z = frozenset(Z)
     N = Subquotient.cyclic(I)
-    box = N.box()
-    nv = I.ring.nvars
 
-    classes = []  # (class degree, dim)
-    for c in product(*(
-        ([-1] + list(range(box[v] + 1))) if v in Z else list(range(box[v] + 1))
-        for v in range(nv)
-    )):
+    cells = []  # (corner, lengths, dim) of the nonzero cells
+    for c, lengths in exponent_cells(N, range(I.ring.nvars), Z):
         d = cech_piece_dim(N, Z, i, c)
         if d:
-            classes.append((c, d))
+            cells.append((c, lengths, d))
 
     sums = []
     for r in box_radii:
         total = 0
-        for c, d in classes:
+        for c, lengths, d in cells:
             mult = 1
-            for v in range(nv):
-                e = c[v]
+            for e, n in zip(c, lengths):
                 if e == -1:
                     count = r  # degrees -r..-1
-                elif e == box[v]:
+                elif n is None:
                     count = max(0, r - e + 1)  # degrees e..r
                 else:
-                    count = 1 if e <= r else 0
+                    count = max(0, min(e + n - 1, r) - e + 1)  # degrees e..e+n-1 up to r
                 mult *= count
                 if mult == 0:
                     break

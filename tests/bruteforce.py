@@ -1,4 +1,4 @@
-"""Independent brute-force oracles: local cohomology of S/I and the Betti scan.
+"""Independent brute-force oracles: local cohomology of S/I and the box walks.
 
 The local cohomology oracle deliberately shares no code with the package: its
 own divisibility, its own Cech complex built from literal large exponents (no
@@ -9,13 +9,27 @@ The Betti scan reference walks the whole exponent box plus a shell, doubling
 the box where the shell is hit.  It reuses the package's per-degree Koszul
 dimensions (in the ring's characteristic) and checks only which degrees the
 lcm-lattice scan may skip.
+
+The fiber, local cohomology, growth and Ass references visit every exponent
+of the box, one degree at a time, with the package's per-degree pieces.  They
+check only which degrees the exponent-cell walks may skip.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
 from bigrade.errors import InternalCheckFailed
-from bigrade.homology import koszul_dims_at
+from bigrade.homology import (
+    Subquotient,
+    cech_piece_dim,
+    fine_piece,
+    koszul_dims_at,
+    restrict_ideal,
+    sub_ring_for,
+)
+from bigrade.invariants import FiberClass
+from bigrade.local_cohomology import FiberLC
+from bigrade.rings import MonomialIdeal, colon, support
 
 
 def bf_divides(g, u):
@@ -176,3 +190,123 @@ def bf_betti_and_projdim(N, Z):
         if d
     }
     return betti, max((j for j, _ in betti), default=0)
+
+
+def bf_fibers(N, Z):
+    """Fiber decomposition by one colon pair per exponent of the capped box.
+
+    Each class lists every capped pattern of the box it holds.
+    """
+    ring = N.ring
+    comp = tuple(sorted(set(range(ring.nvars)) - set(Z)))
+    box = N.box()
+    caps = [box[i] for i in comp]
+    sub = sub_ring_for(ring, Z)
+    classes = {}
+    for a in product(*(range(c + 1) for c in caps)):
+        u = [0] * ring.nvars
+        for idx, i in enumerate(comp):
+            u[i] = a[idx]
+        Ja = restrict_ideal(colon(N.J, tuple(u)), frozenset(Z), sub)
+        Jpa = restrict_ideal(colon(N.Jp, tuple(u)), frozenset(Z), sub)
+        classes.setdefault((Ja.gens, Jpa.gens), []).append(a)
+    out = []
+    for key, pats in classes.items():
+        capped = [any(a[idx] == caps[idx] for idx in range(len(comp))) for a in pats]
+        out.append(
+            FiberClass(
+                complement=comp,
+                patterns=tuple(sorted(pats)),
+                fiber=Subquotient(sub, MonomialIdeal(sub, key[0]), MonomialIdeal(sub, key[1])),
+                infinite_family=any(capped) and bool(comp),
+                n_single=sum(1 for c in capped if not c),
+            )
+        )
+    return out
+
+
+def bf_fiber_lc(fc, i):
+    """H^i of one fiber by a Cech piece at every degree of {-1} u [0, box] per coordinate."""
+    fiber = fc.fiber
+    box = fiber.box()
+    allvars = fiber.ring.all_vars()
+    finite = True
+    witness = None
+    total = 0
+    for c in product(*([-1] + list(range(b + 1)) for b in box)):
+        d = cech_piece_dim(fiber, allvars, i, c)
+        if d == 0:
+            continue
+        if any(e < 0 for e in c) or any(e == box[k] for k, e in enumerate(c)):
+            finite = False
+            if witness is None:
+                witness = c
+        else:
+            total += d
+    return FiberLC(
+        pattern=fc.patterns[0],
+        patterns=fc.patterns,
+        infinite_family=fc.infinite_family,
+        n_single=fc.n_single,
+        finite_length=finite,
+        total_dim=total if finite else None,
+        witness_degree=witness,
+    )
+
+
+def bf_lc_report(I, i, Z):
+    """(finitely generated, total dim, per-fiber data) of H^i_Z(S/I) from the box walks."""
+    entries = [
+        bf_fiber_lc(fc, i)
+        for fc in bf_fibers(Subquotient.cyclic(I), Z)
+        if not fc.fiber.is_zero
+    ]
+    fin_gen = all(e.finite_length for e in entries)
+    total = None
+    if fin_gen and all(e.total_dim == 0 for e in entries if e.infinite_family):
+        total = sum(e.n_single * e.total_dim for e in entries)
+    return fin_gen, total, entries
+
+
+def bf_growth_scan(I, i, radii, Z):
+    """Cumulative H^i_Z(S/I) piece dimensions over growing boxes, one box degree at a time."""
+    N = Subquotient.cyclic(I)
+    box = N.box()
+    nv = I.ring.nvars
+    classes = []
+    for c in product(*(
+        ([-1] + list(range(box[v] + 1))) if v in Z else list(range(box[v] + 1))
+        for v in range(nv)
+    )):
+        d = cech_piece_dim(N, Z, i, c)
+        if d:
+            classes.append((c, d))
+    sums = []
+    for r in radii:
+        total = 0
+        for c, d in classes:
+            mult = 1
+            for v in range(nv):
+                e = c[v]
+                if e == -1:
+                    mult *= r
+                elif e == box[v]:
+                    mult *= max(0, r - e + 1)
+                else:
+                    mult *= 1 if e <= r else 0
+            total += d * mult
+        sums.append(total)
+    return sums
+
+
+def bf_ass_subquotient(J, Jp):
+    """Ass of J/J' from the annihilator of every monomial of the capped box."""
+    N = Subquotient(J.ring, J, Jp)
+    found = set()
+    for u in product(*(range(e + 1) for e in N.box())):
+        if not fine_piece(N, u):
+            continue
+        ann = colon(Jp, u)
+        if all(len(support(g)) == 1 and max(g) == 1 for g in ann.gens):
+            found.add(frozenset(idx for g in ann.gens for idx in support(g)))
+    return found

@@ -180,3 +180,32 @@ def test_internal_check_failure_is_reported_with_its_input(sample_file, capsys, 
     head, canonical = error.split("\n", 1)
     assert head == "internal: invariant chain violated; input ideal:"
     assert parse_ideal_text(canonical) == parse_ideal_text(SAMPLE)
+
+
+@pytest.mark.parametrize(
+    "ring, argv",
+    [
+        ("1 0", ("analyze",)),
+        ("1 0", ("lc", "--i", "0")),
+        ("1 0", ("seqcm",)),
+        ("1 0", ("gencm",)),
+        ("0 1", ("analyze", "--axis", "P")),
+    ],
+)
+def test_empty_axis_is_a_precondition_error(tmp_path, capsys, ring, argv):
+    p = tmp_path / "e.ideal"
+    p.write_text(f"ring {ring}\ngens: {'x1' if ring == '1 0' else 'y1'}^2\n")
+    code, out = run_cli(capsys, argv[0], str(p), *argv[1:])
+    assert code == 3
+    assert json.loads(out)["error"] == "precondition: the axis has no variables"
+
+
+def test_growth_and_filtration_answer_on_an_empty_axis(tmp_path, capsys):
+    p = tmp_path / "e.ideal"
+    p.write_text("ring 1 0\ngens: x1^2\n")
+    code, out = run_cli(capsys, "growth", str(p), "--i", "0")
+    assert code == 0 and json.loads(out)["cumulative_dims"] == [2, 2, 2, 2]
+    code, out = run_cli(capsys, "filtration", str(p))
+    doc = json.loads(out)
+    assert code == 0 and doc["cd_values"] == [0]
+    assert doc["steps"] == [{"ass_quotient": [["x1"]], "cd": 0, "ideal": ["1"]}]

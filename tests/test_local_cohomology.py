@@ -1,6 +1,13 @@
+import random
+
 import pytest
 
+from bruteforce import bf_ass_subquotient, bf_fibers, bf_growth_scan, bf_lc_report
+from bigrade import homology, invariants, local_cohomology, rings
 from bigrade.errors import PreconditionFailed, UnitIdeal
+from bigrade.filtration import sequentially_cm
+from bigrade.homology import Subquotient, ass_subquotient
+from bigrade.invariants import analyze, fibers
 from bigrade.io_formats import parse_ideal_text
 from bigrade.local_cohomology import (
     corollary_check,
@@ -9,7 +16,7 @@ from bigrade.local_cohomology import (
     lc_report,
     question_counterexample_scan,
 )
-from bigrade.rings import RingSpec, intersect, minimal_generators, unit_ideal
+from bigrade.rings import RingSpec, intersect, minimal_generators, sum_ideal, unit_ideal
 
 EIGHT_GEN = """
 ring 2 4
@@ -113,3 +120,97 @@ def test_corollary_all_true_case():
 def test_question_scan_returns_list():
     r, I = two_prime_ideal()
     assert question_counterexample_scan(I) == []
+
+
+def _random_ideal(rnd, ring, max_exp, max_gens):
+    gens = [
+        tuple(rnd.randint(0, max_exp) for _ in range(ring.nvars))
+        for _ in range(rnd.randint(1, max_gens))
+    ]
+    return minimal_generators(ring, [g for g in gens if any(g)] or [(max_exp,) * ring.nvars])
+
+
+def _lc_fields(e):
+    # every field but `patterns`, which lists cell corners here and every
+    # pattern in the reference
+    return (e.pattern, e.n_single, e.infinite_family, e.finite_length, e.total_dim, e.witness_degree)
+
+
+def test_cell_walks_match_box_walk_reference():
+    rnd = random.Random(20261018)
+    for k in range(240):
+        m = rnd.randint(1, 2)
+        ring = RingSpec(m, rnd.randint(1, 3 - m), (0, 2)[k % 2])
+        I = _random_ideal(rnd, ring, 4, 4)
+        Z = (ring.x_block(), ring.y_block(), ring.all_vars())[(k // 2) % 3]
+        N = Subquotient.cyclic(I)
+        case = (str(I), ring.char, sorted(Z))
+
+        def classes(fcs):
+            return [(fc.patterns[0], fc.fiber, fc.infinite_family, fc.n_single) for fc in fcs]
+
+        assert classes(fibers(N, Z)) == classes(bf_fibers(N, Z)), case
+
+        for i in range(len(Z) + 1):
+            rep = lc_report(I, i, Z)
+            fin_gen, total, entries = bf_lc_report(I, i, Z)
+            assert (rep.finitely_generated, rep.total_dim) == (fin_gen, total), (case, i)
+            assert list(map(_lc_fields, rep.per_fiber)) == list(map(_lc_fields, entries)), (case, i)
+            radii = [0, 1, 2, 3, 4, 6, 9]
+            assert growth_scan(I, i, radii, Z) == bf_growth_scan(I, i, radii, Z), (case, i)
+
+        assert ass_subquotient(unit_ideal(ring), I) == bf_ass_subquotient(unit_ideal(ring), I), case
+        J = sum_ideal(I, _random_ideal(rnd, ring, 3, 2))  # proper: no unit generator
+        assert ass_subquotient(J, I) == bf_ass_subquotient(J, I), (case, str(J))
+
+
+def test_large_exponents_cost_follows_the_cells(monkeypatch):
+    # x1^e*y1^e, x2^e*y2, x1*y2^e: counted as here, a box walk makes 93,636
+    # Cech calls per growth index and 150,515 colons for seqcm at e = 16, and
+    # 900 and 1,069 at e = 4; the cells do not depend on e
+    calls = {"cech": 0, "colon": 0}
+
+    def counted(name, inner):
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    monkeypatch.setattr(local_cohomology, "cech_piece_dim", counted("cech", local_cohomology.cech_piece_dim))
+    colon = counted("colon", rings.colon)
+    for module in (rings, homology, invariants):
+        monkeypatch.setattr(module, "colon", colon)
+
+    def run(e):
+        monkeypatch.setattr(homology, "_depth_cache", {})
+        monkeypatch.setattr(homology, "_dim_cache", {})
+        I = minimal_generators(RingSpec(2, 2), [(e, 0, e, 0), (0, e, 0, 1), (1, 0, 0, e)])
+        Q = I.ring.y_block()
+        answers, counts = [], []
+        for label, query in [
+            ("analyze", lambda: analyze(I, Q)),
+            ("lc 1", lambda: lc_report(I, 1, Q)),
+            ("lc 2", lambda: lc_report(I, 2, Q)),
+            ("growth 1", lambda: growth_scan(I, 1, [1, 2, 3, 4], Q)),
+            ("growth 2", lambda: growth_scan(I, 2, [1, 2, 3, 4], Q)),
+            ("seqcm", lambda: sequentially_cm(I, Q)),
+        ]:
+            before = dict(calls)
+            out = query()
+            if label.startswith("lc"):  # patterns and n_single scale with e
+                out = (out.finitely_generated, out.total_dim, [
+                    (f.infinite_family, f.finite_length, f.total_dim, f.witness_degree)
+                    for f in out.per_fiber
+                ])
+            elif label == "seqcm":
+                out = (out["verdict"], out["per_step"])
+            answers.append((label, out))
+            counts.append((label, {k: calls[k] - before[k] for k in calls}))
+        return answers, counts
+
+    answers_16, counts_16 = run(16)
+    answers_1000, counts_1000 = run(1000)
+    assert answers_1000 == answers_16
+    assert counts_1000 == counts_16
+    assert dict(answers_16)["growth 1"] == [4, 36, 144, 400]
+    assert dict(answers_16)["seqcm"][0] is True
