@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -247,7 +248,9 @@ def cmd_render(args):
     return {"schema": SCHEMA, "command": "render", "canonical": render_ideal(I)}
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="bigrade",
         description="Invariants of bigraded monomial quotients",
@@ -336,7 +339,8 @@ def main(argv=None) -> int:
     except ParseError as exc:
         where = f" (line {exc.line})" if exc.line else ""
         return _error(f"parse: {exc}{where}", 2)
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        # the input file is missing, a directory, unreadable or not UTF-8
         return _error(f"parse: {exc}", 2)
     except BigradeError as exc:
         return _error(f"precondition: {exc}", 3)

@@ -19,6 +19,7 @@ exponent cells (`exponent_cells`) instead of the whole exponent box.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -211,27 +212,40 @@ def betti_and_projdim(N: Subquotient, Z):
     return betti, projdim
 
 
+# depths and dimensions of modules, oldest entry dropped when a dict is full
+CACHE_SIZE = 4096
 _depth_cache: dict = {}
 _dim_cache: dict = {}
+_cache_lock = threading.Lock()
+
+
+def _remember(cache: dict, key, value):
+    with _cache_lock:
+        if len(cache) >= CACHE_SIZE:
+            del cache[next(iter(cache))]
+        cache[key] = value
+    return value
 
 
 def depth_module(N: Subquotient, Z) -> int:
     """depth over K[Z] via Auslander-Buchsbaum: |Z| - projdim."""
     key = (N, frozenset(Z))
-    if key not in _depth_cache:
-        _, projdim = betti_and_projdim(N, Z)
-        _depth_cache[key] = len(Z) - projdim
-    return _depth_cache[key]
+    depth = _depth_cache.get(key)
+    if depth is not None:
+        return depth
+    _, projdim = betti_and_projdim(N, Z)
+    return _remember(_depth_cache, key, len(Z) - projdim)
 
 
 def dim_module(N: Subquotient) -> int:
     """Krull dimension of J/J' via its annihilator (J' : J)."""
-    if N not in _dim_cache:
-        ann = colon_ideal(N.Jp, N.J)
-        if ann.is_unit:
-            raise ZeroModule("dimension of the zero module")
-        _dim_cache[N] = dim_quotient(ann)
-    return _dim_cache[N]
+    dim = _dim_cache.get(N)
+    if dim is not None:
+        return dim
+    ann = colon_ideal(N.Jp, N.J)
+    if ann.is_unit:
+        raise ZeroModule("dimension of the zero module")
+    return _remember(_dim_cache, N, dim_quotient(ann))
 
 
 def cech_piece_dim(N: Subquotient, Z, i: int, c) -> int:

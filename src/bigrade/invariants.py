@@ -9,6 +9,7 @@ H^i_Z of the module is the direct sum of the fibers' local cohomologies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 from typing import Optional
 
@@ -84,14 +85,21 @@ def fibers(N: Subquotient, Z) -> list:
 
     The restricted colons (J : u), (J' : u) only change where u crosses a
     generator exponent, so one slice per exponent cell of the complement
-    stands for the whole cell.
+    stands for the whole cell.  The decomposition is computed once per
+    (N, Z) and kept in a bounded memo; each call returns a fresh list.
     """
+    return list(_fibers(N, frozenset(Z)))
+
+
+@lru_cache(maxsize=256)
+def _fibers(N: Subquotient, Z: frozenset) -> tuple:
+    """The memo behind `fibers`."""
     if N.is_zero:
         raise ZeroModule("fiber decomposition of the zero module")
     if not Z:
         raise PreconditionFailed("the axis has no variables")
     ring = N.ring
-    comp = tuple(sorted(set(range(ring.nvars)) - set(Z)))
+    comp = tuple(sorted(set(range(ring.nvars)) - Z))
     sub = sub_ring_for(ring, Z)
 
     classes = {}
@@ -100,8 +108,8 @@ def fibers(N: Subquotient, Z) -> list:
         u = [0] * ring.nvars
         for idx, i in enumerate(comp):
             u[i] = a[idx]
-        Ja = restrict_ideal(colon(N.J, tuple(u)), frozenset(Z), sub)
-        Jpa = restrict_ideal(colon(N.Jp, tuple(u)), frozenset(Z), sub)
+        Ja = restrict_ideal(colon(N.J, tuple(u)), Z, sub)
+        Jpa = restrict_ideal(colon(N.Jp, tuple(u)), Z, sub)
         key = (Ja.gens, Jpa.gens)
         if key not in classes:
             classes[key] = []
@@ -122,7 +130,7 @@ def fibers(N: Subquotient, Z) -> list:
                 n_single=sum(prod(lengths) for _, lengths in cells if None not in lengths),
             )
         )
-    return out
+    return tuple(out)
 
 
 def grade(N: Subquotient, Z) -> int:

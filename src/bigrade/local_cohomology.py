@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 from typing import Optional
 
@@ -53,7 +54,13 @@ class LCReport:
     char: int
 
 
+@lru_cache(maxsize=1024)
 def _fiber_lc(fc, i: int) -> FiberLC:
+    """H^i of one fiber class over its full sub-ring, one Cech piece per cell.
+
+    Kept in a bounded memo per (class, i), so repeated reports on the same
+    ideal skip their Cech scans.
+    """
     fiber = fc.fiber
     allvars = fiber.ring.all_vars()
     finite = True

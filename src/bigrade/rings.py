@@ -8,6 +8,7 @@ so equal ideals compare equal and all downstream output is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import DimensionMismatch, RingMismatch, UnitIdeal, ZeroIdeal
 
@@ -277,12 +278,25 @@ def irreducible_decomposition(I: MonomialIdeal) -> list:
 
     Splits the lex-first mixed generator u = u1*u2 (u1 the leading variable
     power) into I = (I + (u1)) cap (I + (u2)) until every branch is
-    irreducible, then keeps the branches minimal under inclusion.
+    irreducible, then keeps the branches minimal under inclusion.  The
+    decomposition is unique, so it is computed once per ideal and kept in a
+    bounded memo; each call returns a fresh list.
     """
     if I.is_unit:
         raise UnitIdeal("unit ideal has no decomposition")
     if I.is_zero:
         raise ZeroIdeal("zero ideal has no irreducible decomposition")
+    return list(_decomposition(I))
+
+
+@lru_cache(maxsize=1024)
+def _decomposition(I: MonomialIdeal) -> tuple:
+    """The memo behind `irreducible_decomposition`."""
+    return _irreducible_components(I)
+
+
+def _irreducible_components(I: MonomialIdeal) -> tuple:
+    """Split and prune a proper nonzero I; the body of the memo."""
     ring = I.ring
 
     components = set()
@@ -309,7 +323,7 @@ def irreducible_decomposition(I: MonomialIdeal) -> list:
         if not any(o is not q and q.contains_ideal(o) for o in comps)
     ]
 
-    return [PrimaryComponent(q, support(lcm_of_gens(q))) for q in kept]
+    return tuple(PrimaryComponent(q, support(lcm_of_gens(q))) for q in kept)
 
 
 def lcm_of_gens(I: MonomialIdeal) -> Monomial:

@@ -209,3 +209,43 @@ def test_growth_and_filtration_answer_on_an_empty_axis(tmp_path, capsys):
     doc = json.loads(out)
     assert code == 0 and doc["cd_values"] == [0]
     assert doc["steps"] == [{"ass_quotient": [["x1"]], "cd": 0, "ideal": ["1"]}]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("analyze", "{dir}"), "Is a directory"),
+        (("analyze", "{latin1}"), "can't decode byte 0xff"),
+        (("hypersurface", "{dir}", "--ring", "1", "1"), "Is a directory"),
+    ],
+)
+def test_unreadable_inputs_are_parse_errors(tmp_path, capsys, argv, message):
+    latin1 = tmp_path / "latin1.ideal"
+    latin1.write_bytes(b"ring 1 1\n# caf\xff\ngens: x1*y1\n")
+    code, out = run_cli(capsys, *(a.format(dir=tmp_path, latin1=latin1) for a in argv))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error.startswith("parse: ") and message in error
+
+
+def test_every_subcommand_shares_one_parser(sample_file, capsys):
+    from bigrade import cli
+
+    commands = [
+        ("analyze", sample_file),
+        ("decompose", sample_file),
+        ("filtration", sample_file),
+        ("seqcm", sample_file),
+        ("lc", sample_file, "--i", "1"),
+        ("gencm", sample_file),
+        ("growth", sample_file, "--i", "1", "--radii", "1,2"),
+        ("hypersurface", "--factors", "(1,1) (0,2)", "--ring", "2", "2"),
+        ("crosscheck", "--monomial", "x1*y1", "--ring", "2", "2"),
+        ("suite", "--count", "3", "--seed", "7"),
+        ("render", sample_file),
+    ]
+    first = [run_cli(capsys, *argv) for argv in commands]
+    second = [run_cli(capsys, *argv) for argv in commands]
+    assert second == first
+    assert all(code == 0 for code, _ in first)
+    assert cli.build_parser.cache_info().misses == 1

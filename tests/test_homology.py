@@ -163,6 +163,32 @@ def test_large_exponents_scan_only_the_lcm_lattice(monkeypatch):
     assert 0 < len(calls) <= 8
 
 
+def test_depth_and_dim_caches_are_bounded(monkeypatch):
+    ring = RingSpec(1, 2)
+    modules = [
+        Subquotient.cyclic(ideal(ring, *gens))
+        for gens in [
+            [(1, 0, 0)],
+            [(1, 1, 0)],
+            [(1, 0, 0), (0, 1, 0)],
+            [(1, 0, 0), (0, 1, 0), (0, 0, 2)],
+            [(0, 1, 1), (0, 2, 0)],
+            [(2, 0, 1), (1, 1, 0)],
+            [(1, 1, 1)],
+        ]
+    ]
+    expected = [(depth_module(N, ring.all_vars()), dim_module(N)) for N in modules]
+    assert len(set(expected)) >= 3
+    homology._depth_cache.clear()
+    homology._dim_cache.clear()
+    monkeypatch.setattr(homology, "CACHE_SIZE", 3)
+    for N, want in 2 * list(zip(modules, expected)):
+        assert (depth_module(N, ring.all_vars()), dim_module(N)) == want
+        assert len(homology._depth_cache) <= 3 and len(homology._dim_cache) <= 3
+    # full dicts drop their oldest entry
+    assert list(homology._dim_cache) == modules[-3:]
+
+
 def test_dim_module():
     assert dim_module(Subquotient.cyclic(ideal(R11, (1, 1)))) == 1
     assert dim_module(Subquotient.cyclic(zero_ideal(R11))) == 2

@@ -1,0 +1,99 @@
+"""The bounded memos: warm answers equal cold ones, and results can be mutated safely."""
+
+import random
+from collections import Counter
+
+import bigrade
+from bigrade import invariants, local_cohomology, rings
+from bigrade.filtration import dimension_filtration, sequentially_cm
+from bigrade.homology import Subquotient
+from bigrade.invariants import analyze, fibers
+from bigrade.io_formats import parse_ideal_text
+from bigrade.local_cohomology import growth_scan, lc_report
+from bigrade.rings import associated_primes, irreducible_decomposition
+from bigrade.suite import random_ideal
+
+SAMPLE = """ring 2 4
+gens: x1*x2, x1*y3, x1*y4, x2*y1, y1*y3, y1*y4, y2*y4, y2*y3
+"""
+
+
+def _outcome(query):
+    try:
+        return "ok", query()
+    except bigrade.BigradeError as exc:
+        return "raised", type(exc).__name__, str(exc)
+
+
+def _queries(ring, I):
+    """Every memoized path, on both axes and at every local cohomology index."""
+    out = [("decomposition", lambda: irreducible_decomposition(I))]
+    for name, Z in (("P", ring.x_block()), ("Q", ring.y_block())):
+        out += [
+            (f"analyze {name}", lambda Z=Z: analyze(I, Z)),
+            (f"seqcm {name}", lambda Z=Z: sequentially_cm(I, Z)),
+            (f"filtration {name}", lambda Z=Z: dimension_filtration(I, Z)),
+            (f"growth {name}", lambda Z=Z: growth_scan(I, 1, [0, 1, 3], Z)),
+        ]
+        out += [
+            (f"lc {name} {i}", lambda Z=Z, i=i: lc_report(I, i, Z))
+            for i in range(len(Z) + 1)
+        ]
+    return out
+
+
+def test_warm_answers_equal_cold_answers():
+    rnd = random.Random(20261018)
+    for case in range(150):
+        char = (0, 2)[case % 2]
+        ring, I = random_ideal(rnd, char=char)
+        queries = _queries(ring, I)
+        cold = {}
+        for label, query in queries:
+            bigrade.clear_caches()
+            cold[label] = _outcome(query)
+        bigrade.clear_caches()
+        # every query once, then again those answered from the memos alone
+        warm = rnd.sample(queries, len(queries))
+        again = [q for q in queries if q[0].split()[0] in ("decomposition", "analyze", "lc")]
+        warm += rnd.sample(again, len(again))
+        for label, query in warm:
+            assert _outcome(query) == cold[label], (case, str(I), char, label)
+
+
+def test_mutating_results_does_not_poison_the_memos():
+    ring, I = parse_ideal_text(SAMPLE)
+    N = Subquotient.cyclic(I)
+    for query in (
+        lambda: irreducible_decomposition(I),
+        lambda: fibers(N, ring.y_block()),
+        lambda: associated_primes(I),
+    ):
+        first = query()
+        expected = type(first)(first)
+        assert expected
+        first.clear()
+        assert query() == expected
+        assert query() is not query()
+
+
+def test_analyze_decomposes_each_ideal_once(monkeypatch):
+    # analyze used to decompose I three times: for mgrade, for dim via the
+    # minimal primes, and for the witness prime
+    counts = Counter()
+    body = rings._irreducible_components
+
+    def counting(I):
+        counts[I] += 1
+        return body(I)
+
+    monkeypatch.setattr(rings, "_irreducible_components", counting)
+    ring, I = parse_ideal_text(SAMPLE)
+    analyze(I, ring.y_block())
+    assert counts[I] == 1
+    assert set(counts.values()) == {1}
+
+
+def test_memos_are_bounded():
+    for memo in (rings._decomposition, invariants._fibers, local_cohomology._fiber_lc):
+        assert 0 < memo.cache_info().maxsize < 10_000
