@@ -12,7 +12,7 @@ from .filtration import ass_quotients, dimension_filtration, sequentially_cm
 from .hypersurface import classify, monomial_crosscheck, parse_profile, profile_of_monomial
 from .invariants import analyze
 from .io_formats import parse_ideal_file, parse_term, render_ideal
-from .local_cohomology import corollary_check, generalized_cm, growth_scan, lc_report
+from .local_cohomology import generalized_cm, growth_scan, lc_report
 from .rings import (
     RingSpec,
     associated_primes,

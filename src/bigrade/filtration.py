@@ -102,9 +102,22 @@ def ass_quotients(ladder: FiltrationLadder) -> list:
     return blocks
 
 
-def sequentially_cm(I: MonomialIdeal, Z) -> dict:
-    """Sequential CM test: every filtration step must have grade = cd."""
-    ladder = dimension_filtration(I, Z)
+def _ladder_for(I: MonomialIdeal, Z, ladder) -> FiltrationLadder:
+    """`ladder` if it is the ladder of (I, Z), else ValueError; None builds it."""
+    if ladder is None:
+        return dimension_filtration(I, Z)
+    if ladder.base != I or ladder.axis != frozenset(Z):
+        raise ValueError("ladder was built for another ideal or axis")
+    return ladder
+
+
+def sequentially_cm(I: MonomialIdeal, Z, *, ladder=None) -> dict:
+    """Sequential CM test: every filtration step must have grade = cd.
+
+    `ladder`, when given, must be ``dimension_filtration(I, Z)``; it is then
+    used instead of building the ladder again.
+    """
+    ladder = _ladder_for(I, Z, ladder)
     per_step = []
     verdict = True
     prev = I
@@ -120,11 +133,15 @@ def sequentially_cm(I: MonomialIdeal, Z) -> dict:
     return {"verdict": verdict, "per_step": per_step, "ladder": ladder}
 
 
-def mgrade_constancy(I: MonomialIdeal, Z) -> bool:
-    """All D_i share mgrade = gamma_1; False would signal an internal bug."""
+def mgrade_constancy(I: MonomialIdeal, Z, *, ladder=None) -> bool:
+    """All D_i share mgrade = gamma_1; False would signal an internal bug.
+
+    `ladder`, when given, must be ``dimension_filtration(I, Z)``; it is then
+    used instead of building the ladder again.
+    """
     if I.is_unit:
         raise UnitIdeal("mgrade constancy of the zero module")
-    ladder = dimension_filtration(I, Z)
+    ladder = _ladder_for(I, Z, ladder)
     ass_total = associated_primes(I)
     gamma_1 = ladder.cd_values[0]
     for _, gamma in ladder.steps:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BadProfile, BadRing
-from .rings import Monomial, MonomialIdeal, RingSpec, minimal_generators
+from .rings import Monomial, RingSpec, minimal_generators
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,6 @@ anything ``int`` accepts entry by entry).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 def _int_rows(matrix, name) -> list:
     """A fresh list of int rows; ValueError unless `matrix` is 2-d and rectangular."""
@@ -94,24 +92,3 @@ def rank(matrix, char: int = 0) -> int:
     if char == 0:
         return rank_char0(matrix)
     return rank_mod_p(matrix, char)
-
-
-def rank_fraction_oracle(matrix) -> int:
-    """Independent rank oracle via Fraction Gaussian elimination (tests only)."""
-    rows = [[Fraction(int(x)) for x in r] for r in matrix]
-    if not rows or not rows[0]:
-        return 0
-    nc = len(rows[0])
-    rank_ = 0
-    for c in range(nc):
-        pr = next((i for i in range(rank_, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[rank_], rows[pr] = rows[pr], rows[rank_]
-        pivrow = rows[rank_]
-        for i in range(rank_ + 1, len(rows)):
-            if rows[i][c]:
-                f = rows[i][c] / pivrow[c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pivrow)]
-        rank_ += 1
-    return rank_

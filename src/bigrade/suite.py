@@ -3,6 +3,10 @@
 Each check is a theorem from the underlying theory; any violation indicates a
 bug, so the suite reports violating ideals rather than raising mid-run.  Used
 both by `bigrade suite` and the acceptance tests.
+
+The dimension filtration of an ideal is built once per `check_instance`, and
+every check that reads it gets that same ladder.  When building it fails, the
+failure is recorded and only the checks that need the ladder are skipped.
 """
 
 from __future__ import annotations
@@ -11,8 +15,8 @@ import random
 
 from .errors import InternalCheckFailed
 from .filtration import ass_quotients, dimension_filtration, mgrade_constancy, sequentially_cm
-from .homology import Subquotient, depth_module
-from .invariants import analyze, cd, cd_prime, grade, mgrade
+from .homology import Subquotient
+from .invariants import analyze, cd, grade
 from .local_cohomology import generalized_cm, lc_report
 from .rings import (
     MonomialIdeal,
@@ -51,11 +55,15 @@ def check_instance(ring: RingSpec, I: MonomialIdeal) -> list:
     P = ring.x_block()
 
     def run(name, fn):
+        """Record `name` when fn raises InternalCheckFailed or returns False; else fn's value."""
         try:
-            if fn() is False:
-                failures.append(name)
+            value = fn()
         except InternalCheckFailed:
+            value = False
+        if value is False:
             failures.append(name)
+            return None
+        return value
 
     rep = analyze(I, Z)  # raises InternalCheckFailed on a chain violation
     ass = associated_primes(I)
@@ -83,16 +91,19 @@ def check_instance(ring: RingSpec, I: MonomialIdeal) -> list:
     run("mgrade1_forces_grade1", lambda: rep.mgrade != 1 or rep.grade == 1)
     run("grade0_iff_mgrade0", lambda: (rep.grade == 0) == (rep.mgrade == 0))
 
+    ladder = None
     if not I.is_zero:
         # the ladder's Ass identities and step partition are asserted inside
-        run("ladder_ass_identities", lambda: dimension_filtration(I, Z) is not None)
-        run("step_ass_partition", lambda: ass_quotients(dimension_filtration(I, Z)) is not None)
+        ladder = run("ladder_ass_identities", lambda: dimension_filtration(I, Z))
+    if ladder is not None:
+        run("step_ass_partition", lambda: ass_quotients(ladder) is not None)
 
-        seq = sequentially_cm(I, Z)
-        run("seqcm_implies_maxdepth", lambda: not seq["verdict"] or rep.maximal_depth)
-        run("ladder_mgrade_constant", lambda: mgrade_constancy(I, Z))
-        if seq["verdict"]:
-            ladder = seq["ladder"]
+        # sequentially_cm asserts that each step's cd is its ladder value
+        seq = run("seqcm_step_cd", lambda: sequentially_cm(I, Z, ladder=ladder))
+        if seq is not None:
+            run("seqcm_implies_maxdepth", lambda: not seq["verdict"] or rep.maximal_depth)
+        run("ladder_mgrade_constant", lambda: mgrade_constancy(I, Z, ladder=ladder))
+        if seq is not None and seq["verdict"]:
             run(
                 "seqcm_step_grades",
                 lambda: all(

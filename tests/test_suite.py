@@ -1,0 +1,72 @@
+"""check_instance: one dimension filtration per ideal, and failures reported, not raised."""
+
+from collections import Counter
+
+import pytest
+
+from bigrade import filtration
+from bigrade.errors import InternalCheckFailed
+from bigrade.filtration import dimension_filtration, mgrade_constancy, sequentially_cm
+from bigrade.io_formats import parse_ideal_text
+from bigrade.rings import RingSpec, minimal_generators
+from bigrade.suite import check_instance
+
+# grade 1 and not generalized CM, so the gencm triple does not run
+EIGHT_GEN = """
+ring 2 4
+gens: x1*x2, x1*y3, x1*y4, x2*y1, y1*y3, y1*y4, y2*y4, y2*y3
+"""
+
+
+def _counting(monkeypatch, name, counts):
+    body = getattr(filtration, name)
+
+    def counted(*args):
+        counts[name] += 1
+        return body(*args)
+
+    monkeypatch.setattr(filtration, name, counted)
+
+
+def test_check_instance_builds_the_ladder_once(monkeypatch):
+    ring, I = parse_ideal_text(EIGHT_GEN)
+    steps = len(dimension_filtration(I, ring.y_block()).steps)
+    counts = Counter()
+    _counting(monkeypatch, "_verify_ass_facts", counts)
+    _counting(monkeypatch, "ass_subquotient", counts)
+    assert check_instance(ring, I) == []
+    assert counts["_verify_ass_facts"] == 1
+    assert counts["ass_subquotient"] <= 2 * steps
+
+
+def test_corollary_check_builds_its_own_ladder(monkeypatch):
+    # (x1*x2) has grade 2 and is generalized CM, so corollary_check runs
+    ring = RingSpec(2, 2)
+    I = minimal_generators(ring, [(1, 1, 0, 0)])
+    counts = Counter()
+    _counting(monkeypatch, "_verify_ass_facts", counts)
+    assert check_instance(ring, I) == []
+    assert counts["_verify_ass_facts"] == 2
+
+
+def test_failing_ladder_is_reported_not_raised(monkeypatch):
+    def broken(ladder):
+        raise InternalCheckFailed("forced")
+
+    monkeypatch.setattr(filtration, "_verify_ass_facts", broken)
+    ring, I = parse_ideal_text(EIGHT_GEN)
+    # the checks that need the ladder are skipped; the others all pass
+    assert check_instance(ring, I) == ["ladder_ass_identities"]
+
+
+@pytest.mark.parametrize("check", [sequentially_cm, mgrade_constancy])
+def test_a_ladder_of_another_ideal_or_axis_is_refused(check):
+    ring, I = parse_ideal_text(EIGHT_GEN)
+    Z = ring.y_block()
+    ladder = dimension_filtration(I, Z)
+    other = minimal_generators(ring, I.gens[1:])
+    assert check(I, Z, ladder=ladder) == check(I, Z)
+    with pytest.raises(ValueError):
+        check(other, Z, ladder=ladder)
+    with pytest.raises(ValueError):
+        check(I, ring.x_block(), ladder=ladder)
