@@ -33,11 +33,11 @@ from .errors import (
 from .rings import (
     MonomialIdeal,
     RingSpec,
-    colon,
     colon_ideal,
     dim_quotient,
     lcm,
     minimal_generators,
+    mon_quot,
     support,
     unit_ideal,
 )
@@ -334,6 +334,11 @@ def ass_subquotient(J: MonomialIdeal, Jp: MonomialIdeal) -> set:
     k of P some generator g of J' has g_k = u_k + 1.  So it suffices to try
     u_k in {g_k - 1 : g in gens(J'), g_k >= 1} (the last exponent of each
     bounded cell of J') together with box_k.
+
+    Whether (J' : u) is prime is decided without building it.  It is
+    generated by the q_g = g / gcd(g, u) over g in gens(J'); with V the set of
+    k such that q_g = x_k for some g, it is the prime (x_k : k in V) iff every
+    q_g has a nonzero exponent at some k in V.  For J' = 0 it is the prime ().
     """
     N = Subquotient(J.ring, J, Jp)
     box = N.box()
@@ -345,9 +350,13 @@ def ass_subquotient(J: MonomialIdeal, Jp: MonomialIdeal) -> set:
     for u in product(*candidates):
         if not fine_piece(N, u):
             continue
-        ann = colon(Jp, u)
-        if all(len(support(g)) == 1 and max(g) == 1 for g in ann.gens):
-            found.add(frozenset(idx for g in ann.gens for idx in support(g)))
+        quots = [mon_quot(g, u) for g in Jp.gens]
+        prime = set()
+        for q in quots:
+            if sum(q) == 1:
+                prime.add(q.index(1))
+        if all(any(q[k] for k in prime) for q in quots):
+            found.add(frozenset(prime))
     return found
 
 

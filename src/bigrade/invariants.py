@@ -33,8 +33,9 @@ from .homology import (
 from .rings import (
     MonomialIdeal,
     associated_primes,
-    colon,
     dim_quotient,
+    divides,
+    minimal_generators,
     prime_ideal,
     sum_ideal,
 )
@@ -93,24 +94,33 @@ def fibers(N: Subquotient, Z) -> list:
 
 @lru_cache(maxsize=256)
 def _fibers(N: Subquotient, Z: frozenset) -> tuple:
-    """The memo behind `fibers`."""
+    """The memo behind `fibers`.
+
+    A slice u is supported off Z, so (J : u) cap K[Z] is generated by the
+    Z-parts of the generators g of J with g_k <= u_k for every k off Z; each
+    restricted colon is built directly from those.
+    """
     if N.is_zero:
         raise ZeroModule("fiber decomposition of the zero module")
     if not Z:
         raise PreconditionFailed("the axis has no variables")
     ring = N.ring
     comp = tuple(sorted(set(range(ring.nvars)) - Z))
+    zvars = sorted(Z)
     sub = sub_ring_for(ring, Z)
 
+    def split(I):
+        return [(tuple(g[k] for k in comp), tuple(g[z] for z in zvars)) for g in I.gens]
+
+    def restricted_colon(parts, a):
+        return minimal_generators(sub, (zpart for cpart, zpart in parts if divides(cpart, a)))
+
+    J_parts = split(N.J)
+    Jp_parts = split(N.Jp)
     classes = {}
     order = []
     for a, lengths in exponent_cells(N, comp):
-        u = [0] * ring.nvars
-        for idx, i in enumerate(comp):
-            u[i] = a[idx]
-        Ja = restrict_ideal(colon(N.J, tuple(u)), Z, sub)
-        Jpa = restrict_ideal(colon(N.Jp, tuple(u)), Z, sub)
-        key = (Ja.gens, Jpa.gens)
+        key = (restricted_colon(J_parts, a).gens, restricted_colon(Jp_parts, a).gens)
         if key not in classes:
             classes[key] = []
             order.append(key)

@@ -7,6 +7,7 @@ so equal ideals compare equal and all downstream output is deterministic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -82,7 +83,7 @@ def _is_prime(p: int) -> bool:
 
 
 def divides(u: Monomial, v: Monomial) -> bool:
-    return all(a <= b for a, b in zip(u, v))
+    return all(map(operator.le, u, v))
 
 
 def lcm(u: Monomial, v: Monomial) -> Monomial:
@@ -172,7 +173,7 @@ def minimal_generators(ring: RingSpec, raw) -> MonomialIdeal:
     """Canonical form: drop duplicates and any generator divisible by another."""
     gens = set()
     for u in raw:
-        u = tuple(int(e) for e in u)
+        u = tuple(map(int, u))
         if len(u) != ring.nvars:
             raise DimensionMismatch(
                 f"monomial {u} has length {len(u)}, ring has {ring.nvars} variables"
@@ -180,11 +181,14 @@ def minimal_generators(ring: RingSpec, raw) -> MonomialIdeal:
         if any(e < 0 for e in u):
             raise ValueError(f"negative exponent in {u}")
         gens.add(u)
-    minimal = [
-        u for u in gens
-        if not any(v != u and divides(v, u) for v in gens)
-    ]
-    return MonomialIdeal(ring, tuple(sorted(minimal)))
+    # a proper divisor of u is lex-smaller than u, so one pass in lex order
+    # meets every divisor of u before u (a dropped one has a kept divisor of
+    # its own), and the kept list comes out sorted
+    minimal = []
+    for u in sorted(gens):
+        if not any(divides(v, u) for v in minimal):
+            minimal.append(u)
+    return MonomialIdeal(ring, tuple(minimal))
 
 
 def unit_ideal(ring: RingSpec) -> MonomialIdeal:

@@ -49,47 +49,61 @@ def random_ideal(rng: random.Random, max_m=3, max_n=3, max_exp=2, max_gens=6,
 
 
 def check_instance(ring: RingSpec, I: MonomialIdeal) -> list:
-    """All property checks on one ideal; returns the names of failed checks."""
+    """All property checks on one ideal; returns the names of failed checks.
+
+    The invariants the checks read (the reports of `analyze`, cd over P, the
+    generalized-CM verdict and the nonvanishing of local cohomology) are
+    computed under names of their own: when one of them raises
+    InternalCheckFailed, its name is recorded and only the checks that read
+    it are skipped.
+    """
     failures = []
     Z = ring.y_block()
     P = ring.x_block()
 
-    def run(name, fn):
-        """Record `name` when fn raises InternalCheckFailed or returns False; else fn's value."""
+    def compute(name, fn):
+        """fn's value; None, with `name` recorded, when fn raises InternalCheckFailed."""
         try:
-            value = fn()
+            return fn()
         except InternalCheckFailed:
-            value = False
+            failures.append(name)
+            return None
+
+    def run(name, fn):
+        """Like `compute`, and a value of False is recorded as a failure too."""
+        value = compute(name, fn)
         if value is False:
             failures.append(name)
             return None
         return value
 
-    rep = analyze(I, Z)  # raises InternalCheckFailed on a chain violation
+    rep = compute("analyze_Q", lambda: analyze(I, Z))  # asserts the invariant chain
+    cd_P = compute("cd_P", lambda: cd(Subquotient.cyclic(I), P))
     ass = associated_primes(I)
 
-    # cd(Q, S/I) = dim S/(P+I)
-    PI = sum_ideal(I, prime_ideal(ring, P))
-    run("cd_eq_dim_mod_P", lambda: rep.cd == (0 if PI.is_unit else dim_quotient(PI)))
+    if rep is not None:
+        # cd(Q, S/I) = dim S/(P+I)
+        PI = sum_ideal(I, prime_ideal(ring, P))
+        run("cd_eq_dim_mod_P", lambda: rep.cd == (0 if PI.is_unit else dim_quotient(PI)))
 
-    # grade(Q) <= dim - cd(P), with equality for Cohen-Macaulay modules
-    cd_P = cd(Subquotient.cyclic(I), P)
-    run("grade_le_dim_minus_cd_opposite", lambda: rep.grade <= rep.dim - cd_P)
-    if rep.cm_ordinary:
-        run("grade_eq_dim_minus_cd_when_cm", lambda: rep.grade == rep.dim - cd_P)
+        # grade(Q) <= dim - cd(P), with equality for Cohen-Macaulay modules
+        if cd_P is not None:
+            run("grade_le_dim_minus_cd_opposite", lambda: rep.grade <= rep.dim - cd_P)
+            if rep.cm_ordinary:
+                run("grade_eq_dim_minus_cd_when_cm", lambda: rep.grade == rep.dim - cd_P)
 
-    # grade 0 iff some associated prime contains the whole axis
-    run("grade0_iff_ass_contains_axis", lambda: (rep.grade == 0) == any(Z <= p for p in ass))
+        # grade 0 iff some associated prime contains the whole axis
+        run("grade0_iff_ass_contains_axis", lambda: (rep.grade == 0) == any(Z <= p for p in ass))
 
-    # mgrade(Q) = n - (max y-height over Ass)
-    run(
-        "mgrade_from_ass_heights",
-        lambda: rep.mgrade == ring.n - max(len(p & Z) for p in ass),
-    )
+        # mgrade(Q) = n - (max y-height over Ass)
+        run(
+            "mgrade_from_ass_heights",
+            lambda: rep.mgrade == ring.n - max(len(p & Z) for p in ass),
+        )
 
-    # grade/mgrade degeneracies
-    run("mgrade1_forces_grade1", lambda: rep.mgrade != 1 or rep.grade == 1)
-    run("grade0_iff_mgrade0", lambda: (rep.grade == 0) == (rep.mgrade == 0))
+        # grade/mgrade degeneracies
+        run("mgrade1_forces_grade1", lambda: rep.mgrade != 1 or rep.grade == 1)
+        run("grade0_iff_mgrade0", lambda: (rep.grade == 0) == (rep.mgrade == 0))
 
     ladder = None
     if not I.is_zero:
@@ -100,10 +114,10 @@ def check_instance(ring: RingSpec, I: MonomialIdeal) -> list:
 
         # sequentially_cm asserts that each step's cd is its ladder value
         seq = run("seqcm_step_cd", lambda: sequentially_cm(I, Z, ladder=ladder))
-        if seq is not None:
+        if seq is not None and rep is not None:
             run("seqcm_implies_maxdepth", lambda: not seq["verdict"] or rep.maximal_depth)
         run("ladder_mgrade_constant", lambda: mgrade_constancy(I, Z, ladder=ladder))
-        if seq is not None and seq["verdict"]:
+        if seq is not None and seq["verdict"] and rep is not None:
             run(
                 "seqcm_step_grades",
                 lambda: all(
@@ -112,29 +126,38 @@ def check_instance(ring: RingSpec, I: MonomialIdeal) -> list:
                 ),
             )
 
-    # ordinary CM implies maximal depth w.r.t. both axes
-    if rep.cm_ordinary:
-        rep_P = analyze(I, P)
-        run("cm_implies_maxdepth_both_axes", lambda: rep.maximal_depth and rep_P.maximal_depth)
+    if rep is not None:
+        # ordinary CM implies maximal depth w.r.t. both axes
+        if rep.cm_ordinary:
+            rep_P = compute("analyze_P", lambda: analyze(I, P))
+            if rep_P is not None:
+                run(
+                    "cm_implies_maxdepth_both_axes",
+                    lambda: rep.maximal_depth and rep_P.maximal_depth,
+                )
 
-    # under maximal depth the bottom cohomology is never f.g.; nor is the top
-    if rep.maximal_depth and rep.grade > 0:
-        run("maxdepth_bottom_lc_not_fg", lambda: not lc_report(I, rep.grade, Z).finitely_generated)
-    if rep.cd > 0:
-        run("top_lc_not_fg", lambda: not lc_report(I, rep.cd, Z).finitely_generated)
+        # under maximal depth the bottom cohomology is never f.g.; nor is the top
+        if rep.maximal_depth and rep.grade > 0:
+            run("maxdepth_bottom_lc_not_fg", lambda: not lc_report(I, rep.grade, Z).finitely_generated)
+        if rep.cd > 0:
+            run("top_lc_not_fg", lambda: not lc_report(I, rep.cd, Z).finitely_generated)
 
-    # the three-way equivalence on the generalized-CM, positive-grade subsample
-    if rep.grade > 0 and generalized_cm(I, Z):
-        from .local_cohomology import corollary_check
+        # the three-way equivalence on the generalized-CM, positive-grade subsample
+        if rep.grade > 0 and compute("generalized_cm_Q", lambda: generalized_cm(I, Z)):
+            from .local_cohomology import corollary_check
 
-        run("gencm_triple_equivalence", lambda: corollary_check(I, Z) is not None)
+            run("gencm_triple_equivalence", lambda: corollary_check(I, Z) is not None)
 
     # cross-module consistency: grade and cd from lc_report nonvanishing
-    nonzero = [
-        i for i in range(ring.n + 1)
-        if _lc_nonzero(lc_report(I, i, Z))
-    ]
-    run("lc_grade_cd_match", lambda: nonzero and nonzero[0] == rep.grade and nonzero[-1] == rep.cd)
+    nonzero = compute(
+        "lc_report_Q",
+        lambda: [i for i in range(ring.n + 1) if _lc_nonzero(lc_report(I, i, Z))],
+    )
+    if nonzero is not None and rep is not None:
+        run(
+            "lc_grade_cd_match",
+            lambda: bool(nonzero) and nonzero[0] == rep.grade and nonzero[-1] == rep.cd,
+        )
 
     return failures
 

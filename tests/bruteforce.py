@@ -1,4 +1,5 @@
-"""Independent brute-force oracles: local cohomology of S/I and the box walks.
+"""Independent brute-force oracles: local cohomology of S/I, the box walks and
+the all-pairs minimal generators.
 
 The local cohomology oracle deliberately shares no code with the package: its
 own divisibility, its own Cech complex built from literal large exponents (no
@@ -38,6 +39,13 @@ def bf_divides(g, u):
 
 def bf_in_ideal(u, gens):
     return any(bf_divides(g, u) for g in gens)
+
+
+def bf_minimal_generators(ring, raw):
+    """Canonical form by testing every pair: keep u unless another v divides it."""
+    gens = {tuple(int(e) for e in u) for u in raw}
+    minimal = [u for u in gens if not any(v != u and bf_divides(v, u) for v in gens)]
+    return MonomialIdeal(ring, tuple(sorted(minimal)))
 
 
 def bf_rank(rows):

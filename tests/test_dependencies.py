@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -16,3 +17,30 @@ def test_package_imports_only_the_standard_library():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def _unused_imports(path):
+    """Names bound by top-level imports of the module at path that it never reads."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_every_top_level_import_is_used():
+    # __init__.py imports to re-export
+    pkg = os.path.dirname(bigrade.__file__)
+    unused = {
+        name: _unused_imports(os.path.join(pkg, name))
+        for name in sorted(os.listdir(pkg))
+        if name.endswith(".py") and name != "__init__.py"
+    }
+    assert {name: found for name, found in unused.items() if found} == {}

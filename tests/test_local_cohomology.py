@@ -5,7 +5,7 @@ import pytest
 from bruteforce import bf_ass_subquotient, bf_fibers, bf_growth_scan, bf_lc_report
 from bigrade import homology, invariants, local_cohomology, rings
 from bigrade.errors import PreconditionFailed, UnitIdeal
-from bigrade.filtration import sequentially_cm
+from bigrade.filtration import dimension_filtration, sequentially_cm
 from bigrade.homology import Subquotient, ass_subquotient
 from bigrade.invariants import analyze, fibers
 from bigrade.io_formats import parse_ideal_text
@@ -136,6 +136,11 @@ def _lc_fields(e):
     return (e.pattern, e.n_single, e.infinite_family, e.finite_length, e.total_dim, e.witness_degree)
 
 
+def _classes(fcs):
+    # every field but `patterns` past the first, as for `_lc_fields`
+    return [(fc.patterns[0], fc.fiber, fc.infinite_family, fc.n_single) for fc in fcs]
+
+
 def test_cell_walks_match_box_walk_reference():
     rnd = random.Random(20261018)
     for k in range(240):
@@ -145,11 +150,7 @@ def test_cell_walks_match_box_walk_reference():
         Z = (ring.x_block(), ring.y_block(), ring.all_vars())[(k // 2) % 3]
         N = Subquotient.cyclic(I)
         case = (str(I), ring.char, sorted(Z))
-
-        def classes(fcs):
-            return [(fc.patterns[0], fc.fiber, fc.infinite_family, fc.n_single) for fc in fcs]
-
-        assert classes(fibers(N, Z)) == classes(bf_fibers(N, Z)), case
+        assert _classes(fibers(N, Z)) == _classes(bf_fibers(N, Z)), case
 
         for i in range(len(Z) + 1):
             rep = lc_report(I, i, Z)
@@ -164,11 +165,44 @@ def test_cell_walks_match_box_walk_reference():
         assert ass_subquotient(J, I) == bf_ass_subquotient(J, I), (case, str(J))
 
 
+def _decompose_shaped_ideal(rnd, ring):
+    # squarefree products of 2 or 3 variables, now and then with a square
+    gens = []
+    for _ in range(rnd.randint(4, 7)):
+        g = [0] * ring.nvars
+        for v in rnd.sample(range(ring.nvars), rnd.choice((2, 2, 3))):
+            g[v] = 1
+        if rnd.random() < 0.15:
+            g[rnd.randrange(ring.nvars)] = 2
+        gens.append(g)
+    return minimal_generators(ring, gens)
+
+
+def test_six_variable_ass_and_fibers_match_box_walk_reference():
+    rnd = random.Random(20261020)
+    ring = RingSpec(3, 3)
+    for _ in range(60):
+        I = _decompose_shaped_ideal(rnd, ring)
+        for Z in (ring.x_block(), ring.y_block()):
+            ladder = dimension_filtration(I, Z)
+            for prev, J_i in zip(ladder.ideals, ladder.ideals[1:]):
+                case = (str(I), sorted(Z), str(J_i))
+                assert ass_subquotient(J_i, I) == bf_ass_subquotient(J_i, I), case
+                assert ass_subquotient(J_i, prev) == bf_ass_subquotient(J_i, prev), case
+                step = Subquotient(ring, J_i, prev)
+                assert _classes(fibers(step, Z)) == _classes(bf_fibers(step, Z)), case
+            N = Subquotient.cyclic(I)
+            assert _classes(fibers(N, Z)) == _classes(bf_fibers(N, Z)), (str(I), sorted(Z))
+
+
 def test_large_exponents_cost_follows_the_cells(monkeypatch):
     # x1^e*y1^e, x2^e*y2, x1*y2^e: counted as here, a box walk makes 93,636
     # Cech calls per growth index and 150,515 colons for seqcm at e = 16, and
-    # 900 and 1,069 at e = 4; the cells do not depend on e
-    calls = {"cech": 0, "colon": 0}
+    # 900 and 1,069 at e = 4; the cells do not depend on e.  The fibers and
+    # ass_subquotient build no colon, so the generator sets they minimize and
+    # the fine pieces they test are counted too: a box walk in either would
+    # make them grow with e.
+    calls = {"cech": 0, "colon": 0, "mingens": 0, "fine_piece": 0}
 
     def counted(name, inner):
         def wrapper(*args):
@@ -177,9 +211,11 @@ def test_large_exponents_cost_follows_the_cells(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(local_cohomology, "cech_piece_dim", counted("cech", local_cohomology.cech_piece_dim))
-    colon = counted("colon", rings.colon)
+    monkeypatch.setattr(rings, "colon", counted("colon", rings.colon))
+    mingens = counted("mingens", rings.minimal_generators)
     for module in (rings, homology, invariants):
-        monkeypatch.setattr(module, "colon", colon)
+        monkeypatch.setattr(module, "minimal_generators", mingens)
+    monkeypatch.setattr(homology, "fine_piece", counted("fine_piece", homology.fine_piece))
 
     def run(e):
         monkeypatch.setattr(homology, "_depth_cache", {})

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bruteforce import bf_minimal_generators
 from bigrade.errors import DimensionMismatch, UnitIdeal, ZeroIdeal
 from bigrade.rings import (
     MAX_CHAR,
@@ -87,6 +88,21 @@ def test_var_names_and_blocks():
 def test_minimal_generators_drops_multiples():
     I = ideal(R22, (1, 0, 0, 0), (1, 1, 0, 0), (2, 0, 1, 0), (0, 0, 1, 1))
     assert I.gens == ((0, 0, 1, 1), (1, 0, 0, 0))
+
+
+def test_minimal_generators_match_the_all_pairs_reference():
+    rnd = random.Random(20261019)
+    for _ in range(600):
+        ring = RingSpec(rnd.randint(0, 3), rnd.randint(1, 3))
+        raw = [
+            tuple(rnd.choice((0, 0, 1, 2, 3)) for _ in range(ring.nvars))
+            for _ in range(rnd.randint(1, 60))
+        ]
+        raw += rnd.sample(raw, rnd.randint(0, len(raw)))  # duplicates
+        if rnd.random() < 0.1:
+            raw.append((0,) * ring.nvars)  # the unit monomial
+        rnd.shuffle(raw)
+        assert minimal_generators(ring, raw) == bf_minimal_generators(ring, raw), raw
 
 
 def test_unit_zero_flags():

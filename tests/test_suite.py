@@ -4,12 +4,12 @@ from collections import Counter
 
 import pytest
 
-from bigrade import filtration
+from bigrade import filtration, suite
 from bigrade.errors import InternalCheckFailed
 from bigrade.filtration import dimension_filtration, mgrade_constancy, sequentially_cm
 from bigrade.io_formats import parse_ideal_text
 from bigrade.rings import RingSpec, minimal_generators
-from bigrade.suite import check_instance
+from bigrade.suite import check_instance, run_property_suite
 
 # grade 1 and not generalized CM, so the gencm triple does not run
 EIGHT_GEN = """
@@ -70,3 +70,16 @@ def test_a_ladder_of_another_ideal_or_axis_is_refused(check):
         check(other, Z, ladder=ladder)
     with pytest.raises(ValueError):
         check(I, ring.x_block(), ladder=ladder)
+
+
+@pytest.mark.parametrize("name, check", [("cd", "cd_P"), ("analyze", "analyze_Q")])
+def test_a_failing_invariant_is_reported_not_raised(monkeypatch, name, check):
+    def broken(*args):
+        raise InternalCheckFailed("forced")
+
+    monkeypatch.setattr(suite, name, broken)
+    out = run_property_suite(5)
+    # only the checks that read the broken invariant are skipped
+    assert set(out["violations"]) == {check}
+    assert len(out["violations"][check]) == out["count"]
+    assert not out["ok"]
