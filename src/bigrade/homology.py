@@ -5,12 +5,12 @@ each fine degree every term of a Koszul or Cech complex is 0- or 1-dimensional
 and the differentials are 0/+-1 matrices.  All dimensions come out of exact
 integer ranks over the ring's configured characteristic.
 
-Graded Betti numbers of J/J' over K[Z] live only in degrees of the lcm
-lattice of the generators of J and J' (on Z; the Taylor resolution and the
-long exact Tor sequence of 0 -> J' -> J -> J/J' -> 0, Gasharov-Peeva-Welker
-1999), so the Betti scan visits those degrees and no others.  It requires
-J/J' to be finitely generated over K[Z], i.e. (J' : J) to contain a pure
-power of every variable outside Z.
+Betti numbers and depths are taken over all variables of the module's
+ring.  There they live only in degrees of the lcm lattice of the generators
+of J and J' (the Taylor resolution and the long exact Tor sequence of
+0 -> J' -> J -> J/J' -> 0, Gasharov-Peeva-Welker 1999), so the Betti scan
+visits those degrees and no others.  Every Koszul and Cech differential is
+the boundary map of sorted index tuples, built by one routine.
 
 Membership, colons and Cech pieces only change where an exponent crosses a
 generator exponent, so the walks that need one degree per class visit
@@ -24,12 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from . import kernels
-from .errors import (
-    InternalCheckFailed,
-    PreconditionFailed,
-    RingMismatch,
-    ZeroModule,
-)
+from .errors import PreconditionFailed, RingMismatch, ZeroModule
 from .rings import (
     MonomialIdeal,
     RingSpec,
@@ -38,7 +33,6 @@ from .rings import (
     lcm,
     minimal_generators,
     mon_quot,
-    support,
     unit_ideal,
 )
 
@@ -99,12 +93,21 @@ def piece_stable(N: Subquotient, exps, inf_set) -> int:
     return 0
 
 
-def _rank(entries, nrows, ncols, char):
-    if nrows == 0 or ncols == 0:
+def _boundary_rank(upper, lower_index, char) -> int:
+    """Rank of sigma -> sum over pos of (-1)^pos (sigma without its pos-th entry).
+
+    `upper` lists the sorted tuples sigma (the columns) and `lower_index`
+    maps each tuple one entry shorter to its row; a face missing from it is
+    a zero term and gets no entry.
+    """
+    if not upper or not lower_index:
         return 0
-    mat = [[0] * ncols for _ in range(nrows)]
-    for (r, c), v in entries.items():
-        mat[r][c] = v
+    mat = [[0] * len(upper) for _ in lower_index]
+    for col, sigma in enumerate(upper):
+        for pos in range(len(sigma)):
+            row = lower_index.get(sigma[:pos] + sigma[pos + 1:])
+            if row is not None:
+                mat[row][col] = (-1) ** pos
     return kernels.rank(mat, char)
 
 
@@ -130,14 +133,7 @@ def koszul_dims_at(N: Subquotient, zvars, b) -> list:
 
     ranks = [0] * (k + 2)  # ranks[j] = rank of d_j : level j -> level j-1
     for j in range(1, k + 1):
-        entries = {}
-        for ci, sigma in enumerate(present[j]):
-            for pos, z in enumerate(sigma):
-                tau = tuple(v for v in sigma if v != z)
-                ri = index[j - 1].get(tau)
-                if ri is not None:
-                    entries[(ri, ci)] = (-1) ** pos
-        ranks[j] = _rank(entries, len(present[j - 1]), len(present[j]), N.ring.char)
+        ranks[j] = _boundary_rank(present[j], index[j - 1], N.ring.char)
 
     return [len(present[j]) - ranks[j] - ranks[j + 1] for j in range(k + 1)]
 
@@ -157,58 +153,24 @@ def _lcm_closure(monomials) -> set:
     return closure
 
 
-def _scan_koszul(N: Subquotient, Z):
-    """Koszul homology over K[Z] on the lcm lattice; {degree: dims per j}, zero rows dropped.
-
-    Over K[Z] the module splits into slices by the exponents outside Z.  Each
-    slice is J_c/J'_c for ideals of K[Z] generated by Z-parts of generators of
-    J and J', so its Betti numbers sit at lcms of those Z-parts.  Finite
-    generation puts the nonzero slices inside the box.
-    """
-    zvars = sorted(Z)
-    outside = [v for v in range(N.ring.nvars) if v not in zvars]
-    if outside:
-        ann = colon_ideal(N.Jp, N.J)
-        if not all(any(support(g) <= {v} for g in ann.gens) for v in outside):
-            raise InternalCheckFailed(
-                f"module is not finitely generated over the chosen variables {zvars}"
-            )
-    box = N.box()
-    degrees = []
-    for zpart in _lcm_closure(tuple(g[z] for z in zvars) for g in N.J.gens + N.Jp.gens):
-        for rest in product(*(range(box[v] + 1) for v in outside)):
-            b = [0] * N.ring.nvars
-            for v, e in zip(zvars + outside, zpart + rest):
-                b[v] = e
-            degrees.append(tuple(b))
-    table = {}
-    for b in sorted(degrees):
-        dims = koszul_dims_at(N, Z, b)
-        if any(dims):
-            table[b] = dims
-    return table
-
-
 def betti_and_projdim(N: Subquotient, Z):
-    """Graded Betti numbers over K[Z] and the projective dimension.
+    """Graded Betti numbers over all variables of N's ring and the projective dimension.
 
-    Betti numbers are read off Koszul homology at the lcms of the Z-parts of
-    the generators of J and J' (times the bounded exponents outside Z).  N must
-    be finitely generated over K[Z]: (J' : J) contains a pure power of every
-    variable outside Z, which always holds for Z = all variables.  Otherwise
-    InternalCheckFailed is raised before any degree is scanned.
+    Betti numbers are read off Koszul homology at the lcms of the generators
+    of J and J', in sorted order.  Z must be all variables of N's ring;
+    PreconditionFailed refuses any other Z before a degree is scanned.
     """
+    if frozenset(Z) != N.ring.all_vars():
+        raise PreconditionFailed(f"Betti numbers are taken over all variables, not {sorted(Z)}")
     if N.is_zero:
         raise ZeroModule("Betti numbers of the zero module")
-    table = _scan_koszul(N, Z)
     betti = {}
     projdim = 0
-    for b, dims in table.items():
-        for j, d in enumerate(dims):
+    for b in sorted(_lcm_closure(N.J.gens + N.Jp.gens)):
+        for j, d in enumerate(koszul_dims_at(N, Z, b)):
             if d:
                 betti[(j, b)] = d
-                if j > projdim:
-                    projdim = j
+                projdim = max(projdim, j)
     return betti, projdim
 
 
@@ -228,7 +190,7 @@ def _remember(cache: dict, key, value):
 
 
 def depth_module(N: Subquotient, Z) -> int:
-    """depth over K[Z] via Auslander-Buchsbaum: |Z| - projdim."""
+    """depth over all variables Z of N's ring via Auslander-Buchsbaum: |Z| - projdim."""
     key = (N, frozenset(Z))
     depth = _depth_cache.get(key)
     if depth is not None:
@@ -277,22 +239,9 @@ def cech_piece_dim(N: Subquotient, Z, i: int, c) -> int:
         present.append(level)
         index.append({s: n for n, s in enumerate(level)})
 
-    def diff_rank(src_level, src_index, dst_level, dst_index):
-        entries = {}
-        for ci, sigma in enumerate(src_level):
-            sset = set(sigma)
-            for z in zvars:
-                if z in sset:
-                    continue
-                tau = tuple(sorted(sigma + (z,)))
-                ri = dst_index.get(tau)
-                if ri is not None:
-                    sign = (-1) ** tau.index(z)
-                    entries[(ri, ci)] = sign
-        return _rank(entries, len(dst_level), len(src_level), N.ring.char)
-
-    rank_out = diff_rank(present[1], index[1], present[2], index[2])
-    rank_in = diff_rank(present[0], index[0], present[1], index[1])
+    # the Cech differential is the transpose of the boundary map, so same rank
+    rank_out = _boundary_rank(present[2], index[1], N.ring.char)
+    rank_in = _boundary_rank(present[1], index[0], N.ring.char)
     return len(present[1]) - rank_out - rank_in
 
 

@@ -9,7 +9,6 @@ with respect to the y-axis iff b = 0 or some factor is purely in the y-block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import BadProfile, BadRing
 from .rings import Monomial, RingSpec, minimal_generators
@@ -139,7 +138,7 @@ def monomial_crosscheck(f: Monomial, ring: RingSpec) -> bool:
     )
 
 
-def parse_profile(text: str, ring: Optional[RingSpec] = None) -> FactorProfile:
+def parse_profile(text: str) -> FactorProfile:
     """Parse `factors: (a1,b1) (a2,b2) ...` with xN/yN shorthand for variables."""
     from .errors import ParseError
 

@@ -52,8 +52,10 @@ def parse_ideal_text(text: str, char: int = 0):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("ring"):
-            parts = line.split()
+        parts = line.split()
+        if parts[0] == "ring":
+            if ring is not None:
+                raise ParseError("second ring line", line=lineno)
             if len(parts) != 3 or not all(p.isdigit() for p in parts[1:]):
                 raise ParseError(f"bad ring line {line!r}", line=lineno)
             try:

@@ -90,10 +90,6 @@ def lcm(u: Monomial, v: Monomial) -> Monomial:
     return tuple(max(a, b) for a, b in zip(u, v))
 
 
-def mon_mul(u: Monomial, v: Monomial) -> Monomial:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def mon_quot(g: Monomial, u: Monomial) -> Monomial:
     """g / gcd(g, u): the generator of the colon (g : u)."""
     return tuple(max(a - b, 0) for a, b in zip(g, u))
@@ -134,10 +130,6 @@ class MonomialIdeal:
     @property
     def is_unit(self) -> bool:
         return bool(self.gens) and all(e == 0 for e in self.gens[0])
-
-    @property
-    def is_proper(self) -> bool:
-        return not self.is_unit
 
     def contains(self, u: Monomial) -> bool:
         return any(divides(g, u) for g in self.gens)
@@ -265,10 +257,6 @@ class PrimaryComponent:
     radical: PrimeSupport
 
 
-def _is_irreducible(gens: tuple) -> bool:
-    return all(len(support(g)) == 1 for g in gens)
-
-
 def _first_splittable(gens: tuple):
     """Lex-first generator with >= 2 variables in its support, or None."""
     for g in gens:
@@ -327,11 +315,7 @@ def _irreducible_components(I: MonomialIdeal) -> tuple:
         if not any(o is not q and q.contains_ideal(o) for o in comps)
     ]
 
-    return tuple(PrimaryComponent(q, support(lcm_of_gens(q))) for q in kept)
-
-
-def lcm_of_gens(I: MonomialIdeal) -> Monomial:
-    return I.max_exponents()
+    return tuple(PrimaryComponent(q, support(q.max_exponents())) for q in kept)
 
 
 def associated_primes(I: MonomialIdeal) -> set:

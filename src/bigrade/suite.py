@@ -169,12 +169,11 @@ def _lc_nonzero(report) -> bool:
     )
 
 
-def run_property_suite(count=200, seed=20240811, max_m=3, max_n=3, max_exp=2,
-                       max_gens=6, char=0) -> dict:
+def run_property_suite(count=200, seed=20240811, char=0) -> dict:
     rng = random.Random(seed)
     instances = []
     for _ in range(count):
-        ring, I = random_ideal(rng, max_m, max_n, max_exp, max_gens, char)
+        ring, I = random_ideal(rng, char=char)
         if not I.is_unit:
             instances.append((ring, I))
 

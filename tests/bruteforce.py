@@ -9,7 +9,8 @@ elimination.  Slow and only usable on tiny inputs, which is the point.
 The Betti scan reference walks the whole exponent box plus a shell, doubling
 the box where the shell is hit.  It reuses the package's per-degree Koszul
 dimensions (in the ring's characteristic) and checks only which degrees the
-lcm-lattice scan may skip.
+lcm-lattice scan may skip.  Those per-degree dimensions are checked in turn,
+over Q, by `bf_koszul_dims`, which shares no code with the package.
 
 The fiber, local cohomology, growth and Ass references visit every exponent
 of the box, one degree at a time, with the package's per-degree pieces.  They
@@ -130,6 +131,40 @@ def bf_cech_piece(nvars, gens, zvars, i, c):
     r_out = bf_rank(diff_matrix(levels[i], levels[i + 1]))
     r_in = bf_rank(diff_matrix(levels[i - 1], levels[i]))
     return len(levels[i]) - r_out - r_in
+
+
+def bf_koszul_dims(nvars, jgens, jpgens, zvars, b):
+    """[H_0 .. H_k] over Q of the Koszul complex of J/J' on the variables zvars in degree b.
+
+    The term for a subset sigma of zvars is the piece of J/J' in degree
+    b - e_sigma: K iff that exponent is nonnegative, in J and not in J'.
+    Dropping the variable z from sigma carries the sign (-1)^(place of z in
+    sigma); the matrices are written out in full.
+    """
+    zvars = sorted(zvars)
+    k = len(zvars)
+
+    def term_nonzero(sigma):
+        deg = tuple(e - (1 if idx in sigma else 0) for idx, e in enumerate(b))
+        if any(e < 0 for e in deg):
+            return False
+        return bf_in_ideal(deg, jgens) and not bf_in_ideal(deg, jpgens)
+
+    levels = [[s for s in combinations(zvars, j) if term_nonzero(s)] for j in range(k + 1)]
+
+    def boundary_matrix(src, dst):
+        mat = [[0] * len(src) for _ in dst]
+        for ci, sigma in enumerate(src):
+            for z in sigma:
+                face = tuple(v for v in sigma if v != z)
+                if face in dst:
+                    mat[dst.index(face)][ci] = (-1) ** sigma.index(z)
+        return mat
+
+    ranks = [0] * (k + 2)
+    for j in range(1, k + 1):
+        ranks[j] = bf_rank(boundary_matrix(levels[j], levels[j - 1]))
+    return [len(levels[j]) - ranks[j] - ranks[j + 1] for j in range(k + 1)]
 
 
 def bf_scan_degrees(nvars, gens, zvars, margin=1):

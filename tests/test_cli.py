@@ -115,6 +115,18 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["ringx 1 1\ngens: x1\n", "ring 1 1\ngens: x1\nring 2 2\n", "ring 2 2\nring 1 1\ngens: x1\n"],
+)
+def test_malformed_ring_lines_exit_2(tmp_path, capsys, text):
+    p = tmp_path / "bad.ideal"
+    p.write_text(text)
+    code, out = run_cli(capsys, "render", str(p))
+    assert code == 2
+    assert json.loads(out)["error"].startswith("parse: ")
+
+
 def test_exit_code_precondition(tmp_path, capsys):
     p = tmp_path / "unit.ideal"
     p.write_text("ring 1 1\ngens: 1\n")

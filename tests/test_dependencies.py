@@ -44,3 +44,25 @@ def test_every_top_level_import_is_used():
         if name.endswith(".py") and name != "__init__.py"
     }
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def test_every_private_definition_is_read():
+    # a top-level _name function or class must be read somewhere in the package
+    pkg = os.path.dirname(bigrade.__file__)
+    defined = {}
+    read = set()
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.join(pkg, name)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                defined[(name, node.name)] = node.lineno
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert {key: line for key, line in defined.items() if key[1] not in read} == {}

@@ -1,10 +1,11 @@
 import random
+from itertools import product
 
 import pytest
 
-from bruteforce import bf_betti_and_projdim
+from bruteforce import bf_betti_and_projdim, bf_koszul_dims
 from bigrade import homology
-from bigrade.errors import InternalCheckFailed, PreconditionFailed, RingMismatch, ZeroModule
+from bigrade.errors import PreconditionFailed, RingMismatch, ZeroModule
 from bigrade.homology import (
     Subquotient,
     ass_subquotient,
@@ -13,6 +14,7 @@ from bigrade.homology import (
     depth_module,
     dim_module,
     fine_piece,
+    koszul_dims_at,
     koszul_homology_dim,
     piece_stable,
     restrict_ideal,
@@ -97,10 +99,14 @@ def test_betti_rejects_zero_module():
 
 
 def test_scan_rejects_non_finite_module():
-    # S/(y1) = K[x1] is not finitely generated over K[y1]
-    N = Subquotient.cyclic(ideal(R11, (0, 1)))
-    with pytest.raises(InternalCheckFailed):
-        depth_module(N, R11.y_block())
+    # S/(y1) = K[x1] is not finitely generated over K[y1]; S/(x1, y1) is, but
+    # Betti numbers and depths are only taken over all variables
+    for gens in [[(0, 1)], [(1, 0), (0, 1)]]:
+        N = Subquotient.cyclic(ideal(R11, *gens))
+        with pytest.raises(PreconditionFailed):
+            depth_module(N, R11.y_block())
+        with pytest.raises(PreconditionFailed):
+            betti_and_projdim(N, R11.y_block())
 
 
 def _random_ideal(rnd, ring, max_exp):
@@ -136,12 +142,30 @@ def _random_subquotient(rnd, unit_J, proper_Z, char):
 
 
 def test_lcm_scan_matches_box_scan_reference():
+    # the proper-Z draws stay in the stream, so the all-variables cases do not move
     rnd = random.Random(20261017)
     for k in range(240):
         N, Z = _random_subquotient(
             rnd, unit_J=k % 2 == 0, proper_Z=k % 4 >= 2, char=(0, 2)[(k // 4) % 2]
         )
+        if Z != N.ring.all_vars():
+            with pytest.raises(PreconditionFailed):
+                betti_and_projdim(N, Z)
+            continue
         assert betti_and_projdim(N, Z) == bf_betti_and_projdim(N, Z), (N, sorted(Z))
+
+
+def test_koszul_dims_match_independent_reference():
+    # all variables and a proper subset, every degree of the box and one past it
+    rnd = random.Random(20261018)
+    for k in range(60):
+        N, _ = _random_subquotient(rnd, unit_J=k % 2 == 0, proper_Z=False, char=0)
+        nvars = N.ring.nvars
+        subsets = [N.ring.all_vars(), frozenset(rnd.sample(range(nvars), rnd.randint(1, nvars - 1)))]
+        for Z in subsets:
+            for b in product(*(range(e + 2) for e in N.box())):
+                want = bf_koszul_dims(nvars, N.J.gens, N.Jp.gens, Z, b)
+                assert koszul_dims_at(N, Z, b) == want, (N, sorted(Z), b)
 
 
 def test_large_exponents_scan_only_the_lcm_lattice(monkeypatch):

@@ -45,6 +45,19 @@ def test_parse_errors_carry_line_numbers():
         parse_ideal_text("ring 0 0\ngens: 1\n")
 
 
+def test_ring_line_is_the_exact_token_and_appears_once():
+    with pytest.raises(ParseError) as ei:
+        parse_ideal_text("ringx 1 1\ngens: x1\n")
+    assert ei.value.line == 1
+    # a second ring line is refused before and after the gens line
+    for text in ["ring 1 1\nring 2 2\ngens: x1\n", "ring 1 1\ngens: x1\nring 2 2\n"]:
+        with pytest.raises(ParseError) as ei:
+            parse_ideal_text(text)
+        assert ei.value.line == text.splitlines().index("ring 2 2") + 1
+    ring, I = parse_ideal_text("ring  1\t1\ngens: x1\n")
+    assert (ring.m, ring.n) == (1, 1) and I.gens == ((1, 0),)
+
+
 def test_round_trip():
     r = RingSpec(2, 3)
     I = minimal_generators(r, [(1, 0, 0, 2, 0), (0, 1, 1, 0, 0)])
