@@ -60,9 +60,6 @@ def cmd_analyze(args):
     ring, I = _load(args)
     rep = analyze(I, _axis(ring, args.axis))
     return {
-        "schema": SCHEMA,
-        "command": "analyze",
-        "axis": args.axis,
         "char": ring.char,
         "grade": rep.grade,
         "cd": rep.cd,
@@ -77,25 +74,19 @@ def cmd_analyze(args):
 
 def cmd_decompose(args):
     ring, I = _load(args)
-    irr = irreducible_decomposition(I)
-    prim = primary_decomposition(I)
+
+    def components(pcs):
+        return [
+            {
+                "gens": [render_monomial(ring, g) for g in pc.component.gens],
+                "radical": _prime_names(ring, pc.radical),
+            }
+            for pc in pcs
+        ]
+
     return {
-        "schema": SCHEMA,
-        "command": "decompose",
-        "irreducible_components": [
-            {
-                "gens": [render_monomial(ring, g) for g in pc.component.gens],
-                "radical": _prime_names(ring, pc.radical),
-            }
-            for pc in irr
-        ],
-        "primary_components": [
-            {
-                "gens": [render_monomial(ring, g) for g in pc.component.gens],
-                "radical": _prime_names(ring, pc.radical),
-            }
-            for pc in prim
-        ],
+        "irreducible_components": components(irreducible_decomposition(I)),
+        "primary_components": components(primary_decomposition(I)),
         "associated_primes": sorted(
             _prime_names(ring, p) for p in associated_primes(I)
         ),
@@ -107,9 +98,6 @@ def cmd_filtration(args):
     ladder = dimension_filtration(I, _axis(ring, args.axis))
     blocks = ass_quotients(ladder)
     return {
-        "schema": SCHEMA,
-        "command": "filtration",
-        "axis": args.axis,
         "cd_values": list(ladder.cd_values),
         "steps": [
             {
@@ -125,22 +113,13 @@ def cmd_filtration(args):
 def cmd_seqcm(args):
     ring, I = _load(args)
     res = sequentially_cm(I, _axis(ring, args.axis))
-    return {
-        "schema": SCHEMA,
-        "command": "seqcm",
-        "axis": args.axis,
-        "verdict": res["verdict"],
-        "per_step": res["per_step"],
-    }
+    return {"verdict": res["verdict"], "per_step": res["per_step"]}
 
 
 def cmd_lc(args):
     ring, I = _load(args)
     rep = lc_report(I, args.i, _axis(ring, args.axis))
     return {
-        "schema": SCHEMA,
-        "command": "lc",
-        "axis": args.axis,
         "i": rep.i,
         "finitely_generated": rep.finitely_generated,
         "total_dim": _dim_or_infinite(rep.total_dim),
@@ -159,12 +138,7 @@ def cmd_lc(args):
 
 def cmd_gencm(args):
     ring, I = _load(args)
-    return {
-        "schema": SCHEMA,
-        "command": "gencm",
-        "axis": args.axis,
-        "verdict": generalized_cm(I, _axis(ring, args.axis)),
-    }
+    return {"verdict": generalized_cm(I, _axis(ring, args.axis))}
 
 
 def cmd_growth(args):
@@ -177,9 +151,6 @@ def cmd_growth(args):
     ring, I = _load(args)
     sums = growth_scan(I, args.i, radii, _axis(ring, args.axis))
     return {
-        "schema": SCHEMA,
-        "command": "growth",
-        "axis": args.axis,
         "i": args.i,
         "radii": radii,
         "cumulative_dims": sums,
@@ -197,8 +168,6 @@ def cmd_hypersurface(args):
             profile = parse_profile(fh.read())
     verdict = classify(profile, ring)
     return {
-        "schema": SCHEMA,
-        "command": "hypersurface",
         "factors": [list(f) for f in profile.factors],
         "maximal_depth": verdict.maximal_depth,
         "case": verdict.case_label,
@@ -216,8 +185,6 @@ def cmd_crosscheck(args):
     profile = profile_of_monomial(ring, f)
     verdict = classify(profile, ring)
     return {
-        "schema": SCHEMA,
-        "command": "crosscheck",
         "monomial": render_monomial(ring, f),
         "agrees": ok,
         "case": verdict.case_label,
@@ -230,22 +197,12 @@ def cmd_suite(args):
     from .suite import run_property_suite
 
     _ring(1, 1, args.char)  # rejects a bad --char before the run starts
-    result = run_property_suite(
-        count=args.count, seed=args.seed, char=args.char
-    )
-    return {
-        "schema": SCHEMA,
-        "command": "suite",
-        "count": result["count"],
-        "seed": result["seed"],
-        "ok": result["ok"],
-        "violations": result["violations"],
-    }
+    return run_property_suite(count=args.count, seed=args.seed, char=args.char)
 
 
 def cmd_render(args):
     _, I = _load(args)
-    return {"schema": SCHEMA, "command": "render", "canonical": render_ideal(I)}
+    return {"canonical": render_ideal(I)}
 
 
 @functools.cache
@@ -299,19 +256,19 @@ def build_parser():
     p.add_argument("input", nargs="?", help="factor profile file")
     p.add_argument("--factors", help='inline profile, e.g. "(1,1) (0,2)"')
     p.add_argument("--ring", type=int, nargs=2, required=True, metavar=("M", "N"))
-    p.add_argument("--char", type=int, default=0)
+    common(p, with_input=False, with_axis=False)
     p.set_defaults(fn=cmd_hypersurface)
 
     p = sub.add_parser("crosscheck", help="theorem vs engine on a monomial hypersurface")
     p.add_argument("--monomial", required=True, help='e.g. "x1*y1"')
     p.add_argument("--ring", type=int, nargs=2, required=True, metavar=("M", "N"))
-    p.add_argument("--char", type=int, default=0)
+    common(p, with_input=False, with_axis=False)
     p.set_defaults(fn=cmd_crosscheck)
 
     p = sub.add_parser("suite", help="seeded random property suite")
     p.add_argument("--count", type=int, default=200)
     p.add_argument("--seed", type=int, default=20240811)
-    p.add_argument("--char", type=int, default=0)
+    common(p, with_input=False, with_axis=False)
     p.set_defaults(fn=cmd_suite)
 
     p = sub.add_parser("render", help="canonical form of an ideal file")
@@ -330,7 +287,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        doc = args.fn(args)
+        payload = args.fn(args)
     except InternalCheckFailed as exc:
         # a theorem-backed assertion failed: a bug, reported with the input that shows it
         ideal = getattr(args, "ideal", None)
@@ -344,6 +301,9 @@ def main(argv=None) -> int:
         return _error(f"parse: {exc}", 2)
     except BigradeError as exc:
         return _error(f"precondition: {exc}", 3)
+    doc = {"schema": SCHEMA, "command": args.command, **payload}
+    if "axis" in args:
+        doc["axis"] = args.axis
     print(json.dumps(doc, sort_keys=True, indent=2))
     return 0
 

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadProfile, BadRing
+from .errors import BadProfile, BadRing, ParseError
+from .homology import Subquotient
+from .invariants import grade, mgrade
 from .rings import Monomial, RingSpec, minimal_generators
 
 
@@ -91,11 +93,9 @@ def classify(profile: FactorProfile, ring: RingSpec) -> HypersurfaceVerdict:
             trace = "pure-block"
     elif b2 == 0 and a1 > 0 and a2 > 0 and b1 > 0:
         label, trace = "none", "case4"
-    elif a1 == 0 and b2 == 0 and a2 > 0 and b1 > 0:
-        label, trace = "none", "case5"
     else:
-        # mixed factor present, no pure-y factor, no pure-x factor pattern above
-        label, trace = "none", "case4"
+        # a mixed factor, and neither a pure-x nor a pure-y factor
+        label, trace = "none", "case5"
 
     return HypersurfaceVerdict(
         maximal_depth=(grade_q == mgrade_q),
@@ -122,9 +122,6 @@ def profile_of_monomial(ring: RingSpec, f: Monomial) -> FactorProfile:
 
 def monomial_crosscheck(f: Monomial, ring: RingSpec) -> bool:
     """Compare the theorem's verdict with the fiber engine on the monomial (f)."""
-    from .homology import Subquotient
-    from .invariants import grade, mgrade
-
     profile = profile_of_monomial(ring, f)
     verdict = classify(profile, ring)
     I = minimal_generators(ring, [f])
@@ -140,8 +137,6 @@ def monomial_crosscheck(f: Monomial, ring: RingSpec) -> bool:
 
 def parse_profile(text: str) -> FactorProfile:
     """Parse `factors: (a1,b1) (a2,b2) ...` with xN/yN shorthand for variables."""
-    from .errors import ParseError
-
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -46,8 +46,7 @@ def parse_term(ring: RingSpec, term: str, lineno=None):
 def parse_ideal_text(text: str, char: int = 0):
     """Parse the ideal file format; returns (RingSpec, MonomialIdeal)."""
     ring = None
-    gens = []
-    saw_gens = False
+    gens = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -65,7 +64,9 @@ def parse_ideal_text(text: str, char: int = 0):
         elif line.startswith("gens:"):
             if ring is None:
                 raise ParseError("gens before ring line", line=lineno)
-            saw_gens = True
+            if gens is not None:
+                raise ParseError("second gens line", line=lineno)
+            gens = []
             body = line[len("gens:"):].strip()
             if body:
                 for term in body.split(","):
@@ -74,7 +75,7 @@ def parse_ideal_text(text: str, char: int = 0):
             raise ParseError(f"unexpected line {line!r}", line=lineno)
     if ring is None:
         raise ParseError("missing ring line")
-    if not saw_gens:
+    if gens is None:
         raise ParseError("missing gens line")
     return ring, minimal_generators(ring, gens)
 

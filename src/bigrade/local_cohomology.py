@@ -25,7 +25,7 @@ from typing import Optional
 from .errors import InternalCheckFailed, PreconditionFailed, UnitIdeal
 from .filtration import sequentially_cm
 from .homology import Subquotient, cech_piece_dim, exponent_cells
-from .invariants import analyze, cd, fibers
+from .invariants import analyze, cd, cd_prime, fibers
 from .rings import MonomialIdeal, associated_primes
 
 logger = logging.getLogger("bigrade")
@@ -207,7 +207,6 @@ def question_counterexample_scan(I: MonomialIdeal, Z=None) -> list:
         raise UnitIdeal("scan of the zero module")
     if Z is None:
         Z = I.ring.y_block()
-    from .invariants import cd_prime
 
     hits = []
     for j in sorted({cd_prime(p, Z) for p in associated_primes(I)}):

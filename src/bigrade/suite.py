@@ -17,7 +17,7 @@ from .errors import InternalCheckFailed
 from .filtration import ass_quotients, dimension_filtration, mgrade_constancy, sequentially_cm
 from .homology import Subquotient
 from .invariants import analyze, cd, grade
-from .local_cohomology import generalized_cm, lc_report
+from .local_cohomology import corollary_check, generalized_cm, lc_report
 from .rings import (
     MonomialIdeal,
     RingSpec,
@@ -144,8 +144,6 @@ def check_instance(ring: RingSpec, I: MonomialIdeal) -> list:
 
         # the three-way equivalence on the generalized-CM, positive-grade subsample
         if rep.grade > 0 and compute("generalized_cm_Q", lambda: generalized_cm(I, Z)):
-            from .local_cohomology import corollary_check
-
             run("gencm_triple_equivalence", lambda: corollary_check(I, Z) is not None)
 
     # cross-module consistency: grade and cd from lc_report nonvanishing

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import os
 
 import pytest
 
@@ -7,6 +10,22 @@ from bigrade.cli import main
 SAMPLE = """ring 2 4
 gens: x1*x2, x1*y3, x1*y4, x2*y1, y1*y3, y1*y4, y2*y4, y2*y3
 """
+
+# one success run of each subcommand; "{sample}" stands for the SAMPLE file
+COMMANDS = [
+    ("analyze", "{sample}"),
+    ("decompose", "{sample}"),
+    ("filtration", "{sample}"),
+    ("seqcm", "{sample}"),
+    ("lc", "{sample}", "--i", "1"),
+    ("gencm", "{sample}"),
+    ("growth", "{sample}", "--i", "1", "--radii", "1,2"),
+    ("hypersurface", "--factors", "(1,1) (0,2)", "--ring", "2", "2"),
+    ("crosscheck", "--monomial", "x1*y1", "--ring", "2", "2"),
+    ("suite", "--count", "3", "--seed", "7"),
+    ("render", "{sample}"),
+]
+AXIS_COMMANDS = ("analyze", "filtration", "seqcm", "lc", "gencm", "growth")
 
 
 @pytest.fixture
@@ -117,7 +136,12 @@ def test_exit_code_parse_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text",
-    ["ringx 1 1\ngens: x1\n", "ring 1 1\ngens: x1\nring 2 2\n", "ring 2 2\nring 1 1\ngens: x1\n"],
+    [
+        "ringx 1 1\ngens: x1\n",
+        "ring 1 1\ngens: x1\nring 2 2\n",
+        "ring 2 2\nring 1 1\ngens: x1\n",
+        "ring 1 1\ngens: x1\ngens: y1\n",
+    ],
 )
 def test_malformed_ring_lines_exit_2(tmp_path, capsys, text):
     p = tmp_path / "bad.ideal"
@@ -243,21 +267,40 @@ def test_unreadable_inputs_are_parse_errors(tmp_path, capsys, argv, message):
 def test_every_subcommand_shares_one_parser(sample_file, capsys):
     from bigrade import cli
 
-    commands = [
-        ("analyze", sample_file),
-        ("decompose", sample_file),
-        ("filtration", sample_file),
-        ("seqcm", sample_file),
-        ("lc", sample_file, "--i", "1"),
-        ("gencm", sample_file),
-        ("growth", sample_file, "--i", "1", "--radii", "1,2"),
-        ("hypersurface", "--factors", "(1,1) (0,2)", "--ring", "2", "2"),
-        ("crosscheck", "--monomial", "x1*y1", "--ring", "2", "2"),
-        ("suite", "--count", "3", "--seed", "7"),
-        ("render", sample_file),
-    ]
+    commands = [[a.format(sample=sample_file) for a in argv] for argv in COMMANDS]
     first = [run_cli(capsys, *argv) for argv in commands]
     second = [run_cli(capsys, *argv) for argv in commands]
     assert second == first
     assert all(code == 0 for code, _ in first)
     assert cli.build_parser.cache_info().misses == 1
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "cli_golden.json")
+
+# every subcommand, each other --axis value of the six that take one, and an exit-3 report
+GOLDEN_ARGV = (
+    COMMANDS
+    + [argv + ("--axis", axis) for argv in COMMANDS if argv[0] in AXIS_COMMANDS for axis in ("P", "all")]
+    + [("lc", "{sample}", "--i", "99")]
+)
+
+
+def golden_records(sample):
+    """Exit code and exact stdout of each GOLDEN_ARGV run on the sample file.
+
+    cli_golden.json is this list, written with json.dump(..., indent=1); rewrite
+    it only for an output change that is meant.
+    """
+    records = []
+    for argv in GOLDEN_ARGV:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([a.format(sample=sample) for a in argv])
+        records.append({"argv": list(argv), "code": code, "stdout": out.getvalue()})
+    return records
+
+
+def test_every_subcommand_prints_its_golden_bytes(sample_file):
+    with open(GOLDEN, encoding="utf-8") as fh:
+        expected = json.load(fh)
+    assert golden_records(sample_file) == expected

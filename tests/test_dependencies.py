@@ -66,3 +66,32 @@ def test_every_private_definition_is_read():
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     assert {key: line for key, line in defined.items() if key[1] not in read} == {}
+
+
+def _redundant_local_imports(path):
+    """Lines of function-local `from .m import ...` in a module that imports from .m at top level.
+
+    Such an import defers nothing: .m is loaded with the module anyway.
+    """
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    top = {(node.level, node.module) for node in tree.body if isinstance(node, ast.ImportFrom)}
+    return sorted(
+        {
+            node.lineno
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+            if isinstance(node, ast.ImportFrom) and node.level and (node.level, node.module) in top
+        }
+    )
+
+
+def test_no_function_local_import_of_a_module_already_imported():
+    pkg = os.path.dirname(bigrade.__file__)
+    found = {
+        name: _redundant_local_imports(os.path.join(pkg, name))
+        for name in sorted(os.listdir(pkg))
+        if name.endswith(".py")
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -54,6 +54,10 @@ def test_ring_line_is_the_exact_token_and_appears_once():
         with pytest.raises(ParseError) as ei:
             parse_ideal_text(text)
         assert ei.value.line == text.splitlines().index("ring 2 2") + 1
+    # so is a second gens line, which would otherwise add to the first
+    with pytest.raises(ParseError) as ei:
+        parse_ideal_text("ring 1 1\ngens: x1\ngens: y1\n")
+    assert ei.value.line == 3
     ring, I = parse_ideal_text("ring  1\t1\ngens: x1\n")
     assert (ring.m, ring.n) == (1, 1) and I.gens == ((1, 0),)
 
