@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .errors import BigradeError, InternalCheckFailed, ParseError
@@ -197,6 +198,8 @@ def cmd_suite(args):
     from .suite import run_property_suite
 
     _ring(1, 1, args.char)  # rejects a bad --char before the run starts
+    if args.count < 0:
+        raise ParseError(f"--count must be nonnegative, got {args.count}")
     return run_property_suite(count=args.count, seed=args.seed, char=args.char)
 
 
@@ -278,14 +281,12 @@ def build_parser():
     return parser
 
 
-def _error(message, code) -> int:
-    print(json.dumps({"schema": SCHEMA, "error": message}, sort_keys=True))
-    return code
+def _error(message, code) -> tuple:
+    return code, json.dumps({"schema": SCHEMA, "error": message}, sort_keys=True)
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _report(args) -> tuple:
+    """(exit code, JSON text) of the parsed command."""
     try:
         payload = args.fn(args)
     except InternalCheckFailed as exc:
@@ -304,8 +305,24 @@ def main(argv=None) -> int:
     doc = {"schema": SCHEMA, "command": args.command, **payload}
     if "axis" in args:
         doc["axis"] = args.axis
-    print(json.dumps(doc, sort_keys=True, indent=2))
-    return 0
+    return 0, json.dumps(doc, sort_keys=True, indent=2)
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    code, text = _report(args)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (e.g. `bigrade suite | head -1`); send the
+        # rest to devnull so the flush at interpreter exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, as a shell reports a process that signal ends
+    return code
 
 
 if __name__ == "__main__":

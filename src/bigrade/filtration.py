@@ -29,6 +29,7 @@ class FiltrationLadder:
     axis: frozenset
     ideals: tuple  # (J_0, ..., J_r)
     cd_values: tuple  # (gamma_1 < ... < gamma_r), gamma_i = cd(Z, J_i/I)
+    submodule_ass: tuple  # (Ass(D_1), ..., Ass(D_r)) as ass_subquotient enumerated them
 
     @property
     def base(self) -> MonomialIdeal:
@@ -58,19 +59,23 @@ def dimension_filtration(I: MonomialIdeal, Z) -> FiltrationLadder:
         if not (upper.contains_ideal(lower) and upper != lower):
             raise InternalCheckFailed("filtration ladder is not strictly increasing")
 
-    ladder = FiltrationLadder(axis=Z, ideals=tuple(ideals), cd_values=tuple(gammas))
-    _verify_ass_facts(ladder)
-    return ladder
+    submodule_ass = _verify_ass_facts(I, Z, zip(ideals[1:], gammas))
+    return FiltrationLadder(
+        axis=Z, ideals=tuple(ideals), cd_values=tuple(gammas), submodule_ass=submodule_ass
+    )
 
 
-def _verify_ass_facts(ladder: FiltrationLadder):
-    """Runtime check of the filtration's Ass identities (they are theorems)."""
-    I = ladder.base
-    Z = ladder.axis
+def _verify_ass_facts(I: MonomialIdeal, Z, steps) -> tuple:
+    """Runtime check of the filtration's Ass identities (they are theorems).
+
+    `steps` are the (J_i, gamma_i) of the ladder over I; returns Ass(J_i/I)
+    for each, as enumerated by ass_subquotient.
+    """
     ass_total = associated_primes(I)
-    for J_i, gamma in ladder.steps:
+    submodule_ass = []
+    for J_i, gamma in steps:
         expected = {p for p in ass_total if cd_prime(p, Z) <= gamma}
-        actual = ass_subquotient(J_i, I)
+        actual = frozenset(ass_subquotient(J_i, I))
         if actual != expected:
             raise InternalCheckFailed(
                 f"Ass(D_i) mismatch at cd {gamma}: computed {sorted(map(sorted, actual))}, "
@@ -80,18 +85,24 @@ def _verify_ass_facts(ladder: FiltrationLadder):
             quotient_ass = associated_primes(J_i)
             if quotient_ass != ass_total - expected:
                 raise InternalCheckFailed(f"Ass(M/D_i) mismatch at cd {gamma}")
+        submodule_ass.append(actual)
+    return tuple(submodule_ass)
 
 
 def ass_quotients(ladder: FiltrationLadder) -> list:
-    """Ass(D_i/D_{i-1}) per step: the Ass primes at exactly the step's cd value."""
+    """Ass(D_i/D_{i-1}) per step: the Ass primes at exactly the step's cd value.
+
+    D_1/D_0 is D_1, whose Ass the ladder already holds; every later step is
+    enumerated here.
+    """
     I = ladder.base
     ass_total = associated_primes(I)
     blocks = []
     seen = set()
     prev = I
-    for J_i, gamma in ladder.steps:
+    for i, (J_i, gamma) in enumerate(ladder.steps):
         expected = {p for p in ass_total if cd_prime(p, ladder.axis) == gamma}
-        actual = ass_subquotient(J_i, prev)
+        actual = ladder.submodule_ass[0] if i == 0 else ass_subquotient(J_i, prev)
         if actual != expected:
             raise InternalCheckFailed(f"Ass(D_i/D_(i-1)) mismatch at cd {gamma}")
         blocks.append(expected)

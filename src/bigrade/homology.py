@@ -15,6 +15,9 @@ the boundary map of sorted index tuples, built by one routine.
 Membership, colons and Cech pieces only change where an exponent crosses a
 generator exponent, so the walks that need one degree per class visit
 exponent cells (`exponent_cells`) instead of the whole exponent box.
+`ass_subquotient` visits one corner exponent per bounded cell of J' and the
+box on each coordinate, depth first on bitsets indexed by the generators, and
+skips every subtree whose corners all lie outside J or all inside J'.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .rings import (
     dim_quotient,
     lcm,
     minimal_generators,
-    mon_quot,
     unit_ideal,
 )
 
@@ -275,6 +277,25 @@ def exponent_cells(N: Subquotient, coords, negative=frozenset()):
         yield tuple(s for s, _ in cell), tuple(n for _, n in cell)
 
 
+def _corner_row(J: MonomialIdeal, Jp: MonomialIdeal, k: int, e: int) -> tuple:
+    """Bitsets (jin, miss, one) of the corner walk at exponent e of coordinate k.
+
+    Bit i of `jin` is set when generator i of J has g_k <= e; bit j of `miss`
+    when generator j of J' has g_k > e, and of `one` when g_k == e + 1.
+    """
+    jin = 0
+    for i, g in enumerate(J.gens):
+        if g[k] <= e:
+            jin |= 1 << i
+    miss = one = 0
+    for j, g in enumerate(Jp.gens):
+        if g[k] > e:
+            miss |= 1 << j
+            if g[k] == e + 1:
+                one |= 1 << j
+    return jin, miss, one
+
+
 def ass_subquotient(J: MonomialIdeal, Jp: MonomialIdeal) -> set:
     """Ass of the module J/J' by enumerating annihilators of corner monomials.
 
@@ -284,28 +305,55 @@ def ass_subquotient(J: MonomialIdeal, Jp: MonomialIdeal) -> set:
     u_k in {g_k - 1 : g in gens(J'), g_k >= 1} (the last exponent of each
     bounded cell of J') together with box_k.
 
-    Whether (J' : u) is prime is decided without building it.  It is
-    generated by the q_g = g / gcd(g, u) over g in gens(J'); with V the set of
-    k such that q_g = x_k for some g, it is the prime (x_k : k in V) iff every
-    q_g has a nonzero exponent at some k in V.  For J' = 0 it is the prime ().
+    The corners are walked depth first, one coordinate at a time, on bitsets
+    over the generators (`_corner_row`).  The AND of the `jin` rows along the
+    path holds the generators of J that divide every corner below it, and a
+    subtree is skipped once it is 0.  Bit-sliced counters `at1` and `at2` hold
+    the generators of J' that miss the path (exceed it) in at least one and in
+    at least two coordinates; a subtree is also skipped once some generator
+    can no longer miss, as then it divides every corner below.  At a corner u
+    outside J', (J' : u) is generated by the q_g = g / gcd(g, u) over g in
+    gens(J'); q_g = x_k iff g misses u only at k and there g_k = u_k + 1.
+    With V the set of such k, (J' : u) is the prime (x_k : k in V) iff every g
+    misses u at some k in V.  For J' = 0 it is the prime ().
     """
     N = Subquotient(J.ring, J, Jp)
     box = N.box()
-    candidates = [
-        sorted({s + n - 1 for s, n in _axis_cells(Jp.gens, k) if n is not None} | {box[k]})
+    rows = [
+        [_corner_row(J, Jp, k, e) for e in sorted({g[k] - 1 for g in Jp.gens if g[k]} | {box[k]})]
         for k in range(J.ring.nvars)
     ]
+    nvars = len(rows)
+    full = (1 << len(Jp.gens)) - 1
+    # reach[k]: the generators of J' that some corner can miss at a coordinate >= k
+    reach = [0] * (nvars + 1)
+    for k in range(nvars - 1, -1, -1):
+        reach[k] = reach[k + 1] | rows[k][0][1]
+    path = [None] * nvars
     found = set()
-    for u in product(*candidates):
-        if not fine_piece(N, u):
-            continue
-        quots = [mon_quot(g, u) for g in Jp.gens]
-        prime = set()
-        for q in quots:
-            if sum(q) == 1:
-                prime.add(q.index(1))
-        if all(any(q[k] for k in prime) for q in quots):
-            found.add(frozenset(prime))
+
+    def walk(k, jin, at1, at2):
+        for row in rows[k]:  # e ascending: jin grows, miss shrinks
+            below = jin & row[0]
+            if not below:
+                continue  # no generator of J divides a corner below
+            miss = row[1]
+            if (at1 | miss | reach[k + 1]) != full:
+                break  # some generator of J' divides every corner below
+            path[k] = row
+            a1, a2 = at1 | miss, at2 | (at1 & miss)
+            if k + 1 < nvars:
+                walk(k + 1, below, a1, a2)
+                continue
+            once = a1 & ~a2  # the generators of J' that miss u at exactly one coordinate
+            prime = [v for v in range(nvars) if path[v][2] & once]
+            cover = 0
+            for v in prime:
+                cover |= path[v][1]
+            if cover == full:
+                found.add(frozenset(prime))
+
+    walk(0, (1 << len(J.gens)) - 1, 0, 0)
     return found
 
 

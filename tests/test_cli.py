@@ -2,9 +2,12 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import bigrade
 from bigrade.cli import main
 
 SAMPLE = """ring 2 4
@@ -193,12 +196,30 @@ def test_infinite_encoding(tmp_path, capsys):
         ("growth", "{sample}", "--i", "1", "--radii", ""),
         ("growth", "{sample}", "--i", "1", "--radii=-3,0,3"),
         ("analyze", "{sample}", "--char", str(2 ** 89 - 1)),
+        ("suite", "--count", "-1"),
     ],
 )
 def test_bad_option_values_are_parse_errors(sample_file, capsys, argv):
     code, out = run_cli(capsys, *(a.format(sample=sample_file) for a in argv))
     assert code == 2
     assert json.loads(out)["error"].startswith("parse: ")
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    # as in `bigrade suite | head -1`, with the reader gone before the report is written
+    read_end, write_end = os.pipe()
+    src = os.path.dirname(os.path.dirname(bigrade.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bigrade.cli", "suite", "--count", "1"],
+        stdout=write_end,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    os.close(write_end)
+    os.close(read_end)
+    _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == 141  # 128 + SIGPIPE
 
 
 def test_internal_check_failure_is_reported_with_its_input(sample_file, capsys, monkeypatch):

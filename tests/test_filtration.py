@@ -1,5 +1,10 @@
+import contextlib
+import io
+
 import pytest
 
+from bigrade import filtration
+from bigrade.cli import main
 from bigrade.errors import UnitIdeal, ZeroIdeal
 from bigrade.filtration import (
     ass_quotients,
@@ -39,6 +44,26 @@ def test_ass_quotients_partition():
         [["x1", "y1", "y3", "y4"]],
         [["x1", "y1", "y2"], ["x2", "y3", "y4"]],
     ]
+
+
+def test_filtration_command_enumerates_each_ass_once(tmp_path, monkeypatch):
+    # Ass(J_1/I) is on the ladder, so ass_quotients does not enumerate it again
+    ring, I = parse_ideal_text(EIGHT_GEN)
+    steps = len(dimension_filtration(I, ring.y_block()).steps)
+    calls = []
+    body = filtration.ass_subquotient
+
+    def counted(J, Jp):
+        calls.append((J, Jp))
+        return body(J, Jp)
+
+    monkeypatch.setattr(filtration, "ass_subquotient", counted)
+    p = tmp_path / "i.ideal"
+    p.write_text(EIGHT_GEN)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["filtration", str(p)]) == 0
+    assert len(calls) == 2 * steps - 1
+    assert len(set(calls)) == len(calls)
 
 
 def test_single_step_ladder():

@@ -16,7 +16,7 @@ from bigrade.local_cohomology import (
     lc_report,
     question_counterexample_scan,
 )
-from bigrade.rings import RingSpec, intersect, minimal_generators, sum_ideal, unit_ideal
+from bigrade.rings import RingSpec, intersect, minimal_generators, sum_ideal, unit_ideal, zero_ideal
 
 EIGHT_GEN = """
 ring 2 4
@@ -195,18 +195,46 @@ def test_six_variable_ass_and_fibers_match_box_walk_reference():
             assert _classes(fibers(N, Z)) == _classes(bf_fibers(N, Z)), (str(I), sorted(Z))
 
 
+# (m, n, largest exponent): rings of 1-6 variables, with one block empty in
+# some; the exponents shrink as variables are added, so the box walk stays small
+EDGE_RINGS = [
+    (1, 0, 4), (0, 1, 4), (0, 2, 4), (1, 1, 4), (3, 0, 3), (1, 2, 3),
+    (2, 2, 2), (0, 4, 2), (3, 2, 1), (0, 5, 1), (3, 3, 1), (2, 4, 1),
+]
+
+
+def test_ass_subquotient_matches_box_walk_on_edge_pairs():
+    # J' = (0), J' = S and proper J next to the pairs the ladders make
+    rnd = random.Random(20261025)
+    for m, n, top in EDGE_RINGS:
+        ring = RingSpec(m, n)
+        S, zero = unit_ideal(ring), zero_ideal(ring)
+        pairs = [(S, zero), (S, S)]
+        for _ in range(25):
+            I = _random_ideal(rnd, ring, top, 4)
+            B = _random_ideal(rnd, ring, top, 3)
+            pairs += [(B, zero), (S, I), (sum_ideal(I, B), I), (B, intersect(I, B))]
+        for J, Jp in pairs:
+            assert ass_subquotient(J, Jp) == bf_ass_subquotient(J, Jp), (m, n, str(J), str(Jp))
+
+
 def test_large_exponents_cost_follows_the_cells(monkeypatch):
     # x1^e*y1^e, x2^e*y2, x1*y2^e: counted as here, a box walk makes 93,636
     # Cech calls per growth index and 150,515 colons for seqcm at e = 16, and
     # 900 and 1,069 at e = 4; the cells do not depend on e.  The fibers and
-    # ass_subquotient build no colon, so the generator sets they minimize and
-    # the fine pieces they test are counted too: a box walk in either would
-    # make them grow with e.
-    calls = {"cech": 0, "colon": 0, "mingens": 0, "fine_piece": 0}
+    # ass_subquotient build no colon, so the generator sets they minimize, the
+    # fine pieces tested and the corner rows ass_subquotient builds (one per
+    # candidate exponent) are counted too: a box walk in any of them would
+    # make these grow with e.
+    calls = {"cech": 0, "colon": 0, "mingens": 0, "fine_piece": 0, "corner_row": 0}
+    # set after e = 16 to twice its counts, so a walk that grows with e fails
+    # at e = 1000 as soon as it passes them instead of running for hours
+    ceiling = {}
 
     def counted(name, inner):
         def wrapper(*args):
             calls[name] += 1
+            assert calls[name] <= ceiling.get(name, calls[name]), f"{name} calls grow with e"
             return inner(*args)
         return wrapper
 
@@ -216,6 +244,7 @@ def test_large_exponents_cost_follows_the_cells(monkeypatch):
     for module in (rings, homology, invariants):
         monkeypatch.setattr(module, "minimal_generators", mingens)
     monkeypatch.setattr(homology, "fine_piece", counted("fine_piece", homology.fine_piece))
+    monkeypatch.setattr(homology, "_corner_row", counted("corner_row", homology._corner_row))
 
     def run(e):
         monkeypatch.setattr(homology, "_depth_cache", {})
@@ -245,6 +274,7 @@ def test_large_exponents_cost_follows_the_cells(monkeypatch):
         return answers, counts
 
     answers_16, counts_16 = run(16)
+    ceiling.update({k: 2 * v for k, v in calls.items()})
     answers_1000, counts_1000 = run(1000)
     assert answers_1000 == answers_16
     assert counts_1000 == counts_16

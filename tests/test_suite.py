@@ -36,7 +36,8 @@ def test_check_instance_builds_the_ladder_once(monkeypatch):
     _counting(monkeypatch, "ass_subquotient", counts)
     assert check_instance(ring, I) == []
     assert counts["_verify_ass_facts"] == 1
-    assert counts["ass_subquotient"] <= 2 * steps
+    # Ass(J_i/I) per step for the ladder, then Ass(J_i/J_(i-1)) for every step but the first
+    assert counts["ass_subquotient"] == 2 * steps - 1
 
 
 def test_corollary_check_builds_its_own_ladder(monkeypatch):
@@ -50,7 +51,7 @@ def test_corollary_check_builds_its_own_ladder(monkeypatch):
 
 
 def test_failing_ladder_is_reported_not_raised(monkeypatch):
-    def broken(ladder):
+    def broken(*args):
         raise InternalCheckFailed("forced")
 
     monkeypatch.setattr(filtration, "_verify_ass_facts", broken)
