@@ -10,7 +10,8 @@ ring.  There they live only in degrees of the lcm lattice of the generators
 of J and J' (the Taylor resolution and the long exact Tor sequence of
 0 -> J' -> J -> J/J' -> 0, Gasharov-Peeva-Welker 1999), so the Betti scan
 visits those degrees and no others.  Every Koszul and Cech differential is
-the boundary map of sorted index tuples, built by one routine.
+the boundary map of sorted index tuples, built by one routine, and each
+complex in a fine degree is built once and read at every index.
 
 Membership, colons and Cech pieces only change where an exponent crosses a
 generator exponent, so the walks that need one degree per class visit
@@ -113,16 +114,27 @@ def _boundary_rank(upper, lower_index, char) -> int:
     return kernels.rank(mat, char)
 
 
+def _complex_dims(levels, char) -> list:
+    """Homology dimensions of a complex whose level j has a basis of sorted j-tuples.
+
+    `levels[j]` lists the tuples with a nonzero term, and adjacent levels are
+    joined by the boundary map (Koszul) or its transpose (Cech), of equal rank.
+    """
+    ranks = [0] * (len(levels) + 1)  # ranks[j] = rank between levels j and j-1
+    for j in range(1, len(levels)):
+        lower = {s: n for n, s in enumerate(levels[j - 1])}
+        ranks[j] = _boundary_rank(levels[j], lower, char)
+    return [len(level) - ranks[j] - ranks[j + 1] for j, level in enumerate(levels)]
+
+
 def koszul_dims_at(N: Subquotient, zvars, b) -> list:
     """All Koszul homology dimensions [H_0 .. H_k] on the variables zvars in fine degree b."""
     zvars = sorted(zvars)
-    k = len(zvars)
     b = tuple(b)
 
-    # present[j]: ordered subsets sigma with nonzero term N_{b - e_sigma}
-    present = []
-    index = []
-    for j in range(k + 1):
+    # levels[j]: ordered subsets sigma with nonzero term N_{b - e_sigma}
+    levels = []
+    for j in range(len(zvars) + 1):
         level = []
         for sigma in combinations(zvars, j):
             deg = list(b)
@@ -130,14 +142,8 @@ def koszul_dims_at(N: Subquotient, zvars, b) -> list:
                 deg[z] -= 1
             if fine_piece(N, deg):
                 level.append(sigma)
-        present.append(level)
-        index.append({s: i for i, s in enumerate(level)})
-
-    ranks = [0] * (k + 2)  # ranks[j] = rank of d_j : level j -> level j-1
-    for j in range(1, k + 1):
-        ranks[j] = _boundary_rank(present[j], index[j - 1], N.ring.char)
-
-    return [len(present[j]) - ranks[j] - ranks[j + 1] for j in range(k + 1)]
+        levels.append(level)
+    return _complex_dims(levels, N.ring.char)
 
 
 def koszul_homology_dim(N: Subquotient, Z, j: int, b) -> int:
@@ -212,39 +218,36 @@ def dim_module(N: Subquotient) -> int:
     return _remember(_dim_cache, N, dim_quotient(ann))
 
 
-def cech_piece_dim(N: Subquotient, Z, i: int, c) -> int:
-    """dim_K of H^i_Z(N) in fine degree c (coordinates on Z may be negative)."""
+def cech_dims_at(N: Subquotient, Z, c) -> list:
+    """All Cech cohomology dimensions [H^0 .. H^k] of N on the variables Z in fine degree c.
+
+    Coordinates on Z may be negative.  The term of sigma is nonzero only when
+    sigma holds every negative coordinate, so only those sigma are tested, and
+    the complex is built once for every index.
+    """
     zvars = sorted(Z)
-    k = len(zvars)
-    if not (0 <= i <= k):
-        raise PreconditionFailed(f"index {i} outside [0, {k}]")
     c = tuple(c)
     zset = set(zvars)
     if any(e < 0 for idx, e in enumerate(c) if idx not in zset):
-        return 0
-    neg = frozenset(z for z in zvars if c[z] < 0)
-
-    present = []
-    index = []
-    for j in (i - 1, i, i + 1):
-        if j < 0 or j > k:
-            present.append([])
-            index.append({})
-            continue
+        return [0] * (len(zvars) + 1)
+    neg = tuple(z for z in zvars if c[z] < 0)
+    rest = [z for z in zvars if c[z] >= 0]
+    levels = [[] for _ in neg]
+    for j in range(len(rest) + 1):
         level = []
-        for sigma in combinations(zvars, j):
-            sset = frozenset(sigma)
-            if not neg <= sset:
-                continue
-            if piece_stable(N, c, sset):
+        for extra in combinations(rest, j):
+            sigma = tuple(sorted(neg + extra))
+            if piece_stable(N, c, frozenset(sigma)):
                 level.append(sigma)
-        present.append(level)
-        index.append({s: n for n, s in enumerate(level)})
+        levels.append(level)
+    return _complex_dims(levels, N.ring.char)
 
-    # the Cech differential is the transpose of the boundary map, so same rank
-    rank_out = _boundary_rank(present[2], index[1], N.ring.char)
-    rank_in = _boundary_rank(present[1], index[0], N.ring.char)
-    return len(present[1]) - rank_out - rank_in
+
+def cech_piece_dim(N: Subquotient, Z, i: int, c) -> int:
+    """dim_K of H^i_Z(N) in fine degree c (coordinates on Z may be negative)."""
+    if not (0 <= i <= len(Z)):
+        raise PreconditionFailed(f"index {i} outside [0, {len(Z)}]")
+    return cech_dims_at(N, Z, c)[i]
 
 
 def _axis_cells(gens, k, negative=False) -> list:

@@ -4,7 +4,9 @@ Cech pieces only change where a degree crosses a generator exponent, so every
 scan here visits one degree per exponent cell (the intervals between
 consecutive distinct generator exponents, the cap from the largest one on, and
 the class of all negative exponents) and weights it by the cell's length, the
-interval structure of Takayama's formula.
+interval structure of Takayama's formula.  Each fiber's cells are scanned
+once, with every index of a cell read off one Cech complex, into a table that
+every local cohomology question on that fiber reads.
 
 H^i_Z splits over the fiber decomposition; a fiber contributes finite length
 iff its cohomology vanishes on every cell with a negative coordinate (and on
@@ -24,7 +26,7 @@ from typing import Optional
 
 from .errors import InternalCheckFailed, PreconditionFailed, UnitIdeal
 from .filtration import sequentially_cm
-from .homology import Subquotient, cech_piece_dim, exponent_cells
+from .homology import Subquotient, cech_dims_at, exponent_cells, fine_piece
 from .invariants import analyze, cd, cd_prime, fibers
 from .rings import MonomialIdeal, associated_primes
 
@@ -55,19 +57,30 @@ class LCReport:
 
 
 @lru_cache(maxsize=1024)
-def _fiber_lc(fc, i: int) -> FiberLC:
-    """H^i of one fiber class over its full sub-ring, one Cech piece per cell.
+def _fiber_table(fiber: Subquotient) -> tuple:
+    """The nonzero Cech cells of one fiber over its full sub-ring.
 
-    Kept in a bounded memo per (class, i), so repeated reports on the same
-    ideal skip their Cech scans.
+    Holds (corner, lengths, dims) per exponent cell in lex order of corners,
+    with dims = [H^0 .. H^k] of the cell, so every index is read off one
+    complex per cell.  Kept in a bounded memo per fiber, which every index,
+    report and growth scan on that fiber shares.
     """
-    fiber = fc.fiber
     allvars = fiber.ring.all_vars()
+    table = []
+    for c, lengths in exponent_cells(fiber, range(fiber.ring.nvars), allvars):
+        dims = cech_dims_at(fiber, allvars, c)
+        if any(dims):
+            table.append((c, lengths, tuple(dims)))
+    return tuple(table)
+
+
+def _fiber_lc(fc, i: int) -> FiberLC:
+    """H^i of one fiber class, read from column i of its fiber's Cech table."""
     finite = True
     witness = None
     total = 0
-    for c, lengths in exponent_cells(fiber, range(fiber.ring.nvars), allvars):
-        d = cech_piece_dim(fiber, allvars, i, c)
+    for c, lengths, dims in _fiber_table(fc.fiber):
+        d = dims[i]
         if d == 0:
             continue
         if None in lengths:
@@ -135,9 +148,11 @@ def growth_scan(I: MonomialIdeal, i: int, box_radii, Z=None) -> list:
 
     Radius r covers fine degrees with Z-coordinates in [-r, r] and the rest in
     [0, r].  A strictly increasing tail witnesses non-finite-generation.
-    Degrees are aggregated by exponent cell, and each cell's degrees within
-    radius r are counted, not visited, so the cost depends on neither the
-    radius nor the size of the exponents.  Radii must be nonnegative.
+    H^i_Z(S/I) is the direct sum over the slices of its fibers, so its nonzero
+    cells are the complement cells of each fiber class times the nonzero
+    cells of the class's fiber table.  Each cell's degrees within radius r are
+    counted, not visited, so the cost depends on neither the radius nor the
+    size of the exponents.  Radii must be nonnegative.
     """
     box_radii = list(box_radii)
     if any(r < 0 for r in box_radii):
@@ -147,13 +162,27 @@ def growth_scan(I: MonomialIdeal, i: int, box_radii, Z=None) -> list:
     if Z is None:
         Z = I.ring.y_block()
     Z = frozenset(Z)
+    if not (0 <= i <= len(Z)):
+        raise PreconditionFailed(f"index {i} outside [0, {len(Z)}]")
     N = Subquotient.cyclic(I)
 
-    cells = []  # (corner, lengths, dim) of the nonzero cells
-    for c, lengths in exponent_cells(N, range(I.ring.nvars), Z):
-        d = cech_piece_dim(N, Z, i, c)
-        if d:
-            cells.append((c, lengths, d))
+    # (corner, lengths, dim) of the nonzero cells; the count below reads each
+    # coordinate on its own, so a cell may list its coordinates in any order
+    cells = []
+    if Z:
+        comp = sorted(set(range(I.ring.nvars)) - Z)
+        comp_lengths = dict(exponent_cells(N, comp))
+        for fc in fibers(N, Z):
+            for zc, zlen, dims in _fiber_table(fc.fiber):
+                if dims[i]:
+                    cells += [(a + zc, comp_lengths[a] + zlen, dims[i]) for a in fc.patterns]
+    else:
+        # `fibers` refuses an empty axis; H^0 on no variables is S/I itself
+        cells = [
+            (c, lengths, 1)
+            for c, lengths in exponent_cells(N, range(I.ring.nvars))
+            if fine_piece(N, c)
+        ]
 
     sums = []
     for r in box_radii:

@@ -257,6 +257,14 @@ def test_empty_axis_is_a_precondition_error(tmp_path, capsys, ring, argv):
     assert json.loads(out)["error"] == "precondition: the axis has no variables"
 
 
+@pytest.mark.parametrize("i, axis, top", [("-1", "Q", 4), ("99", "Q", 4), ("3", "P", 2)])
+def test_growth_index_outside_the_axis_is_a_precondition_error(sample_file, capsys, i, axis, top):
+    # a negative index must not read a column of a Cech table from its end
+    code, out = run_cli(capsys, "growth", sample_file, "--i", i, "--axis", axis)
+    assert code == 3
+    assert json.loads(out)["error"] == f"precondition: index {i} outside [0, {top}]"
+
+
 def test_growth_and_filtration_answer_on_an_empty_axis(tmp_path, capsys):
     p = tmp_path / "e.ideal"
     p.write_text("ring 1 0\ngens: x1^2\n")

@@ -3,16 +3,18 @@ from itertools import product
 
 import pytest
 
-from bruteforce import bf_betti_and_projdim, bf_koszul_dims
+from bruteforce import bf_betti_and_projdim, bf_cech_piece, bf_koszul_dims
 from bigrade import homology
 from bigrade.errors import PreconditionFailed, RingMismatch, ZeroModule
 from bigrade.homology import (
     Subquotient,
     ass_subquotient,
     betti_and_projdim,
+    cech_dims_at,
     cech_piece_dim,
     depth_module,
     dim_module,
+    exponent_cells,
     fine_piece,
     koszul_dims_at,
     koszul_homology_dim,
@@ -166,6 +168,31 @@ def test_koszul_dims_match_independent_reference():
             for b in product(*(range(e + 2) for e in N.box())):
                 want = bf_koszul_dims(nvars, N.J.gens, N.Jp.gens, Z, b)
                 assert koszul_dims_at(N, Z, b) == want, (N, sorted(Z), b)
+
+
+def test_cech_dims_match_independent_reference():
+    # J = S, or J = (m) with J/J' the module S/(J' : m) shifted by m, which the
+    # oracle takes; (J' : m) is generated by the g / gcd(g, m).  One degree is
+    # drawn in each of up to 8 random cells, the -1 class on Z included.
+    rnd = random.Random(20261019)
+    for k in range(160):
+        nvars = rnd.randint(1, 4)
+        m = rnd.randint(0, nvars)
+        ring = RingSpec(m, nvars - m, (0, 2)[k % 2])
+        shift = tuple(rnd.randint(0, 2) for _ in range(nvars)) if k % 4 >= 2 else (0,) * nvars
+        J = minimal_generators(ring, [shift])
+        N = Subquotient(ring, J, intersect(J, _random_ideal(rnd, ring, rnd.randint(1, 5 - nvars // 2))))
+        Z = frozenset(rnd.sample(range(nvars), rnd.randint(0, nvars)))
+        colon_gens = [tuple(max(a - b, 0) for a, b in zip(g, shift)) for g in N.Jp.gens]
+        cells = list(exponent_cells(N, range(nvars), Z))
+        for corner, lengths in rnd.sample(cells, min(8, len(cells))):
+            c = tuple(
+                -rnd.randint(1, 3) if e == -1 else e + rnd.randrange(n or 3)
+                for e, n in zip(corner, lengths)
+            )
+            shifted = tuple(a - b for a, b in zip(c, shift))
+            want = [bf_cech_piece(nvars, colon_gens, Z, i, shifted) for i in range(len(Z) + 1)]
+            assert cech_dims_at(N, Z, c) == want, (N, sorted(Z), c)
 
 
 def test_large_exponents_scan_only_the_lcm_lattice(monkeypatch):

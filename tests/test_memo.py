@@ -95,5 +95,5 @@ def test_analyze_decomposes_each_ideal_once(monkeypatch):
 
 
 def test_memos_are_bounded():
-    for memo in (rings._decomposition, invariants._fibers, local_cohomology._fiber_lc):
+    for memo in (rings._decomposition, invariants._fibers, local_cohomology._fiber_table):
         assert 0 < memo.cache_info().maxsize < 10_000
