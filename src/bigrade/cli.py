@@ -113,8 +113,7 @@ def cmd_filtration(args):
 
 def cmd_seqcm(args):
     ring, I = _load(args)
-    res = sequentially_cm(I, _axis(ring, args.axis))
-    return {"verdict": res["verdict"], "per_step": res["per_step"]}
+    return sequentially_cm(I, _axis(ring, args.axis))
 
 
 def cmd_lc(args):

@@ -141,7 +141,7 @@ def sequentially_cm(I: MonomialIdeal, Z, *, ladder=None) -> dict:
         per_step.append({"grade": g, "cd": c, "is_cm": g == c})
         verdict = verdict and g == c
         prev = J_i
-    return {"verdict": verdict, "per_step": per_step, "ladder": ladder}
+    return {"verdict": verdict, "per_step": per_step}
 
 
 def mgrade_constancy(I: MonomialIdeal, Z, *, ladder=None) -> bool:

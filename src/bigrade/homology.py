@@ -13,12 +13,15 @@ visits those degrees and no others.  Every Koszul and Cech differential is
 the boundary map of sorted index tuples, built by one routine, and each
 complex in a fine degree is built once and read at every index.
 
+Every Koszul and Cech term, and every corner of `ass_subquotient`, is
+decided by one rule on bitsets over the generators of J and J' (`_corner_row`).
+
 Membership, colons and Cech pieces only change where an exponent crosses a
 generator exponent, so the walks that need one degree per class visit
 exponent cells (`exponent_cells`) instead of the whole exponent box.
 `ass_subquotient` visits one corner exponent per bounded cell of J' and the
-box on each coordinate, depth first on bitsets indexed by the generators, and
-skips every subtree whose corners all lie outside J or all inside J'.
+box on each coordinate, depth first, and skips every subtree whose corners
+all lie outside J or all inside J'.
 """
 
 from __future__ import annotations
@@ -79,21 +82,26 @@ def fine_piece(N: Subquotient, c) -> int:
     return 1 if (N.J.contains(c) and not N.Jp.contains(c)) else 0
 
 
-def _divides_capped(g, exps, inf_set) -> bool:
-    return all(i in inf_set or g[i] <= exps[i] for i in range(len(g)))
+def _corner_row(J: MonomialIdeal, Jp: MonomialIdeal, k: int, e: int) -> tuple:
+    """Bitsets (jin, miss, one) over the generators at exponent e of coordinate k.
 
-
-def _contains_capped(I: MonomialIdeal, exps, inf_set) -> bool:
-    return any(_divides_capped(g, exps, inf_set) for g in I.gens)
-
-
-def piece_stable(N: Subquotient, exps, inf_set) -> int:
-    """Piece of the localization at the variables in inf_set (those exponents -> +inf)."""
-    if any(e < 0 for i, e in enumerate(exps) if i not in inf_set):
-        return 0
-    if _contains_capped(N.J, exps, inf_set) and not _contains_capped(N.Jp, exps, inf_set):
-        return 1
-    return 0
+    Bit i of `jin` is set when generator i of J has g_k <= e; bit j of `miss`
+    when generator j of J' has g_k > e, and of `one` when g_k == e + 1.  A
+    monomial lies in J \\ J' iff the AND of the `jin` rows of its coordinates
+    is nonzero and the OR of their `miss` rows holds every generator of J'.
+    `_term_dims` (Koszul and Cech terms) and `ass_subquotient` test by this.
+    """
+    jin = 0
+    for i, g in enumerate(J.gens):
+        if g[k] <= e:
+            jin |= 1 << i
+    miss = one = 0
+    for j, g in enumerate(Jp.gens):
+        if g[k] > e:
+            miss |= 1 << j
+            if g[k] == e + 1:
+                one |= 1 << j
+    return jin, miss, one
 
 
 def _boundary_rank(upper, lower_index, char) -> int:
@@ -127,23 +135,47 @@ def _complex_dims(levels, char) -> list:
     return [len(level) - ranks[j] - ranks[j + 1] for j, level in enumerate(levels)]
 
 
-def koszul_dims_at(N: Subquotient, zvars, b) -> list:
-    """All Koszul homology dimensions [H_0 .. H_k] on the variables zvars in fine degree b."""
-    zvars = sorted(zvars)
-    b = tuple(b)
+def _term_dims(N: Subquotient, deg, inside) -> list:
+    """Homology dimensions of the complex on the variables `inside` in fine degree deg.
 
-    # levels[j]: ordered subsets sigma with nonzero term N_{b - e_sigma}
+    The term of sigma is nonzero iff the `_corner_row` rule holds on the rows
+    `inside[k]` for k in sigma and `_corner_row(J, J', k, deg_k)` for k not
+    in sigma.  A negative deg_k has `jin` 0, so then only sigma holding k count.
+    """
+    J, Jp = N.J, N.Jp
+    zvars = sorted(inside)
+    jin0, miss0 = (1 << len(J.gens)) - 1, 0
+    outside = {}
+    for k, e in enumerate(deg):
+        row = _corner_row(J, Jp, k, e)
+        if k in inside:
+            outside[k] = row
+        else:
+            jin0 &= row[0]
+            miss0 |= row[1]
+    full = (1 << len(Jp.gens)) - 1
     levels = []
     for j in range(len(zvars) + 1):
         level = []
         for sigma in combinations(zvars, j):
-            deg = list(b)
-            for z in sigma:
-                deg[z] -= 1
-            if fine_piece(N, deg):
+            jin, miss = jin0, miss0
+            for z in zvars:
+                row = inside[z] if z in sigma else outside[z]
+                jin &= row[0]
+                miss |= row[1]
+            if jin and miss == full:
                 level.append(sigma)
         levels.append(level)
     return _complex_dims(levels, N.ring.char)
+
+
+def koszul_dims_at(N: Subquotient, zvars, b) -> list:
+    """All Koszul homology dimensions [H_0 .. H_k] on the variables zvars in fine degree b.
+
+    The term of sigma is the piece of N at b - e_sigma, so a coordinate z in
+    sigma reads the row at b_z - 1.
+    """
+    return _term_dims(N, b, {z: _corner_row(N.J, N.Jp, z, b[z] - 1) for z in zvars})
 
 
 def koszul_homology_dim(N: Subquotient, Z, j: int, b) -> int:
@@ -221,26 +253,12 @@ def dim_module(N: Subquotient) -> int:
 def cech_dims_at(N: Subquotient, Z, c) -> list:
     """All Cech cohomology dimensions [H^0 .. H^k] of N on the variables Z in fine degree c.
 
-    Coordinates on Z may be negative.  The term of sigma is nonzero only when
-    sigma holds every negative coordinate, so only those sigma are tested, and
-    the complex is built once for every index.
+    Coordinates on Z may be negative.  The term of sigma is the piece of N
+    localized at the variables of sigma, where every generator of J passes
+    and none of J' misses, so a coordinate in sigma reads that constant row.
     """
-    zvars = sorted(Z)
-    c = tuple(c)
-    zset = set(zvars)
-    if any(e < 0 for idx, e in enumerate(c) if idx not in zset):
-        return [0] * (len(zvars) + 1)
-    neg = tuple(z for z in zvars if c[z] < 0)
-    rest = [z for z in zvars if c[z] >= 0]
-    levels = [[] for _ in neg]
-    for j in range(len(rest) + 1):
-        level = []
-        for extra in combinations(rest, j):
-            sigma = tuple(sorted(neg + extra))
-            if piece_stable(N, c, frozenset(sigma)):
-                level.append(sigma)
-        levels.append(level)
-    return _complex_dims(levels, N.ring.char)
+    every = ((1 << len(N.J.gens)) - 1, 0)
+    return _term_dims(N, c, dict.fromkeys(Z, every))
 
 
 def cech_piece_dim(N: Subquotient, Z, i: int, c) -> int:
@@ -278,25 +296,6 @@ def exponent_cells(N: Subquotient, coords, negative=frozenset()):
     axes = [_axis_cells(gens, k, k in negative) for k in coords]
     for cell in product(*axes):
         yield tuple(s for s, _ in cell), tuple(n for _, n in cell)
-
-
-def _corner_row(J: MonomialIdeal, Jp: MonomialIdeal, k: int, e: int) -> tuple:
-    """Bitsets (jin, miss, one) of the corner walk at exponent e of coordinate k.
-
-    Bit i of `jin` is set when generator i of J has g_k <= e; bit j of `miss`
-    when generator j of J' has g_k > e, and of `one` when g_k == e + 1.
-    """
-    jin = 0
-    for i, g in enumerate(J.gens):
-        if g[k] <= e:
-            jin |= 1 << i
-    miss = one = 0
-    for j, g in enumerate(Jp.gens):
-        if g[k] > e:
-            miss |= 1 << j
-            if g[k] == e + 1:
-                one |= 1 << j
-    return jin, miss, one
 
 
 def ass_subquotient(J: MonomialIdeal, Jp: MonomialIdeal) -> set:

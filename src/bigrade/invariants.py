@@ -208,7 +208,6 @@ def analyze(I: MonomialIdeal, Z) -> InvariantReport:
             (p for p in associated_primes(I) if cd_prime(p, Z) == g),
             key=sorted,
         )
-    ordinary_depth = depth_module(N, I.ring.all_vars())
     return InvariantReport(
         grade=g,
         cd=c,
@@ -217,7 +216,7 @@ def analyze(I: MonomialIdeal, Z) -> InvariantReport:
         maximal_depth=maximal,
         witness_prime=witness,
         cm_wrt_Z=(g == c),
-        cm_ordinary=(ordinary_depth == d),
+        cm_ordinary=(ordinary_depth(I) == d),
         char=I.ring.char,
     )
 

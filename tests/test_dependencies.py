@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -95,3 +96,26 @@ def test_no_function_local_import_of_a_module_already_imported():
         if name.endswith(".py")
     }
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_every_traced_function_exists():
+    # perfbench/tracer.py rebinds each (module, function) of TRACED when it
+    # installs, so a function renamed or deleted here would fail only there
+    root = os.path.dirname(os.path.dirname(os.path.dirname(bigrade.__file__)))
+    path = os.path.join(root, "perfbench", "tracer.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    traced = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
+    )
+    pairs = [tuple(ast.literal_eval(entry)[:2]) for entry in traced.elts]
+    assert pairs
+    missing = [
+        (module, name)
+        for module, name in pairs
+        if not hasattr(importlib.import_module(f"bigrade.{module}"), name)
+    ]
+    assert missing == []

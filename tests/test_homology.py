@@ -18,7 +18,6 @@ from bigrade.homology import (
     fine_piece,
     koszul_dims_at,
     koszul_homology_dim,
-    piece_stable,
     restrict_ideal,
     sub_ring_for,
 )
@@ -62,11 +61,12 @@ def test_fine_piece_cyclic():
     assert fine_piece(N, (-1, 0)) == 0
 
 
-def test_piece_stable_localization():
-    # S/(y1) localized at y1 is zero; localized at x1 keeps the x-line
+def test_cech_localization():
+    # S/(y1) localized at y1 is zero, so H^0_(y1) is its y1-torsion, the whole
+    # module; localized at x1 it keeps the x-line, so H^1_(x1) lives at x1^-2
     N = Subquotient.cyclic(ideal(R11, (0, 1)))
-    assert piece_stable(N, (0, 0), frozenset({1})) == 0
-    assert piece_stable(N, (-2, 0), frozenset({0})) == 1
+    assert cech_dims_at(N, {1}, (0, 0)) == [1, 0]
+    assert cech_dims_at(N, {0}, (-2, 0)) == [0, 1]
 
 
 def test_koszul_socle_of_plane_curve():

@@ -223,9 +223,10 @@ def test_large_exponents_cost_follows_the_cells(monkeypatch):
     # Cech calls per growth index and 150,515 colons for seqcm at e = 16, and
     # 900 and 1,069 at e = 4; the cells do not depend on e.  The fibers and
     # ass_subquotient build no colon, so the generator sets they minimize, the
-    # fine pieces tested and the corner rows ass_subquotient builds (one per
-    # candidate exponent) are counted too: a box walk in any of them would
-    # make these grow with e.
+    # corner rows (one per coordinate of each Koszul and Cech degree, and one
+    # per candidate exponent of ass_subquotient) and the fine pieces of
+    # growth's empty-axis path are counted too: a box walk in any of them
+    # would make these grow with e.
     calls = {"cech": 0, "colon": 0, "mingens": 0, "fine_piece": 0, "corner_row": 0}
     # set after e = 16 to twice its counts, so a walk that grows with e fails
     # at e = 1000 as soon as it passes them instead of running for hours
