@@ -7,19 +7,22 @@ exact whatever its size.  Characteristic p uses Gaussian elimination that
 scales the pivot row by the pivot's inverse ``pow(piv, -1, p)``; entries stay
 reduced mod p, so no prime is too large.
 
-Matrices are sequences of equal-length rows of integers (lists, tuples, or
-anything ``int`` accepts entry by entry).
+Matrices are sequences of equal-length rows of integers: lists or tuples of
+any entries ``operator.index`` accepts (ints, bools, numpy integers).  Floats
+and strings are refused, not truncated.
 """
 
 from __future__ import annotations
 
+import operator
+
 
 def _int_rows(matrix, name) -> list:
-    """A fresh list of int rows; ValueError unless `matrix` is 2-d and rectangular."""
+    """A fresh list of int rows; ValueError unless `matrix` is 2-d, rectangular, integer."""
     try:
-        rows = [list(map(int, row)) for row in matrix]
+        rows = [list(map(operator.index, row)) for row in matrix]
     except TypeError:
-        raise ValueError(f"{name} expects a 2-d matrix") from None
+        raise ValueError(f"{name} expects a 2-d matrix of integers") from None
     if len(set(map(len, rows))) > 1:
         raise ValueError(f"{name} expects a rectangular matrix")
     return rows

@@ -257,22 +257,17 @@ class PrimaryComponent:
     radical: PrimeSupport
 
 
-def _first_splittable(gens: tuple):
-    """Lex-first generator with >= 2 variables in its support, or None."""
-    for g in gens:
-        if len(support(g)) >= 2:
-            return g
-    return None
-
-
 def irreducible_decomposition(I: MonomialIdeal) -> list:
     """Irredundant irreducible decomposition, each component pure variable powers.
 
-    Splits the lex-first mixed generator u = u1*u2 (u1 the leading variable
-    power) into I = (I + (u1)) cap (I + (u2)) until every branch is
-    irreducible, then keeps the branches minimal under inclusion.  The
-    decomposition is unique, so it is computed once per ideal and kept in a
-    bounded memo; each call returns a fresh list.
+    Adds the generators of I one at a time to the decomposition of the ideal
+    they generate so far, starting from the zero ideal's single empty
+    component.  For coprime u and v, (q + (uv)) = (q + (u)) cap (q + (v)), so
+    a component that does not hold the new generator g splits into one child
+    q + (x_i^{g_i}) per variable of g, and a child over another component is
+    dropped.  Each final component is built once.  The decomposition is
+    unique, so it is computed once per ideal and kept in a bounded memo; each
+    call returns a fresh list.
     """
     if I.is_unit:
         raise UnitIdeal("unit ideal has no decomposition")
@@ -287,35 +282,37 @@ def _decomposition(I: MonomialIdeal) -> tuple:
     return _irreducible_components(I)
 
 
+def _inside(c: Monomial, b: Monomial) -> bool:
+    """Component c lies inside component b (exponent vectors, 0 = absent)."""
+    return all(0 < f <= e for e, f in zip(c, b) if e)
+
+
 def _irreducible_components(I: MonomialIdeal) -> tuple:
-    """Split and prune a proper nonzero I; the body of the memo."""
+    """Add the generators of a proper nonzero I one at a time; the body of the memo."""
     ring = I.ring
+    comps = {unit_monomial(ring): 0}  # exponent vector (0 = absent) -> support bitmask
+    for g in I.gens:
+        sup = [i for i, e in enumerate(g) if e]
+        kept, children = {}, {}
+        for a, mask in comps.items():
+            if any(0 < a[i] <= g[i] for i in sup):
+                kept[a] = mask
+            else:
+                for i in sup:
+                    children[a[:i] + (g[i],) + a[i + 1:]] = mask | 1 << i
+        # a kept component stays minimal: a child inside it would put its
+        # parent inside it too, and the previous components were irredundant;
+        # c inside b needs the support of c within that of b
+        every = list(kept.items()) + list(children.items())
+        comps = kept
+        for b, mask in children.items():
+            if not any(not m & ~mask and c != b and _inside(c, b) for c, m in every):
+                comps[b] = mask
 
-    components = set()
-    stack = [I]
-    while stack:
-        J = stack.pop()
-        u = _first_splittable(J.gens)
-        if u is None:
-            components.add(J.gens)
-            continue
-        i = min(support(u))
-        u1 = var_power(ring, i, u[i])
-        u2 = tuple(0 if k == i else e for k, e in enumerate(u))
-        stack.append(minimal_generators(ring, J.gens + (u1,)))
-        stack.append(minimal_generators(ring, J.gens + (u2,)))
-
-    comps = [MonomialIdeal(ring, g) for g in sorted(components)]
-
-    # irredundancy: an irreducible q contains an intersection of monomial
-    # ideals only if it contains one of them (the lcm of generators outside
-    # q lies outside q), so the irredundant components are the minimal ones
-    kept = [
-        q for q in comps
-        if not any(o is not q and q.contains_ideal(o) for o in comps)
-    ]
-
-    return tuple(PrimaryComponent(q, support(q.max_exponents())) for q in kept)
+    keyed = sorted(
+        (tuple(sorted(var_power(ring, i, e) for i, e in enumerate(a) if e)), a) for a in comps
+    )
+    return tuple(PrimaryComponent(MonomialIdeal(ring, q), support(a)) for q, a in keyed)
 
 
 def associated_primes(I: MonomialIdeal) -> set:

@@ -1,5 +1,6 @@
-"""Independent brute-force oracles: local cohomology of S/I, the box walks and
-the all-pairs minimal generators.
+"""Independent brute-force oracles: local cohomology of S/I, the box walks, the
+all-pairs minimal generators and the irreducible decomposition from every
+candidate exponent vector.
 
 The local cohomology oracle deliberately shares no code with the package: its
 own divisibility, its own Cech complex built from literal large exponents (no
@@ -47,6 +48,30 @@ def bf_minimal_generators(ring, raw):
     gens = {tuple(int(e) for e in u) for u in raw}
     minimal = [u for u in gens if not any(v != u and bf_divides(v, u) for v in gens)]
     return MonomialIdeal(ring, tuple(sorted(minimal)))
+
+
+def bf_irreducible_decomposition(I):
+    """Irredundant irreducible components of I from every candidate exponent vector.
+
+    A candidate a takes each a_i from {0} and the exponents of x_i in the
+    generators (0 = x_i absent); it is kept when (x_i^{a_i} : a_i > 0) holds
+    every generator of I, and the kept ideals minimal under inclusion are the
+    components, each a lex-sorted tuple of pure powers, in sorted order.
+    """
+    nvars = I.ring.nvars
+    choices = [sorted({0} | {g[i] for g in I.gens}) for i in range(nvars)]
+    covers = []
+    for a in product(*choices):
+        powers = tuple(sorted(
+            tuple(e if k == i else 0 for k in range(nvars)) for i, e in enumerate(a) if e
+        ))
+        if all(bf_in_ideal(g, powers) for g in I.gens):
+            covers.append(powers)
+    minimal = [
+        q for q in covers
+        if not any(o != q and all(bf_in_ideal(u, q) for u in o) for o in covers)
+    ]
+    return sorted(minimal)
 
 
 def bf_rank(rows):

@@ -18,6 +18,23 @@ def test_empty_and_shapes():
         rank_mod_p([[1]], 1)
 
 
+def test_non_integer_entries_are_refused():
+    # int() would truncate 0.5 to 0 (rank 0, not 1) and parse "3"
+    for bad in ([[0.5]], [["3"]], [[1, 2.0]]):
+        for fn, args in ((rank_char0, ()), (rank_mod_p, (5,)), (rank, ())):
+            name = "rank_mod_p" if fn is rank_mod_p else "rank_char0"
+            with pytest.raises(ValueError, match=name):
+                fn(bad, *args)
+    assert rank_char0([[True, False], [False, True]]) == 2
+    assert rank_mod_p([[True, True], [True, True]], 3) == 1
+
+
+def test_numpy_integer_entries_are_accepted():
+    np = pytest.importorskip("numpy")
+    assert rank_char0([[np.int64(2), np.int32(1)], [np.int8(4), np.int64(2)]]) == 1
+    assert rank(np.array([[1, 2], [3, 4]], dtype=np.int64), 5) == 2
+
+
 def test_known_ranks():
     assert rank_char0([[1, 0], [0, 1]]) == 2
     assert rank_char0([[1, 2], [2, 4]]) == 1

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import bf_minimal_generators
+from bruteforce import bf_irreducible_decomposition, bf_minimal_generators
+from bigrade import rings
 from bigrade.errors import DimensionMismatch, UnitIdeal, ZeroIdeal
 from bigrade.rings import (
     MAX_CHAR,
@@ -228,6 +229,69 @@ def test_decomposition_is_irredundant_in_larger_rings():
         for k in range(len(comps)):
             rest = comps[:k] + comps[k + 1:]
             assert not rest or intersect_all(rest) != I, (I, comps[k])
+
+
+def _assert_decomposition_matches_oracle(I):
+    comps = irreducible_decomposition(I)
+    expected = bf_irreducible_decomposition(I)
+    assert [pc.component.gens for pc in comps] == expected, str(I)
+    assert [pc.radical for pc in comps] == [
+        frozenset(i for u in q for i, e in enumerate(u) if e) for q in expected
+    ], str(I)
+
+
+def test_decomposition_matches_the_candidate_vector_oracle():
+    rnd = random.Random(20261020)
+    shapes = set()
+    for _ in range(500):
+        m, n = rnd.choice([(m, n) for m in range(4) for n in range(3) if m + n])
+        ring = RingSpec(m, n)
+        gens = [
+            tuple(rnd.choice((0, 0, 1, rnd.randint(1, 3))) for _ in range(ring.nvars))
+            for _ in range(rnd.randint(1, 6))
+        ]
+        I = minimal_generators(ring, [g for g in gens if any(g)] or [(1,) * ring.nvars])
+        shapes.add((m, n))
+        _assert_decomposition_matches_oracle(I)
+    assert (3, 0) in shapes and (0, 2) in shapes
+
+
+def test_squarefree_decomposition_matches_the_candidate_vector_oracle():
+    # the decompose benchmark's shape: 4-7 products of 2 or 3 of 6 variables
+    rnd = random.Random(20261021)
+    ring = RingSpec(3, 3)
+    for _ in range(100):
+        gens = []
+        for _ in range(rnd.randint(4, 7)):
+            chosen = rnd.sample(range(6), rnd.choice((2, 3)))
+            gens.append(tuple(int(k in chosen) for k in range(6)))
+        _assert_decomposition_matches_oracle(minimal_generators(ring, gens))
+
+
+def test_decomposition_cost_follows_the_components(monkeypatch):
+    # edge ideal of the 14-cycle: its components are the minimal vertex
+    # covers, complements of the maximal independent sets, so there are
+    # P(14) = 51 of them (Perrin numbers); building a canonical form per
+    # branch of a split tree costs far more calls than there are generators
+    ring = RingSpec(7, 7)
+    edges = [frozenset({k, (k + 1) % 14}) for k in range(14)]
+    I = minimal_generators(ring, [tuple(int(v in e) for v in range(14)) for e in edges])
+    calls = []
+    body = rings.minimal_generators
+
+    def counting(*args):
+        calls.append(args)
+        return body(*args)
+
+    monkeypatch.setattr(rings, "minimal_generators", counting)
+    rings._decomposition.cache_clear()
+    comps = irreducible_decomposition(I)
+    assert len(calls) <= len(I.gens)
+    assert len(comps) == 51
+    for pc in comps:
+        assert all(e & pc.radical for e in edges)
+        for v in pc.radical:
+            assert not all(e & (pc.radical - {v}) for e in edges)
 
 
 def test_primary_groups_by_radical():
