@@ -4,11 +4,14 @@ For S/I the filtration is realized by ideals: the i-th submodule D_i is
 J_i/I where J_i intersects the primary components whose radical has cd value
 above the i-th threshold.  The Ass-theoretic facts about the filtration are
 theorems, so they are re-verified at runtime from independent enumeration.
+Each ladder is built and verified once per (I, Z) and kept in a bounded memo,
+which every reader of the filtration shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InternalCheckFailed, UnitIdeal, ZeroIdeal
 from .homology import Subquotient, ass_subquotient
@@ -29,7 +32,6 @@ class FiltrationLadder:
     axis: frozenset
     ideals: tuple  # (J_0, ..., J_r)
     cd_values: tuple  # (gamma_1 < ... < gamma_r), gamma_i = cd(Z, J_i/I)
-    submodule_ass: tuple  # (Ass(D_1), ..., Ass(D_r)) as ass_subquotient enumerated them
 
     @property
     def base(self) -> MonomialIdeal:
@@ -42,11 +44,21 @@ class FiltrationLadder:
 
 
 def dimension_filtration(I: MonomialIdeal, Z) -> FiltrationLadder:
+    """The ladder of S/I along Z, built and verified once per (I, Z).
+
+    It is kept in a bounded memo, so every reader of the same (I, Z) gets the
+    same immutable ladder.
+    """
     if I.is_unit:
         raise UnitIdeal("filtration of the zero module")
     if I.is_zero:
         raise ZeroIdeal("filtration of a free module; use a nonzero ideal")
-    Z = frozenset(Z)
+    return _ladder(I, frozenset(Z))
+
+
+@lru_cache(maxsize=256)
+def _ladder(I: MonomialIdeal, Z: frozenset) -> FiltrationLadder:
+    """The memo behind `dimension_filtration`."""
     comps = irreducible_decomposition(I)
     gammas = sorted({cd_prime(pc.radical, Z) for pc in comps})
 
@@ -59,23 +71,19 @@ def dimension_filtration(I: MonomialIdeal, Z) -> FiltrationLadder:
         if not (upper.contains_ideal(lower) and upper != lower):
             raise InternalCheckFailed("filtration ladder is not strictly increasing")
 
-    submodule_ass = _verify_ass_facts(I, Z, zip(ideals[1:], gammas))
-    return FiltrationLadder(
-        axis=Z, ideals=tuple(ideals), cd_values=tuple(gammas), submodule_ass=submodule_ass
-    )
+    _verify_ass_facts(I, Z, zip(ideals[1:], gammas))
+    return FiltrationLadder(axis=Z, ideals=tuple(ideals), cd_values=tuple(gammas))
 
 
-def _verify_ass_facts(I: MonomialIdeal, Z, steps) -> tuple:
+def _verify_ass_facts(I: MonomialIdeal, Z, steps):
     """Runtime check of the filtration's Ass identities (they are theorems).
 
-    `steps` are the (J_i, gamma_i) of the ladder over I; returns Ass(J_i/I)
-    for each, as enumerated by ass_subquotient.
+    `steps` are the (J_i, gamma_i) of the ladder over I.
     """
     ass_total = associated_primes(I)
-    submodule_ass = []
     for J_i, gamma in steps:
         expected = {p for p in ass_total if cd_prime(p, Z) <= gamma}
-        actual = frozenset(ass_subquotient(J_i, I))
+        actual = ass_subquotient(J_i, I)
         if actual != expected:
             raise InternalCheckFailed(
                 f"Ass(D_i) mismatch at cd {gamma}: computed {sorted(map(sorted, actual))}, "
@@ -85,15 +93,14 @@ def _verify_ass_facts(I: MonomialIdeal, Z, steps) -> tuple:
             quotient_ass = associated_primes(J_i)
             if quotient_ass != ass_total - expected:
                 raise InternalCheckFailed(f"Ass(M/D_i) mismatch at cd {gamma}")
-        submodule_ass.append(actual)
-    return tuple(submodule_ass)
 
 
 def ass_quotients(ladder: FiltrationLadder) -> list:
     """Ass(D_i/D_{i-1}) per step: the Ass primes at exactly the step's cd value.
 
-    D_1/D_0 is D_1, whose Ass the ladder already holds; every later step is
-    enumerated here.
+    D_1/D_0 is D_1.  Building the ladder compared Ass(D_1) with the primes of
+    cd <= gamma_1, which are those of cd = gamma_1 since gamma_1 is the least
+    value; every later step is enumerated and compared here.
     """
     I = ladder.base
     ass_total = associated_primes(I)
@@ -102,8 +109,7 @@ def ass_quotients(ladder: FiltrationLadder) -> list:
     prev = I
     for i, (J_i, gamma) in enumerate(ladder.steps):
         expected = {p for p in ass_total if cd_prime(p, ladder.axis) == gamma}
-        actual = ladder.submodule_ass[0] if i == 0 else ass_subquotient(J_i, prev)
-        if actual != expected:
+        if i > 0 and ass_subquotient(J_i, prev) != expected:
             raise InternalCheckFailed(f"Ass(D_i/D_(i-1)) mismatch at cd {gamma}")
         blocks.append(expected)
         seen |= expected
@@ -113,22 +119,9 @@ def ass_quotients(ladder: FiltrationLadder) -> list:
     return blocks
 
 
-def _ladder_for(I: MonomialIdeal, Z, ladder) -> FiltrationLadder:
-    """`ladder` if it is the ladder of (I, Z), else ValueError; None builds it."""
-    if ladder is None:
-        return dimension_filtration(I, Z)
-    if ladder.base != I or ladder.axis != frozenset(Z):
-        raise ValueError("ladder was built for another ideal or axis")
-    return ladder
-
-
-def sequentially_cm(I: MonomialIdeal, Z, *, ladder=None) -> dict:
-    """Sequential CM test: every filtration step must have grade = cd.
-
-    `ladder`, when given, must be ``dimension_filtration(I, Z)``; it is then
-    used instead of building the ladder again.
-    """
-    ladder = _ladder_for(I, Z, ladder)
+def sequentially_cm(I: MonomialIdeal, Z) -> dict:
+    """Sequential CM test on the ladder of (I, Z): every step must have grade = cd."""
+    ladder = dimension_filtration(I, Z)
     per_step = []
     verdict = True
     prev = I
@@ -144,15 +137,11 @@ def sequentially_cm(I: MonomialIdeal, Z, *, ladder=None) -> dict:
     return {"verdict": verdict, "per_step": per_step}
 
 
-def mgrade_constancy(I: MonomialIdeal, Z, *, ladder=None) -> bool:
-    """All D_i share mgrade = gamma_1; False would signal an internal bug.
-
-    `ladder`, when given, must be ``dimension_filtration(I, Z)``; it is then
-    used instead of building the ladder again.
-    """
+def mgrade_constancy(I: MonomialIdeal, Z) -> bool:
+    """All D_i on the ladder of (I, Z) share mgrade = gamma_1; False would signal a bug."""
     if I.is_unit:
         raise UnitIdeal("mgrade constancy of the zero module")
-    ladder = _ladder_for(I, Z, ladder)
+    ladder = dimension_filtration(I, Z)
     ass_total = associated_primes(I)
     gamma_1 = ladder.cd_values[0]
     for _, gamma in ladder.steps:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadProfile, BadRing, ParseError
+from .errors import BadProfile, BadRing, InternalCheckFailed, ParseError
 from .homology import Subquotient
 from .invariants import grade, mgrade
 from .rings import Monomial, RingSpec, minimal_generators
@@ -67,7 +67,7 @@ class HypersurfaceVerdict:
             self.case_label in ("a", "b", "c")
         )
         if not ok:
-            raise BadProfile("inconsistent verdict fields")
+            raise InternalCheckFailed("inconsistent verdict fields")
 
 
 def classify(profile: FactorProfile, ring: RingSpec) -> HypersurfaceVerdict:

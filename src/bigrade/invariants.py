@@ -169,10 +169,7 @@ def cd(N: Subquotient, Z) -> int:
         # cyclic case cross-check: cd(Z, S/I) = dim S/(I + complement ideal)
         comp = frozenset(range(N.ring.nvars)) - frozenset(Z)
         check = sum_ideal(N.Jp, prime_ideal(N.ring, comp)) if comp else N.Jp
-        if check.is_unit:
-            expected = 0 if not N.is_zero else None
-        else:
-            expected = dim_quotient(check)
+        expected = dim_quotient(check)
         if expected != value:
             raise InternalCheckFailed(
                 f"cd mismatch: fibers give {value}, dim S/(I+P') gives {expected}"

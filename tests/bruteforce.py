@@ -98,6 +98,25 @@ def bf_rank(rows):
     return rank
 
 
+def bf_rank_mod_p(rows, p):
+    """Rank over GF(p) by Gauss-Jordan elimination, pivots inverted as a^(p-2)."""
+    mat = [[v % p for v in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = pow(mat[rank][col], p - 2, p)
+        mat[rank] = [a * inv % p for a in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                f = mat[r][col]
+                mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
 def _localized_member(u, sigma, gens, big):
     """u * (product of sigma vars)^big lies in the ideal, big large enough to stabilize."""
     v = tuple(e + (big if k in sigma else 0) for k, e in enumerate(u))

@@ -109,6 +109,18 @@ def test_hypersurface_inline(capsys):
     assert (doc["grade"], doc["mgrade"]) == (1, 2)
 
 
+def test_inconsistent_hypersurface_verdict_exits_internal(capsys, monkeypatch):
+    from bigrade import cli
+    from bigrade.hypersurface import HypersurfaceVerdict
+
+    monkeypatch.setattr(
+        cli, "classify", lambda profile, ring: HypersurfaceVerdict(True, "none", 1, 1, "case5")
+    )
+    code, out = run_cli(capsys, "hypersurface", "--factors", "(1,1)", "--ring", "2", "2")
+    assert code == 4
+    assert json.loads(out)["error"] == "internal: inconsistent verdict fields"
+
+
 def test_crosscheck(capsys):
     code, out = run_cli(
         capsys, "crosscheck", "--monomial", "x1*y1", "--ring", "2", "2"

@@ -1,8 +1,10 @@
 import contextlib
 import io
+from collections import Counter
 
 import pytest
 
+import bigrade
 from bigrade import filtration
 from bigrade.cli import main
 from bigrade.errors import UnitIdeal, ZeroIdeal
@@ -47,9 +49,10 @@ def test_ass_quotients_partition():
 
 
 def test_filtration_command_enumerates_each_ass_once(tmp_path, monkeypatch):
-    # Ass(J_1/I) is on the ladder, so ass_quotients does not enumerate it again
+    # building the ladder compared Ass(J_1/I), so ass_quotients does not enumerate it again
     ring, I = parse_ideal_text(EIGHT_GEN)
     steps = len(dimension_filtration(I, ring.y_block()).steps)
+    bigrade.clear_caches()
     calls = []
     body = filtration.ass_subquotient
 
@@ -64,6 +67,25 @@ def test_filtration_command_enumerates_each_ass_once(tmp_path, monkeypatch):
         assert main(["filtration", str(p)]) == 0
     assert len(calls) == 2 * steps - 1
     assert len(set(calls)) == len(calls)
+
+
+def test_filtration_then_seqcm_builds_one_ladder(tmp_path, monkeypatch):
+    # the second command in the same process reads the memoized ladder
+    counts = Counter()
+    for name in ("_verify_ass_facts", "ass_subquotient"):
+        body = getattr(filtration, name)
+
+        def counted(*args, name=name, body=body):
+            counts[name] += 1
+            return body(*args)
+
+        monkeypatch.setattr(filtration, name, counted)
+    p = tmp_path / "i.ideal"
+    p.write_text(EIGHT_GEN)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["filtration", str(p)]) == 0
+        assert main(["seqcm", str(p)]) == 0
+    assert counts == {"_verify_ass_facts": 1, "ass_subquotient": 3}
 
 
 def test_single_step_ladder():

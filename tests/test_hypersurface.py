@@ -2,9 +2,10 @@ from itertools import product as iproduct
 
 import pytest
 
-from bigrade.errors import BadProfile, BadRing, ParseError
+from bigrade.errors import BadProfile, BadRing, InternalCheckFailed, ParseError
 from bigrade.hypersurface import (
     FactorProfile,
+    HypersurfaceVerdict,
     classify,
     monomial_crosscheck,
     parse_profile,
@@ -28,6 +29,12 @@ def test_profile_validation():
         FactorProfile(((0, 0),))
     with pytest.raises(BadProfile):
         FactorProfile(((-1, 2),))
+
+
+def test_inconsistent_verdict_is_an_internal_failure():
+    # grade = mgrade means maximal depth, which needs one of the cases a, b, c
+    with pytest.raises(InternalCheckFailed):
+        HypersurfaceVerdict(True, "none", 1, 1, "case5")
 
 
 def test_classify_cases():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from bigrade.kernels import rank, rank_char0, rank_mod_p
 from bruteforce import bf_rank as rank_fraction_oracle
+from bruteforce import bf_rank_mod_p
 
 
 def test_empty_and_shapes():
@@ -68,6 +69,25 @@ def test_modp_rank_bounded_by_char0(rows, p):
     # a matrix of full char-0 rank with unit pivots keeps rank mod p
     ident = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert rank_mod_p(ident, p) == 3
+
+
+def test_modp_rank_matches_gauss_jordan_oracle():
+    rng = random.Random(20261018)
+    for p in (2, 3, 5, 7, 32003, 4294967311):
+        special = (0, 1, -1, p, -p)
+
+        def entry():
+            return rng.choice(special) if rng.random() < 0.5 else rng.randint(-2 * p, 2 * p)
+
+        for _ in range(150):
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+            rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+            if nrows > 1 and rng.random() < 0.5:
+                # the last row becomes a combination of two others, so the rows are dependent
+                a, b = rng.randrange(nrows - 1), rng.randrange(nrows - 1)
+                k, m = rng.choice(special), rng.randint(-2 * p, 2 * p)
+                rows[-1] = [k * x + m * y for x, y in zip(rows[a], rows[b])]
+            assert rank_mod_p(rows, p) == bf_rank_mod_p(rows, p), (p, rows)
 
 
 def test_bigint_fallback_on_huge_entries():

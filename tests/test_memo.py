@@ -1,10 +1,13 @@
 """The bounded memos: warm answers equal cold ones, and results can be mutated safely."""
 
+import contextlib
+import io
 import random
+import sys
 from collections import Counter
 
 import bigrade
-from bigrade import invariants, local_cohomology, rings
+from bigrade import cli, filtration, invariants, local_cohomology, rings
 from bigrade.filtration import dimension_filtration, sequentially_cm
 from bigrade.homology import Subquotient
 from bigrade.invariants import analyze, fibers
@@ -95,5 +98,45 @@ def test_analyze_decomposes_each_ideal_once(monkeypatch):
 
 
 def test_memos_are_bounded():
-    for memo in (rings._decomposition, invariants._fibers, local_cohomology._fiber_table):
+    for memo in (
+        rings._decomposition,
+        invariants._fibers,
+        local_cohomology._fiber_table,
+        filtration._ladder,
+    ):
         assert 0 < memo.cache_info().maxsize < 10_000
+
+
+def _memos() -> dict:
+    """Every module-level memo of the package by name: each object with
+    `cache_info` and each dict whose name ends in `_cache`."""
+    return {
+        f"{modname}.{attr}": value
+        for modname, module in list(sys.modules.items())
+        if modname == "bigrade" or modname.startswith("bigrade.")
+        for attr, value in vars(module).items()
+        if hasattr(value, "cache_info") or (isinstance(value, dict) and attr.endswith("_cache"))
+    }
+
+
+def _size(memo) -> int:
+    return memo.cache_info().currsize if hasattr(memo, "cache_info") else len(memo)
+
+
+def test_clear_caches_empties_every_memo(tmp_path):
+    ring, I = parse_ideal_text(SAMPLE)
+    Z = ring.y_block()
+    analyze(I, Z)
+    dimension_filtration(I, Z)
+    sequentially_cm(I, Z)
+    lc_report(I, 1, Z)
+    growth_scan(I, 1, [0, 1], Z)
+    path = tmp_path / "sample.ideal"
+    path.write_text(SAMPLE)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["render", str(path)]) == 0
+    memos = _memos()
+    assert len(memos) >= 7
+    assert [name for name, memo in memos.items() if _size(memo) == 0] == []
+    bigrade.clear_caches()
+    assert [name for name, memo in memos.items() if _size(memo) != 0] == []

@@ -4,10 +4,17 @@ from collections import Counter
 
 import pytest
 
+import bigrade
 from bigrade import filtration, suite
 from bigrade.errors import InternalCheckFailed
-from bigrade.filtration import dimension_filtration, mgrade_constancy, sequentially_cm
+from bigrade.filtration import (
+    ass_quotients,
+    dimension_filtration,
+    mgrade_constancy,
+    sequentially_cm,
+)
 from bigrade.io_formats import parse_ideal_text
+from bigrade.local_cohomology import corollary_check
 from bigrade.rings import RingSpec, minimal_generators
 from bigrade.suite import check_instance, run_property_suite
 
@@ -31,6 +38,7 @@ def _counting(monkeypatch, name, counts):
 def test_check_instance_builds_the_ladder_once(monkeypatch):
     ring, I = parse_ideal_text(EIGHT_GEN)
     steps = len(dimension_filtration(I, ring.y_block()).steps)
+    bigrade.clear_caches()
     counts = Counter()
     _counting(monkeypatch, "_verify_ass_facts", counts)
     _counting(monkeypatch, "ass_subquotient", counts)
@@ -40,14 +48,14 @@ def test_check_instance_builds_the_ladder_once(monkeypatch):
     assert counts["ass_subquotient"] == 2 * steps - 1
 
 
-def test_corollary_check_builds_its_own_ladder(monkeypatch):
+def test_corollary_check_reuses_the_ladder(monkeypatch):
     # (x1*x2) has grade 2 and is generalized CM, so corollary_check runs
     ring = RingSpec(2, 2)
     I = minimal_generators(ring, [(1, 1, 0, 0)])
     counts = Counter()
     _counting(monkeypatch, "_verify_ass_facts", counts)
     assert check_instance(ring, I) == []
-    assert counts["_verify_ass_facts"] == 2
+    assert counts["_verify_ass_facts"] == 1
 
 
 def test_failing_ladder_is_reported_not_raised(monkeypatch):
@@ -60,17 +68,40 @@ def test_failing_ladder_is_reported_not_raised(monkeypatch):
     assert check_instance(ring, I) == ["ladder_ass_identities"]
 
 
-@pytest.mark.parametrize("check", [sequentially_cm, mgrade_constancy])
-def test_a_ladder_of_another_ideal_or_axis_is_refused(check):
+def test_one_ladder_per_ideal_and_axis(monkeypatch):
+    ring = RingSpec(2, 2)
+    I = minimal_generators(ring, [(1, 1, 0, 0)])
+    Z = ring.y_block()
+    counts = Counter()
+    _counting(monkeypatch, "_verify_ass_facts", counts)
+    ladder = dimension_filtration(I, Z)
+    assert dimension_filtration(I, Z) is ladder
+    assert ass_quotients(ladder)
+    assert sequentially_cm(I, Z)["verdict"]
+    assert mgrade_constancy(I, Z)
+    assert corollary_check(I, Z)["seq_cm"]
+    assert counts["_verify_ass_facts"] == 1
+    # another axis builds its own ladder, once
+    assert dimension_filtration(I, ring.x_block()) is not ladder
+    sequentially_cm(I, ring.x_block())
+    assert counts["_verify_ass_facts"] == 2
+
+
+def test_a_failed_ladder_is_not_memoized(monkeypatch):
+    calls = []
+
+    def broken(*args):
+        calls.append(args)
+        raise InternalCheckFailed("forced")
+
+    monkeypatch.setattr(filtration, "_verify_ass_facts", broken)
     ring, I = parse_ideal_text(EIGHT_GEN)
     Z = ring.y_block()
-    ladder = dimension_filtration(I, Z)
-    other = minimal_generators(ring, I.gens[1:])
-    assert check(I, Z, ladder=ladder) == check(I, Z)
-    with pytest.raises(ValueError):
-        check(other, Z, ladder=ladder)
-    with pytest.raises(ValueError):
-        check(I, ring.x_block(), ladder=ladder)
+    # every reader of the ladder sees the failure, not a cached value
+    for reader in (dimension_filtration, sequentially_cm, mgrade_constancy):
+        with pytest.raises(InternalCheckFailed):
+            reader(I, Z)
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("name, check", [("cd", "cd_P"), ("analyze", "analyze_Q")])
