@@ -207,10 +207,17 @@ def cmd_render(args):
     return {"canonical": render_ideal(I)}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are parse errors, not usage text."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 @functools.cache
 def build_parser():
     """The argparse tree, built on first use and shared by later calls."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bigrade",
         description="Invariants of bigraded monomial quotients",
     )
@@ -284,9 +291,11 @@ def _error(message, code) -> tuple:
     return code, json.dumps({"schema": SCHEMA, "error": message}, sort_keys=True)
 
 
-def _report(args) -> tuple:
-    """(exit code, JSON text) of the parsed command."""
+def _report(argv) -> tuple:
+    """(exit code, JSON text) of the command line argv."""
+    args = None
     try:
+        args = build_parser().parse_args(argv)
         payload = args.fn(args)
     except InternalCheckFailed as exc:
         # a theorem-backed assertion failed: a bug, reported with the input that shows it
@@ -308,9 +317,7 @@ def _report(args) -> tuple:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    code, text = _report(args)
+    code, text = _report(argv)
     try:
         print(text)
         sys.stdout.flush()

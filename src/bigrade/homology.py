@@ -140,7 +140,11 @@ def _term_dims(N: Subquotient, deg, inside) -> list:
 
     The term of sigma is nonzero iff the `_corner_row` rule holds on the rows
     `inside[k]` for k in sigma and `_corner_row(J, J', k, deg_k)` for k not
-    in sigma.  A negative deg_k has `jin` 0, so then only sigma holding k count.
+    in sigma.  A coordinate whose inside row holds no generator of J is in no
+    nonzero term (a Koszul coordinate with deg_k = 0), and one whose outside
+    row holds none is in every nonzero term (a negative Cech coordinate), so
+    only the sigma of those forced coordinates plus a subset of the free ones
+    are tested.  Level j lists them in the order of `combinations(zvars, j)`.
     """
     J, Jp = N.J, N.Jp
     zvars = sorted(inside)
@@ -153,19 +157,20 @@ def _term_dims(N: Subquotient, deg, inside) -> list:
         else:
             jin0 &= row[0]
             miss0 |= row[1]
+    forced = tuple(z for z in zvars if not outside[z][0])
+    free = [z for z in zvars if z not in forced and inside[z][0]]
     full = (1 << len(Jp.gens)) - 1
-    levels = []
-    for j in range(len(zvars) + 1):
-        level = []
-        for sigma in combinations(zvars, j):
+    levels = [[] for _ in range(len(zvars) + 1)]
+    for r in range(len(free) + 1):
+        for subset in combinations(free, r):
+            sigma = tuple(sorted(forced + subset))
             jin, miss = jin0, miss0
             for z in zvars:
                 row = inside[z] if z in sigma else outside[z]
                 jin &= row[0]
                 miss |= row[1]
             if jin and miss == full:
-                level.append(sigma)
-        levels.append(level)
+                levels[len(sigma)].append(sigma)
     return _complex_dims(levels, N.ring.char)
 
 

@@ -162,9 +162,9 @@ def parse_profile(text: str) -> FactorProfile:
                 factors.append((int(a_str), int(b_str)))
             except ValueError as exc:
                 raise ParseError(f"bad bidegree {tok!r}") from exc
-        elif tok[0] == "x" and tok[1:].isdigit():
+        elif tok[0] == "x" and tok[1:].isdecimal():
             factors.append((1, 0))
-        elif tok[0] == "y" and tok[1:].isdigit():
+        elif tok[0] == "y" and tok[1:].isdecimal():
             factors.append((0, 1))
         else:
             raise ParseError(f"bad factor token {tok!r}")

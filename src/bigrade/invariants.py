@@ -52,7 +52,6 @@ class FiberClass:
     classes standing for infinitely many slices (a capped cell).
     """
 
-    complement: tuple
     patterns: tuple
     fiber: Subquotient
     infinite_family: bool
@@ -69,7 +68,6 @@ class InvariantReport:
     witness_prime: Optional[frozenset]
     cm_wrt_Z: bool
     cm_ordinary: bool
-    char: int
 
     def __post_init__(self):
         if not (self.grade <= self.mgrade <= self.cd <= self.dim):
@@ -118,29 +116,20 @@ def _fibers(N: Subquotient, Z: frozenset) -> tuple:
     J_parts = split(N.J)
     Jp_parts = split(N.Jp)
     classes = {}
-    order = []
     for a, lengths in exponent_cells(N, comp):
         key = (restricted_colon(J_parts, a).gens, restricted_colon(Jp_parts, a).gens)
-        if key not in classes:
-            classes[key] = []
-            order.append(key)
-        classes[key].append((a, lengths))
+        classes.setdefault(key, []).append((a, lengths))
 
-    out = []
-    for key in order:
-        cells = classes[key]  # in lex order of corners
-        Ja = MonomialIdeal(sub, key[0])
-        Jpa = MonomialIdeal(sub, key[1])
-        out.append(
-            FiberClass(
-                complement=comp,
-                patterns=tuple(a for a, _ in cells),
-                fiber=Subquotient(sub, Ja, Jpa),
-                infinite_family=any(None in lengths for _, lengths in cells) and bool(comp),
-                n_single=sum(prod(lengths) for _, lengths in cells if None not in lengths),
-            )
+    # classes in order of first cell, each with its cells in lex order of corners
+    return tuple(
+        FiberClass(
+            patterns=tuple(a for a, _ in cells),
+            fiber=Subquotient(sub, MonomialIdeal(sub, key[0]), MonomialIdeal(sub, key[1])),
+            infinite_family=any(None in lengths for _, lengths in cells),
+            n_single=sum(prod(lengths) for _, lengths in cells if None not in lengths),
         )
-    return tuple(out)
+        for key, cells in classes.items()
+    )
 
 
 def grade(N: Subquotient, Z) -> int:
@@ -214,7 +203,6 @@ def analyze(I: MonomialIdeal, Z) -> InvariantReport:
         witness_prime=witness,
         cm_wrt_Z=(g == c),
         cm_ordinary=(ordinary_depth(I) == d),
-        char=I.ring.char,
     )
 
 
@@ -256,18 +244,11 @@ def _check_block(I: MonomialIdeal, block: frozenset, label: str):
             raise WrongBlock(f"generator {g} of the {label}-ideal leaves its block")
 
 
-def mdepth_ordinary(I: MonomialIdeal) -> int:
-    """min{dim S/p : p in Ass(S/I)} over the ideal's own ring."""
-    if I.is_unit:
-        raise UnitIdeal("mdepth of the zero module")
-    return I.ring.nvars - max(len(p) for p in associated_primes(I))
-
-
 def tensor_verdict(Ix: MonomialIdeal, Iy: MonomialIdeal) -> dict:
     """Maximal depth w.r.t. Q of S/(Ix + Iy) for block ideals Ix in K[x], Iy in K[y].
 
     Runs the product-module assertions alongside: Ass is the set of prime sums
-    and both grade and mgrade agree with depth / mdepth of K[y]/Iy.
+    and grade and mgrade agree with depth and mgrade over all variables of K[y]/Iy.
     """
     ring = Ix.ring
     if Iy.ring != ring:
@@ -283,7 +264,7 @@ def tensor_verdict(Ix: MonomialIdeal, Iy: MonomialIdeal) -> dict:
     sub_y = sub_ring_for(ring, ring.y_block())
     Iy_small = restrict_ideal(Iy, ring.y_block(), sub_y)
     depth_y = depth_module(Subquotient.cyclic(Iy_small), sub_y.all_vars())
-    mdepth_y = mdepth_ordinary(Iy_small)
+    mdepth_y = mgrade(Iy_small, sub_y.all_vars())
     verdict = depth_y == mdepth_y
 
     if rep.maximal_depth != verdict or rep.grade != depth_y or rep.mgrade != mdepth_y:

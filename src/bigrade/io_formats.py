@@ -55,7 +55,7 @@ def parse_ideal_text(text: str, char: int = 0):
         if parts[0] == "ring":
             if ring is not None:
                 raise ParseError("second ring line", line=lineno)
-            if len(parts) != 3 or not all(p.isdigit() for p in parts[1:]):
+            if len(parts) != 3 or not all(p.isdecimal() for p in parts[1:]):
                 raise ParseError(f"bad ring line {line!r}", line=lineno)
             try:
                 ring = RingSpec(int(parts[1]), int(parts[2]), char)

@@ -35,25 +35,24 @@ logger = logging.getLogger("bigrade")
 
 @dataclass(frozen=True)
 class FiberLC:
-    """Local cohomology data of one fiber class at a fixed index."""
+    """H^i of one nonzero fiber class; the first three fields come from the class."""
 
-    pattern: tuple  # smallest capped pattern of the class, over the complement
-    patterns: tuple  # smallest pattern of each exponent cell in the class
+    pattern: tuple  # the class's smallest slice, patterns[0]
     infinite_family: bool
     n_single: int
     finite_length: bool
     total_dim: Optional[int]  # None when not of finite length
-    witness_degree: Optional[tuple]
+    witness_degree: Optional[tuple]  # first capped or negative cell with H^i != 0
 
 
 @dataclass(frozen=True)
 class LCReport:
+    """H^i_Z(S/I) as one `FiberLC` per nonzero fiber class, in `fibers` order."""
+
     i: int
-    axis: tuple
     per_fiber: tuple
     finitely_generated: bool
     total_dim: Optional[int]  # K-dimension of the whole module, None if infinite
-    char: int
 
 
 @lru_cache(maxsize=1024)
@@ -92,7 +91,6 @@ def _fiber_lc(fc, i: int) -> FiberLC:
             total += d * prod(lengths)
     return FiberLC(
         pattern=fc.patterns[0],
-        patterns=fc.patterns,
         infinite_family=fc.infinite_family,
         n_single=fc.n_single,
         finite_length=finite,
@@ -123,14 +121,7 @@ def lc_report(I: MonomialIdeal, i: int, Z=None) -> LCReport:
         e.total_dim == 0 for e in entries if e.infinite_family
     ):
         total = sum(e.n_single * e.total_dim for e in entries)
-    return LCReport(
-        i=i,
-        axis=tuple(sorted(Z)),
-        per_fiber=tuple(entries),
-        finitely_generated=fin_gen,
-        total_dim=total,
-        char=I.ring.char,
-    )
+    return LCReport(i=i, per_fiber=tuple(entries), finitely_generated=fin_gen, total_dim=total)
 
 
 def generalized_cm(I: MonomialIdeal, Z=None) -> bool:

@@ -302,7 +302,6 @@ def bf_fibers(N, Z):
         capped = [any(a[idx] == caps[idx] for idx in range(len(comp))) for a in pats]
         out.append(
             FiberClass(
-                complement=comp,
                 patterns=tuple(sorted(pats)),
                 fiber=Subquotient(sub, MonomialIdeal(sub, key[0]), MonomialIdeal(sub, key[1])),
                 infinite_family=any(capped) and bool(comp),
@@ -332,7 +331,6 @@ def bf_fiber_lc(fc, i):
             total += d
     return FiberLC(
         pattern=fc.patterns[0],
-        patterns=fc.patterns,
         infinite_family=fc.infinite_family,
         n_single=fc.n_single,
         finite_length=finite,

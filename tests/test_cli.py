@@ -2,13 +2,16 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
 import bigrade
-from bigrade.cli import main
+from bigrade import homology
+from bigrade.cli import build_parser, main
 
 SAMPLE = """ring 2 4
 gens: x1*x2, x1*y3, x1*y4, x2*y1, y1*y3, y1*y4, y2*y4, y2*y3
@@ -209,6 +212,7 @@ def test_infinite_encoding(tmp_path, capsys):
         ("growth", "{sample}", "--i", "1", "--radii=-3,0,3"),
         ("analyze", "{sample}", "--char", str(2 ** 89 - 1)),
         ("suite", "--count", "-1"),
+        ("hypersurface", "--factors", "x\u00b2 (1,1)", "--ring", "1", "1"),
     ],
 )
 def test_bad_option_values_are_parse_errors(sample_file, capsys, argv):
@@ -345,3 +349,94 @@ def test_every_subcommand_prints_its_golden_bytes(sample_file):
     with open(GOLDEN, encoding="utf-8") as fh:
         expected = json.load(fh)
     assert golden_records(sample_file) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lc", "{sample}"),
+        ("analyze", "{sample}", "--axis", "Z"),
+        ("analyze", "{sample}", "--char", "x"),
+        ("suite", "--count", "x"),
+        ("bogus", "{sample}"),
+        (),
+    ],
+)
+def test_usage_errors_are_parse_errors(sample_file, capsys, argv):
+    code = main([a.format(sample=sample_file) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["error"].startswith("parse: ")
+    assert captured.err == ""
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: bigrade")
+
+
+def test_profile_file_matches_inline_factors(tmp_path, capsys):
+    p = tmp_path / "profile.txt"
+    p.write_text("# two factors\nfactors: (1,1) (0,2)\n")
+    from_file = run_cli(capsys, "hypersurface", str(p), "--ring", "2", "2")
+    inline = run_cli(capsys, "hypersurface", "--factors", "(1,1) (0,2)", "--ring", "2", "2")
+    assert from_file == inline and from_file[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, text, error",
+    [
+        (("hypersurface", "{path}", "--ring", "1", "1"), "factors: (1,1)\n(0,2)\n",
+         "parse: unexpected line '(0,2)' (line 2)"),
+        (("render", "{path}"), "ring 1\ngens: x1\n", "parse: bad ring line 'ring 1' (line 1)"),
+        (("render", "{path}"), "ring \u00b2 1\ngens: x1\n",
+         "parse: bad ring line 'ring \u00b2 1' (line 1)"),
+        (("render", "{path}"), "# only a comment\n", "parse: missing ring line"),
+    ],
+)
+def test_input_file_errors_name_their_line(tmp_path, capsys, argv, text, error):
+    p = tmp_path / "input.txt"
+    p.write_text(text)
+    code, out = run_cli(capsys, *(a.format(path=p) for a in argv))
+    assert code == 2
+    assert json.loads(out)["error"] == error
+
+
+def test_readme_lists_every_subcommand():
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        listed = re.findall(r"^bigrade (\S+)", fh.read(), flags=re.MULTILINE)
+    (subparsers,) = [a for a in build_parser()._actions if a.dest == "command"]
+    assert sorted(listed) == sorted(subparsers.choices)
+
+
+def test_analyze_tests_only_the_sigma_the_term_rule_can_keep(tmp_path, capsys, monkeypatch):
+    # in a degree of S/(x1*y1) every coordinate but x1 and y1 is in no
+    # nonzero Koszul term, so no complex needs all 2^16 subsets
+    p = tmp_path / "r8.ideal"
+    p.write_text("ring 8 8\ngens: x1*y1\n")
+    tested = []
+
+    def counting(pool, r):
+        for sigma in combinations(pool, r):
+            tested.append(sigma)
+            yield sigma
+
+    monkeypatch.setattr(homology, "combinations", counting)
+    code, _ = run_cli(capsys, "analyze", str(p))
+    assert code == 0
+    assert 0 < len(tested) <= 64
+
+
+def test_forty_variables_per_block_answer(tmp_path, capsys):
+    p = tmp_path / "r40.ideal"
+    p.write_text("ring 40 40\ngens: x1*y1\n")
+    code, out = run_cli(capsys, "analyze", str(p))
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["grade"], doc["cd"], doc["mgrade"], doc["dim"]) == (39, 40, 39, 79)
+    assert doc["maximal_depth"] is True and doc["witness_prime"] == ["y1"]
+    code, out = run_cli(capsys, "seqcm", str(p))
+    assert code == 0 and json.loads(out)["verdict"] is True

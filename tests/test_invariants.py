@@ -15,7 +15,6 @@ from bigrade.invariants import (
     direct_sum_verdict,
     fibers,
     grade,
-    mdepth_ordinary,
     mgrade,
     ordinary_depth,
     tensor_verdict,
@@ -76,7 +75,6 @@ def test_analyze_two_prime():
     assert not rep.maximal_depth
     assert rep.witness_prime is None
     assert not rep.cm_wrt_Z
-    assert rep.char == 0
 
 
 def test_analyze_free_direction():
@@ -100,7 +98,7 @@ def test_ordinary_depth_and_mdepth():
     r = RingSpec(1, 1)
     I = ideal(r, (1, 1))
     assert ordinary_depth(I) == 1
-    assert mdepth_ordinary(I) == 1
+    assert mgrade(I, r.all_vars()) == 1
 
 
 def test_direct_sum_spec_examples():

@@ -117,6 +117,11 @@ def test_corollary_all_true_case():
     assert triple == {"max_depth": True, "seq_cm": True, "cm_wrt_Q": True}
 
 
+def test_corollary_holds_on_the_zero_ideal():
+    triple = corollary_check(zero_ideal(RingSpec(1, 2)))
+    assert triple == {"max_depth": True, "seq_cm": True, "cm_wrt_Q": True}
+
+
 def test_question_scan_returns_list():
     r, I = two_prime_ideal()
     assert question_counterexample_scan(I) == []
@@ -131,13 +136,13 @@ def _random_ideal(rnd, ring, max_exp, max_gens):
 
 
 def _lc_fields(e):
-    # every field but `patterns`, which lists cell corners here and every
-    # pattern in the reference
+    # every field of a FiberLC
     return (e.pattern, e.n_single, e.infinite_family, e.finite_length, e.total_dim, e.witness_degree)
 
 
 def _classes(fcs):
-    # every field but `patterns` past the first, as for `_lc_fields`
+    # every field but `patterns` past the first: here it lists cell corners,
+    # in the reference every pattern of the box
     return [(fc.patterns[0], fc.fiber, fc.infinite_family, fc.n_single) for fc in fcs]
 
 
