@@ -261,6 +261,10 @@ def cech_dims_at(N: Subquotient, Z, c) -> list:
     Coordinates on Z may be negative.  The term of sigma is the piece of N
     localized at the variables of sigma, where every generator of J passes
     and none of J' misses, so a coordinate in sigma reads that constant row.
+    The answer is all zeros when c_z is at least the largest exponent of a
+    generator at some z in Z (`_axis_cells`), so `_fiber_table` in
+    local_cohomology never asks for such a degree; a direct call still
+    builds its complex.
     """
     every = ((1 << len(N.J.gens)) - 1, 0)
     return _term_dims(N, c, dict.fromkeys(Z, every))
@@ -273,32 +277,44 @@ def cech_piece_dim(N: Subquotient, Z, i: int, c) -> int:
     return cech_dims_at(N, Z, c)[i]
 
 
-def _axis_cells(gens, k, negative=False) -> list:
+def _axis_cells(gens, k, cech=False) -> list:
     """Exponent cells of coordinate k for the monomials gens, as (start, length).
 
     With d_0 = 0 < d_1 < ... < d_r the distinct exponents of gens at k, the
-    cells are [d_j, d_{j+1} - 1] and the cap [d_r, inf) (length None).  On a
-    negative coordinate the class (-1, None) of all negative exponents comes
-    first.  Whether g_k <= e holds for a generator g is constant on a cell.
+    cells are [d_j, d_{j+1} - 1] and the cap [d_r, inf) (length None).
+    Whether g_k <= e holds for a generator g is constant on a cell.
+
+    A Cech coordinate gets the class (-1, None) of all negative exponents
+    first and no cap: the Cech cohomology of J/J' on any variables that
+    include the k-th vanishes in every degree c with c_k >= d_r (for S/I
+    this is Takayama's vanishing).  There the row
+    `_corner_row(J, J', k, c_k)` holds all of J and none of J', the row of
+    the localized coordinate, so the term of sigma without k equals the term
+    of sigma with k and the Cech complex in degree c is the cone of an
+    isomorphism: multiplication by the k-th variable is bijective on J/J'
+    from d_r on.  The cone is acyclic.
     """
     d = sorted({0} | {g[k] for g in gens})
-    cells = [(-1, None)] if negative else []
+    cells = [(-1, None)] if cech else []
     cells += [(a, b - a) for a, b in zip(d, d[1:])]
-    cells.append((d[-1], None))
+    if not cech:
+        cells.append((d[-1], None))
     return cells
 
 
-def exponent_cells(N: Subquotient, coords, negative=frozenset()):
+def exponent_cells(N: Subquotient, coords, cech=frozenset()):
     """Products of the exponent cells of N over coords, in lex order of corners.
 
     Yields (corner, lengths): the smallest exponent of the cell on each of
     coords and the cell lengths (None for the cap and the -1 class, each of
     which stands for infinitely many exponents).  The cells come from the
     generators of J and J', so membership, colons and Cech pieces of N are
-    constant on a cell; coordinates in `negative` also get the -1 class.
+    constant on a cell.  Coordinates in `cech` get the -1 class and their
+    bounded cells only: the Cech cohomology of N vanishes on their caps
+    (`_axis_cells`), so a coordinate no generator uses adds one cell.
     """
     gens = N.J.gens + N.Jp.gens
-    axes = [_axis_cells(gens, k, k in negative) for k in coords]
+    axes = [_axis_cells(gens, k, k in cech) for k in coords]
     for cell in product(*axes):
         yield tuple(s for s, _ in cell), tuple(n for _, n in cell)
 

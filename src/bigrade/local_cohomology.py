@@ -2,15 +2,18 @@
 
 Cech pieces only change where a degree crosses a generator exponent, so every
 scan here visits one degree per exponent cell (the intervals between
-consecutive distinct generator exponents, the cap from the largest one on, and
-the class of all negative exponents) and weights it by the cell's length, the
-interval structure of Takayama's formula.  Each fiber's cells are scanned
-once, with every index of a cell read off one Cech complex, into a table that
-every local cohomology question on that fiber reads.
+consecutive distinct generator exponents, the class of all negative
+exponents, and off the axis the cap from the largest one on) and weights it
+by the cell's length, the interval structure of Takayama's formula.  Each
+fiber's cells are scanned once, with every index of a cell read off one Cech
+complex, into a table that every local cohomology question on that fiber
+reads.  The table has no capped cell: past the largest generator exponent
+of a coordinate its variable acts bijectively, so the Cech complex there is
+acyclic (`homology._axis_cells`).
 
 H^i_Z splits over the fiber decomposition; a fiber contributes finite length
-iff its cohomology vanishes on every cell with a negative coordinate (and on
-the capped cells, each of which stands for infinitely many degrees).
+iff its cohomology vanishes on every cell with a negative coordinate, the
+only cells of its table that stand for infinitely many degrees.
 The module is finitely generated iff every fiber contributes finite length:
 beyond the caps the complementary variables act as isomorphisms, so the capped
 box generates; a nonvanishing negative-degree family can never be generated.
@@ -42,7 +45,7 @@ class FiberLC:
     n_single: int
     finite_length: bool
     total_dim: Optional[int]  # None when not of finite length
-    witness_degree: Optional[tuple]  # first capped or negative cell with H^i != 0
+    witness_degree: Optional[tuple]  # first cell with a negative coordinate and H^i != 0
 
 
 @dataclass(frozen=True)
@@ -61,12 +64,14 @@ def _fiber_table(fiber: Subquotient) -> tuple:
 
     Holds (corner, lengths, dims) per exponent cell in lex order of corners,
     with dims = [H^0 .. H^k] of the cell, so every index is read off one
-    complex per cell.  Kept in a bounded memo per fiber, which every index,
-    report and growth scan on that fiber shares.
+    complex per cell.  Only the -1 class and the bounded cells of each
+    coordinate are scanned: the cohomology vanishes on every capped cell
+    (`homology._axis_cells`).  Kept in a bounded memo per fiber, which every
+    index, report and growth scan on that fiber shares.
     """
     allvars = fiber.ring.all_vars()
     table = []
-    for c, lengths in exponent_cells(fiber, range(fiber.ring.nvars), allvars):
+    for c, lengths in exponent_cells(fiber, range(fiber.ring.nvars), cech=allvars):
         dims = cech_dims_at(fiber, allvars, c)
         if any(dims):
             table.append((c, lengths, tuple(dims)))
@@ -83,7 +88,7 @@ def _fiber_lc(fc, i: int) -> FiberLC:
         if d == 0:
             continue
         if None in lengths:
-            # the cell stands for infinitely many fine degrees
+            # a -1 class: the cell stands for infinitely many fine degrees
             finite = False
             if witness is None:
                 witness = c

@@ -1,9 +1,11 @@
 import random
+import time
 
 import pytest
 
 from bruteforce import bf_ass_subquotient, bf_fibers, bf_growth_scan, bf_lc_report
 from bigrade import homology, invariants, local_cohomology, rings
+from bigrade.cli import main
 from bigrade.errors import PreconditionFailed, UnitIdeal
 from bigrade.filtration import dimension_filtration, sequentially_cm
 from bigrade.homology import Subquotient, ass_subquotient
@@ -290,3 +292,49 @@ def test_large_exponents_cost_follows_the_cells(monkeypatch):
     assert [dict(counts_16)[label]["cech"] for label in ("lc 2", "growth 1", "growth 2")] == [0, 0, 0]
     assert dict(answers_16)["growth 1"] == [4, 36, 144, 400]
     assert dict(answers_16)["seqcm"][0] is True
+
+
+def test_cech_cost_does_not_grow_with_the_free_variables(monkeypatch):
+    # x1*y1 in ring n n: the fiber over Q is K[y1..yn] or a quotient of it, and
+    # y2..yn hold no generator.  A table with caps has 2^n cells per such
+    # fiber (10, 40, 160, 640 Cech calls at n = 2, 4, 6, 8); without them each
+    # free variable adds its -1 class only.  The wrapper fails as soon as a
+    # count passes the linear bound, instead of running on for minutes.
+    counts = {}
+    inner = local_cohomology.cech_dims_at
+
+    def counted(*args):
+        counts[n] += 1
+        assert n == 2 or counts[n] <= counts[2] * n // 2, f"Cech calls grow faster than n: {counts}"
+        return inner(*args)
+
+    monkeypatch.setattr(local_cohomology, "cech_dims_at", counted)
+    for n in range(2, 13, 2):
+        local_cohomology._fiber_table.cache_clear()
+        invariants._fibers.cache_clear()
+        counts[n] = 0
+        lc_report(minimal_generators(RingSpec(n, n), [tuple(int(v in (0, n)) for v in range(2 * n))]), 1)
+    # stricter than the linear bound: the counts do not grow with n at all
+    assert max(counts.values()) == counts[2], counts
+
+
+@pytest.mark.parametrize("argv", [("lc", "--i", "1"), ("gencm",), ("growth", "--i", "1")])
+def test_x1y1_in_forty_by_forty_answers_within_a_second(tmp_path, capsys, monkeypatch, argv):
+    # A table with caps would have 2^40 cells here.  Every Cech complex and
+    # every corner row checks the clock, so such a walk fails at the deadline
+    # instead of running for ever.
+    path = tmp_path / "x1y1.ideal"
+    path.write_text("ring 40 40\ngens: x1*y1\n")
+    deadline = time.perf_counter() + 1.0
+
+    def timed(inner):
+        def wrapper(*args):
+            assert time.perf_counter() < deadline, f"{' '.join(argv)} took over 1 s"
+            return inner(*args)
+        return wrapper
+
+    monkeypatch.setattr(local_cohomology, "cech_dims_at", timed(local_cohomology.cech_dims_at))
+    monkeypatch.setattr(homology, "_corner_row", timed(homology._corner_row))
+    code = main([argv[0], str(path), *argv[1:]])
+    assert code == 0, capsys.readouterr().out
+    assert time.perf_counter() < deadline, f"{' '.join(argv)} took over 1 s"
