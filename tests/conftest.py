@@ -8,13 +8,3 @@ def cold_caches():
     """Every test starts with empty memos, so call counts and values computed
     under another test's monkeypatches do not carry over."""
     bigrade.clear_caches()
-
-
-def pytest_collection_modifyitems(config, items):
-    """Tests marked answers_full run only when `-m` names the marker."""
-    if "answers_full" in (config.getoption("markexpr") or ""):
-        return
-    skip = pytest.mark.skip(reason="opt-in: pytest -m answers_full")
-    for item in items:
-        if "answers_full" in item.keywords:
-            item.add_marker(skip)
