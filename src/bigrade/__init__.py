@@ -88,13 +88,15 @@ __version__ = "0.1.0"
 
 
 def clear_caches():
-    """Empty every memo: decompositions, fibers, per-fiber Cech tables,
-    dimension filtrations, the depth and dimension dicts and the CLI's parser."""
+    """Empty every memo: decompositions, fibers, cd per module and axis,
+    per-fiber Cech tables, dimension filtrations, the depth and dimension
+    dicts and the CLI's parser."""
     from . import cli, filtration, homology, invariants, local_cohomology, rings
 
     rings._decomposition.cache_clear()
     filtration._ladder.cache_clear()
     invariants._fibers.cache_clear()
+    invariants._cd.cache_clear()
     local_cohomology._fiber_table.cache_clear()
     homology._depth_cache.clear()
     homology._dim_cache.clear()

@@ -9,9 +9,13 @@ Betti numbers and depths are taken over all variables of the module's
 ring.  There they live only in degrees of the lcm lattice of the generators
 of J and J' (the Taylor resolution and the long exact Tor sequence of
 0 -> J' -> J -> J/J' -> 0, Gasharov-Peeva-Welker 1999), so the Betti scan
-visits those degrees and no others.  Every Koszul and Cech differential is
-the boundary map of sorted index tuples, built by one routine, and each
-complex in a fine degree is built once and read at every index.
+visits those degrees and no others.  Depth needs only the projective
+dimension (Auslander-Buchsbaum), and H_j vanishes at b for j > |supp b|, so
+`depth_module` visits the lattice in descending order of support size and
+stops once no degree left can raise the largest nonzero index it has seen.
+Every Koszul and Cech differential is the boundary map of sorted index
+tuples, built by one routine, and each complex in a fine degree is built
+once and read at every index.
 
 Every Koszul and Cech term, and every corner of `ass_subquotient`, is
 decided by one rule on bitsets over the generators of J and J' (`_corner_row`).
@@ -198,6 +202,14 @@ def _lcm_closure(monomials) -> set:
     return closure
 
 
+def _check_scan(N: Subquotient, Z):
+    """Refuse a Betti or depth scan over a proper Z, or of the zero module."""
+    if frozenset(Z) != N.ring.all_vars():
+        raise PreconditionFailed(f"Betti numbers are taken over all variables, not {sorted(Z)}")
+    if N.is_zero:
+        raise ZeroModule("Betti numbers of the zero module")
+
+
 def betti_and_projdim(N: Subquotient, Z):
     """Graded Betti numbers over all variables of N's ring and the projective dimension.
 
@@ -205,10 +217,7 @@ def betti_and_projdim(N: Subquotient, Z):
     of J and J', in sorted order.  Z must be all variables of N's ring;
     PreconditionFailed refuses any other Z before a degree is scanned.
     """
-    if frozenset(Z) != N.ring.all_vars():
-        raise PreconditionFailed(f"Betti numbers are taken over all variables, not {sorted(Z)}")
-    if N.is_zero:
-        raise ZeroModule("Betti numbers of the zero module")
+    _check_scan(N, Z)
     betti = {}
     projdim = 0
     for b in sorted(_lcm_closure(N.J.gens + N.Jp.gens)):
@@ -235,12 +244,29 @@ def _remember(cache: dict, key, value):
 
 
 def depth_module(N: Subquotient, Z) -> int:
-    """depth over all variables Z of N's ring via Auslander-Buchsbaum: |Z| - projdim."""
+    """depth over all variables Z of N's ring via Auslander-Buchsbaum: |Z| - projdim.
+
+    projdim is the largest j with H_j(b) != 0 over the degrees b of the lcm
+    lattice (`betti_and_projdim`).  The Koszul term of sigma at b is the
+    piece of N at b - e_sigma, which is zero when sigma holds a coordinate k
+    with b_k = 0, as b - e_sigma is then negative at k.  So every nonzero
+    term at b has sigma inside supp b, and H_j(b) = 0 for j > |supp b|.  The
+    scan visits the lattice in descending order of |supp b|, keeps the
+    largest j seen with H_j(b) != 0 as p, and stops at the first b with
+    |supp b| <= p: no degree from there on has a nonzero H_j with j > p.
+    """
     key = (N, frozenset(Z))
     depth = _depth_cache.get(key)
     if depth is not None:
         return depth
-    _, projdim = betti_and_projdim(N, Z)
+    _check_scan(N, Z)
+    support = {b: sum(1 for e in b if e) for b in _lcm_closure(N.J.gens + N.Jp.gens)}
+    projdim = 0
+    for b in sorted(support, key=lambda b: (-support[b], b)):
+        if support[b] <= projdim:
+            break
+        dims = koszul_dims_at(N, Z, b)
+        projdim = max([projdim] + [j for j, d in enumerate(dims) if d])
     return _remember(_depth_cache, key, len(Z) - projdim)
 
 

@@ -145,7 +145,20 @@ def grade(N: Subquotient, Z) -> int:
 
 
 def cd(N: Subquotient, Z) -> int:
-    """max{i : H^i_Z(N) != 0} = max Krull dimension over nonzero fibers."""
+    """max{i : H^i_Z(N) != 0} = max Krull dimension over nonzero fibers.
+
+    The value and its cross-check are computed once per (N, Z) and kept in
+    a bounded memo.
+    """
+    return _cd(N, frozenset(Z))
+
+
+@lru_cache(maxsize=256)
+def _cd(N: Subquotient, Z: frozenset) -> int:
+    """The memo behind `cd`.
+
+    A raised InternalCheckFailed is not cached, so every reader sees it.
+    """
     dims = [
         dim_module(fc.fiber)
         for fc in fibers(N, Z)
@@ -156,7 +169,7 @@ def cd(N: Subquotient, Z) -> int:
     value = max(dims)
     if N.J.is_unit:
         # cyclic case cross-check: cd(Z, S/I) = dim S/(I + complement ideal)
-        comp = frozenset(range(N.ring.nvars)) - frozenset(Z)
+        comp = frozenset(range(N.ring.nvars)) - Z
         check = sum_ideal(N.Jp, prime_ideal(N.ring, comp)) if comp else N.Jp
         expected = dim_quotient(check)
         if expected != value:
@@ -187,6 +200,11 @@ def analyze(I: MonomialIdeal, Z) -> InvariantReport:
     c = cd(N, Z)
     mg = mgrade(I, Z)
     d = dim_quotient(I)
+    depth = ordinary_depth(I)
+    # grade(Z, M) <= grade(m, M) = depth M as Z lies in m, and depth M <= dim S/p
+    # for every p in Ass(M): the fiber scans checked against the full-ring scan
+    if not (g <= depth <= d):
+        raise InternalCheckFailed(f"depth out of range: grade={g} depth={depth} dim={d}")
     maximal = g == mg
     witness = None
     if maximal:
@@ -202,7 +220,7 @@ def analyze(I: MonomialIdeal, Z) -> InvariantReport:
         maximal_depth=maximal,
         witness_prime=witness,
         cm_wrt_Z=(g == c),
-        cm_ordinary=(ordinary_depth(I) == d),
+        cm_ordinary=(depth == d),
     )
 
 

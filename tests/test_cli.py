@@ -255,6 +255,24 @@ def test_internal_check_failure_is_reported_with_its_input(sample_file, capsys, 
     assert parse_ideal_text(canonical) == parse_ideal_text(SAMPLE)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_depth_outside_grade_and_dim_exits_internal(sample_file, capsys, monkeypatch, sign):
+    # fiber depths stay right; the depth of S/I leaves [grade, dim]
+    from bigrade import invariants
+    from bigrade.io_formats import parse_ideal_text
+
+    ring, _ = parse_ideal_text(SAMPLE)
+    depth = invariants.depth_module
+
+    def wrong(N, Z):
+        return depth(N, Z) + (sign * (ring.nvars + 1) if N.ring == ring else 0)
+
+    monkeypatch.setattr(invariants, "depth_module", wrong)
+    code, out = run_cli(capsys, "analyze", sample_file)
+    assert code == 4
+    assert json.loads(out)["error"].startswith("internal: depth out of range: grade=1 ")
+
+
 @pytest.mark.parametrize(
     "ring, argv",
     [

@@ -157,6 +157,34 @@ def test_lcm_scan_matches_box_scan_reference():
         assert betti_and_projdim(N, Z) == bf_betti_and_projdim(N, Z), (N, sorted(Z))
 
 
+def test_support_bound_depth_matches_box_scan_reference():
+    # depth runs its own lcm scan, stopped at the support bound, so it is
+    # checked against the box scan apart from betti_and_projdim
+    rnd = random.Random(20261020)
+    for k in range(240):
+        N, Z = _random_subquotient(rnd, unit_J=k % 2 == 0, proper_Z=False, char=(0, 2)[(k // 2) % 2])
+        _, projdim = bf_betti_and_projdim(N, Z)
+        assert depth_module(N, Z) == N.ring.nvars - projdim, (N, sorted(Z))
+
+
+@pytest.mark.parametrize("m, n", [(4, 4), (2, 2)])
+def test_depth_of_the_residue_field_reads_one_degree(monkeypatch, m, n):
+    # the lcm of all the variables has full support and H_{m+n} there is K,
+    # so no other of the 2^(m+n) lattice degrees can raise the projdim
+    calls = []
+    body = homology.koszul_dims_at
+
+    def counting(N, zvars, b):
+        calls.append(b)
+        return body(N, zvars, b)
+
+    monkeypatch.setattr(homology, "koszul_dims_at", counting)
+    ring = RingSpec(m, n)
+    maximal = minimal_generators(ring, [var_power(ring, v, 1) for v in range(ring.nvars)])
+    assert ordinary_depth(maximal) == 0
+    assert calls == [(1,) * ring.nvars]
+
+
 def test_koszul_dims_match_independent_reference():
     # all variables and a proper subset, every degree of the box and one past it
     rnd = random.Random(20261018)

@@ -6,13 +6,16 @@ import random
 import sys
 from collections import Counter
 
+import pytest
+
 import bigrade
 from bigrade import cli, filtration, invariants, local_cohomology, rings
+from bigrade.errors import InternalCheckFailed
 from bigrade.filtration import dimension_filtration, sequentially_cm
 from bigrade.homology import Subquotient
-from bigrade.invariants import analyze, fibers
+from bigrade.invariants import analyze, cd, fibers
 from bigrade.io_formats import parse_ideal_text
-from bigrade.local_cohomology import growth_scan, lc_report
+from bigrade.local_cohomology import corollary_check, generalized_cm, growth_scan, lc_report
 from bigrade.rings import associated_primes, irreducible_decomposition
 from bigrade.suite import random_ideal
 
@@ -34,6 +37,7 @@ def _queries(ring, I):
     for name, Z in (("P", ring.x_block()), ("Q", ring.y_block())):
         out += [
             (f"analyze {name}", lambda Z=Z: analyze(I, Z)),
+            (f"cd {name}", lambda Z=Z: cd(Subquotient.cyclic(I), Z)),
             (f"seqcm {name}", lambda Z=Z: sequentially_cm(I, Z)),
             (f"filtration {name}", lambda Z=Z: dimension_filtration(I, Z)),
             (f"growth {name}", lambda Z=Z: growth_scan(I, 1, [0, 1, 3], Z)),
@@ -58,7 +62,7 @@ def test_warm_answers_equal_cold_answers():
         bigrade.clear_caches()
         # every query once, then again those answered from the memos alone
         warm = rnd.sample(queries, len(queries))
-        again = [q for q in queries if q[0].split()[0] in ("decomposition", "analyze", "lc")]
+        again = [q for q in queries if q[0].split()[0] in ("decomposition", "analyze", "cd", "lc")]
         warm += rnd.sample(again, len(again))
         for label, query in warm:
             assert _outcome(query) == cold[label], (case, str(I), char, label)
@@ -97,10 +101,50 @@ def test_analyze_decomposes_each_ideal_once(monkeypatch):
     assert set(counts.values()) == {1}
 
 
+def test_a_failed_cd_is_not_memoized(monkeypatch):
+    checks = []
+    body = invariants.dim_quotient
+
+    def off_by_one(I):
+        checks.append(I)
+        return body(I) + 1
+
+    monkeypatch.setattr(invariants, "dim_quotient", off_by_one)
+    ring, I = parse_ideal_text(SAMPLE)
+    N = Subquotient.cyclic(I)
+    for _ in range(2):
+        with pytest.raises(InternalCheckFailed, match="cd mismatch"):
+            cd(N, ring.y_block())
+    assert len(checks) == 2
+
+
+def test_cd_is_computed_once_per_module_and_axis(monkeypatch):
+    memo = invariants._cd
+    asked = Counter()
+
+    def spy(N, Z):
+        asked[N, Z] += 1
+        return memo(N, Z)
+
+    monkeypatch.setattr(invariants, "_cd", spy)
+    ring, I = parse_ideal_text(SAMPLE)
+    for Z in (ring.x_block(), ring.y_block()):
+        analyze(I, Z)
+        generalized_cm(I, Z)
+        sequentially_cm(I, Z)
+        try:
+            corollary_check(I, Z)
+        except bigrade.PreconditionFailed:
+            pass  # on Q it refuses, after it has read cd
+    assert asked[Subquotient.cyclic(I), ring.y_block()] == 4
+    assert memo.cache_info().misses == len(asked)
+
+
 def test_memos_are_bounded():
     for memo in (
         rings._decomposition,
         invariants._fibers,
+        invariants._cd,
         local_cohomology._fiber_table,
         filtration._ladder,
     ):
