@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 
 from . import kernels
@@ -51,7 +52,12 @@ AxisIdeal = frozenset  # nonempty subset of variable indices
 
 @dataclass(frozen=True)
 class Subquotient:
-    """The module J/J' for monomial ideals J' <= J; S/I is pair (S, I)."""
+    """The module J/J' for monomial ideals J' <= J; S/I is pair (S, I).
+
+    A memo key: its hash (that of the field tuple) is computed once, at
+    construction, and `is_zero` once, on first use.  The containment of J'
+    in J is checked by a generator scan unless J is the unit ideal.
+    """
 
     ring: RingSpec
     J: MonomialIdeal
@@ -60,14 +66,18 @@ class Subquotient:
     def __post_init__(self):
         if self.J.ring != self.ring or self.Jp.ring != self.ring:
             raise RingMismatch("subquotient ideals must share the ambient ring")
-        if not self.J.contains_ideal(self.Jp):
+        if not self.J.is_unit and not self.J.contains_ideal(self.Jp):
             raise ValueError("J' must be contained in J")
+        object.__setattr__(self, "_hash", hash((self.ring, self.J, self.Jp)))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def cyclic(cls, I: MonomialIdeal) -> "Subquotient":
         return cls(I.ring, unit_ideal(I.ring), I)
 
-    @property
+    @cached_property
     def is_zero(self) -> bool:
         return all(self.Jp.contains(g) for g in self.J.gens)
 

@@ -156,12 +156,12 @@ def parse_profile(text: str) -> FactorProfile:
     factors = []
     for tok in body.split():
         if tok.startswith("(") and tok.endswith(")"):
-            inner = tok[1:-1]
-            try:
-                a_str, b_str = inner.split(",")
-                factors.append((int(a_str), int(b_str)))
-            except ValueError as exc:
-                raise ParseError(f"bad bidegree {tok!r}") from exc
+            # each field is decimal digits only, as in the ring line: int()
+            # alone would take "1_0" and "+1"
+            fields = tok[1:-1].split(",")
+            if len(fields) != 2 or not all(map(str.isdecimal, fields)):
+                raise ParseError(f"bad bidegree {tok!r}")
+            factors.append(tuple(map(int, fields)))
         elif tok[0] == "x" and tok[1:].isdecimal():
             factors.append((1, 0))
         elif tok[0] == "y" and tok[1:].isdecimal():

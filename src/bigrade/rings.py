@@ -19,7 +19,11 @@ PrimeSupport = frozenset  # set of variable indices; the prime generated by them
 
 @dataclass(frozen=True, order=True)
 class RingSpec:
-    """Ambient ring data: m x-variables, n y-variables, rank characteristic."""
+    """Ambient ring data: m x-variables, n y-variables, rank characteristic.
+
+    A memo key: its hash (that of the field tuple) and `nvars` are computed
+    once, at construction.
+    """
 
     m: int
     n: int
@@ -32,10 +36,11 @@ class RingSpec:
             raise ValueError(f"characteristic must be below {MAX_CHAR}, got {self.char}")
         if self.char < 0 or self.char == 1 or (self.char > 1 and not _is_prime(self.char)):
             raise ValueError(f"characteristic must be 0 or prime, got {self.char}")
+        object.__setattr__(self, "nvars", self.m + self.n)
+        object.__setattr__(self, "_hash", hash((self.m, self.n, self.char)))
 
-    @property
-    def nvars(self) -> int:
-        return self.m + self.n
+    def __hash__(self):
+        return self._hash
 
     def var_name(self, i: int) -> str:
         if i < self.m:
@@ -111,25 +116,32 @@ def var_power(ring: RingSpec, i: int, e: int = 1) -> Monomial:
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """A monomial ideal in canonical form: minimal generators, lex-sorted."""
+    """A monomial ideal in canonical form: minimal generators, lex-sorted.
+
+    A memo key: its hash (that of the field tuple) and `is_unit` are computed
+    once, at construction.  `minimal_generators`, which builds the canonical
+    form, takes integer exponents only.
+    """
 
     ring: RingSpec
     gens: tuple = field(default=())
 
     def __post_init__(self):
+        nvars = self.ring.nvars
         for g in self.gens:
-            if len(g) != self.ring.nvars:
+            if len(g) != nvars:
                 raise DimensionMismatch(
-                    f"generator {g} has length {len(g)}, ring has {self.ring.nvars} variables"
+                    f"generator {g} has length {len(g)}, ring has {nvars} variables"
                 )
+        object.__setattr__(self, "is_unit", bool(self.gens) and not any(self.gens[0]))
+        object.__setattr__(self, "_hash", hash((self.ring, self.gens)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def is_zero(self) -> bool:
         return not self.gens
-
-    @property
-    def is_unit(self) -> bool:
-        return bool(self.gens) and all(e == 0 for e in self.gens[0])
 
     def contains(self, u: Monomial) -> bool:
         return any(divides(g, u) for g in self.gens)
@@ -162,15 +174,23 @@ def render_monomial(ring: RingSpec, u: Monomial) -> str:
 
 
 def minimal_generators(ring: RingSpec, raw) -> MonomialIdeal:
-    """Canonical form: drop duplicates and any generator divisible by another."""
+    """Canonical form: drop duplicates and any generator divisible by another.
+
+    Exponents must be integers (`operator.index`): a float or a string is
+    refused with ValueError, not rounded or parsed.
+    """
+    nvars = ring.nvars
     gens = set()
     for u in raw:
-        u = tuple(map(int, u))
-        if len(u) != ring.nvars:
+        try:
+            u = tuple(map(operator.index, u))
+        except TypeError:
+            raise ValueError(f"minimal_generators expects integer exponents, got {u!r}") from None
+        if len(u) != nvars:
             raise DimensionMismatch(
-                f"monomial {u} has length {len(u)}, ring has {ring.nvars} variables"
+                f"monomial {u} has length {len(u)}, ring has {nvars} variables"
             )
-        if any(e < 0 for e in u):
+        if min(u) < 0:
             raise ValueError(f"negative exponent in {u}")
         gens.add(u)
     # a proper divisor of u is lex-smaller than u, so one pass in lex order
@@ -178,7 +198,10 @@ def minimal_generators(ring: RingSpec, raw) -> MonomialIdeal:
     # its own), and the kept list comes out sorted
     minimal = []
     for u in sorted(gens):
-        if not any(divides(v, u) for v in minimal):
+        for v in minimal:
+            if all(map(operator.le, v, u)):
+                break
+        else:
             minimal.append(u)
     return MonomialIdeal(ring, tuple(minimal))
 

@@ -213,6 +213,10 @@ def test_infinite_encoding(tmp_path, capsys):
         ("analyze", "{sample}", "--char", str(2 ** 89 - 1)),
         ("suite", "--count", "-1"),
         ("hypersurface", "--factors", "x\u00b2 (1,1)", "--ring", "1", "1"),
+        # bidegree fields are decimal digits: int() alone would read "(1_0,2)" as (10, 2)
+        ("hypersurface", "--factors", "(1_0,2)", "--ring", "2", "2"),
+        ("hypersurface", "--factors", "(+1,2)", "--ring", "2", "2"),
+        ("hypersurface", "--factors", "(-1,2)", "--ring", "2", "2"),
     ],
 )
 def test_bad_option_values_are_parse_errors(sample_file, capsys, argv):

@@ -1,7 +1,9 @@
 """The bounded memos: warm answers equal cold ones, and results can be mutated safely."""
 
 import contextlib
+import dataclasses
 import io
+import pickle
 import random
 import sys
 from collections import Counter
@@ -14,9 +16,21 @@ from bigrade.errors import InternalCheckFailed
 from bigrade.filtration import dimension_filtration, sequentially_cm
 from bigrade.homology import Subquotient
 from bigrade.invariants import analyze, cd, fibers
-from bigrade.io_formats import parse_ideal_text
+from bigrade.io_formats import parse_ideal_text, render_ideal
 from bigrade.local_cohomology import corollary_check, generalized_cm, growth_scan, lc_report
-from bigrade.rings import associated_primes, irreducible_decomposition
+from bigrade.rings import (
+    MonomialIdeal,
+    RingSpec,
+    associated_primes,
+    colon,
+    intersect,
+    irreducible_decomposition,
+    minimal_generators,
+    sum_ideal,
+    unit_ideal,
+    var_power,
+    zero_ideal,
+)
 from bigrade.suite import random_ideal
 
 SAMPLE = """ring 2 4
@@ -184,3 +198,91 @@ def test_clear_caches_empties_every_memo(tmp_path):
     assert [name for name, memo in memos.items() if _size(memo) == 0] == []
     bigrade.clear_caches()
     assert [name for name, memo in memos.items() if _size(memo) != 0] == []
+
+
+def _routes(rnd, ring, I):
+    """I rebuilt four other ways: parsed from its rendering, from its generators
+    shuffled and repeated, as I cap (I + (x_1)), and as (u I : u)."""
+    raw = list(I.gens) * 2
+    rnd.shuffle(raw)
+    u = tuple(rnd.randint(0, 2) for _ in range(ring.nvars))
+    product = minimal_generators(ring, [tuple(a + b for a, b in zip(g, u)) for g in I.gens])
+    return [
+        parse_ideal_text(render_ideal(I), ring.char)[1],
+        minimal_generators(ring, raw),
+        intersect(I, sum_ideal(I, minimal_generators(ring, [var_power(ring, 0)]))),
+        colon(product, u),
+    ]
+
+
+def test_equal_values_built_by_different_routes_hash_equal():
+    rnd = random.Random(20261020)
+    for _ in range(200):
+        ring, I = random_ideal(rnd, char=rnd.choice((0, 2)))
+        assert hash(ring) == hash((ring.m, ring.n, ring.char))
+        assert hash(I) == hash((I.ring, I.gens))
+        N = Subquotient.cyclic(I)
+        assert hash(N) == hash((N.ring, N.J, N.Jp))
+        J = sum_ideal(I, minimal_generators(ring, [var_power(ring, ring.nvars - 1)]))
+        for other in _routes(rnd, ring, I):
+            assert other is not I
+            assert other == I and hash(other) == hash(I), str(I)
+            assert other.ring == ring and hash(other.ring) == hash(ring)
+            assert other.is_unit == I.is_unit
+            M = Subquotient(RingSpec(ring.m, ring.n, ring.char), unit_ideal(ring), other)
+            assert M == N and hash(M) == hash(N)
+            assert M.is_zero == N.is_zero
+            assert Subquotient(ring, J, other) == Subquotient(ring, J, I)
+            assert hash(Subquotient(ring, J, other)) == hash(Subquotient(ring, J, I))
+
+
+def test_copies_equal_their_original_and_hit_its_memo_entry():
+    ring, I = parse_ideal_text(SAMPLE)
+    Z = ring.y_block()
+    N = Subquotient.cyclic(I)
+    bigrade.clear_caches()
+    expected = fibers(N, Z)
+    copies = [
+        pickle.loads(pickle.dumps(N)),
+        dataclasses.replace(N),
+        dataclasses.replace(N, Jp=pickle.loads(pickle.dumps(I))),
+        dataclasses.replace(N, ring=dataclasses.replace(ring), J=unit_ideal(ring)),
+    ]
+    for copy in copies:
+        assert copy is not N
+        assert copy == N and hash(copy) == hash(N)
+        assert copy.Jp == I and hash(copy.Jp) == hash(I)
+        assert copy.ring == ring and hash(copy.ring) == hash(ring)
+        assert copy.ring.nvars == ring.nvars and copy.J.is_unit and not copy.is_zero
+        hits = invariants._fibers.cache_info().hits
+        assert fibers(copy, Z) == expected
+        assert invariants._fibers.cache_info().hits == hits + 1
+    assert invariants._fibers.cache_info().misses == 1
+
+
+def test_a_submodule_outside_a_non_unit_J_is_refused():
+    ring = RingSpec(1, 1)
+    J = minimal_generators(ring, [(1, 0)])
+    with pytest.raises(ValueError, match="contained"):
+        Subquotient(ring, J, minimal_generators(ring, [(0, 1)]))
+    with pytest.raises(ValueError, match="contained"):
+        Subquotient(ring, J, unit_ideal(ring))
+    assert Subquotient(ring, J, minimal_generators(ring, [(1, 1)])).Jp.gens == ((1, 1),)
+
+
+def test_a_cyclic_module_makes_no_containment_scan(monkeypatch):
+    calls = []
+    body = MonomialIdeal.contains_ideal
+
+    def counting(self, other):
+        calls.append(other)
+        return body(self, other)
+
+    monkeypatch.setattr(MonomialIdeal, "contains_ideal", counting)
+    ring, I = parse_ideal_text(SAMPLE)
+    first, second = Subquotient.cyclic(I), Subquotient.cyclic(I)
+    assert first == second and first is not second
+    assert calls == []
+    # a non-unit J still gets its scan
+    Subquotient(ring, minimal_generators(ring, [var_power(ring, 0)]), zero_ideal(ring))
+    assert len(calls) == 1

@@ -106,6 +106,28 @@ def test_minimal_generators_match_the_all_pairs_reference():
         assert minimal_generators(ring, raw) == bf_minimal_generators(ring, raw), raw
 
 
+@pytest.mark.parametrize("raw", [[(0.5, 1)], [("2", 1)], [(1.0, 0)], [(None, 1)]])
+def test_minimal_generators_refuses_non_integer_exponents(raw):
+    # int() would truncate 0.5 to 0 and parse "2"
+    with pytest.raises(ValueError, match="minimal_generators"):
+        minimal_generators(RingSpec(1, 1), raw)
+
+
+def test_minimal_generators_takes_bools_and_numpy_integers():
+    np = pytest.importorskip("numpy")
+    ring = RingSpec(1, 1)
+    expected = minimal_generators(ring, [(1, 2)])
+    got = minimal_generators(ring, [(True, np.int64(2))])
+    assert got == expected
+    assert hash(got) == hash(expected)
+    assert all(type(e) is int for g in got.gens for e in g)
+
+
+def test_minimal_generators_refuses_negative_exponents():
+    with pytest.raises(ValueError, match="negative exponent"):
+        minimal_generators(R22, [(1, 0, 0, 0), (1, 0, -1, 0)])
+
+
 def test_unit_zero_flags():
     assert unit_ideal(R22).is_unit
     assert zero_ideal(R22).is_zero
