@@ -89,8 +89,8 @@ __version__ = "0.1.0"
 
 def clear_caches():
     """Empty every memo: decompositions, fibers, cd per module and axis,
-    per-fiber Cech tables, dimension filtrations, the depth and dimension
-    dicts and the CLI's parser."""
+    per-fiber Cech tables, dimension filtrations, the depth dict and the
+    CLI's parser."""
     from . import cli, filtration, homology, invariants, local_cohomology, rings
 
     rings._decomposition.cache_clear()
@@ -99,5 +99,4 @@ def clear_caches():
     invariants._cd.cache_clear()
     local_cohomology._fiber_table.cache_clear()
     homology._depth_cache.clear()
-    homology._dim_cache.clear()
     cli.build_parser.cache_clear()

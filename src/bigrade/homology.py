@@ -238,10 +238,9 @@ def betti_and_projdim(N: Subquotient, Z):
     return betti, projdim
 
 
-# depths and dimensions of modules, oldest entry dropped when a dict is full
+# depths of modules, oldest entry dropped when the dict is full
 CACHE_SIZE = 4096
 _depth_cache: dict = {}
-_dim_cache: dict = {}
 _cache_lock = threading.Lock()
 
 
@@ -281,14 +280,15 @@ def depth_module(N: Subquotient, Z) -> int:
 
 
 def dim_module(N: Subquotient) -> int:
-    """Krull dimension of J/J' via its annihilator (J' : J)."""
-    dim = _dim_cache.get(N)
-    if dim is not None:
-        return dim
+    """Krull dimension of J/J' via its annihilator (J' : J).
+
+    No memo of its own: `invariants.cd` memoizes per module and axis, and
+    `rings.irreducible_decomposition` the annihilator's decomposition.
+    """
     ann = colon_ideal(N.Jp, N.J)
     if ann.is_unit:
         raise ZeroModule("dimension of the zero module")
-    return _remember(_dim_cache, N, dim_quotient(ann))
+    return dim_quotient(ann)
 
 
 def cech_dims_at(N: Subquotient, Z, c) -> list:
@@ -364,17 +364,19 @@ def ass_subquotient(J: MonomialIdeal, Jp: MonomialIdeal) -> set:
     u_k in {g_k - 1 : g in gens(J'), g_k >= 1} (the last exponent of each
     bounded cell of J') together with box_k.
 
-    The corners are walked depth first, one coordinate at a time, on bitsets
-    over the generators (`_corner_row`).  The AND of the `jin` rows along the
-    path holds the generators of J that divide every corner below it, and a
-    subtree is skipped once it is 0.  Bit-sliced counters `at1` and `at2` hold
-    the generators of J' that miss the path (exceed it) in at least one and in
-    at least two coordinates; a subtree is also skipped once some generator
-    can no longer miss, as then it divides every corner below.  At a corner u
-    outside J', (J' : u) is generated by the q_g = g / gcd(g, u) over g in
-    gens(J'); q_g = x_k iff g misses u only at k and there g_k = u_k + 1.
-    With V the set of such k, (J' : u) is the prime (x_k : k in V) iff every g
-    misses u at some k in V.  For J' = 0 it is the prime ().
+    The corners are walked depth first on an explicit stack, as a ring may
+    have more variables than the interpreter's recursion limit, one
+    coordinate at a time, on bitsets over the generators (`_corner_row`).
+    The AND of the `jin` rows along the path holds the generators of J that
+    divide every corner below it, and a subtree is skipped once it is 0.
+    Bit-sliced counters `at1` and `at2` hold the generators of J' that miss
+    the path (exceed it) in at least one and in at least two coordinates; a
+    subtree is also skipped once some generator can no longer miss, as then
+    it divides every corner below.  At a corner u outside J', (J' : u) is
+    generated by the q_g = g / gcd(g, u) over g in gens(J'); q_g = x_k iff
+    g misses u only at k and there g_k = u_k + 1.  With V the set of such k,
+    (J' : u) is the prime (x_k : k in V) iff every g misses u at some k in
+    V.  For J' = 0 it is the prime ().
     """
     N = Subquotient(J.ring, J, Jp)
     box = N.box()
@@ -390,8 +392,22 @@ def ass_subquotient(J: MonomialIdeal, Jp: MonomialIdeal) -> set:
         reach[k] = reach[k + 1] | rows[k][0][1]
     path = [None] * nvars
     found = set()
-
-    def walk(k, jin, at1, at2):
+    # a node (k, jin, at1, at2, row) took `row` at coordinate k - 1; popped
+    # last in first out, it finds path[:k - 1] still holding its ancestors' rows
+    stack = [(0, (1 << len(J.gens)) - 1, 0, 0, None)]
+    while stack:
+        k, jin, at1, at2, row = stack.pop()
+        if k:
+            path[k - 1] = row
+        if k == nvars:
+            once = at1 & ~at2  # the generators of J' that miss u at exactly one coordinate
+            prime = [v for v in range(nvars) if path[v][2] & once]
+            cover = 0
+            for v in prime:
+                cover |= path[v][1]
+            if cover == full:
+                found.add(frozenset(prime))
+            continue
         for row in rows[k]:  # e ascending: jin grows, miss shrinks
             below = jin & row[0]
             if not below:
@@ -399,20 +415,7 @@ def ass_subquotient(J: MonomialIdeal, Jp: MonomialIdeal) -> set:
             miss = row[1]
             if (at1 | miss | reach[k + 1]) != full:
                 break  # some generator of J' divides every corner below
-            path[k] = row
-            a1, a2 = at1 | miss, at2 | (at1 & miss)
-            if k + 1 < nvars:
-                walk(k + 1, below, a1, a2)
-                continue
-            once = a1 & ~a2  # the generators of J' that miss u at exactly one coordinate
-            prime = [v for v in range(nvars) if path[v][2] & once]
-            cover = 0
-            for v in prime:
-                cover |= path[v][1]
-            if cover == full:
-                found.add(frozenset(prime))
-
-    walk(0, (1 << len(J.gens)) - 1, 0, 0)
+            stack.append((k + 1, below, at1 | miss, at2 | (at1 & miss), row))
     return found
 
 

@@ -43,7 +43,7 @@ from .rings import (
 
 @dataclass(frozen=True)
 class FiberClass:
-    """A class of x-slices with a common capped colon pattern.
+    """A class of x-slices with a common capped colon pattern and a nonzero fiber.
 
     `patterns` holds the smallest pattern (over the complement of Z, in
     complement order) of each exponent cell whose colon pair is the class's,
@@ -84,8 +84,10 @@ def fibers(N: Subquotient, Z) -> list:
 
     The restricted colons (J : u), (J' : u) only change where u crosses a
     generator exponent, so one slice per exponent cell of the complement
-    stands for the whole cell.  The decomposition is computed once per
-    (N, Z) and kept in a bounded memo; each call returns a fresh list.
+    stands for the whole cell.  Only the classes whose fiber is nonzero are
+    listed, as only they contribute to H^i_Z(N); a nonzero N has at least
+    one.  The decomposition is computed once per (N, Z) and kept in a
+    bounded memo; each call returns a fresh list.
     """
     return list(_fibers(N, frozenset(Z)))
 
@@ -97,6 +99,13 @@ def _fibers(N: Subquotient, Z: frozenset) -> tuple:
     A slice u is supported off Z, so (J : u) cap K[Z] is generated by the
     Z-parts of the generators g of J with g_k <= u_k for every k off Z; each
     restricted colon is built directly from those.
+
+    The restricted colon of J' lies in that of J, so a class's fiber is zero
+    iff the two have the same minimal generators, and such a class is
+    dropped.  A nonzero N keeps at least one class: a generator g of J
+    outside J' has its complement part as the corner of a cell, and there
+    g's Z-part lies in the restricted colon of J but not in that of J', as a
+    generator of J' dividing both parts of g would divide g.
     """
     if N.is_zero:
         raise ZeroModule("fiber decomposition of the zero module")
@@ -129,23 +138,17 @@ def _fibers(N: Subquotient, Z: frozenset) -> tuple:
             n_single=sum(prod(lengths) for _, lengths in cells if None not in lengths),
         )
         for key, cells in classes.items()
+        if key[0] != key[1]
     )
 
 
 def grade(N: Subquotient, Z) -> int:
-    """min{i : H^i_Z(N) != 0} = min depth over nonzero fibers."""
-    depths = [
-        depth_module(fc.fiber, fc.fiber.ring.all_vars())
-        for fc in fibers(N, Z)
-        if not fc.fiber.is_zero
-    ]
-    if not depths:
-        raise ZeroModule("grade of the zero module")
-    return min(depths)
+    """min{i : H^i_Z(N) != 0} = min depth over the fibers."""
+    return min(depth_module(fc.fiber, fc.fiber.ring.all_vars()) for fc in fibers(N, Z))
 
 
 def cd(N: Subquotient, Z) -> int:
-    """max{i : H^i_Z(N) != 0} = max Krull dimension over nonzero fibers.
+    """max{i : H^i_Z(N) != 0} = max Krull dimension over the fibers.
 
     The value and its cross-check are computed once per (N, Z) and kept in
     a bounded memo.
@@ -159,14 +162,7 @@ def _cd(N: Subquotient, Z: frozenset) -> int:
 
     A raised InternalCheckFailed is not cached, so every reader sees it.
     """
-    dims = [
-        dim_module(fc.fiber)
-        for fc in fibers(N, Z)
-        if not fc.fiber.is_zero
-    ]
-    if not dims:
-        raise ZeroModule("cd of the zero module")
-    value = max(dims)
+    value = max(dim_module(fc.fiber) for fc in fibers(N, Z))
     if N.J.is_unit:
         # cyclic case cross-check: cd(Z, S/I) = dim S/(I + complement ideal)
         comp = frozenset(range(N.ring.nvars)) - Z

@@ -38,7 +38,7 @@ logger = logging.getLogger("bigrade")
 
 @dataclass(frozen=True)
 class FiberLC:
-    """H^i of one nonzero fiber class; the first three fields come from the class."""
+    """H^i of one fiber class; the first three fields come from the class."""
 
     pattern: tuple  # the class's smallest slice, patterns[0]
     infinite_family: bool
@@ -50,7 +50,7 @@ class FiberLC:
 
 @dataclass(frozen=True)
 class LCReport:
-    """H^i_Z(S/I) as one `FiberLC` per nonzero fiber class, in `fibers` order."""
+    """H^i_Z(S/I) as one `FiberLC` per fiber class, in `fibers` order."""
 
     i: int
     per_fiber: tuple
@@ -114,11 +114,7 @@ def lc_report(I: MonomialIdeal, i: int, Z=None) -> LCReport:
         raise PreconditionFailed(f"index {i} outside [0, {len(Z)}]")
     N = Subquotient.cyclic(I)
 
-    entries = []
-    for fc in fibers(N, Z):
-        if fc.fiber.is_zero:
-            continue
-        entries.append(_fiber_lc(fc, i))
+    entries = [_fiber_lc(fc, i) for fc in fibers(N, Z)]
 
     fin_gen = all(e.finite_length for e in entries)
     total = None

@@ -365,9 +365,13 @@ def minimal_primes(I: MonomialIdeal) -> set:
 
 
 def dim_quotient(I: MonomialIdeal) -> int:
-    """Krull dimension of S/I."""
+    """Krull dimension of S/I: nvars minus the size of a smallest associated prime.
+
+    Every associated prime contains a minimal one, so a smallest associated
+    prime is minimal and the minimal primes need not be sorted out.
+    """
     if I.is_unit:
         raise UnitIdeal("S/S is the zero module")
     if I.is_zero:
         return I.ring.nvars
-    return I.ring.nvars - min(len(p) for p in minimal_primes(I))
+    return I.ring.nvars - min(len(p) for p in associated_primes(I))

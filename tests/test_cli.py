@@ -462,3 +462,20 @@ def test_forty_variables_per_block_answer(tmp_path, capsys):
     assert doc["maximal_depth"] is True and doc["witness_prime"] == ["y1"]
     code, out = run_cli(capsys, "seqcm", str(p))
     assert code == 0 and json.loads(out)["verdict"] is True
+
+
+def test_five_hundred_variables_per_block_filtration_and_seqcm_answer(tmp_path, capsys):
+    # the corner walk of each step visits the 1,000 variables one at a time
+    p = tmp_path / "r500.ideal"
+    p.write_text("ring 500 500\ngens: x1*y1, x2*y2\n")
+    code, out = run_cli(capsys, "filtration", str(p))
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["cd_values"] == [498, 499, 500]
+    assert [step["ass_quotient"] for step in doc["steps"]] == [
+        [["y1", "y2"]],
+        [["x1", "y2"], ["x2", "y1"]],
+        [["x1", "x2"]],
+    ]
+    code, out = run_cli(capsys, "seqcm", str(p))
+    assert code == 0 and json.loads(out)["verdict"] is True

@@ -23,6 +23,7 @@ from bigrade.homology import (
 )
 from bigrade.invariants import ordinary_depth
 from bigrade.rings import (
+    MonomialIdeal,
     RingSpec,
     associated_primes,
     intersect,
@@ -286,13 +287,12 @@ def test_depth_and_dim_caches_are_bounded(monkeypatch):
     expected = [(depth_module(N, ring.all_vars()), dim_module(N)) for N in modules]
     assert len(set(expected)) >= 3
     homology._depth_cache.clear()
-    homology._dim_cache.clear()
     monkeypatch.setattr(homology, "CACHE_SIZE", 3)
     for N, want in 2 * list(zip(modules, expected)):
         assert (depth_module(N, ring.all_vars()), dim_module(N)) == want
-        assert len(homology._depth_cache) <= 3 and len(homology._dim_cache) <= 3
-    # full dicts drop their oldest entry
-    assert list(homology._dim_cache) == modules[-3:]
+        assert len(homology._depth_cache) <= 3
+    # a full dict drops its oldest entry
+    assert [N for N, _ in homology._depth_cache] == modules[-3:]
 
 
 def test_dim_module():
@@ -332,6 +332,15 @@ def test_ass_subquotient_matches_associated_primes():
     ]:
         I = minimal_generators(R11, gens)
         assert ass_subquotient(unit_ideal(R11), I) == associated_primes(I)
+
+
+def test_ass_subquotient_walks_more_variables_than_the_recursion_limit():
+    # the corner walk takes one step per variable; (x1, ..., x1000) is built
+    # in canonical form directly, its unit vectors being minimal and lex-sorted
+    ring = RingSpec(1000, 1)
+    gens = sorted(tuple(int(k == i) for k in range(ring.nvars)) for i in range(1000))
+    I = MonomialIdeal(ring, tuple(gens))
+    assert ass_subquotient(unit_ideal(ring), I) == {ring.x_block()}
 
 
 def test_restrict_and_sub_ring():

@@ -19,6 +19,7 @@ from bigrade.invariants import (
     ordinary_depth,
     tensor_verdict,
 )
+from bigrade.local_cohomology import growth_scan, lc_report
 from bigrade.rings import RingSpec, intersect, minimal_generators, unit_ideal, zero_ideal
 
 
@@ -46,6 +47,24 @@ def test_fibers_merge_and_flag_families():
     assert capped.n_single == 0
     free = next(fc for fc in fcs if not fc.fiber.Jp.gens)
     assert free.n_single == 1
+
+
+def test_fibers_list_only_nonzero_classes():
+    r = RingSpec(1, 1)
+    I = ideal(r, (1, 0))  # S/(x1)
+    N = Subquotient.cyclic(I)
+    Q = r.y_block()
+    # slice a=0 gives K[y1]; the capped slices a >= 1 give K[y1]/(1) = 0
+    (fc,) = fibers(N, Q)
+    assert fc.fiber == Subquotient.cyclic(zero_ideal(RingSpec(0, 1)))
+    assert (fc.patterns, fc.n_single, fc.infinite_family) == (((0,),), 1, False)
+    assert (grade(N, Q), cd(N, Q)) == (1, 1)
+    h0, h1 = lc_report(I, 0, Q), lc_report(I, 1, Q)
+    assert (h0.finitely_generated, h0.total_dim, len(h0.per_fiber)) == (True, 0, 1)
+    assert (h1.finitely_generated, h1.total_dim) == (False, None)
+    assert h1.per_fiber[0].witness_degree == (-1,)
+    assert growth_scan(I, 0, [0, 1, 2, 3], Q) == [0, 0, 0, 0]
+    assert growth_scan(I, 1, [0, 1, 2, 3], Q) == [0, 1, 2, 3]
 
 
 def test_fibers_reject_zero_module():

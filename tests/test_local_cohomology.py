@@ -148,6 +148,11 @@ def _classes(fcs):
     return [(fc.patterns[0], fc.fiber, fc.infinite_family, fc.n_single) for fc in fcs]
 
 
+def _bf_classes(N, Z):
+    # the reference also lists the classes whose fiber is zero; `fibers` does not
+    return _classes(fc for fc in bf_fibers(N, Z) if not fc.fiber.is_zero)
+
+
 def test_cell_walks_match_box_walk_reference():
     rnd = random.Random(20261018)
     for k in range(240):
@@ -157,7 +162,7 @@ def test_cell_walks_match_box_walk_reference():
         Z = (ring.x_block(), ring.y_block(), ring.all_vars())[(k // 2) % 3]
         N = Subquotient.cyclic(I)
         case = (str(I), ring.char, sorted(Z))
-        assert _classes(fibers(N, Z)) == _classes(bf_fibers(N, Z)), case
+        assert _classes(fibers(N, Z)) == _bf_classes(N, Z), case
 
         for i in range(len(Z) + 1):
             rep = lc_report(I, i, Z)
@@ -197,9 +202,9 @@ def test_six_variable_ass_and_fibers_match_box_walk_reference():
                 assert ass_subquotient(J_i, I) == bf_ass_subquotient(J_i, I), case
                 assert ass_subquotient(J_i, prev) == bf_ass_subquotient(J_i, prev), case
                 step = Subquotient(ring, J_i, prev)
-                assert _classes(fibers(step, Z)) == _classes(bf_fibers(step, Z)), case
+                assert _classes(fibers(step, Z)) == _bf_classes(step, Z), case
             N = Subquotient.cyclic(I)
-            assert _classes(fibers(N, Z)) == _classes(bf_fibers(N, Z)), (str(I), sorted(Z))
+            assert _classes(fibers(N, Z)) == _bf_classes(N, Z), (str(I), sorted(Z))
 
 
 # (m, n, largest exponent): rings of 1-6 variables, with one block empty in
@@ -256,7 +261,6 @@ def test_large_exponents_cost_follows_the_cells(monkeypatch):
 
     def run(e):
         monkeypatch.setattr(homology, "_depth_cache", {})
-        monkeypatch.setattr(homology, "_dim_cache", {})
         # fibers such as S/(y2) occur at every e, so a warm table would hide their cells
         local_cohomology._fiber_table.cache_clear()
         I = minimal_generators(RingSpec(2, 2), [(e, 0, e, 0), (0, e, 0, 1), (1, 0, 0, e)])
