@@ -18,7 +18,6 @@ from .errors import (
     RingMismatch,
     UnitIdeal,
     WrongBlock,
-    ZeroIdeal,
     ZeroModule,
 )
 from .filtration import (

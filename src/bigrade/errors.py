@@ -17,10 +17,6 @@ class UnitIdeal(BigradeError):
     """The operation requires a proper ideal but got the unit ideal."""
 
 
-class ZeroIdeal(BigradeError):
-    """The operation requires a nonzero ideal but got (0)."""
-
-
 class ZeroModule(BigradeError):
     """The operation is undefined on the zero module."""
 

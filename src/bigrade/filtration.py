@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InternalCheckFailed, UnitIdeal, ZeroIdeal
+from .errors import InternalCheckFailed, UnitIdeal
 from .homology import Subquotient, ass_subquotient
 from .invariants import cd, cd_prime, grade
 from .rings import (
@@ -47,12 +47,12 @@ def dimension_filtration(I: MonomialIdeal, Z) -> FiltrationLadder:
     """The ladder of S/I along Z, built and verified once per (I, Z).
 
     It is kept in a bounded memo, so every reader of the same (I, Z) gets the
-    same immutable ladder.
+    same immutable ladder.  For I = 0, Ass S = {(0)} and cd(Z, S) = |Z|, so
+    the filtration of S along Z is 0 < S, the ladder ((0), S) with the one
+    cd value |Z|.
     """
     if I.is_unit:
         raise UnitIdeal("filtration of the zero module")
-    if I.is_zero:
-        raise ZeroIdeal("filtration of a free module; use a nonzero ideal")
     return _ladder(I, frozenset(Z))
 
 

@@ -47,9 +47,6 @@ from .rings import (
     unit_ideal,
 )
 
-AxisIdeal = frozenset  # nonempty subset of variable indices
-
-
 @dataclass(frozen=True)
 class Subquotient:
     """The module J/J' for monomial ideals J' <= J; S/I is pair (S, I).
@@ -376,7 +373,10 @@ def ass_subquotient(J: MonomialIdeal, Jp: MonomialIdeal) -> set:
     generated by the q_g = g / gcd(g, u) over g in gens(J'); q_g = x_k iff
     g misses u only at k and there g_k = u_k + 1.  With V the set of such k,
     (J' : u) is the prime (x_k : k in V) iff every g misses u at some k in
-    V.  For J' = 0 it is the prime ().
+    V.  For J' = 0 it is the prime ().  For J' nonzero, V is empty below a
+    path that every generator of J' misses twice (`at2` full), so that row
+    is skipped too; the next row, a larger exponent, misses less and is
+    still tried.
     """
     N = Subquotient(J.ring, J, Jp)
     box = N.box()
@@ -415,7 +415,10 @@ def ass_subquotient(J: MonomialIdeal, Jp: MonomialIdeal) -> set:
             miss = row[1]
             if (at1 | miss | reach[k + 1]) != full:
                 break  # some generator of J' divides every corner below
-            stack.append((k + 1, below, at1 | miss, at2 | (at1 & miss), row))
+            twice = at2 | (at1 & miss)
+            if full and twice == full:
+                continue  # no corner below has a prime annihilator
+            stack.append((k + 1, below, at1 | miss, twice, row))
     return found
 
 

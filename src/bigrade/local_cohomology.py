@@ -205,14 +205,11 @@ def corollary_check(I: MonomialIdeal, Z=None) -> dict:
         raise PreconditionFailed("corollary requires grade > 0")
     if not generalized_cm(I, Z):
         raise PreconditionFailed("corollary requires the generalized CM hypothesis")
-    if I.is_zero:
-        triple = {"max_depth": True, "seq_cm": True, "cm_wrt_Q": True}
-    else:
-        triple = {
-            "max_depth": rep.maximal_depth,
-            "seq_cm": sequentially_cm(I, Z)["verdict"],
-            "cm_wrt_Q": rep.cm_wrt_Z,
-        }
+    triple = {
+        "max_depth": rep.maximal_depth,
+        "seq_cm": sequentially_cm(I, Z)["verdict"],
+        "cm_wrt_Q": rep.cm_wrt_Z,
+    }
     if len(set(triple.values())) != 1:
         raise InternalCheckFailed(f"corollary equivalence violated: {triple}")
     return triple

@@ -11,7 +11,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import DimensionMismatch, RingMismatch, UnitIdeal, ZeroIdeal
+from .errors import DimensionMismatch, RingMismatch, UnitIdeal
 
 Monomial = tuple[int, ...]
 PrimeSupport = frozenset  # set of variable indices; the prime generated by them
@@ -291,11 +291,13 @@ def irreducible_decomposition(I: MonomialIdeal) -> list:
     dropped.  Each final component is built once.  The decomposition is
     unique, so it is computed once per ideal and kept in a bounded memo; each
     call returns a fresh list.
+
+    The zero ideal is the irreducible monomial ideal with no pure powers, so
+    its decomposition is the one empty component PrimaryComponent((0), {}):
+    exactly the start of the walk when there is no generator to add.
     """
     if I.is_unit:
         raise UnitIdeal("unit ideal has no decomposition")
-    if I.is_zero:
-        raise ZeroIdeal("zero ideal has no irreducible decomposition")
     return list(_decomposition(I))
 
 
@@ -311,7 +313,10 @@ def _inside(c: Monomial, b: Monomial) -> bool:
 
 
 def _irreducible_components(I: MonomialIdeal) -> tuple:
-    """Add the generators of a proper nonzero I one at a time; the body of the memo."""
+    """Add the generators of a proper I one at a time; the body of the memo.
+
+    For I = 0 there is none to add, and the empty component is the answer.
+    """
     ring = I.ring
     comps = {unit_monomial(ring): 0}  # exponent vector (0 = absent) -> support bitmask
     for g in I.gens:
@@ -342,8 +347,6 @@ def associated_primes(I: MonomialIdeal) -> set:
     """Ass(S/I) as a set of variable-index frozensets; {frozenset()} for I = 0."""
     if I.is_unit:
         raise UnitIdeal("Ass(S/S) is undefined (zero module)")
-    if I.is_zero:
-        return {frozenset()}
     return {pc.radical for pc in irreducible_decomposition(I)}
 
 
@@ -368,10 +371,9 @@ def dim_quotient(I: MonomialIdeal) -> int:
     """Krull dimension of S/I: nvars minus the size of a smallest associated prime.
 
     Every associated prime contains a minimal one, so a smallest associated
-    prime is minimal and the minimal primes need not be sorted out.
+    prime is minimal and the minimal primes need not be sorted out.  For
+    I = 0 the one associated prime is (0), so dim S = m + n.
     """
     if I.is_unit:
         raise UnitIdeal("S/S is the zero module")
-    if I.is_zero:
-        return I.ring.nvars
     return I.ring.nvars - min(len(p) for p in associated_primes(I))

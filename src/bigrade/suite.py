@@ -105,10 +105,8 @@ def check_instance(ring: RingSpec, I: MonomialIdeal) -> list:
         run("mgrade1_forces_grade1", lambda: rep.mgrade != 1 or rep.grade == 1)
         run("grade0_iff_mgrade0", lambda: (rep.grade == 0) == (rep.mgrade == 0))
 
-    ladder = None
-    if not I.is_zero:
-        # the ladder's Ass identities and step partition are asserted inside
-        ladder = run("ladder_ass_identities", lambda: dimension_filtration(I, Z))
+    # the ladder's Ass identities and step partition are asserted inside
+    ladder = run("ladder_ass_identities", lambda: dimension_filtration(I, Z))
     if ladder is not None:
         run("step_ass_partition", lambda: ass_quotients(ladder) is not None)
 

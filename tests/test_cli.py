@@ -177,6 +177,53 @@ def test_exit_code_precondition(tmp_path, capsys):
     assert "precondition" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("command", ["growth", "gencm"])
+def test_unit_ideal_is_a_precondition_error(tmp_path, capsys, command):
+    p = tmp_path / "unit.ideal"
+    p.write_text("ring 1 1\ngens: 1\n")
+    argv = (command, str(p)) + (("--i", "1") if command == "growth" else ())
+    code, out = run_cli(capsys, *argv)
+    assert code == 3
+    assert json.loads(out)["error"].startswith("precondition: ")
+
+
+# the zero ideal is S itself: Ass {(0)}, one step 0 < S along Q with cd 2, and CM
+ZERO_IDEAL_ANSWERS = {
+    ("decompose",): {
+        "associated_primes": [[]],
+        "irreducible_components": [{"gens": [], "radical": []}],
+        "primary_components": [{"gens": [], "radical": []}],
+    },
+    ("filtration", "--axis", "Q"): {
+        "axis": "Q",
+        "cd_values": [2],
+        "steps": [{"ass_quotient": [[]], "cd": 2, "ideal": ["1"]}],
+    },
+    ("seqcm", "--axis", "Q"): {
+        "axis": "Q",
+        "per_step": [{"cd": 2, "grade": 2, "is_cm": True}],
+        "verdict": True,
+    },
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ZERO_IDEAL_ANSWERS))
+def test_zero_ideal_answers(tmp_path, capsys, argv):
+    p = tmp_path / "zero.ideal"
+    p.write_text("ring 2 2\ngens:\n")
+    code, out = run_cli(capsys, argv[0], str(p), *argv[1:])
+    assert code == 0
+    assert json.loads(out) == {"schema": 1, "command": argv[0], **ZERO_IDEAL_ANSWERS[argv]}
+
+
+def test_zero_ideal_on_an_empty_axis_is_a_precondition_error(tmp_path, capsys):
+    p = tmp_path / "zero.ideal"
+    p.write_text("ring 2 0\ngens:\n")
+    code, out = run_cli(capsys, "seqcm", str(p))
+    assert code == 3
+    assert json.loads(out)["error"] == "precondition: the axis has no variables"
+
+
 def test_determinism(sample_file, capsys):
     _, out1 = run_cli(capsys, "analyze", sample_file)
     _, out2 = run_cli(capsys, "analyze", sample_file)

@@ -119,3 +119,31 @@ def test_every_traced_function_exists():
         if not hasattr(importlib.import_module(f"bigrade.{module}"), name)
     ]
     assert missing == []
+
+
+def test_every_error_class_is_raised():
+    # a BigradeError subclass that no `raise` names is dead API
+    from bigrade import errors
+
+    pkg = os.path.dirname(bigrade.__file__)
+    raised = set()
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.join(pkg, name)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    raised.add(exc.attr)
+    classes = {
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.BigradeError) and obj is not errors.BigradeError
+    }
+    assert classes
+    assert sorted(classes - raised) == []

@@ -7,7 +7,7 @@ import pytest
 import bigrade
 from bigrade import filtration
 from bigrade.cli import main
-from bigrade.errors import UnitIdeal, ZeroIdeal
+from bigrade.errors import UnitIdeal
 from bigrade.filtration import (
     ass_quotients,
     dimension_filtration,
@@ -99,8 +99,11 @@ def test_filtration_errors():
     r = RingSpec(1, 1)
     with pytest.raises(UnitIdeal):
         dimension_filtration(unit_ideal(r), r.y_block())
-    with pytest.raises(ZeroIdeal):
-        dimension_filtration(zero_ideal(r), r.y_block())
+    # S = S/(0) has the one-step ladder 0 < S with cd(Z, S) = |Z|, and is CM
+    ladder = dimension_filtration(zero_ideal(r), r.y_block())
+    assert ladder.ideals == (zero_ideal(r), unit_ideal(r))
+    assert ladder.cd_values == (1,)
+    assert sequentially_cm(zero_ideal(r), r.y_block())["verdict"] is True
 
 
 def test_sequentially_cm_positive():

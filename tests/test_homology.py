@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -341,6 +342,17 @@ def test_ass_subquotient_walks_more_variables_than_the_recursion_limit():
     gens = sorted(tuple(int(k == i) for k in range(ring.nvars)) for i in range(1000))
     I = MonomialIdeal(ring, tuple(gens))
     assert ass_subquotient(unit_ideal(ring), I) == {ring.x_block()}
+
+
+def test_ass_subquotient_skips_paths_every_generator_misses_twice():
+    # (x1*...*x30) has 2^30 corners, and only those missing g at one
+    # coordinate have a prime annihilator
+    ring = RingSpec(30, 1)
+    I = MonomialIdeal(ring, ((1,) * 30 + (0,),))
+    start = time.perf_counter()
+    found = ass_subquotient(unit_ideal(ring), I)
+    assert time.perf_counter() - start < 1.0
+    assert found == {frozenset({i}) for i in range(30)}
 
 
 def test_restrict_and_sub_ring():

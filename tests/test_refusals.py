@@ -1,0 +1,75 @@
+"""Each documented refusal raises its class with its message."""
+
+import pytest
+
+from bigrade import kernels
+from bigrade.errors import DimensionMismatch, RingMismatch, UnitIdeal
+from bigrade.filtration import mgrade_constancy
+from bigrade.invariants import ordinary_depth, tensor_verdict
+from bigrade.local_cohomology import generalized_cm, growth_scan, question_counterexample_scan
+from bigrade.rings import (
+    MonomialIdeal,
+    RingSpec,
+    colon,
+    dim_quotient,
+    intersect,
+    intersect_all,
+    unit_ideal,
+    zero_ideal,
+)
+
+R11 = RingSpec(1, 1)
+R21 = RingSpec(2, 1)
+S = unit_ideal(R11)
+
+REFUSALS = {
+    "ordinary_depth": (lambda: ordinary_depth(S), UnitIdeal, "depth of the zero module"),
+    "generalized_cm": (lambda: generalized_cm(S), UnitIdeal, "generalized CM of the zero module"),
+    "growth_scan": (lambda: growth_scan(S, 0, [1]), UnitIdeal, "growth scan of the zero module"),
+    "question_counterexample_scan": (
+        lambda: question_counterexample_scan(S),
+        UnitIdeal,
+        "scan of the zero module",
+    ),
+    "mgrade_constancy": (
+        lambda: mgrade_constancy(S, R11.y_block()),
+        UnitIdeal,
+        "mgrade constancy of the zero module",
+    ),
+    "dim_quotient": (lambda: dim_quotient(S), UnitIdeal, "S/S is the zero module"),
+    "check_same_ring": (
+        lambda: intersect(zero_ideal(R11), zero_ideal(R21)),
+        RingMismatch,
+        f"rings differ: {R11} vs {R21}",
+    ),
+    "tensor_verdict": (
+        lambda: tensor_verdict(zero_ideal(R11), zero_ideal(R21)),
+        RingMismatch,
+        "block ideals must be given in the common ring",
+    ),
+    "intersect_all": (lambda: intersect_all([]), ValueError, "intersect_all needs at least one ideal"),
+    "MonomialIdeal": (
+        lambda: MonomialIdeal(R11, ((1,),)),
+        DimensionMismatch,
+        "generator (1,) has length 1, ring has 2 variables",
+    ),
+    "colon": (
+        lambda: colon(zero_ideal(R11), (1,)),
+        DimensionMismatch,
+        f"monomial (1,) has wrong length for {R11}",
+    ),
+    "rank": (lambda: kernels.rank([[1, 0], [1]]), ValueError, "rank_char0 expects a rectangular matrix"),
+    "rank_mod_p": (
+        lambda: kernels.rank([[1, 0], [1]], 3),
+        ValueError,
+        "rank_mod_p expects a rectangular matrix",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_refusal_raises_its_class_and_message(name):
+    call, cls, message = REFUSALS[name]
+    with pytest.raises(cls) as info:
+        call()
+    assert str(info.value) == message

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from bruteforce import bf_irreducible_decomposition, bf_minimal_generators
 from bigrade import rings
-from bigrade.errors import DimensionMismatch, UnitIdeal, ZeroIdeal
+from bigrade.errors import DimensionMismatch, UnitIdeal
 from bigrade.rings import (
     MAX_CHAR,
     MonomialIdeal,
+    PrimaryComponent,
     RingSpec,
     _is_prime,
     associated_primes,
@@ -208,8 +209,12 @@ def test_irreducible_decomposition_monomial_xy():
 def test_decomposition_errors():
     with pytest.raises(UnitIdeal):
         irreducible_decomposition(unit_ideal(R22))
-    with pytest.raises(ZeroIdeal):
-        irreducible_decomposition(zero_ideal(R22))
+    # (0) is irreducible: its decomposition is the one empty component
+    zero = zero_ideal(R22)
+    assert [pc.component.gens for pc in irreducible_decomposition(zero)] == (
+        bf_irreducible_decomposition(zero)
+    ) == [()]
+    assert irreducible_decomposition(zero) == [PrimaryComponent(zero, frozenset())]
     with pytest.raises(UnitIdeal):
         associated_primes(unit_ideal(R22))
 
@@ -219,10 +224,10 @@ def test_ass_of_zero_ideal():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(exp_tuples, min_size=1, max_size=5))
+@given(st.lists(exp_tuples, min_size=0, max_size=5))
 def test_decomposition_intersects_back(gens):
     I = minimal_generators(R22, gens)
-    if I.is_unit or I.is_zero:
+    if I.is_unit:
         return
     comps = irreducible_decomposition(I)
     from bigrade.rings import intersect_all

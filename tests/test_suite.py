@@ -15,7 +15,7 @@ from bigrade.filtration import (
 )
 from bigrade.io_formats import parse_ideal_text
 from bigrade.local_cohomology import corollary_check
-from bigrade.rings import RingSpec, minimal_generators
+from bigrade.rings import RingSpec, minimal_generators, zero_ideal
 from bigrade.suite import check_instance, run_property_suite
 
 # grade 1 and not generalized CM, so the gencm triple does not run
@@ -115,3 +115,10 @@ def test_a_failing_invariant_is_reported_not_raised(monkeypatch, name, check):
     assert set(out["violations"]) == {check}
     assert len(out["violations"][check]) == out["count"]
     assert not out["ok"]
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 3), (3, 3)])
+def test_every_check_holds_on_the_zero_ideal(m, n):
+    # S = S/(0) is Cohen-Macaulay, and its ladder is 0 < S
+    ring = RingSpec(m, n)
+    assert check_instance(ring, zero_ideal(ring)) == []
