@@ -35,7 +35,6 @@ from .homology import (
     depth_module,
     dim_module,
     fine_piece,
-    koszul_homology_dim,
 )
 from .hypersurface import (
     FactorProfile,
@@ -74,7 +73,6 @@ from .rings import (
     dim_quotient,
     intersect,
     irreducible_decomposition,
-    membership,
     minimal_generators,
     minimal_primes,
     primary_decomposition,

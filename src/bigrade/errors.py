@@ -38,12 +38,11 @@ class EmptyList(BigradeError):
 
 
 class ParseError(BigradeError):
-    """A text input failed to parse; carries line and column."""
+    """A text input failed to parse; carries the line number when known."""
 
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line=None):
         super().__init__(message)
         self.line = line
-        self.column = column
 
 
 class PreconditionFailed(BigradeError):

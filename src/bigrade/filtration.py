@@ -139,8 +139,6 @@ def sequentially_cm(I: MonomialIdeal, Z) -> dict:
 
 def mgrade_constancy(I: MonomialIdeal, Z) -> bool:
     """All D_i on the ladder of (I, Z) share mgrade = gamma_1; False would signal a bug."""
-    if I.is_unit:
-        raise UnitIdeal("mgrade constancy of the zero module")
     ladder = dimension_filtration(I, Z)
     ass_total = associated_primes(I)
     gamma_1 = ladder.cd_values[0]

@@ -11,8 +11,9 @@ of J and J' (the Taylor resolution and the long exact Tor sequence of
 0 -> J' -> J -> J/J' -> 0, Gasharov-Peeva-Welker 1999), so the Betti scan
 visits those degrees and no others.  Depth needs only the projective
 dimension (Auslander-Buchsbaum), and H_j vanishes at b for j > |supp b|, so
-`depth_module` visits the lattice in descending order of support size and
-stops once no degree left can raise the largest nonzero index it has seen.
+both scans read one list of the lattice in descending order of support size
+(`_lattice`), and `depth_module` stops once no degree left can raise the
+largest nonzero index it has seen.
 Every Koszul and Cech differential is the boundary map of sorted index
 tuples, built by one routine, and each complex in a fine degree is built
 once and read at every index.
@@ -194,40 +195,36 @@ def koszul_dims_at(N: Subquotient, zvars, b) -> list:
     return _term_dims(N, b, {z: _corner_row(N.J, N.Jp, z, b[z] - 1) for z in zvars})
 
 
-def koszul_homology_dim(N: Subquotient, Z, j: int, b) -> int:
-    if not (0 <= j <= len(Z)):
-        raise PreconditionFailed(f"index {j} outside [0, {len(Z)}]")
-    return koszul_dims_at(N, Z, b)[j]
+def _lattice(N: Subquotient, Z) -> list:
+    """The lcm lattice of the generators of J and J' as (|supp b|, b).
 
-
-def _lcm_closure(monomials) -> set:
-    """The lcms of all nonempty subsets of `monomials` (their lcm lattice)."""
-    closure = set()
-    for g in monomials:
-        closure |= {lcm(g, c) for c in closure}
-        closure.add(g)
-    return closure
-
-
-def _check_scan(N: Subquotient, Z):
-    """Refuse a Betti or depth scan over a proper Z, or of the zero module."""
+    Listed by descending support size, then by b, the order in which the
+    depth scan can stop early; `betti_and_projdim` and `depth_module` both
+    read this list.  Refuses a proper Z (PreconditionFailed) and the zero
+    module before any lcm is taken.
+    """
     if frozenset(Z) != N.ring.all_vars():
         raise PreconditionFailed(f"Betti numbers are taken over all variables, not {sorted(Z)}")
     if N.is_zero:
         raise ZeroModule("Betti numbers of the zero module")
+    closure = set()
+    for g in N.J.gens + N.Jp.gens:
+        closure |= {lcm(g, c) for c in closure}
+        closure.add(g)
+    return sorted(((sum(1 for e in b if e), b) for b in closure), key=lambda sb: (-sb[0], sb[1]))
 
 
 def betti_and_projdim(N: Subquotient, Z):
     """Graded Betti numbers over all variables of N's ring and the projective dimension.
 
-    Betti numbers are read off Koszul homology at the lcms of the generators
-    of J and J', in sorted order.  Z must be all variables of N's ring;
-    PreconditionFailed refuses any other Z before a degree is scanned.
+    Betti numbers are read off Koszul homology at every degree of the lcm
+    lattice of the generators of J and J' (`_lattice`).  Z must be all
+    variables of N's ring; PreconditionFailed refuses any other Z before a
+    degree is scanned.
     """
-    _check_scan(N, Z)
     betti = {}
     projdim = 0
-    for b in sorted(_lcm_closure(N.J.gens + N.Jp.gens)):
+    for _, b in _lattice(N, Z):
         for j, d in enumerate(koszul_dims_at(N, Z, b)):
             if d:
                 betti[(j, b)] = d
@@ -253,23 +250,22 @@ def depth_module(N: Subquotient, Z) -> int:
     """depth over all variables Z of N's ring via Auslander-Buchsbaum: |Z| - projdim.
 
     projdim is the largest j with H_j(b) != 0 over the degrees b of the lcm
-    lattice (`betti_and_projdim`).  The Koszul term of sigma at b is the
-    piece of N at b - e_sigma, which is zero when sigma holds a coordinate k
-    with b_k = 0, as b - e_sigma is then negative at k.  So every nonzero
-    term at b has sigma inside supp b, and H_j(b) = 0 for j > |supp b|.  The
-    scan visits the lattice in descending order of |supp b|, keeps the
-    largest j seen with H_j(b) != 0 as p, and stops at the first b with
-    |supp b| <= p: no degree from there on has a nonzero H_j with j > p.
+    lattice, read from the list `betti_and_projdim` reads too (`_lattice`).
+    The Koszul term of sigma at b is the piece of N at b - e_sigma, which is
+    zero when sigma holds a coordinate k with b_k = 0, as b - e_sigma is then
+    negative at k.  So every nonzero term at b has sigma inside supp b, and
+    H_j(b) = 0 for j > |supp b|.  The scan visits the list in its descending
+    order of |supp b|, keeps the largest j seen with H_j(b) != 0 as p, and
+    stops at the first b with |supp b| <= p: no degree from there on has a
+    nonzero H_j with j > p.
     """
     key = (N, frozenset(Z))
     depth = _depth_cache.get(key)
     if depth is not None:
         return depth
-    _check_scan(N, Z)
-    support = {b: sum(1 for e in b if e) for b in _lcm_closure(N.J.gens + N.Jp.gens)}
     projdim = 0
-    for b in sorted(support, key=lambda b: (-support[b], b)):
-        if support[b] <= projdim:
+    for support, b in _lattice(N, Z):
+        if support <= projdim:
             break
         dims = koszul_dims_at(N, Z, b)
         projdim = max([projdim] + [j for j, d in enumerate(dims) if d])

@@ -29,7 +29,7 @@ from typing import Optional
 
 from .errors import InternalCheckFailed, PreconditionFailed, UnitIdeal
 from .filtration import sequentially_cm
-from .homology import Subquotient, cech_dims_at, exponent_cells, fine_piece
+from .homology import Subquotient, _axis_cells, cech_dims_at, exponent_cells, fine_piece
 from .invariants import analyze, cd, cd_prime, fibers
 from .rings import MonomialIdeal, associated_primes
 
@@ -162,12 +162,16 @@ def growth_scan(I: MonomialIdeal, i: int, box_radii, Z=None) -> list:
     # coordinate on its own, so a cell may list its coordinates in any order
     cells = []
     if Z:
-        comp = sorted(set(range(I.ring.nvars)) - Z)
-        comp_lengths = dict(exponent_cells(N, comp))
+        # a slice's cell length on each complement coordinate, by the slice's
+        # exponent there, so the cells `fibers` walked are not walked again
+        axes = [dict(_axis_cells(I.gens, k)) for k in sorted(set(range(I.ring.nvars)) - Z)]
         for fc in fibers(N, Z):
             for zc, zlen, dims in _fiber_table(fc.fiber):
                 if dims[i]:
-                    cells += [(a + zc, comp_lengths[a] + zlen, dims[i]) for a in fc.patterns]
+                    cells += [
+                        (a + zc, tuple(ax[e] for ax, e in zip(axes, a)) + zlen, dims[i])
+                        for a in fc.patterns
+                    ]
     else:
         # `fibers` refuses an empty axis; H^0 on no variables is S/I itself
         cells = [

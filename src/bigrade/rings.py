@@ -253,10 +253,6 @@ def colon_ideal(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     return intersect_all([colon(I, g) for g in J.gens])
 
 
-def membership(u: Monomial, I: MonomialIdeal) -> bool:
-    return I.contains(tuple(u))
-
-
 def radical(I: MonomialIdeal) -> MonomialIdeal:
     return minimal_generators(
         I.ring, (tuple(min(e, 1) for e in g) for g in I.gens)

@@ -98,24 +98,36 @@ def test_no_function_local_import_of_a_module_already_imported():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
-def test_every_traced_function_exists():
-    # perfbench/tracer.py rebinds each (module, function) of TRACED when it
-    # installs, so a function renamed or deleted here would fail only there
+def _tracer_targets():
+    """The (module, function) pairs of TRACED and the keys of _EXTRA in perfbench/tracer.py.
+
+    Read with ast, so the tracer and its imports are never loaded.
+    """
     root = os.path.dirname(os.path.dirname(os.path.dirname(bigrade.__file__)))
     path = os.path.join(root, "perfbench", "tracer.py")
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), path)
-    traced = next(
-        node.value
+    values = {
+        target.id: node.value
         for node in tree.body
         if isinstance(node, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
-    )
-    pairs = [tuple(ast.literal_eval(entry)[:2]) for entry in traced.elts]
-    assert pairs
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    traced = [tuple(ast.literal_eval(entry)[:2]) for entry in values["TRACED"].elts]
+    extra = [tuple(ast.literal_eval(key).split(".")) for key in values["_EXTRA"].keys]
+    return traced, extra
+
+
+def test_every_traced_function_exists():
+    # perfbench/tracer.py rebinds each (module, function) of TRACED when it
+    # installs and hooks a counter on each key of _EXTRA, so a function
+    # renamed or deleted here would otherwise fail only in a traced run
+    traced, extra = _tracer_targets()
+    assert traced and extra
     missing = [
         (module, name)
-        for module, name in pairs
+        for module, name in traced + extra
         if not hasattr(importlib.import_module(f"bigrade.{module}"), name)
     ]
     assert missing == []

@@ -18,7 +18,6 @@ from bigrade.homology import (
     exponent_cells,
     fine_piece,
     koszul_dims_at,
-    koszul_homology_dim,
     restrict_ideal,
     sub_ring_for,
 )
@@ -74,11 +73,9 @@ def test_cech_localization():
 def test_koszul_socle_of_plane_curve():
     # K[y1,y2]/(y1*y2): unique first syzygy sits in degree (1,1)
     N = Subquotient.cyclic(ideal(RY2, (1, 1)))
-    assert koszul_homology_dim(N, RY2.all_vars(), 1, (1, 1)) == 1
-    assert koszul_homology_dim(N, RY2.all_vars(), 0, (0, 0)) == 1
-    assert koszul_homology_dim(N, RY2.all_vars(), 1, (1, 0)) == 0
-    with pytest.raises(PreconditionFailed):
-        koszul_homology_dim(N, RY2.all_vars(), 3, (0, 0))
+    assert koszul_dims_at(N, RY2.all_vars(), (1, 1))[1] == 1
+    assert koszul_dims_at(N, RY2.all_vars(), (0, 0))[0] == 1
+    assert koszul_dims_at(N, RY2.all_vars(), (1, 0))[1] == 0
 
 
 def test_betti_and_depth():
@@ -97,9 +94,12 @@ def test_betti_and_depth():
 
 
 def test_betti_rejects_zero_module():
+    # the Betti and depth scans share one refusal (`homology._lattice`)
     I = ideal(R11, (1, 1))
     with pytest.raises(ZeroModule):
         betti_and_projdim(Subquotient(R11, I, I), R11.all_vars())
+    with pytest.raises(ZeroModule):
+        depth_module(Subquotient(R11, I, I), R11.all_vars())
 
 
 def test_scan_rejects_non_finite_module():

@@ -95,6 +95,27 @@ def test_growth_rejects_negative_radius():
         growth_scan(I, 1, [-3, 0, 3])
 
 
+def test_growth_reads_slice_lengths_without_a_second_cell_walk(monkeypatch):
+    # (x1, ..., x12) in ring 12 1: S/I = K[y1], so H^1_Q is H^1_(y1)(K[y1]),
+    # one degree at each of -1, ..., -r
+    ring = RingSpec(12, 1)
+    I = minimal_generators(ring, [tuple(int(k == i) for k in range(13)) for i in range(12)])
+    Q = ring.y_block()
+    assert growth_scan(I, 1, [0, 1, 2, 5], Q) == [0, 1, 2, 5]
+    # with fibers and their Cech tables warm, the slices' cell lengths come
+    # from the per-coordinate cells, not from walking the product again
+    calls = []
+    walk = local_cohomology.exponent_cells
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(local_cohomology, "exponent_cells", counted)
+    assert growth_scan(I, 1, [0, 1, 2, 5], Q) == [0, 1, 2, 5]
+    assert calls == []
+
+
 def test_corollary_check_two_prime():
     r, I = two_prime_ideal()
     triple = corollary_check(I)

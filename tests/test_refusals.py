@@ -34,7 +34,7 @@ REFUSALS = {
     "mgrade_constancy": (
         lambda: mgrade_constancy(S, R11.y_block()),
         UnitIdeal,
-        "mgrade constancy of the zero module",
+        "filtration of the zero module",
     ),
     "dim_quotient": (lambda: dim_quotient(S), UnitIdeal, "S/S is the zero module"),
     "check_same_ring": (

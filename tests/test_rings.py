@@ -21,7 +21,6 @@ from bigrade.rings import (
     intersect,
     intersect_all,
     irreducible_decomposition,
-    membership,
     minimal_generators,
     minimal_primes,
     primary_decomposition,
@@ -163,7 +162,7 @@ def test_intersect_matches_membership(ga, gb):
     J = minimal_generators(R22, gb)
     K = intersect(I, J)
     for u in _small_monomials():
-        assert membership(u, K) == (membership(u, I) and membership(u, J))
+        assert K.contains(u) == (I.contains(u) and J.contains(u))
 
 
 @settings(max_examples=40, deadline=None)
@@ -173,7 +172,7 @@ def test_colon_matches_membership(gens, u):
     C = colon(I, u)
     for v in _small_monomials():
         uv = tuple(a + b for a, b in zip(u, v))
-        assert membership(v, C) == membership(uv, I)
+        assert C.contains(v) == I.contains(uv)
 
 
 def _small_monomials(top=4):
