@@ -86,11 +86,12 @@ __version__ = "0.1.0"
 
 def clear_caches():
     """Empty every memo: decompositions, fibers, cd per module and axis,
-    per-fiber Cech tables, dimension filtrations, the depth dict and the
-    CLI's parser."""
+    per-fiber Cech tables, dimension filtrations, the depth dict, the
+    primality answers for characteristics and the CLI's parser."""
     from . import cli, filtration, homology, invariants, local_cohomology, rings
 
     rings._decomposition.cache_clear()
+    rings._is_prime.cache_clear()
     filtration._ladder.cache_clear()
     invariants._fibers.cache_clear()
     invariants._cd.cache_clear()

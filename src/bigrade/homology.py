@@ -10,10 +10,15 @@ ring.  There they live only in degrees of the lcm lattice of the generators
 of J and J' (the Taylor resolution and the long exact Tor sequence of
 0 -> J' -> J -> J/J' -> 0, Gasharov-Peeva-Welker 1999), so the Betti scan
 visits those degrees and no others.  Depth needs only the projective
-dimension (Auslander-Buchsbaum), and H_j vanishes at b for j > |supp b|, so
-both scans read one list of the lattice in descending order of support size
-(`_lattice`), and `depth_module` stops once no degree left can raise the
-largest nonzero index it has seen.
+dimension (Auslander-Buchsbaum).  On a cyclic S/I that is bounded below by
+the largest height of an associated prime (depth M <= dim S/p for p in
+Ass M) and above by the length of the Taylor resolution, min(#vars,
+#gens I); where the two meet, `depth_module` answers without a scan.
+Otherwise, as H_j vanishes at b for j > |supp b|, both scans read one list
+of the lattice in descending order of support size (`_lattice`), and
+`depth_module` starts at the lower bound and stops once no degree left can
+raise the largest nonzero index it has seen, or once that reaches the upper
+bound.
 Every Koszul and Cech differential is the boundary map of sorted index
 tuples, built by one routine, and each complex in a fine degree is built
 once and read at every index.
@@ -37,10 +42,12 @@ from functools import cached_property
 from itertools import combinations, product
 
 from . import kernels
-from .errors import PreconditionFailed, RingMismatch, ZeroModule
+from .errors import InternalCheckFailed, PreconditionFailed, RingMismatch, ZeroModule
+from .io_formats import render_ideal
 from .rings import (
     MonomialIdeal,
     RingSpec,
+    associated_primes,
     colon_ideal,
     dim_quotient,
     lcm,
@@ -195,18 +202,24 @@ def koszul_dims_at(N: Subquotient, zvars, b) -> list:
     return _term_dims(N, b, {z: _corner_row(N.J, N.Jp, z, b[z] - 1) for z in zvars})
 
 
-def _lattice(N: Subquotient, Z) -> list:
-    """The lcm lattice of the generators of J and J' as (|supp b|, b).
+def _refuse_scan(N: Subquotient, Z):
+    """Refuse a proper Z (PreconditionFailed) and the zero module (ZeroModule).
 
-    Listed by descending support size, then by b, the order in which the
-    depth scan can stop early; `betti_and_projdim` and `depth_module` both
-    read this list.  Refuses a proper Z (PreconditionFailed) and the zero
-    module before any lcm is taken.
+    `betti_and_projdim` and `depth_module` call this before any other work.
     """
     if frozenset(Z) != N.ring.all_vars():
         raise PreconditionFailed(f"Betti numbers are taken over all variables, not {sorted(Z)}")
     if N.is_zero:
         raise ZeroModule("Betti numbers of the zero module")
+
+
+def _lattice(N: Subquotient) -> list:
+    """The lcm lattice of the generators of J and J' as (|supp b|, b).
+
+    Listed by descending support size, then by b, the order in which the
+    depth scan can stop early; `betti_and_projdim` and `depth_module` both
+    read this list.
+    """
     closure = set()
     for g in N.J.gens + N.Jp.gens:
         closure |= {lcm(g, c) for c in closure}
@@ -222,9 +235,10 @@ def betti_and_projdim(N: Subquotient, Z):
     variables of N's ring; PreconditionFailed refuses any other Z before a
     degree is scanned.
     """
+    _refuse_scan(N, Z)
     betti = {}
     projdim = 0
-    for _, b in _lattice(N, Z):
+    for _, b in _lattice(N):
         for j, d in enumerate(koszul_dims_at(N, Z, b)):
             if d:
                 betti[(j, b)] = d
@@ -246,29 +260,59 @@ def _remember(cache: dict, key, value):
     return value
 
 
+def _projdim_bounds(N: Subquotient) -> tuple:
+    """(low, high) with low <= projdim N <= high, decided before any Koszul scan.
+
+    For a cyclic module S/I (J = S), depth S/I <= dim S/p for every p in
+    Ass(S/I) (Bruns-Herzog, Prop. 1.2.13), so by Auslander-Buchsbaum projdim
+    is at least the largest height of an associated prime; and the Taylor
+    resolution of S/I has length #gens(I), so projdim is at most that and
+    at most the number of variables.  Ass is read from the memoized
+    decomposition that `cd`, `dim_module` and `mgrade` also read.  A general
+    J/J' gets (0, number of variables).
+    """
+    nvars = N.ring.nvars
+    if not N.J.is_unit:
+        return 0, nvars
+    I = N.Jp
+    low = max(len(p) for p in associated_primes(I))
+    high = min(nvars, len(I.gens))
+    if low > high:
+        raise InternalCheckFailed(
+            f"Ass height {low} exceeds the Taylor length {high}; input ideal:\n{render_ideal(I)}"
+        )
+    return low, high
+
+
 def depth_module(N: Subquotient, Z) -> int:
     """depth over all variables Z of N's ring via Auslander-Buchsbaum: |Z| - projdim.
 
-    projdim is the largest j with H_j(b) != 0 over the degrees b of the lcm
-    lattice, read from the list `betti_and_projdim` reads too (`_lattice`).
-    The Koszul term of sigma at b is the piece of N at b - e_sigma, which is
-    zero when sigma holds a coordinate k with b_k = 0, as b - e_sigma is then
-    negative at k.  So every nonzero term at b has sigma inside supp b, and
-    H_j(b) = 0 for j > |supp b|.  The scan visits the list in its descending
-    order of |supp b|, keeps the largest j seen with H_j(b) != 0 as p, and
-    stops at the first b with |supp b| <= p: no degree from there on has a
-    nonzero H_j with j > p.
+    projdim lies between the bounds of `_projdim_bounds`; where they meet
+    (on x1*...*xk, on (x1, ..., xk), on every complete intersection) the
+    depth is read off them without building the lcm lattice or any Koszul
+    complex.  Otherwise projdim is the largest j with H_j(b) != 0 over the degrees b
+    of the lcm lattice, read from the list `betti_and_projdim` reads too
+    (`_lattice`).  The Koszul term of sigma at b is the piece of N at
+    b - e_sigma, which is zero when sigma holds a coordinate k with b_k = 0,
+    as b - e_sigma is then negative at k.  So every nonzero term at b has
+    sigma inside supp b, and H_j(b) = 0 for j > |supp b|.  The scan starts
+    with p at the lower bound, visits the list in its descending order of
+    |supp b|, keeps the largest j seen with H_j(b) != 0 as p, and stops at
+    the first b with |supp b| <= p, where no degree left has a nonzero H_j
+    with j > p, or as soon as p reaches the upper bound.
     """
     key = (N, frozenset(Z))
     depth = _depth_cache.get(key)
     if depth is not None:
         return depth
-    projdim = 0
-    for support, b in _lattice(N, Z):
-        if support <= projdim:
-            break
-        dims = koszul_dims_at(N, Z, b)
-        projdim = max([projdim] + [j for j, d in enumerate(dims) if d])
+    _refuse_scan(N, Z)
+    projdim, high = _projdim_bounds(N)
+    if projdim < high:
+        for support, b in _lattice(N):
+            if support <= projdim or projdim == high:
+                break
+            dims = koszul_dims_at(N, Z, b)
+            projdim = max([projdim] + [j for j, d in enumerate(dims) if d])
     return _remember(_depth_cache, key, len(Z) - projdim)
 
 

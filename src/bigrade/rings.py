@@ -63,8 +63,14 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MAX_CHAR = 3_317_044_064_679_887_385_961_981
 
 
+@lru_cache(maxsize=64)
 def _is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin; exact for p < MAX_CHAR."""
+    """Deterministic Miller-Rabin; exact for p < MAX_CHAR.
+
+    Every `RingSpec` with a prime characteristic asks this, and a run builds
+    many rings over the few characteristics it uses (each parse and each
+    fiber's sub-ring), so the answers are kept in a small memo.
+    """
     if p < 2:
         return False
     for a in _MR_BASES:

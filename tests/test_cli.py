@@ -482,10 +482,12 @@ def test_readme_lists_every_subcommand():
 
 
 def test_analyze_tests_only_the_sigma_the_term_rule_can_keep(tmp_path, capsys, monkeypatch):
-    # in a degree of S/(x1*y1) every coordinate but x1 and y1 is in no
-    # nonzero Koszul term, so no complex needs all 2^16 subsets
+    # in a degree of S/(x1*y1, x2*y1, x2*y2) every coordinate outside the
+    # degree's support is in no nonzero Koszul term, so no complex needs all
+    # 2^16 subsets; the Ass height 2 is below the Taylor length 3, so the
+    # depth is read off a Koszul scan and not off its bounds alone
     p = tmp_path / "r8.ideal"
-    p.write_text("ring 8 8\ngens: x1*y1\n")
+    p.write_text("ring 8 8\ngens: x1*y1, x2*y1, x2*y2\n")
     tested = []
 
     def counting(pool, r):

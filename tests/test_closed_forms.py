@@ -1,0 +1,62 @@
+"""Depths of ideal families with known closed forms, at sizes the brute-force
+references cannot reach."""
+
+import time
+from math import ceil
+
+import pytest
+
+import bigrade
+from bigrade.invariants import ordinary_depth
+from bigrade.rings import RingSpec, minimal_generators, var_power
+
+
+def one_generator(k):
+    """x1*...*xk in ring k 1: S/I is CM of depth k."""
+    ring = RingSpec(k, 1)
+    return minimal_generators(ring, [(1,) * k + (0,)]), k
+
+
+def linear_generators(k):
+    """(x1, ..., xk) in ring k 1: S/I is K[y1], of depth 1."""
+    ring = RingSpec(k, 1)
+    return minimal_generators(ring, [var_power(ring, i) for i in range(k)]), 1
+
+
+def x1y1(k):
+    """x1*y1 in ring k k: a hypersurface, of depth 2k - 1."""
+    ring = RingSpec(k, k)
+    return minimal_generators(ring, [tuple(int(v in (0, k)) for v in range(2 * k))]), 2 * k - 1
+
+
+def edge_ideal(n, cycle):
+    """The edge ideal of P_n or C_n, vertices 1..n//2 in the x-block, the rest in the y-block."""
+    ring = RingSpec(n // 2, n - n // 2)
+    edges = [(i, i + 1) for i in range(n - 1)] + ([(n - 1, 0)] if cycle else [])
+    return minimal_generators(ring, [tuple(int(v in e) for v in range(n)) for e in edges])
+
+
+FAMILIES = [one_generator, linear_generators, x1y1]
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
+def test_family_depths_up_to_forty(family):
+    for k in range(1, 41):
+        I, depth = family(k)
+        assert ordinary_depth(I) == depth, (family.__name__, k)
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
+def test_family_depth_at_forty_answers_within_half_a_second(family):
+    bigrade.clear_caches()
+    I, depth = family(40)
+    start = time.perf_counter()
+    assert ordinary_depth(I) == depth
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_path_and_cycle_depths(n):
+    # Morey (Comm. Algebra 38, 2010) and Cimpoeas (Rom. J. Math. Comput. Sci. 5, 2015)
+    assert ordinary_depth(edge_ideal(n, cycle=False)) == ceil(n / 3)
+    assert ordinary_depth(edge_ideal(n, cycle=True)) == ceil((n - 1) / 3)

@@ -6,7 +6,7 @@ import pytest
 
 from bruteforce import bf_betti_and_projdim, bf_cech_piece, bf_koszul_dims
 from bigrade import homology
-from bigrade.errors import PreconditionFailed, RingMismatch, ZeroModule
+from bigrade.errors import InternalCheckFailed, PreconditionFailed, RingMismatch, ZeroModule
 from bigrade.homology import (
     Subquotient,
     ass_subquotient,
@@ -22,6 +22,7 @@ from bigrade.homology import (
     sub_ring_for,
 )
 from bigrade.invariants import ordinary_depth
+from bigrade.io_formats import render_ideal
 from bigrade.rings import (
     MonomialIdeal,
     RingSpec,
@@ -113,9 +114,10 @@ def test_scan_rejects_non_finite_module():
             betti_and_projdim(N, R11.y_block())
 
 
-def _random_ideal(rnd, ring, max_exp):
-    """A random monomial ideal with 0-4 generators, none of them 1."""
-    count = rnd.randint(0, 4)
+def _random_ideal(rnd, ring, max_exp, count=None):
+    """A random monomial ideal with `count` (default 0-4) generators drawn, none of them 1."""
+    if count is None:
+        count = rnd.randint(0, 4)
     gens = []
     while len(gens) < count:
         g = tuple(rnd.randint(0, max_exp) for _ in range(ring.nvars))
@@ -159,20 +161,64 @@ def test_lcm_scan_matches_box_scan_reference():
         assert betti_and_projdim(N, Z) == bf_betti_and_projdim(N, Z), (N, sorted(Z))
 
 
-def test_support_bound_depth_matches_box_scan_reference():
-    # depth runs its own lcm scan, stopped at the support bound, so it is
-    # checked against the box scan apart from betti_and_projdim
+def test_support_bound_depth_matches_box_scan_reference(monkeypatch):
+    # depth is read off the Ass-height and Taylor-length bounds when they
+    # meet and off its own lcm scan, stopped at the support bound or the
+    # upper bound, otherwise; both routes are checked against the box scan
+    # apart from betti_and_projdim, in char 0, 2 and 3
+    lattice = homology._lattice
+    scans = []
+
+    def counting(N):
+        scans.append(N)
+        return lattice(N)
+
+    monkeypatch.setattr(homology, "_lattice", counting)
+    monkeypatch.setattr(homology, "_depth_cache", {})
     rnd = random.Random(20261020)
-    for k in range(240):
-        N, Z = _random_subquotient(rnd, unit_J=k % 2 == 0, proper_Z=False, char=(0, 2)[(k // 2) % 2])
+    routes = {"bound": 0, "scan": 0, "module": 0}
+    for k in range(360):
+        cyclic = k % 3 != 1
+        char = (0, 2, 3)[(k // 3) % 3]
+        if k % 3 == 2:
+            # 4-6 generators in 3-4 variables: the bounds often differ
+            nvars = rnd.randint(3, 4)
+            m = rnd.randint(0, nvars)
+            ring = RingSpec(m, nvars - m, char)
+            N, Z = Subquotient.cyclic(_random_ideal(rnd, ring, 2, rnd.randint(4, 6))), ring.all_vars()
+        else:
+            N, Z = _random_subquotient(rnd, unit_J=cyclic, proper_Z=False, char=char)
         _, projdim = bf_betti_and_projdim(N, Z)
+        scans.clear()
+        homology._depth_cache.clear()
         assert depth_module(N, Z) == N.ring.nvars - projdim, (N, sorted(Z))
+        if not cyclic:
+            assert scans == [N]
+            routes["module"] += 1
+        else:
+            routes["scan" if scans else "bound"] += 1
+    assert min(routes.values()) >= 20, routes
+
+
+def test_depth_bounds_are_guarded(monkeypatch):
+    # projdim is at least the largest Ass height and at most the Taylor
+    # length, so a larger height can only come from a fault, and it names
+    # both numbers and the ideal
+    ring = RingSpec(2, 1)
+    I = ideal(ring, (1, 1, 1))
+    monkeypatch.setattr(homology, "associated_primes", lambda _: {ring.all_vars()})
+    with pytest.raises(InternalCheckFailed) as err:
+        depth_module(Subquotient.cyclic(I), ring.all_vars())
+    message = str(err.value)
+    assert "Ass height 3 exceeds the Taylor length 1" in message
+    assert render_ideal(I) in message
 
 
 @pytest.mark.parametrize("m, n", [(4, 4), (2, 2)])
 def test_depth_of_the_residue_field_reads_one_degree(monkeypatch, m, n):
-    # the lcm of all the variables has full support and H_{m+n} there is K,
-    # so no other of the 2^(m+n) lattice degrees can raise the projdim
+    # the maximal ideal is the one associated prime and has m+n generators,
+    # so the Ass height and the Taylor length both fix the projdim at m+n
+    # and none of the 2^(m+n) lattice degrees is read
     calls = []
     body = homology.koszul_dims_at
 
@@ -184,7 +230,7 @@ def test_depth_of_the_residue_field_reads_one_degree(monkeypatch, m, n):
     ring = RingSpec(m, n)
     maximal = minimal_generators(ring, [var_power(ring, v, 1) for v in range(ring.nvars)])
     assert ordinary_depth(maximal) == 0
-    assert calls == [(1,) * ring.nvars]
+    assert calls == []
 
 
 def test_koszul_dims_match_independent_reference():
@@ -267,7 +313,12 @@ def test_large_exponents_scan_only_the_lcm_lattice(monkeypatch):
     monkeypatch.setattr(homology, "koszul_dims_at", counting)
     monkeypatch.setattr(homology, "_depth_cache", {})
     assert ordinary_depth(ideal_e(1000)) == 1
-    # the lcm closure of 1 and the three generators has at most 8 elements
+    # the depth's bounds meet here (Ass height 3, three generators), so the
+    # lattice is counted on the Betti scan, which reads the same `_lattice`:
+    # the lcm closure of the three generators has at most 8 elements
+    assert calls == []
+    _, projdim = betti_and_projdim(Subquotient.cyclic(ideal_e(1000)), RingSpec(2, 2).all_vars())
+    assert projdim == 3
     assert 0 < len(calls) <= 8
 
 

@@ -196,6 +196,7 @@ def test_clear_caches_empties_every_memo(tmp_path):
     path.write_text(SAMPLE)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["render", str(path)]) == 0
+        assert cli.main(["render", "--char", "7", str(path)]) == 0  # fills the primality memo
     memos = _memos()
     assert len(memos) >= 7
     assert [name for name, memo in memos.items() if _size(memo) == 0] == []
