@@ -23,8 +23,9 @@ Every Koszul and Cech differential is the boundary map of sorted index
 tuples, built by one routine, and each complex in a fine degree is built
 once and read at every index.
 
-Every Koszul and Cech term, and every corner of `ass_subquotient`, is
-decided by one rule on bitsets over the generators of J and J' (`_corner_row`).
+Every Koszul and Cech term, every corner of `ass_subquotient` and every
+fiber class of `invariants.fibers` is decided by one rule on bitsets over
+the generators of J and J' (`_corner_row`).
 
 Membership, colons and Cech pieces only change where an exponent crosses a
 generator exponent, so the walks that need one degree per class visit
@@ -108,7 +109,9 @@ def _corner_row(J: MonomialIdeal, Jp: MonomialIdeal, k: int, e: int) -> tuple:
     when generator j of J' has g_k > e, and of `one` when g_k == e + 1.  A
     monomial lies in J \\ J' iff the AND of the `jin` rows of its coordinates
     is nonzero and the OR of their `miss` rows holds every generator of J'.
-    `_term_dims` (Koszul and Cech terms) and `ass_subquotient` test by this.
+    `_term_dims` (Koszul and Cech terms) and `ass_subquotient` test by this,
+    and `invariants._fibers` reads the generators dividing a slice off the
+    same AND and OR.
     """
     jin = 0
     for i, g in enumerate(J.gens):
@@ -319,10 +322,12 @@ def depth_module(N: Subquotient, Z) -> int:
 def dim_module(N: Subquotient) -> int:
     """Krull dimension of J/J' via its annihilator (J' : J).
 
-    No memo of its own: `invariants.cd` memoizes per module and axis, and
-    `rings.irreducible_decomposition` the annihilator's decomposition.
+    For a cyclic S/J' (J = S) the annihilator is J' itself, so no colon is
+    built.  No memo of its own: `invariants.cd` memoizes per module and
+    axis, and `rings.irreducible_decomposition` the annihilator's
+    decomposition.
     """
-    ann = colon_ideal(N.Jp, N.J)
+    ann = N.Jp if N.J.is_unit else colon_ideal(N.Jp, N.J)
     if ann.is_unit:
         raise ZeroModule("dimension of the zero module")
     return dim_quotient(ann)

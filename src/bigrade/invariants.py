@@ -4,6 +4,10 @@ Everything is driven by the fiber decomposition: slicing a subquotient along
 the exponents of the variables outside the chosen axis Z leaves a finite list
 of K[Z]-module classes (colon ideals stabilize at the generator caps), and
 H^i_Z of the module is the direct sum of the fibers' local cohomologies.
+A slice's class is read off the bitsets of `homology._corner_row`: the
+generators dividing the slice, and of those the ones whose Z-part no other
+selected Z-part divides (of equal ones the lower index), which are exactly
+the minimal generators of its restricted colons.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from .errors import (
 )
 from .homology import (
     Subquotient,
+    _axis_cells,
+    _corner_row,
     depth_module,
     dim_module,
     exponent_cells,
@@ -35,7 +41,6 @@ from .rings import (
     associated_primes,
     dim_quotient,
     divides,
-    minimal_generators,
     prime_ideal,
     sum_ideal,
 )
@@ -97,8 +102,17 @@ def _fibers(N: Subquotient, Z: frozenset) -> tuple:
     """The memo behind `fibers`.
 
     A slice u is supported off Z, so (J : u) cap K[Z] is generated by the
-    Z-parts of the generators g of J with g_k <= u_k for every k off Z; each
-    restricted colon is built directly from those.
+    Z-parts of the generators g of J with g_k <= u_k for every k off Z.
+    Those generators are the AND of the `jin` rows of `homology._corner_row`
+    over the complement coordinates at u, and those of J' are the ones
+    outside the OR of the `miss` rows, the rule `_term_dims` reads.  Each
+    distinct pair of bitsets is turned into its restricted colons once: a
+    selected generator is kept iff no other selected generator has a Z-part
+    dividing its own, where of equal Z-parts the lower index is kept
+    (`_divisor_bits`).  The kept Z-parts divide no other kept one and every
+    dropped one has a kept divisor (divisibility is transitive and the
+    index breaks ties), so they are exactly the minimal generators, and
+    sorted they are the canonical generator tuple.
 
     The restricted colon of J' lies in that of J, so a class's fiber is zero
     iff the two have the same minimal generators, and such a class is
@@ -112,21 +126,30 @@ def _fibers(N: Subquotient, Z: frozenset) -> tuple:
     if not Z:
         raise PreconditionFailed("the axis has no variables")
     ring = N.ring
+    J, Jp = N.J, N.Jp
     comp = tuple(sorted(set(range(ring.nvars)) - Z))
     zvars = sorted(Z)
     sub = sub_ring_for(ring, Z)
-
-    def split(I):
-        return [(tuple(g[k] for k in comp), tuple(g[z] for z in zvars)) for g in I.gens]
-
-    def restricted_colon(parts, a):
-        return minimal_generators(sub, (zpart for cpart, zpart in parts if divides(cpart, a)))
-
-    J_parts = split(N.J)
-    Jp_parts = split(N.Jp)
+    J_z = [tuple(g[z] for z in zvars) for g in J.gens]
+    Jp_z = [tuple(g[z] for z in zvars) for g in Jp.gens]
+    J_below = _divisor_bits(J_z)
+    Jp_below = _divisor_bits(Jp_z)
+    every, full = (1 << len(J.gens)) - 1, (1 << len(Jp.gens)) - 1
+    # per complement coordinate, its (jin, miss) rows by cell start
+    gens = J.gens + Jp.gens
+    rows = [{e: _corner_row(J, Jp, k, e)[:2] for e, _ in _axis_cells(gens, k)} for k in comp]
+    keys = {}
     classes = {}
     for a, lengths in exponent_cells(N, comp):
-        key = (restricted_colon(J_parts, a).gens, restricted_colon(Jp_parts, a).gens)
+        jin, miss = every, 0
+        for row, e in zip(rows, a):
+            j, m = row[e]
+            jin &= j
+            miss |= m
+        pair = (jin, full & ~miss)
+        key = keys.get(pair)
+        if key is None:
+            key = keys[pair] = (_kept(J_z, J_below, jin), _kept(Jp_z, Jp_below, pair[1]))
         classes.setdefault(key, []).append((a, lengths))
 
     # classes in order of first cell, each with its cells in lex order of corners
@@ -140,6 +163,20 @@ def _fibers(N: Subquotient, Z: frozenset) -> tuple:
         for key, cells in classes.items()
         if key[0] != key[1]
     )
+
+
+def _divisor_bits(parts) -> list:
+    """Bit j of entry i is set when parts[j] divides parts[i] and is unequal
+    to it or has the lower index: the parts that make part i redundant."""
+    return [
+        sum(1 << j for j, v in enumerate(parts) if divides(v, u) and (v != u or j < i))
+        for i, u in enumerate(parts)
+    ]
+
+
+def _kept(parts, below, sel: int) -> tuple:
+    """The minimal generators of the parts selected by the bitset sel, lex-sorted."""
+    return tuple(sorted(u for i, u in enumerate(parts) if sel >> i & 1 and not below[i] & sel))
 
 
 def grade(N: Subquotient, Z) -> int:

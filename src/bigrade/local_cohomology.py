@@ -105,16 +105,24 @@ def _fiber_lc(fc, i: int) -> FiberLC:
 
 
 def lc_report(I: MonomialIdeal, i: int, Z=None) -> LCReport:
-    """Per-fiber report on H^i_Z(S/I); Z defaults to the y-block."""
+    """Per-fiber report on H^i_Z(S/I); Z defaults to the y-block.
+
+    The report is computed once per (I, i, Z) and kept in a bounded memo;
+    it is immutable, so every caller shares it.
+    """
     if I.is_unit:
         raise UnitIdeal("local cohomology of the zero module")
     if Z is None:
         Z = I.ring.y_block()
     if not (0 <= i <= len(Z)):
         raise PreconditionFailed(f"index {i} outside [0, {len(Z)}]")
-    N = Subquotient.cyclic(I)
+    return _lc_report(I, i, frozenset(Z))
 
-    entries = [_fiber_lc(fc, i) for fc in fibers(N, Z)]
+
+@lru_cache(maxsize=1024)
+def _lc_report(I: MonomialIdeal, i: int, Z: frozenset) -> LCReport:
+    """The memo behind `lc_report`."""
+    entries = [_fiber_lc(fc, i) for fc in fibers(Subquotient.cyclic(I), Z)]
 
     fin_gen = all(e.finite_length for e in entries)
     total = None

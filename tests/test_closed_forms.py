@@ -1,5 +1,5 @@
-"""Depths of ideal families with known closed forms, at sizes the brute-force
-references cannot reach."""
+"""Depths and invariant reports of ideal families with known closed forms, at
+sizes the brute-force references cannot reach."""
 
 import time
 from math import ceil
@@ -7,8 +7,8 @@ from math import ceil
 import pytest
 
 import bigrade
-from bigrade.invariants import ordinary_depth
-from bigrade.rings import RingSpec, minimal_generators, var_power
+from bigrade.invariants import analyze, ordinary_depth
+from bigrade.rings import RingSpec, associated_primes, minimal_generators, var_power
 
 
 def one_generator(k):
@@ -60,3 +60,22 @@ def test_path_and_cycle_depths(n):
     # Morey (Comm. Algebra 38, 2010) and Cimpoeas (Rom. J. Math. Comput. Sci. 5, 2015)
     assert ordinary_depth(edge_ideal(n, cycle=False)) == ceil(n / 3)
     assert ordinary_depth(edge_ideal(n, cycle=True)) == ceil((n - 1) / 3)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_family_reports_over_q(k):
+    # over Q = the y-block; grade <= mgrade <= cd <= dim, maximal depth iff grade = mgrade
+    I, _ = one_generator(k)
+    rep = analyze(I, I.ring.y_block())
+    assert (rep.grade, rep.cd, rep.mgrade, rep.dim) == (1, 1, 1, k)
+    assert rep.maximal_depth and rep.cm_ordinary
+    assert associated_primes(I) == {frozenset({i}) for i in range(k)}
+
+    I, _ = linear_generators(k)
+    rep = analyze(I, I.ring.y_block())
+    assert (rep.grade, rep.cd, rep.mgrade, rep.dim) == (1, 1, 1, 1)
+
+    I, _ = x1y1(k)
+    rep = analyze(I, I.ring.y_block())
+    assert (rep.grade, rep.cd, rep.mgrade, rep.dim) == (k - 1, k, k - 1, 2 * k - 1)
+    assert rep.maximal_depth and not rep.cm_wrt_Z

@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from bigrade import rings
 from bigrade.errors import (
     EmptyList,
     RingMismatch,
@@ -7,7 +10,7 @@ from bigrade.errors import (
     WrongBlock,
     ZeroModule,
 )
-from bigrade.homology import Subquotient
+from bigrade.homology import Subquotient, exponent_cells
 from bigrade.invariants import (
     analyze,
     cd,
@@ -20,7 +23,7 @@ from bigrade.invariants import (
     tensor_verdict,
 )
 from bigrade.local_cohomology import growth_scan, lc_report
-from bigrade.rings import RingSpec, intersect, minimal_generators, unit_ideal, zero_ideal
+from bigrade.rings import RingSpec, intersect, minimal_generators, unit_ideal, var_power, zero_ideal
 
 
 def ideal(ring, *gens):
@@ -65,6 +68,32 @@ def test_fibers_list_only_nonzero_classes():
     assert h1.per_fiber[0].witness_degree == (-1,)
     assert growth_scan(I, 0, [0, 1, 2, 3], Q) == [0, 0, 0, 0]
     assert growth_scan(I, 1, [0, 1, 2, 3], Q) == [0, 1, 2, 3]
+
+
+def test_fibers_classify_cells_by_generator_bitsets(monkeypatch):
+    # (x1, ..., x12) in ring 12 1 over Q: 2^12 complement cells, and only the
+    # cell at 0 has a nonzero fiber, K[y1].  The cells are classified by the
+    # bitsets of their corner rows, so no restricted colon is minimized per
+    # cell (the cell walk used to make two minimal_generators calls per cell).
+    ring = RingSpec(12, 1)
+    I = minimal_generators(ring, [var_power(ring, i) for i in range(12)])
+    N = Subquotient.cyclic(I)
+    Q = ring.y_block()
+    assert len(list(exponent_cells(N, sorted(ring.x_block())))) == 4096
+    calls = []
+    body = rings.minimal_generators
+
+    def counting(*args):
+        calls.append(args)
+        return body(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bigrade") and getattr(module, "minimal_generators", None) is body:
+            monkeypatch.setattr(module, "minimal_generators", counting)
+    (fc,) = fibers(N, Q)
+    assert calls == []
+    assert fc.fiber == Subquotient.cyclic(zero_ideal(RingSpec(0, 1)))
+    assert (fc.patterns, fc.n_single, fc.infinite_family) == (((0,) * 12,), 1, False)
 
 
 def test_fibers_reject_zero_module():

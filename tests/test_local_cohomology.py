@@ -18,7 +18,15 @@ from bigrade.local_cohomology import (
     lc_report,
     question_counterexample_scan,
 )
-from bigrade.rings import RingSpec, intersect, minimal_generators, sum_ideal, unit_ideal, zero_ideal
+from bigrade.rings import (
+    MonomialIdeal,
+    RingSpec,
+    intersect,
+    minimal_generators,
+    sum_ideal,
+    unit_ideal,
+    zero_ideal,
+)
 
 EIGHT_GEN = """
 ring 2 4
@@ -150,6 +158,28 @@ def test_question_scan_returns_list():
     assert question_counterexample_scan(I) == []
 
 
+def test_a_repeated_lc_report_is_read_from_its_memo(monkeypatch):
+    # check_instance asks for the same index about twice per query
+    calls = []
+    body = local_cohomology._fiber_lc
+
+    def counting(fc, i):
+        calls.append(i)
+        return body(fc, i)
+
+    monkeypatch.setattr(local_cohomology, "_fiber_lc", counting)
+    ring, I = parse_ideal_text(EIGHT_GEN)
+    Q = ring.y_block()
+    first = lc_report(I, 1, Q)
+    assert calls
+    calls.clear()
+    assert lc_report(I, 1, list(Q)) is first
+    assert lc_report(I, 1) is first  # Q is the default axis
+    assert calls == []
+    lc_report(I, 2, Q)
+    assert calls and set(calls) == {2}
+
+
 def _random_ideal(rnd, ring, max_exp, max_gens):
     gens = [
         tuple(rnd.randint(0, max_exp) for _ in range(ring.nvars))
@@ -196,6 +226,54 @@ def test_cell_walks_match_box_walk_reference():
         assert ass_subquotient(unit_ideal(ring), I) == bf_ass_subquotient(unit_ideal(ring), I), case
         J = sum_ideal(I, _random_ideal(rnd, ring, 3, 2))  # proper: no unit generator
         assert ass_subquotient(J, I) == bf_ass_subquotient(J, I), (case, str(J))
+
+
+def _tied_ideal(rnd, ring, Z, pool):
+    # generators whose Z-parts come from a small pool, so several share one
+    # and some divide others, over random complement parts
+    gens = []
+    for _ in range(rnd.randint(2, 5)):
+        zpart = iter(rnd.choice(pool))
+        gens.append(tuple(next(zpart) if v in Z else rnd.randint(0, 2) for v in range(ring.nvars)))
+    return minimal_generators(ring, [g for g in gens if any(g)] or [(1,) * ring.nvars])
+
+
+def test_fiber_tie_breaks_match_box_walk_reference():
+    # the restricted colons are read off bitsets: of the selected generators
+    # a Z-part is kept iff no other one divides it, and of equal Z-parts the
+    # lower index is kept; the box-walk reference minimizes every colon
+    ring = RingSpec(2, 2)
+    # x1*y1 and x2*y1 share the Z-part y1 of the y-axis, which divides that
+    # of y1*y2^2, as y2 does; the slice x1*x2 selects all of them
+    I = minimal_generators(ring, [(1, 0, 1, 0), (0, 1, 1, 0), (2, 0, 0, 1), (0, 0, 1, 2)])
+    # J/J': J has two generators over y1, J' two over y1*y2 and one over y1
+    J = minimal_generators(ring, [(1, 0, 1, 0), (0, 1, 1, 0), (0, 0, 0, 2)])
+    Jp = minimal_generators(
+        ring, [(1, 1, 1, 0), (1, 0, 1, 1), (0, 1, 1, 1), (1, 0, 0, 2), (0, 0, 1, 2)]
+    )
+    rnd = random.Random(20261019)
+    for char in (0, 2):
+        r = RingSpec(2, 2, char)
+        modules = [
+            Subquotient.cyclic(MonomialIdeal(r, I.gens)),
+            Subquotient(r, MonomialIdeal(r, J.gens), MonomialIdeal(r, Jp.gens)),
+        ]
+        for N in modules:
+            # Z = all variables leaves an empty complement: one cell, ()
+            for Z in (r.x_block(), r.y_block(), r.all_vars()):
+                assert _classes(fibers(N, Z)) == _bf_classes(N, Z), (str(N.J), str(N.Jp), char, sorted(Z))
+        for case in range(150):
+            r = RingSpec(rnd.randint(1, 2), rnd.randint(1, 2), char)
+            Z = (r.x_block(), r.y_block(), r.all_vars())[case % 3]
+            pool = [tuple(rnd.randint(0, 2) for _ in Z) for _ in range(rnd.randint(1, 3))]
+            A = _tied_ideal(rnd, r, Z, pool)
+            modules = [Subquotient.cyclic(A)]
+            sub = Subquotient(r, A, intersect(A, _tied_ideal(rnd, r, Z, pool)))
+            if not sub.is_zero:
+                modules.append(sub)
+            for N in modules:
+                case_id = (str(N.J), str(N.Jp), char, sorted(Z))
+                assert _classes(fibers(N, Z)) == _bf_classes(N, Z), case_id
 
 
 def _decompose_shaped_ideal(rnd, ring):
@@ -255,11 +333,12 @@ def test_large_exponents_cost_follows_the_cells(monkeypatch):
     # x1^e*y1^e, x2^e*y2, x1*y2^e: counted as here, a box walk makes 93,636
     # Cech calls per growth index and 150,515 colons for seqcm at e = 16, and
     # 900 and 1,069 at e = 4; the cells do not depend on e.  The fibers and
-    # ass_subquotient build no colon, so the generator sets they minimize, the
-    # corner rows (one per coordinate of each Koszul and Cech degree, and one
-    # per candidate exponent of ass_subquotient) and the fine pieces of
-    # growth's empty-axis path are counted too: a box walk in any of them
-    # would make these grow with e.
+    # ass_subquotient build no colon, so the generator sets minimized
+    # elsewhere, the corner rows (one per coordinate of each Koszul and Cech
+    # degree, one per complement cell start of the fibers, and one per
+    # candidate exponent of ass_subquotient) and the fine pieces of growth's
+    # empty-axis path are counted too: a box walk in any of them would make
+    # these grow with e.
     calls = {"cech": 0, "colon": 0, "mingens": 0, "fine_piece": 0, "corner_row": 0}
     # set after e = 16 to twice its counts, so a walk that grows with e fails
     # at e = 1000 as soon as it passes them instead of running for hours
@@ -275,10 +354,12 @@ def test_large_exponents_cost_follows_the_cells(monkeypatch):
     monkeypatch.setattr(local_cohomology, "cech_dims_at", counted("cech", local_cohomology.cech_dims_at))
     monkeypatch.setattr(rings, "colon", counted("colon", rings.colon))
     mingens = counted("mingens", rings.minimal_generators)
-    for module in (rings, homology, invariants):
+    for module in (rings, homology):
         monkeypatch.setattr(module, "minimal_generators", mingens)
     monkeypatch.setattr(homology, "fine_piece", counted("fine_piece", homology.fine_piece))
-    monkeypatch.setattr(homology, "_corner_row", counted("corner_row", homology._corner_row))
+    corner_row = counted("corner_row", homology._corner_row)
+    for module in (homology, invariants):
+        monkeypatch.setattr(module, "_corner_row", corner_row)
 
     def run(e):
         monkeypatch.setattr(homology, "_depth_cache", {})
