@@ -85,10 +85,11 @@ __version__ = "0.1.0"
 
 
 def clear_caches():
-    """Empty every memo: decompositions, fibers, cd per module and axis,
-    per-fiber Cech tables, local cohomology reports per ideal, index and
-    axis, dimension filtrations, the depth dict, the primality answers for
-    characteristics and the CLI's parser."""
+    """Empty every memo: decompositions, the cyclic module of each ideal
+    (`homology._cyclic`), fibers, cd per module and axis, per-fiber Cech
+    tables, local cohomology reports per ideal, index and axis, dimension
+    filtrations, the depth dict, the primality answers for characteristics
+    and the CLI's parser."""
     from . import cli, filtration, homology, invariants, local_cohomology, rings
 
     rings._decomposition.cache_clear()
@@ -98,5 +99,6 @@ def clear_caches():
     invariants._cd.cache_clear()
     local_cohomology._fiber_table.cache_clear()
     local_cohomology._lc_report.cache_clear()
+    homology._cyclic.cache_clear()
     homology._depth_cache.clear()
     cli.build_parser.cache_clear()

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 
 from . import kernels
@@ -81,7 +81,9 @@ class Subquotient:
 
     @classmethod
     def cyclic(cls, I: MonomialIdeal) -> "Subquotient":
-        return cls(I.ring, unit_ideal(I.ring), I)
+        """S/I as the pair (S, I): one object per ideal, kept in the bounded
+        memo `_cyclic`, so every memo keyed on the module hashes it once."""
+        return _cyclic(I)
 
     @cached_property
     def is_zero(self) -> bool:
@@ -92,6 +94,12 @@ class Subquotient:
         bj = self.J.max_exponents()
         bp = self.Jp.max_exponents()
         return tuple(max(a, b) for a, b in zip(bj, bp))
+
+
+@lru_cache(maxsize=1024)
+def _cyclic(I: MonomialIdeal) -> Subquotient:
+    """The memo behind `Subquotient.cyclic`."""
+    return Subquotient(I.ring, unit_ideal(I.ring), I)
 
 
 def fine_piece(N: Subquotient, c) -> int:
@@ -324,8 +332,8 @@ def dim_module(N: Subquotient) -> int:
 
     For a cyclic S/J' (J = S) the annihilator is J' itself, so no colon is
     built.  No memo of its own: `invariants.cd` memoizes per module and
-    axis, and `rings.irreducible_decomposition` the annihilator's
-    decomposition.
+    axis, and `rings._decomposition` the annihilator's decomposition, whose
+    radicals `dim_quotient` reads.
     """
     ann = N.Jp if N.J.is_unit else colon_ideal(N.Jp, N.J)
     if ann.is_unit:

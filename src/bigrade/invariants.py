@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from math import prod
 from typing import Optional
 
@@ -32,7 +33,6 @@ from .homology import (
     _corner_row,
     depth_module,
     dim_module,
-    exponent_cells,
     restrict_ideal,
     sub_ring_for,
 )
@@ -135,34 +135,40 @@ def _fibers(N: Subquotient, Z: frozenset) -> tuple:
     J_below = _divisor_bits(J_z)
     Jp_below = _divisor_bits(Jp_z)
     every, full = (1 << len(J.gens)) - 1, (1 << len(Jp.gens)) - 1
-    # per complement coordinate, its (jin, miss) rows by cell start
+    # one pass per complement coordinate: its cells as (start, length, jin,
+    # miss), walked as a product in lex order of corners, as `exponent_cells`
     gens = J.gens + Jp.gens
-    rows = [{e: _corner_row(J, Jp, k, e)[:2] for e, _ in _axis_cells(gens, k)} for k in comp]
+    axes = [
+        [(e, n) + _corner_row(J, Jp, k, e)[:2] for e, n in _axis_cells(gens, k)] for k in comp
+    ]
     keys = {}
     classes = {}
-    for a, lengths in exponent_cells(N, comp):
+    for cell in product(*axes):
         jin, miss = every, 0
-        for row, e in zip(rows, a):
-            j, m = row[e]
+        for _, _, j, m in cell:
             jin &= j
             miss |= m
         pair = (jin, full & ~miss)
         key = keys.get(pair)
         if key is None:
             key = keys[pair] = (_kept(J_z, J_below, jin), _kept(Jp_z, Jp_below, pair[1]))
-        classes.setdefault(key, []).append((a, lengths))
+        classes.setdefault(key, []).append(cell)
 
     # classes in order of first cell, each with its cells in lex order of corners
-    return tuple(
-        FiberClass(
-            patterns=tuple(a for a, _ in cells),
-            fiber=Subquotient(sub, MonomialIdeal(sub, key[0]), MonomialIdeal(sub, key[1])),
-            infinite_family=any(None in lengths for _, lengths in cells),
-            n_single=sum(prod(lengths) for _, lengths in cells if None not in lengths),
+    out = []
+    for key, cells in classes.items():
+        if key[0] == key[1]:
+            continue
+        lengths = [tuple(c[1] for c in cell) for cell in cells]
+        out.append(
+            FiberClass(
+                patterns=tuple(tuple(c[0] for c in cell) for cell in cells),
+                fiber=Subquotient(sub, MonomialIdeal(sub, key[0]), MonomialIdeal(sub, key[1])),
+                infinite_family=any(None in ns for ns in lengths),
+                n_single=sum(prod(ns) for ns in lengths if None not in ns),
+            )
         )
-        for key, cells in classes.items()
-        if key[0] != key[1]
-    )
+    return tuple(out)
 
 
 def _divisor_bits(parts) -> list:

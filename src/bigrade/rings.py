@@ -290,9 +290,11 @@ def irreducible_decomposition(I: MonomialIdeal) -> list:
     component.  For coprime u and v, (q + (uv)) = (q + (u)) cap (q + (v)), so
     a component that does not hold the new generator g splits into one child
     q + (x_i^{g_i}) per variable of g, and a child over another component is
-    dropped.  Each final component is built once.  The decomposition is
-    unique, so it is computed once per ideal and kept in a bounded memo; each
-    call returns a fresh list.
+    dropped.  The decomposition is unique, so it is computed once per ideal
+    and kept in a bounded memo (`_decomposition`) as exponent vectors and
+    radicals.  Each call builds a fresh list of `PrimaryComponent` objects
+    from it, sorted by generator tuple; `associated_primes` reads the
+    radicals off the memo without building any.
 
     The zero ideal is the irreducible monomial ideal with no pure powers, so
     its decomposition is the one empty component PrimaryComponent((0), {}):
@@ -300,13 +302,22 @@ def irreducible_decomposition(I: MonomialIdeal) -> list:
     """
     if I.is_unit:
         raise UnitIdeal("unit ideal has no decomposition")
-    return list(_decomposition(I))
+    ring = I.ring
+    comps = []
+    for a, rad in _decomposition(I):
+        powers = tuple(sorted(var_power(ring, i, a[i]) for i in rad))
+        comps.append(PrimaryComponent(MonomialIdeal(ring, powers), rad))
+    return sorted(comps, key=lambda pc: pc.component.gens)
 
 
 @lru_cache(maxsize=1024)
 def _decomposition(I: MonomialIdeal) -> tuple:
-    """The memo behind `irreducible_decomposition`."""
-    return _irreducible_components(I)
+    """The one decomposition memo: (exponent vector, radical) per component.
+
+    A component's exponent vector holds the power of each variable it uses
+    (0 for the others), and its radical is the support of that vector.
+    """
+    return tuple((a, support(a)) for a in _irreducible_components(I))
 
 
 def _inside(c: Monomial, b: Monomial) -> bool:
@@ -317,7 +328,8 @@ def _inside(c: Monomial, b: Monomial) -> bool:
 def _irreducible_components(I: MonomialIdeal) -> tuple:
     """Add the generators of a proper I one at a time; the body of the memo.
 
-    For I = 0 there is none to add, and the empty component is the answer.
+    Returns the exponent vectors of the components (0 = absent).  For I = 0
+    there is none to add, and the empty component is the answer.
     """
     ring = I.ring
     comps = {unit_monomial(ring): 0}  # exponent vector (0 = absent) -> support bitmask
@@ -339,17 +351,19 @@ def _irreducible_components(I: MonomialIdeal) -> tuple:
             if not any(not m & ~mask and c != b and _inside(c, b) for c, m in every):
                 comps[b] = mask
 
-    keyed = sorted(
-        (tuple(sorted(var_power(ring, i, e) for i, e in enumerate(a) if e)), a) for a in comps
-    )
-    return tuple(PrimaryComponent(MonomialIdeal(ring, q), support(a)) for q, a in keyed)
+    return tuple(comps)
 
 
 def associated_primes(I: MonomialIdeal) -> set:
-    """Ass(S/I) as a set of variable-index frozensets; {frozenset()} for I = 0."""
+    """Ass(S/I) as a set of variable-index frozensets; {frozenset()} for I = 0.
+
+    The radicals of the irreducible components, read off the decomposition
+    memo (`_decomposition`) without building a component ideal.  Each call
+    returns a fresh set.
+    """
     if I.is_unit:
         raise UnitIdeal("Ass(S/S) is undefined (zero module)")
-    return {pc.radical for pc in irreducible_decomposition(I)}
+    return {rad for _, rad in _decomposition(I)}
 
 
 def primary_decomposition(I: MonomialIdeal) -> list:

@@ -1,14 +1,17 @@
 """Depths and invariant reports of ideal families with known closed forms, at
 sizes the brute-force references cannot reach."""
 
+import json
 import time
 from math import ceil
 
 import pytest
 
 import bigrade
+from bigrade.cli import main
 from bigrade.invariants import analyze, ordinary_depth
-from bigrade.rings import RingSpec, associated_primes, minimal_generators, var_power
+from bigrade.io_formats import render_ideal
+from bigrade.rings import RingSpec, associated_primes, dim_quotient, minimal_generators, var_power
 
 
 def one_generator(k):
@@ -38,6 +41,11 @@ def edge_ideal(n, cycle):
 
 FAMILIES = [one_generator, linear_generators, x1y1]
 
+# the number of minimal vertex covers of P_n and C_n for n = 3..16: Padovan
+# (OEIS A000931, offset 6) and Perrin (A001608) numbers
+PATH_COVERS = (2, 3, 4, 5, 7, 9, 12, 16, 21, 28, 37, 49, 65, 86)
+CYCLE_COVERS = (3, 2, 5, 5, 7, 10, 12, 17, 22, 29, 39, 51, 68, 90)
+
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
 def test_family_depths_up_to_forty(family):
@@ -60,6 +68,36 @@ def test_path_and_cycle_depths(n):
     # Morey (Comm. Algebra 38, 2010) and Cimpoeas (Rom. J. Math. Comput. Sci. 5, 2015)
     assert ordinary_depth(edge_ideal(n, cycle=False)) == ceil(n / 3)
     assert ordinary_depth(edge_ideal(n, cycle=True)) == ceil((n - 1) / 3)
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_path_and_cycle_dims_and_associated_primes(n):
+    # dim is the largest independent set; Ass of a squarefree ideal is its
+    # minimal primes, one per minimal vertex cover
+    path, cycle = edge_ideal(n, cycle=False), edge_ideal(n, cycle=True)
+    assert dim_quotient(path) == ceil(n / 2)
+    assert dim_quotient(cycle) == n // 2
+    assert len(associated_primes(path)) == PATH_COVERS[n - 3]
+    assert len(associated_primes(cycle)) == CYCLE_COVERS[n - 3]
+
+
+@pytest.mark.parametrize("command", ["analyze", "seqcm"])
+@pytest.mark.parametrize("family", [one_generator, linear_generators], ids=lambda f: f.__name__)
+def test_family_at_fourteen_answers_within_two_seconds(tmp_path, capsys, family, command):
+    # x1*...*x14 and (x1, ..., x14) in ring 14 1, through the CLI from cold memos
+    I, _ = family(14)
+    path = tmp_path / "family.ideal"
+    path.write_text(render_ideal(I))
+    bigrade.clear_caches()
+    start = time.perf_counter()
+    assert main([command, str(path)]) == 0
+    assert time.perf_counter() - start < 2.0
+    doc = json.loads(capsys.readouterr().out)
+    if command == "analyze":
+        assert (doc["grade"], doc["cd"], doc["mgrade"]) == (1, 1, 1)
+        assert doc["maximal_depth"] and doc["cm_ordinary"]
+    else:
+        assert doc["verdict"]
 
 
 @pytest.mark.parametrize("k", range(1, 11))

@@ -98,6 +98,34 @@ def test_no_function_local_import_of_a_module_already_imported():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def _misplaced_memos(path):
+    """Lines of `lru_cache` / `functools.cache` decorators on anything but a module-level function."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    top = {node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    lines = []
+    for node in ast.walk(tree):
+        for dec in getattr(node, "decorator_list", ()):
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+            if name in ("lru_cache", "cache") and node not in top:
+                lines.append(dec.lineno)
+    return sorted(lines)
+
+
+def test_every_memo_decorates_a_module_level_function():
+    # bigrade.clear_caches, the memo tests and the benchmark's cold start all
+    # find memos among the attributes of the package's modules; a memo on a
+    # method or a nested function is missed by them, so it would quietly stay warm
+    pkg = os.path.dirname(bigrade.__file__)
+    found = {
+        name: _misplaced_memos(os.path.join(pkg, name))
+        for name in sorted(os.listdir(pkg))
+        if name.endswith(".py")
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def _tracer_targets():
     """The (module, function) pairs of TRACED and the keys of _EXTRA in perfbench/tracer.py.
 

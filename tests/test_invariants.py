@@ -2,7 +2,8 @@ import sys
 
 import pytest
 
-from bigrade import rings
+import bigrade
+from bigrade import homology, invariants, rings
 from bigrade.errors import (
     EmptyList,
     RingMismatch,
@@ -93,6 +94,26 @@ def test_fibers_classify_cells_by_generator_bitsets(monkeypatch):
     (fc,) = fibers(N, Q)
     assert calls == []
     assert fc.fiber == Subquotient.cyclic(zero_ideal(RingSpec(0, 1)))
+    assert (fc.patterns, fc.n_single, fc.infinite_family) == (((0,) * 12,), 1, False)
+
+
+def test_fibers_walk_each_complement_coordinate_once(monkeypatch):
+    # one _axis_cells pass per complement coordinate gives both the cells and
+    # their corner rows (the walk used to make a second pass for the cells)
+    ring = RingSpec(12, 1)
+    I = minimal_generators(ring, [var_power(ring, i) for i in range(12)])
+    calls = []
+    body = homology._axis_cells
+
+    def counting(gens, k, cech=False):
+        calls.append(k)
+        return body(gens, k, cech)
+
+    monkeypatch.setattr(homology, "_axis_cells", counting)
+    monkeypatch.setattr(invariants, "_axis_cells", counting)
+    bigrade.clear_caches()
+    (fc,) = fibers(Subquotient.cyclic(I), ring.y_block())
+    assert sorted(calls) == list(range(12))
     assert (fc.patterns, fc.n_single, fc.infinite_family) == (((0,) * 12,), 1, False)
 
 

@@ -10,13 +10,14 @@ import sys
 from collections import Counter
 
 import pytest
+from bruteforce import bf_irreducible_decomposition
 
 import bigrade
 from bigrade import cli, invariants, rings
 from bigrade.errors import InternalCheckFailed
 from bigrade.filtration import dimension_filtration, sequentially_cm
 from bigrade.homology import Subquotient
-from bigrade.invariants import analyze, cd, fibers
+from bigrade.invariants import analyze, cd, fibers, mgrade
 from bigrade.io_formats import parse_ideal_text, render_ideal
 from bigrade.local_cohomology import corollary_check, generalized_cm, growth_scan, lc_report
 from bigrade.rings import (
@@ -24,6 +25,7 @@ from bigrade.rings import (
     RingSpec,
     associated_primes,
     colon,
+    dim_quotient,
     intersect,
     irreducible_decomposition,
     minimal_generators,
@@ -114,6 +116,56 @@ def test_analyze_decomposes_each_ideal_once(monkeypatch):
     analyze(I, ring.y_block())
     assert counts[I] == 1
     assert set(counts.values()) == {1}
+
+
+def test_ass_dim_and_mgrade_build_no_component_object(monkeypatch):
+    # Ass, dim and mgrade read the radicals off the decomposition memo; only
+    # irreducible_decomposition builds PrimaryComponent objects, on each call,
+    # from the same memo entry
+    built = []
+    component = rings.PrimaryComponent
+
+    def counting_component(*args):
+        built.append(args)
+        return component(*args)
+
+    bodies = Counter()
+    body = rings._irreducible_components
+
+    def counting_body(I):
+        bodies[I] += 1
+        return body(I)
+
+    monkeypatch.setattr(rings, "PrimaryComponent", counting_component)
+    monkeypatch.setattr(rings, "_irreducible_components", counting_body)
+    ring = RingSpec(2, 3)
+    I = minimal_generators(ring, [(1, 0, 1, 0, 0), (0, 1, 0, 2, 0), (1, 1, 0, 0, 1), (0, 0, 2, 1, 1)])
+    expected = bf_irreducible_decomposition(I)
+    radicals = [frozenset(i for g in q for i, e in enumerate(g) if e) for q in expected]
+    Q = ring.y_block()
+    bigrade.clear_caches()
+    assert associated_primes(I) == set(radicals)
+    assert dim_quotient(I) == ring.nvars - min(map(len, radicals))
+    assert mgrade(I, Q) == min(len(Q - p) for p in radicals)
+    assert built == [] and bodies == {I: 1}
+    comps = irreducible_decomposition(I)
+    assert bodies == {I: 1}
+    assert [pc.component.gens for pc in comps] == expected
+    assert [pc.radical for pc in comps] == radicals
+    assert len(built) == len(comps)
+
+
+def test_one_cyclic_module_per_ideal():
+    ring, I = parse_ideal_text(SAMPLE)
+    bigrade.clear_caches()
+    first = Subquotient.cyclic(I)
+    assert Subquotient.cyclic(I) is first
+    # an equal ideal built by another route maps to the same module
+    assert Subquotient.cyclic(minimal_generators(ring, reversed(I.gens))) is first
+    bigrade.clear_caches()
+    again = Subquotient.cyclic(I)
+    assert again == first and again is not first
+    assert Subquotient.cyclic(I) is again
 
 
 def test_a_failed_cd_is_not_memoized(monkeypatch):
@@ -285,8 +337,14 @@ def test_a_cyclic_module_makes_no_containment_scan(monkeypatch):
 
     monkeypatch.setattr(MonomialIdeal, "contains_ideal", counting)
     ring, I = parse_ideal_text(SAMPLE)
+    bigrade.clear_caches()
+    # within one memo lifetime the same object, across clear_caches a new one;
+    # neither build scans J' against the unit J
     first, second = Subquotient.cyclic(I), Subquotient.cyclic(I)
-    assert first == second and first is not second
+    bigrade.clear_caches()
+    third = Subquotient.cyclic(I)
+    assert first is second
+    assert third == first and third is not first
     assert calls == []
     # a non-unit J still gets its scan
     Subquotient(ring, minimal_generators(ring, [var_power(ring, 0)]), zero_ideal(ring))
