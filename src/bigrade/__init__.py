@@ -7,6 +7,8 @@ and sequential Cohen-Macaulayness, finite generation of local cohomology,
 and the bidegree classification of hypersurface rings with maximal depth.
 """
 
+import sys
+
 from .errors import (
     BadProfile,
     BadRing,
@@ -85,20 +87,13 @@ __version__ = "0.1.0"
 
 
 def clear_caches():
-    """Empty every memo: decompositions, the cyclic module of each ideal
-    (`homology._cyclic`), fibers, cd per module and axis, per-fiber Cech
-    tables, local cohomology reports per ideal, index and axis, dimension
-    filtrations, the depth dict, the primality answers for characteristics
-    and the CLI's parser."""
-    from . import cli, filtration, homology, invariants, local_cohomology, rings
-
-    rings._decomposition.cache_clear()
-    rings._is_prime.cache_clear()
-    filtration._ladder.cache_clear()
-    invariants._fibers.cache_clear()
-    invariants._cd.cache_clear()
-    local_cohomology._fiber_table.cache_clear()
-    local_cohomology._lc_report.cache_clear()
-    homology._cyclic.cache_clear()
-    homology._depth_cache.clear()
-    cli.build_parser.cache_clear()
+    """Empty every memo: each module-level functools cache and each
+    module-level dict whose name ends in `_cache`, in every loaded `bigrade`
+    module, so a new memo needs no entry here."""
+    for name, module in list(sys.modules.items()):
+        if name == "bigrade" or name.startswith("bigrade."):
+            for attr, value in vars(module).items():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+                elif isinstance(value, dict) and attr.endswith("_cache"):
+                    value.clear()

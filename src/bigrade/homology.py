@@ -263,14 +263,6 @@ _depth_cache: dict = {}
 _cache_lock = threading.Lock()
 
 
-def _remember(cache: dict, key, value):
-    with _cache_lock:
-        if len(cache) >= CACHE_SIZE:
-            del cache[next(iter(cache))]
-        cache[key] = value
-    return value
-
-
 def _projdim_bounds(N: Subquotient) -> tuple:
     """(low, high) with low <= projdim N <= high, decided before any Koszul scan.
 
@@ -324,7 +316,12 @@ def depth_module(N: Subquotient, Z) -> int:
                 break
             dims = koszul_dims_at(N, Z, b)
             projdim = max([projdim] + [j for j, d in enumerate(dims) if d])
-    return _remember(_depth_cache, key, len(Z) - projdim)
+    depth = len(Z) - projdim
+    with _cache_lock:
+        if len(_depth_cache) >= CACHE_SIZE:
+            del _depth_cache[next(iter(_depth_cache))]
+        _depth_cache[key] = depth
+    return depth
 
 
 def dim_module(N: Subquotient) -> int:

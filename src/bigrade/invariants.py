@@ -41,7 +41,6 @@ from .rings import (
     associated_primes,
     dim_quotient,
     divides,
-    prime_ideal,
     sum_ideal,
 )
 
@@ -207,10 +206,9 @@ def _cd(N: Subquotient, Z: frozenset) -> int:
     """
     value = max(dim_module(fc.fiber) for fc in fibers(N, Z))
     if N.J.is_unit:
-        # cyclic case cross-check: cd(Z, S/I) = dim S/(I + complement ideal)
-        comp = frozenset(range(N.ring.nvars)) - Z
-        check = sum_ideal(N.Jp, prime_ideal(N.ring, comp)) if comp else N.Jp
-        expected = dim_quotient(check)
+        # cyclic case cross-check: cd(Z, S/I) = dim S/(I + P') for the ideal
+        # P' of the variables off Z, and S/(I + P') is K[Z]/(I cap K[Z])
+        expected = dim_quotient(restrict_ideal(N.Jp, Z, sub_ring_for(N.ring, Z)))
         if expected != value:
             raise InternalCheckFailed(
                 f"cd mismatch: fibers give {value}, dim S/(I+P') gives {expected}"

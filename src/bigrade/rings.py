@@ -17,7 +17,7 @@ Monomial = tuple[int, ...]
 PrimeSupport = frozenset  # set of variable indices; the prime generated by them
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class RingSpec:
     """Ambient ring data: m x-variables, n y-variables, rank characteristic.
 
@@ -310,26 +310,20 @@ def irreducible_decomposition(I: MonomialIdeal) -> list:
     return sorted(comps, key=lambda pc: pc.component.gens)
 
 
-@lru_cache(maxsize=1024)
-def _decomposition(I: MonomialIdeal) -> tuple:
-    """The one decomposition memo: (exponent vector, radical) per component.
-
-    A component's exponent vector holds the power of each variable it uses
-    (0 for the others), and its radical is the support of that vector.
-    """
-    return tuple((a, support(a)) for a in _irreducible_components(I))
-
-
 def _inside(c: Monomial, b: Monomial) -> bool:
     """Component c lies inside component b (exponent vectors, 0 = absent)."""
     return all(0 < f <= e for e, f in zip(c, b) if e)
 
 
-def _irreducible_components(I: MonomialIdeal) -> tuple:
-    """Add the generators of a proper I one at a time; the body of the memo.
+@lru_cache(maxsize=1024)
+def _decomposition(I: MonomialIdeal) -> tuple:
+    """The one decomposition memo: (exponent vector, radical) per component.
 
-    Returns the exponent vectors of the components (0 = absent).  For I = 0
-    there is none to add, and the empty component is the answer.
+    Adds the generators of a proper I one at a time, as
+    `irreducible_decomposition` describes.  A component's exponent vector
+    holds the power of each variable it uses (0 for the others), and its
+    radical is the support of that vector.  For I = 0 there is no generator
+    to add, and the empty component is the answer.
     """
     ring = I.ring
     comps = {unit_monomial(ring): 0}  # exponent vector (0 = absent) -> support bitmask
@@ -350,8 +344,7 @@ def _irreducible_components(I: MonomialIdeal) -> tuple:
         for b, mask in children.items():
             if not any(not m & ~mask and c != b and _inside(c, b) for c, m in every):
                 comps[b] = mask
-
-    return tuple(comps)
+    return tuple((a, support(a)) for a in comps)
 
 
 def associated_primes(I: MonomialIdeal) -> set:

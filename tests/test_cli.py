@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from itertools import combinations
 
 import pytest
@@ -528,3 +529,21 @@ def test_five_hundred_variables_per_block_filtration_and_seqcm_answer(tmp_path, 
     ]
     code, out = run_cli(capsys, "seqcm", str(p))
     assert code == 0 and json.loads(out)["verdict"] is True
+
+
+@pytest.mark.parametrize("command", ["analyze", "seqcm"])
+def test_five_hundred_variables_per_block_analyze_and_seqcm_within_a_second(tmp_path, capsys, command):
+    # cd's cross-check on S/I reads dim K[Z]/(I cap K[Z]), not I + P' over all
+    # 1,000 variables; seqcm reaches it through its last step
+    p = tmp_path / "r500.ideal"
+    p.write_text("ring 500 500\ngens: x1*y1, x2*y2\n")
+    bigrade.clear_caches()
+    start = time.perf_counter()
+    code, out = run_cli(capsys, command, str(p))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    doc = json.loads(out)
+    if command == "analyze":
+        assert (doc["grade"], doc["cd"], doc["mgrade"], doc["dim"]) == (498, 500, 498, 998)
+    else:
+        assert doc["verdict"] is True

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import functools
 import inspect
 import io
 import pickle
@@ -101,21 +102,16 @@ def test_mutating_results_does_not_poison_the_memos():
         assert query() is not query()
 
 
-def test_analyze_decomposes_each_ideal_once(monkeypatch):
+def test_analyze_decomposes_each_ideal_once():
     # analyze used to decompose I three times: for mgrade, for dim via the
     # minimal primes, and for the witness prime
-    counts = Counter()
-    body = rings._irreducible_components
-
-    def counting(I):
-        counts[I] += 1
-        return body(I)
-
-    monkeypatch.setattr(rings, "_irreducible_components", counting)
+    memo = rings._decomposition
     ring, I = parse_ideal_text(SAMPLE)
     analyze(I, ring.y_block())
-    assert counts[I] == 1
-    assert set(counts.values()) == {1}
+    misses = memo.cache_info().misses
+    assert misses == memo.cache_info().currsize >= 1
+    memo(I)
+    assert memo.cache_info().misses == misses
 
 
 def test_ass_dim_and_mgrade_build_no_component_object(monkeypatch):
@@ -129,15 +125,7 @@ def test_ass_dim_and_mgrade_build_no_component_object(monkeypatch):
         built.append(args)
         return component(*args)
 
-    bodies = Counter()
-    body = rings._irreducible_components
-
-    def counting_body(I):
-        bodies[I] += 1
-        return body(I)
-
     monkeypatch.setattr(rings, "PrimaryComponent", counting_component)
-    monkeypatch.setattr(rings, "_irreducible_components", counting_body)
     ring = RingSpec(2, 3)
     I = minimal_generators(ring, [(1, 0, 1, 0, 0), (0, 1, 0, 2, 0), (1, 1, 0, 0, 1), (0, 0, 2, 1, 1)])
     expected = bf_irreducible_decomposition(I)
@@ -147,9 +135,9 @@ def test_ass_dim_and_mgrade_build_no_component_object(monkeypatch):
     assert associated_primes(I) == set(radicals)
     assert dim_quotient(I) == ring.nvars - min(map(len, radicals))
     assert mgrade(I, Q) == min(len(Q - p) for p in radicals)
-    assert built == [] and bodies == {I: 1}
+    assert built == [] and rings._decomposition.cache_info().misses == 1
     comps = irreducible_decomposition(I)
-    assert bodies == {I: 1}
+    assert rings._decomposition.cache_info().misses == 1
     assert [pc.component.gens for pc in comps] == expected
     assert [pc.radical for pc in comps] == radicals
     assert len(built) == len(comps)
@@ -255,6 +243,21 @@ def test_clear_caches_empties_every_memo(tmp_path):
     assert [name for name, memo in memos.items() if _size(memo) == 0] == []
     bigrade.clear_caches()
     assert [name for name, memo in memos.items() if _size(memo) != 0] == []
+
+
+def test_clear_caches_finds_a_memo_by_its_kind_and_name(monkeypatch):
+    # a memo that no code names: a module-level lru_cache and a *_cache dict
+    memo = functools.lru_cache(maxsize=8)(lambda x: x)
+    memo(1)
+    table, other = {"key": 1}, {"key": 1}
+    monkeypatch.setattr(rings, "memo_for_test", memo, raising=False)
+    monkeypatch.setattr(invariants, "table_for_test_cache", table, raising=False)
+    monkeypatch.setattr(invariants, "table_for_test", other, raising=False)
+    bigrade.clear_caches()
+    assert memo.cache_info().currsize == 0
+    assert table == {}
+    # a dict whose name does not end in _cache is not a memo
+    assert other == {"key": 1}
 
 
 def _routes(rnd, ring, I):
