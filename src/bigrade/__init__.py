@@ -76,7 +76,6 @@ from .rings import (
     intersect,
     irreducible_decomposition,
     minimal_generators,
-    minimal_primes,
     primary_decomposition,
     radical,
     unit_ideal,

@@ -126,7 +126,7 @@ def sequentially_cm(I: MonomialIdeal, Z) -> dict:
     verdict = True
     prev = I
     for J_i, gamma in ladder.steps:
-        step = Subquotient(I.ring, J_i, prev)
+        step = Subquotient(J_i, prev)
         g = grade(step, Z)
         c = cd(step, Z)
         if c != gamma:

@@ -162,7 +162,7 @@ def _fibers(N: Subquotient, Z: frozenset) -> tuple:
         out.append(
             FiberClass(
                 patterns=tuple(tuple(c[0] for c in cell) for cell in cells),
-                fiber=Subquotient(sub, MonomialIdeal(sub, key[0]), MonomialIdeal(sub, key[1])),
+                fiber=Subquotient(MonomialIdeal(sub, key[0]), MonomialIdeal(sub, key[1])),
                 infinite_family=any(None in ns for ns in lengths),
                 n_single=sum(prod(ns) for ns in lengths if None not in ns),
             )
@@ -208,7 +208,7 @@ def _cd(N: Subquotient, Z: frozenset) -> int:
     if N.J.is_unit:
         # cyclic case cross-check: cd(Z, S/I) = dim S/(I + P') for the ideal
         # P' of the variables off Z, and S/(I + P') is K[Z]/(I cap K[Z])
-        expected = dim_quotient(restrict_ideal(N.Jp, Z, sub_ring_for(N.ring, Z)))
+        expected = dim_quotient(restrict_ideal(N.Jp, Z))
         if expected != value:
             raise InternalCheckFailed(
                 f"cd mismatch: fibers give {value}, dim S/(I+P') gives {expected}"
@@ -316,10 +316,9 @@ def tensor_verdict(Ix: MonomialIdeal, Iy: MonomialIdeal) -> dict:
     I = sum_ideal(Ix, Iy)
     rep = analyze(I, ring.y_block())
 
-    sub_y = sub_ring_for(ring, ring.y_block())
-    Iy_small = restrict_ideal(Iy, ring.y_block(), sub_y)
-    depth_y = depth_module(Subquotient.cyclic(Iy_small), sub_y.all_vars())
-    mdepth_y = mgrade(Iy_small, sub_y.all_vars())
+    Iy_small = restrict_ideal(Iy, ring.y_block())
+    depth_y = ordinary_depth(Iy_small)
+    mdepth_y = mgrade(Iy_small, Iy_small.ring.all_vars())
     verdict = depth_y == mdepth_y
 
     if rep.maximal_depth != verdict or rep.grade != depth_y or rep.mgrade != mdepth_y:
@@ -329,14 +328,10 @@ def tensor_verdict(Ix: MonomialIdeal, Iy: MonomialIdeal) -> dict:
         )
 
     # Ass of the product module is the set of sums of block primes
-    sub_x = sub_ring_for(ring, ring.x_block())
-    Ix_small = restrict_ideal(Ix, ring.x_block(), sub_x)
-    ass_x = associated_primes(Ix_small)
-    ass_y = associated_primes(Iy_small)
     expected = {
         frozenset(px) | frozenset(ring.m + i for i in py)
-        for px in ass_x
-        for py in ass_y
+        for px in associated_primes(restrict_ideal(Ix, ring.x_block()))
+        for py in associated_primes(Iy_small)
     }
     if associated_primes(I) != expected:
         raise InternalCheckFailed("Ass of the product module is not the set of prime sums")

@@ -22,6 +22,7 @@ box generates; a nonvanishing negative-degree family can never be generated.
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
@@ -104,19 +105,32 @@ def _fiber_lc(fc, i: int) -> FiberLC:
     )
 
 
+def _integer(value, what: str) -> int:
+    """value as an int (`operator.index`); a float or a string is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _axis_of(I: MonomialIdeal, Z, what: str) -> frozenset:
+    """Z, the y-block by default, after refusing the zero module S/S."""
+    if I.is_unit:
+        raise UnitIdeal(f"{what} of the zero module")
+    return I.ring.y_block() if Z is None else frozenset(Z)
+
+
 def lc_report(I: MonomialIdeal, i: int, Z=None) -> LCReport:
     """Per-fiber report on H^i_Z(S/I); Z defaults to the y-block.
 
     The report is computed once per (I, i, Z) and kept in a bounded memo;
     it is immutable, so every caller shares it.
     """
-    if I.is_unit:
-        raise UnitIdeal("local cohomology of the zero module")
-    if Z is None:
-        Z = I.ring.y_block()
+    i = _integer(i, "the local cohomology index")
+    Z = _axis_of(I, Z, "local cohomology")
     if not (0 <= i <= len(Z)):
         raise PreconditionFailed(f"index {i} outside [0, {len(Z)}]")
-    return _lc_report(I, i, frozenset(Z))
+    return _lc_report(I, i, Z)
 
 
 @lru_cache(maxsize=1024)
@@ -135,10 +149,7 @@ def _lc_report(I: MonomialIdeal, i: int, Z: frozenset) -> LCReport:
 
 def generalized_cm(I: MonomialIdeal, Z=None) -> bool:
     """H^i_Z(S/I) finitely generated for every i below cd."""
-    if I.is_unit:
-        raise UnitIdeal("generalized CM of the zero module")
-    if Z is None:
-        Z = I.ring.y_block()
+    Z = _axis_of(I, Z, "generalized CM")
     top = cd(Subquotient.cyclic(I), Z)
     return all(lc_report(I, i, Z).finitely_generated for i in range(top))
 
@@ -152,16 +163,13 @@ def growth_scan(I: MonomialIdeal, i: int, box_radii, Z=None) -> list:
     cells are the complement cells of each fiber class times the nonzero
     cells of the class's fiber table.  Each cell's degrees within radius r are
     counted, not visited, so the cost depends on neither the radius nor the
-    size of the exponents.  Radii must be nonnegative.
+    size of the exponents.  Radii must be nonnegative integers.
     """
-    box_radii = list(box_radii)
+    i = _integer(i, "the local cohomology index")
+    box_radii = [_integer(r, "a growth radius") for r in box_radii]
     if any(r < 0 for r in box_radii):
         raise ValueError(f"growth radii must be nonnegative, got {box_radii}")
-    if I.is_unit:
-        raise UnitIdeal("growth scan of the zero module")
-    if Z is None:
-        Z = I.ring.y_block()
-    Z = frozenset(Z)
+    Z = _axis_of(I, Z, "growth scan")
     if not (0 <= i <= len(Z)):
         raise PreconditionFailed(f"index {i} outside [0, {len(Z)}]")
     N = Subquotient.cyclic(I)
@@ -233,10 +241,7 @@ def question_counterexample_scan(I: MonomialIdeal, Z=None) -> list:
     It is unknown whether such instances exist; hits are logged and returned,
     never asserted absent.
     """
-    if I.is_unit:
-        raise UnitIdeal("scan of the zero module")
-    if Z is None:
-        Z = I.ring.y_block()
+    Z = _axis_of(I, Z, "scan")
 
     hits = []
     for j in sorted({cd_prime(p, Z) for p in associated_primes(I)}):

@@ -221,7 +221,8 @@ def zero_ideal(ring: RingSpec) -> MonomialIdeal:
 
 
 def _check_same_ring(I: MonomialIdeal, J: MonomialIdeal):
-    if I.ring != J.ring:
+    """The package's one same-ring rule: the same object, or else equal values."""
+    if I.ring is not J.ring and I.ring != J.ring:
         raise RingMismatch(f"rings differ: {I.ring} vs {J.ring}")
 
 
@@ -369,11 +370,6 @@ def primary_decomposition(I: MonomialIdeal) -> list:
     for rad in sorted(by_radical, key=sorted):
         out.append(PrimaryComponent(intersect_all(by_radical[rad]), rad))
     return out
-
-
-def minimal_primes(I: MonomialIdeal) -> set:
-    ass = associated_primes(I)
-    return {p for p in ass if not any(q < p for q in ass)}
 
 
 def dim_quotient(I: MonomialIdeal) -> int:

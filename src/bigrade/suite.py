@@ -119,7 +119,7 @@ def check_instance(ring: RingSpec, I: MonomialIdeal) -> list:
             run(
                 "seqcm_step_grades",
                 lambda: all(
-                    grade(Subquotient(ring, J_i, I), Z) == rep.grade
+                    grade(Subquotient(J_i, I), Z) == rep.grade
                     for J_i, _ in ladder.steps
                 ),
             )

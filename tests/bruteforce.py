@@ -28,7 +28,6 @@ from bigrade.homology import (
     fine_piece,
     koszul_dims_at,
     restrict_ideal,
-    sub_ring_for,
 )
 from bigrade.invariants import FiberClass
 from bigrade.local_cohomology import FiberLC
@@ -288,22 +287,22 @@ def bf_fibers(N, Z):
     comp = tuple(sorted(set(range(ring.nvars)) - set(Z)))
     box = N.box()
     caps = [box[i] for i in comp]
-    sub = sub_ring_for(ring, Z)
+    Z = frozenset(Z)
     classes = {}
     for a in product(*(range(c + 1) for c in caps)):
         u = [0] * ring.nvars
         for idx, i in enumerate(comp):
             u[i] = a[idx]
-        Ja = restrict_ideal(colon(N.J, tuple(u)), frozenset(Z), sub)
-        Jpa = restrict_ideal(colon(N.Jp, tuple(u)), frozenset(Z), sub)
-        classes.setdefault((Ja.gens, Jpa.gens), []).append(a)
+        Ja = restrict_ideal(colon(N.J, tuple(u)), Z)
+        Jpa = restrict_ideal(colon(N.Jp, tuple(u)), Z)
+        classes.setdefault((Ja, Jpa), []).append(a)
     out = []
-    for key, pats in classes.items():
+    for (Ja, Jpa), pats in classes.items():
         capped = [any(a[idx] == caps[idx] for idx in range(len(comp))) for a in pats]
         out.append(
             FiberClass(
                 patterns=tuple(sorted(pats)),
-                fiber=Subquotient(sub, MonomialIdeal(sub, key[0]), MonomialIdeal(sub, key[1])),
+                fiber=Subquotient(Ja, Jpa),
                 infinite_family=any(capped) and bool(comp),
                 n_single=sum(1 for c in capped if not c),
             )
@@ -386,7 +385,7 @@ def bf_growth_scan(I, i, radii, Z):
 
 def bf_ass_subquotient(J, Jp):
     """Ass of J/J' from the annihilator of every monomial of the capped box."""
-    N = Subquotient(J.ring, J, Jp)
+    N = Subquotient(J, Jp)
     found = set()
     for u in product(*(range(e + 1) for e in N.box())):
         if not fine_piece(N, u):

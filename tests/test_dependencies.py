@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import bigrade
 
 
@@ -183,6 +185,19 @@ def test_the_depth_memo_is_a_module_dict_that_clear_caches_empties():
     assert list(homology._depth_cache) == [(N, ring.all_vars())]
     bigrade.clear_caches()
     assert homology._depth_cache == {}
+
+
+def test_the_benchmark_tests_pass_on_this_tree():
+    # perfbench/tests import, trace and clear bigrade, so an engine change
+    # that breaks the harness fails here too; the sampler's wall-time bound
+    # is left out, as it depends on the load of the host
+    pytest.importorskip("numpy")
+    root = os.path.dirname(os.path.dirname(os.path.dirname(bigrade.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "perfbench/tests", "-k", "not sampler_time"],
+        cwd=root, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_every_error_class_is_raised():

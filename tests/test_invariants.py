@@ -121,7 +121,7 @@ def test_fibers_reject_zero_module():
     r = RingSpec(1, 1)
     I = ideal(r, (1, 1))
     with pytest.raises(ZeroModule):
-        fibers(Subquotient(r, I, I), r.y_block())
+        fibers(Subquotient(I, I), r.y_block())
 
 
 def test_grade_cd_simple():

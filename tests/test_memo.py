@@ -282,18 +282,18 @@ def test_equal_values_built_by_different_routes_hash_equal():
         assert hash(ring) == hash((ring.m, ring.n, ring.char))
         assert hash(I) == hash((I.ring, I.gens))
         N = Subquotient.cyclic(I)
-        assert hash(N) == hash((N.ring, N.J, N.Jp))
+        assert hash(N) == hash((N.J, N.Jp))
         J = sum_ideal(I, minimal_generators(ring, [var_power(ring, ring.nvars - 1)]))
         for other in _routes(rnd, ring, I):
             assert other is not I
             assert other == I and hash(other) == hash(I), str(I)
             assert other.ring == ring and hash(other.ring) == hash(ring)
             assert other.is_unit == I.is_unit
-            M = Subquotient(RingSpec(ring.m, ring.n, ring.char), unit_ideal(ring), other)
+            M = Subquotient(unit_ideal(RingSpec(ring.m, ring.n, ring.char)), other)
             assert M == N and hash(M) == hash(N)
             assert M.is_zero == N.is_zero
-            assert Subquotient(ring, J, other) == Subquotient(ring, J, I)
-            assert hash(Subquotient(ring, J, other)) == hash(Subquotient(ring, J, I))
+            assert Subquotient(J, other) == Subquotient(J, I)
+            assert hash(Subquotient(J, other)) == hash(Subquotient(J, I))
 
 
 def test_copies_equal_their_original_and_hit_its_memo_entry():
@@ -306,7 +306,7 @@ def test_copies_equal_their_original_and_hit_its_memo_entry():
         pickle.loads(pickle.dumps(N)),
         dataclasses.replace(N),
         dataclasses.replace(N, Jp=pickle.loads(pickle.dumps(I))),
-        dataclasses.replace(N, ring=dataclasses.replace(ring), J=unit_ideal(ring)),
+        dataclasses.replace(N, J=unit_ideal(dataclasses.replace(ring))),
     ]
     for copy in copies:
         assert copy is not N
@@ -320,14 +320,33 @@ def test_copies_equal_their_original_and_hit_its_memo_entry():
     assert invariants._fibers.cache_info().misses == 1
 
 
+def test_building_modules_and_fibers_compares_no_rings_by_value(monkeypatch):
+    # a subquotient is its two ideals, and the one same-ring check compares
+    # by identity first, so rings shared by reference are never compared field
+    # by field
+    calls = []
+    body = RingSpec.__eq__
+
+    def counting(self, other):
+        calls.append(other)
+        return body(self, other)
+
+    monkeypatch.setattr(RingSpec, "__eq__", counting)
+    ring, I = parse_ideal_text(SAMPLE)
+    N = Subquotient.cyclic(I)
+    for Z in (ring.x_block(), ring.y_block()):
+        assert fibers(N, Z)
+    assert calls == []
+
+
 def test_a_submodule_outside_a_non_unit_J_is_refused():
     ring = RingSpec(1, 1)
     J = minimal_generators(ring, [(1, 0)])
     with pytest.raises(ValueError, match="contained"):
-        Subquotient(ring, J, minimal_generators(ring, [(0, 1)]))
+        Subquotient(J, minimal_generators(ring, [(0, 1)]))
     with pytest.raises(ValueError, match="contained"):
-        Subquotient(ring, J, unit_ideal(ring))
-    assert Subquotient(ring, J, minimal_generators(ring, [(1, 1)])).Jp.gens == ((1, 1),)
+        Subquotient(J, unit_ideal(ring))
+    assert Subquotient(J, minimal_generators(ring, [(1, 1)])).Jp.gens == ((1, 1),)
 
 
 def test_a_cyclic_module_makes_no_containment_scan(monkeypatch):
@@ -350,5 +369,5 @@ def test_a_cyclic_module_makes_no_containment_scan(monkeypatch):
     assert third == first and third is not first
     assert calls == []
     # a non-unit J still gets its scan
-    Subquotient(ring, minimal_generators(ring, [var_power(ring, 0)]), zero_ideal(ring))
+    Subquotient(minimal_generators(ring, [var_power(ring, 0)]), zero_ideal(ring))
     assert len(calls) == 1

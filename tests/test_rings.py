@@ -22,7 +22,6 @@ from bigrade.rings import (
     intersect_all,
     irreducible_decomposition,
     minimal_generators,
-    minimal_primes,
     primary_decomposition,
     prime_ideal,
     radical,
@@ -333,7 +332,3 @@ def test_dim_quotient():
     assert dim_quotient(zero_ideal(R22)) == 4
     assert dim_quotient(ideal(R22, (1, 0, 0, 0))) == 3
     assert dim_quotient(prime_ideal(R22, frozenset(range(4)))) == 0
-    assert minimal_primes(ideal(R22, (1, 1, 0, 0))) == {
-        frozenset({0}),
-        frozenset({1}),
-    }
