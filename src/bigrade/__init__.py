@@ -14,7 +14,6 @@ from .errors import (
     BadRing,
     BigradeError,
     DimensionMismatch,
-    EmptyList,
     ParseError,
     PreconditionFailed,
     RingMismatch,
@@ -51,7 +50,6 @@ from .invariants import (
     analyze,
     cd,
     cd_prime,
-    direct_sum_verdict,
     fibers,
     grade,
     mgrade,
@@ -77,7 +75,6 @@ from .rings import (
     irreducible_decomposition,
     minimal_generators,
     primary_decomposition,
-    radical,
     unit_ideal,
     zero_ideal,
 )

@@ -33,10 +33,6 @@ class BadRing(BigradeError):
     """The ring is outside the operation's setting (e.g. m = 0 or n = 0)."""
 
 
-class EmptyList(BigradeError):
-    """A combinator was called with no summands."""
-
-
 class ParseError(BigradeError):
     """A text input failed to parse; carries the line number when known."""
 

@@ -53,7 +53,7 @@ def dimension_filtration(I: MonomialIdeal, Z) -> FiltrationLadder:
     """
     if I.is_unit:
         raise UnitIdeal("filtration of the zero module")
-    return _ladder(I, frozenset(Z))
+    return _ladder(I, I.ring.axis(Z))
 
 
 @lru_cache(maxsize=256)

@@ -13,7 +13,8 @@ visits those degrees and no others.  Depth needs only the projective
 dimension (Auslander-Buchsbaum).  On a cyclic S/I that is bounded below by
 the largest height of an associated prime (depth M <= dim S/p for p in
 Ass M) and above by the length of the Taylor resolution, min(#vars,
-#gens I); where the two meet, `depth_module` answers without a scan.
+#gens I), and by #vars - 1 unless the maximal ideal is associated (depth
+0); where the two meet, `depth_module` answers without a scan.
 Otherwise, as H_j vanishes at b for j > |supp b|, both scans read one list
 of the lattice in descending order of support size (`_lattice`), and
 `depth_module` starts at the lower bound and stops once no degree left can
@@ -274,16 +275,18 @@ def _projdim_bounds(N: Subquotient) -> tuple:
     Ass(S/I) (Bruns-Herzog, Prop. 1.2.13), so by Auslander-Buchsbaum projdim
     is at least the largest height of an associated prime; and the Taylor
     resolution of S/I has length #gens(I), so projdim is at most that and
-    at most the number of variables.  Ass is read from the memoized
-    decomposition that `cd`, `dim_module` and `mgrade` also read.  A general
-    J/J' gets (0, number of variables).
+    at most the number of variables.  depth S/I = 0 iff the maximal ideal
+    lies in Ass(S/I) (prime avoidance), so when the largest height is below
+    the number of variables, projdim is at most one less.  Ass is read from
+    the memoized decomposition that `cd`, `dim_module` and `mgrade` also
+    read.  A general J/J' gets (0, number of variables).
     """
     nvars = N.ring.nvars
     if not N.J.is_unit:
         return 0, nvars
     I = N.Jp
     low = max(len(p) for p in associated_primes(I))
-    high = min(nvars, len(I.gens))
+    high = min(nvars - (low < nvars), len(I.gens))
     if low > high:
         raise InternalCheckFailed(
             f"Ass height {low} exceeds the Taylor length {high}; input ideal:\n{render_ideal(I)}"

@@ -18,15 +18,7 @@ from itertools import product
 from math import prod
 from typing import Optional
 
-from .errors import (
-    EmptyList,
-    InternalCheckFailed,
-    PreconditionFailed,
-    RingMismatch,
-    UnitIdeal,
-    WrongBlock,
-    ZeroModule,
-)
+from .errors import InternalCheckFailed, PreconditionFailed, UnitIdeal, WrongBlock, ZeroModule
 from .homology import (
     Subquotient,
     _axis_cells,
@@ -38,6 +30,7 @@ from .homology import (
 )
 from .rings import (
     MonomialIdeal,
+    _check_same_ring,
     associated_primes,
     dim_quotient,
     divides,
@@ -93,7 +86,7 @@ def fibers(N: Subquotient, Z) -> list:
     one.  The decomposition is computed once per (N, Z) and kept in a
     bounded memo; each call returns a fresh list.
     """
-    return list(_fibers(N, frozenset(Z)))
+    return list(_fibers(N, N.ring.axis(Z)))
 
 
 @lru_cache(maxsize=256)
@@ -195,7 +188,7 @@ def cd(N: Subquotient, Z) -> int:
     The value and its cross-check are computed once per (N, Z) and kept in
     a bounded memo.
     """
-    return _cd(N, frozenset(Z))
+    return _cd(N, N.ring.axis(Z))
 
 
 @lru_cache(maxsize=256)
@@ -225,6 +218,7 @@ def mgrade(I: MonomialIdeal, Z) -> int:
     """min of cd over the associated primes of S/I."""
     if I.is_unit:
         raise UnitIdeal("mgrade of the zero module")
+    Z = I.ring.axis(Z)
     return min(cd_prime(p, Z) for p in associated_primes(I))
 
 
@@ -268,31 +262,6 @@ def ordinary_depth(I: MonomialIdeal) -> int:
     return depth_module(Subquotient.cyclic(I), I.ring.all_vars())
 
 
-def direct_sum_verdict(ideals, Z) -> dict:
-    """Maximal depth of the direct sum of the S/I_j, per the summand criterion."""
-    ideals = list(ideals)
-    if not ideals:
-        raise EmptyList("direct sum of no summands")
-    ring = ideals[0].ring
-    for I in ideals:
-        if I.ring != ring:
-            raise RingMismatch("summands live in different rings")
-        if I.is_unit:
-            raise UnitIdeal("zero-module summand")
-    reports = [analyze(I, Z) for I in ideals]
-    gmin = min(r.grade for r in reports)
-    achiever = next(
-        (j for j, r in enumerate(reports) if r.grade == gmin and r.maximal_depth),
-        None,
-    )
-    verdict = achiever is not None
-    # definitional check: the sum has Ass = union and grade = min of grades
-    direct = gmin == min(r.mgrade for r in reports)
-    if direct != verdict:
-        raise InternalCheckFailed("direct-sum criterion disagrees with min-grade/min-mgrade")
-    return {"verdict": verdict, "achiever": achiever}
-
-
 def _check_block(I: MonomialIdeal, block: frozenset, label: str):
     for g in I.gens:
         if any(e > 0 and i not in block for i, e in enumerate(g)):
@@ -305,9 +274,8 @@ def tensor_verdict(Ix: MonomialIdeal, Iy: MonomialIdeal) -> dict:
     Runs the product-module assertions alongside: Ass is the set of prime sums
     and grade and mgrade agree with depth and mgrade over all variables of K[y]/Iy.
     """
+    _check_same_ring(Ix, Iy)
     ring = Ix.ring
-    if Iy.ring != ring:
-        raise RingMismatch("block ideals must be given in the common ring")
     _check_block(Ix, ring.x_block(), "x")
     _check_block(Iy, ring.y_block(), "y")
     if Ix.is_unit or Iy.is_unit:

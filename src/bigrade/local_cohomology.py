@@ -22,7 +22,6 @@ box generates; a nonvanishing negative-degree family can never be generated.
 from __future__ import annotations
 
 import logging
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
@@ -32,7 +31,7 @@ from .errors import InternalCheckFailed, PreconditionFailed, UnitIdeal
 from .filtration import sequentially_cm
 from .homology import Subquotient, _axis_cells, cech_dims_at, exponent_cells, fine_piece
 from .invariants import analyze, cd, cd_prime, fibers
-from .rings import MonomialIdeal, associated_primes
+from .rings import MonomialIdeal, _integer, associated_primes
 
 logger = logging.getLogger("bigrade")
 
@@ -105,19 +104,12 @@ def _fiber_lc(fc, i: int) -> FiberLC:
     )
 
 
-def _integer(value, what: str) -> int:
-    """value as an int (`operator.index`); a float or a string is refused."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
-
-
 def _axis_of(I: MonomialIdeal, Z, what: str) -> frozenset:
-    """Z, the y-block by default, after refusing the zero module S/S."""
+    """Z, the y-block by default, after refusing the zero module S/S; a
+    given Z is checked by `RingSpec.axis`."""
     if I.is_unit:
         raise UnitIdeal(f"{what} of the zero module")
-    return I.ring.y_block() if Z is None else frozenset(Z)
+    return I.ring.y_block() if Z is None else I.ring.axis(Z)
 
 
 def lc_report(I: MonomialIdeal, i: int, Z=None) -> LCReport:
@@ -218,8 +210,7 @@ def growth_scan(I: MonomialIdeal, i: int, box_radii, Z=None) -> list:
 
 def corollary_check(I: MonomialIdeal, Z=None) -> dict:
     """The three equivalent statements for generalized-CM modules of positive grade."""
-    if Z is None:
-        Z = I.ring.y_block()
+    Z = _axis_of(I, Z, "corollary check")
     rep = analyze(I, Z)
     if rep.grade <= 0:
         raise PreconditionFailed("corollary requires grade > 0")

@@ -21,8 +21,9 @@ PrimeSupport = frozenset  # set of variable indices; the prime generated by them
 class RingSpec:
     """Ambient ring data: m x-variables, n y-variables, rank characteristic.
 
-    A memo key: its hash (that of the field tuple) and `nvars` are computed
-    once, at construction.
+    The three fields are integers (`_integer`), stored as plain ints.  A memo
+    key: its hash (that of the field tuple) and `nvars` are computed once, at
+    construction.
     """
 
     m: int
@@ -30,6 +31,9 @@ class RingSpec:
     char: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "m", _integer(self.m, "m"))
+        object.__setattr__(self, "n", _integer(self.n, "n"))
+        object.__setattr__(self, "char", _integer(self.char, "the characteristic"))
         if self.m < 0 or self.n < 0 or self.m + self.n < 1:
             raise ValueError(f"need m, n >= 0 and m + n >= 1, got m={self.m} n={self.n}")
         if self.char >= MAX_CHAR:
@@ -55,6 +59,26 @@ class RingSpec:
 
     def all_vars(self) -> frozenset:
         return frozenset(range(self.nvars))
+
+    def axis(self, Z) -> frozenset:
+        """Z as a frozenset of variable indices: each entry must be an integer
+        (`_integer`) in 0..nvars-1, or ValueError, so no index wraps around."""
+        out = set()
+        for z in Z:
+            z = _integer(z, "an axis variable")
+            if not 0 <= z < self.nvars:
+                raise ValueError(f"axis variable {z} outside 0..{self.nvars - 1}")
+            out.add(z)
+        return frozenset(out)
+
+
+def _integer(value, what: str) -> int:
+    """value as an int (`operator.index`, so a bool is 0 or 1); a float or a
+    string is refused with ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 # Strong-probable-prime tests to these bases decide primality exactly below
@@ -258,12 +282,6 @@ def colon_ideal(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     if J.is_zero:
         return unit_ideal(I.ring)
     return intersect_all([colon(I, g) for g in J.gens])
-
-
-def radical(I: MonomialIdeal) -> MonomialIdeal:
-    return minimal_generators(
-        I.ring, (tuple(min(e, 1) for e in g) for g in I.gens)
-    )
 
 
 def sum_ideal(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:

@@ -116,12 +116,6 @@ def bf_rank_mod_p(rows, p):
     return rank
 
 
-def _localized_member(u, sigma, gens, big):
-    """u * (product of sigma vars)^big lies in the ideal, big large enough to stabilize."""
-    v = tuple(e + (big if k in sigma else 0) for k, e in enumerate(u))
-    return bf_in_ideal(v, gens)
-
-
 def bf_cech_piece(nvars, gens, zvars, i, c):
     """dim_K of degree c of H^i of the Cech complex of S/I on the variables zvars.
 

@@ -49,15 +49,14 @@ def test_every_top_level_import_is_used():
     assert {name: found for name, found in unused.items() if found} == {}
 
 
-def test_every_private_definition_is_read():
-    # a top-level _name function or class must be read somewhere in the package
-    pkg = os.path.dirname(bigrade.__file__)
+def _unread_private_definitions(directory):
+    """Top-level _name functions and classes of the modules in directory that none of them reads."""
     defined = {}
     read = set()
-    for name in sorted(os.listdir(pkg)):
+    for name in sorted(os.listdir(directory)):
         if not name.endswith(".py"):
             continue
-        path = os.path.join(pkg, name)
+        path = os.path.join(directory, name)
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), path)
         for node in tree.body:
@@ -68,7 +67,14 @@ def test_every_private_definition_is_read():
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    assert {key: line for key, line in defined.items() if key[1] not in read} == {}
+    return {key: line for key, line in defined.items() if key[1] not in read}
+
+
+def test_every_private_definition_is_read():
+    # a top-level _name function or class must be read somewhere in the
+    # package, and a test helper somewhere in the tests
+    assert _unread_private_definitions(os.path.dirname(bigrade.__file__)) == {}
+    assert _unread_private_definitions(os.path.dirname(os.path.abspath(__file__))) == {}
 
 
 def _redundant_local_imports(path):

@@ -179,10 +179,22 @@ def test_support_bound_depth_matches_box_scan_reference(monkeypatch):
     monkeypatch.setattr(homology, "_depth_cache", {})
     rnd = random.Random(20261020)
     routes = {"bound": 0, "scan": 0, "module": 0}
-    for k in range(360):
-        cyclic = k % 3 != 1
+    for k in range(400):
+        cyclic = k % 3 != 1 or k >= 360
         char = (0, 2, 3)[(k // 3) % 3]
-        if k % 3 == 2:
+        if k >= 360:
+            # 4-6 generators on 2 of 5 variables: the Ass heights are often
+            # at most 3, so the bounds differ even once depth 0 is ruled out
+            m = rnd.randint(0, 5)
+            ring = RingSpec(m, 5 - m, char)
+            gens = []
+            for _ in range(rnd.randint(4, 6)):
+                g = [0] * 5
+                for v in rnd.sample(range(5), 2):
+                    g[v] = rnd.choice((1, 1, 2))
+                gens.append(tuple(g))
+            N, Z = Subquotient.cyclic(minimal_generators(ring, gens)), ring.all_vars()
+        elif k % 3 == 2:
             # 4-6 generators in 3-4 variables: the bounds often differ
             nvars = rnd.randint(3, 4)
             m = rnd.randint(0, nvars)
@@ -232,6 +244,34 @@ def test_depth_of_the_residue_field_reads_one_degree(monkeypatch, m, n):
     ring = RingSpec(m, n)
     maximal = minimal_generators(ring, [var_power(ring, v, 1) for v in range(ring.nvars)])
     assert ordinary_depth(maximal) == 0
+    assert calls == []
+
+
+def test_depth_of_a_dense_draw_is_read_off_its_bounds(monkeypatch):
+    # 40 generators on 3 of 8 variables: Ass height 7 but 32 minimal
+    # generators, so the Taylor length alone leaves projdim in [7, 8];
+    # the maximal ideal is not associated, so depth >= 1 closes the gap and
+    # none of the lattice degrees is read (2,558 without that bound)
+    calls = []
+    body = homology.koszul_dims_at
+
+    def counting(N, zvars, b):
+        calls.append(b)
+        return body(N, zvars, b)
+
+    monkeypatch.setattr(homology, "koszul_dims_at", counting)
+    rng = random.Random(1)
+    ring = RingSpec(4, 4)
+    gens = []
+    for _ in range(40):
+        g = [0] * 8
+        for v in rng.sample(range(8), 3):
+            g[v] = rng.randint(1, 3)
+        gens.append(tuple(g))
+    I = minimal_generators(ring, gens)
+    assert len(I.gens) == 32
+    assert max(map(len, associated_primes(I))) == 7
+    assert ordinary_depth(I) == 1
     assert calls == []
 
 

@@ -4,19 +4,12 @@ import pytest
 
 import bigrade
 from bigrade import homology, invariants, rings
-from bigrade.errors import (
-    EmptyList,
-    RingMismatch,
-    UnitIdeal,
-    WrongBlock,
-    ZeroModule,
-)
+from bigrade.errors import UnitIdeal, WrongBlock, ZeroModule
 from bigrade.homology import Subquotient, exponent_cells
 from bigrade.invariants import (
     analyze,
     cd,
     cd_prime,
-    direct_sum_verdict,
     fibers,
     grade,
     mgrade,
@@ -168,32 +161,6 @@ def test_ordinary_depth_and_mdepth():
     I = ideal(r, (1, 1))
     assert ordinary_depth(I) == 1
     assert mgrade(I, r.all_vars()) == 1
-
-
-def test_direct_sum_spec_examples():
-    r, I = two_prime_ideal()
-    Q = ideal(r, *[(0, 0) + tuple(1 if j == k else 0 for j in range(4)) for k in range(4)])
-    out = direct_sum_verdict([Q, I], r.y_block())
-    assert out == {"verdict": True, "achiever": 0}
-
-    out = direct_sum_verdict([I, zero_ideal(r)], r.y_block())
-    assert out == {"verdict": False, "achiever": None}
-
-    single = direct_sum_verdict([I], r.y_block())
-    assert single["verdict"] == analyze(I, r.y_block()).maximal_depth
-
-
-def test_direct_sum_errors():
-    r = RingSpec(1, 1)
-    with pytest.raises(EmptyList):
-        direct_sum_verdict([], r.y_block())
-    with pytest.raises(UnitIdeal):
-        direct_sum_verdict([unit_ideal(r)], r.y_block())
-    other = RingSpec(2, 1)
-    with pytest.raises(RingMismatch):
-        direct_sum_verdict(
-            [ideal(r, (1, 0)), ideal(other, (1, 0, 0))], r.y_block()
-        )
 
 
 def test_tensor_maximal_depth():

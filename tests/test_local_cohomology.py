@@ -9,7 +9,7 @@ from bigrade.cli import main
 from bigrade.errors import PreconditionFailed, UnitIdeal
 from bigrade.filtration import dimension_filtration, sequentially_cm
 from bigrade.homology import Subquotient, ass_subquotient
-from bigrade.invariants import analyze, fibers
+from bigrade.invariants import analyze, cd, fibers, mgrade
 from bigrade.io_formats import parse_ideal_text
 from bigrade.local_cohomology import (
     corollary_check,
@@ -117,6 +117,36 @@ def test_a_non_integer_index_or_radius_is_refused_cold_and_warm():
             growth_scan(I, 1, radii)
     with pytest.raises(ValueError, match="integer"):
         growth_scan(I, 1.0, [1])
+
+
+AXIS_CALLS = {
+    "analyze": analyze,
+    "cd": lambda I, Z: cd(Subquotient.cyclic(I), Z),
+    "corollary_check": corollary_check,
+    "dimension_filtration": dimension_filtration,
+    "fibers": lambda I, Z: fibers(Subquotient.cyclic(I), Z),
+    "generalized_cm": generalized_cm,
+    "growth_scan": lambda I, Z: growth_scan(I, 1, [1], Z),
+    "lc_report": lambda I, Z: lc_report(I, 1, Z),
+    "mgrade": mgrade,
+    "question_counterexample_scan": question_counterexample_scan,
+    "sequentially_cm": sequentially_cm,
+}
+
+
+@pytest.mark.parametrize("name", sorted(AXIS_CALLS))
+def test_an_axis_outside_the_ring_is_refused_cold_and_warm(name):
+    # -1 would read y1 through negative indexing, 9 and 5 lie past the two
+    # variables, and 1.0 == 1 would read the memo entry of the axis (y1)
+    I = minimal_generators(RingSpec(1, 1), [(1, 1)])
+    call = AXIS_CALLS[name]
+    for Z in ([-1], [9], [7], {0, 5}, ["a"], [1.0], [1, 1.0]):
+        with pytest.raises(ValueError, match="axis variable"):
+            call(I, Z)
+    if name != "corollary_check":  # x1*y1 has grade 0 along y1
+        call(I, [1])
+    with pytest.raises(ValueError, match="axis variable"):
+        call(I, [1.0])
 
 
 def test_growth_reads_slice_lengths_without_a_second_cell_walk(monkeypatch):

@@ -6,7 +6,12 @@ from bigrade import kernels
 from bigrade.errors import DimensionMismatch, RingMismatch, UnitIdeal
 from bigrade.filtration import mgrade_constancy
 from bigrade.invariants import ordinary_depth, tensor_verdict
-from bigrade.local_cohomology import generalized_cm, growth_scan, question_counterexample_scan
+from bigrade.local_cohomology import (
+    corollary_check,
+    generalized_cm,
+    growth_scan,
+    question_counterexample_scan,
+)
 from bigrade.rings import (
     MonomialIdeal,
     RingSpec,
@@ -26,6 +31,11 @@ REFUSALS = {
     "ordinary_depth": (lambda: ordinary_depth(S), UnitIdeal, "depth of the zero module"),
     "generalized_cm": (lambda: generalized_cm(S), UnitIdeal, "generalized CM of the zero module"),
     "growth_scan": (lambda: growth_scan(S, 0, [1]), UnitIdeal, "growth scan of the zero module"),
+    "corollary_check": (
+        lambda: corollary_check(S),
+        UnitIdeal,
+        "corollary check of the zero module",
+    ),
     "question_counterexample_scan": (
         lambda: question_counterexample_scan(S),
         UnitIdeal,
@@ -45,7 +55,7 @@ REFUSALS = {
     "tensor_verdict": (
         lambda: tensor_verdict(zero_ideal(R11), zero_ideal(R21)),
         RingMismatch,
-        "block ideals must be given in the common ring",
+        f"rings differ: {R11} vs {R21}",
     ),
     "intersect_all": (lambda: intersect_all([]), ValueError, "intersect_all needs at least one ideal"),
     "MonomialIdeal": (

@@ -24,7 +24,6 @@ from bigrade.rings import (
     minimal_generators,
     primary_decomposition,
     prime_ideal,
-    radical,
     render_monomial,
     sum_ideal,
     unit_ideal,
@@ -47,6 +46,28 @@ def test_ringspec_validation():
         RingSpec(1, 1, 4)
     with pytest.raises(ValueError):
         RingSpec(1, 1, -2)
+
+
+@pytest.mark.parametrize("args", [(2, 2, 3.0), (1.5, 1), ("1", 1)])
+def test_ringspec_refuses_non_integer_fields(args):
+    # 3.0 passed the prime test and then failed inside rank_mod_p's pow()
+    with pytest.raises(ValueError, match="must be an integer"):
+        RingSpec(*args)
+
+
+def test_ringspec_stores_integer_fields_as_ints():
+    ring = RingSpec(True, 1, 2)  # a bool is an integer, as in minimal_generators
+    assert ring == RingSpec(1, 1, 2) and hash(ring) == hash(RingSpec(1, 1, 2))
+    assert all(type(v) is int for v in (ring.m, ring.n, ring.char))
+
+
+def test_axis_is_a_set_of_variable_indices():
+    ring = RingSpec(1, 2)
+    assert ring.axis([2, 1, 2]) == frozenset({1, 2})
+    assert ring.axis(()) == frozenset()
+    for Z in ([3], [-1], ["a"], [0.0]):
+        with pytest.raises(ValueError, match="axis variable"):
+            ring.axis(Z)
 
 
 def _trial_division_prime(n):
@@ -182,11 +203,6 @@ def _small_monomials(top=4):
 
 def test_colon_ideal_of_zero():
     assert colon_ideal(ideal(R22, (1, 0, 0, 0)), zero_ideal(R22)).is_unit
-
-
-def test_radical():
-    I = ideal(R22, (2, 0, 3, 0), (0, 1, 0, 0))
-    assert radical(I) == ideal(R22, (1, 0, 1, 0), (0, 1, 0, 0))
 
 
 def test_sum_and_prime_ideal():
