@@ -49,7 +49,6 @@ from .invariants import (
     InvariantReport,
     analyze,
     cd,
-    cd_prime,
     fibers,
     grade,
     mgrade,

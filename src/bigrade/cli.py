@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -214,9 +213,8 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-@functools.cache
 def build_parser():
-    """The argparse tree, built on first use and shared by later calls."""
+    """A fresh argparse tree; the module builds one at import as `PARSER`."""
     parser = _Parser(
         prog="bigrade",
         description="Invariants of bigraded monomial quotients",
@@ -287,6 +285,12 @@ def build_parser():
     return parser
 
 
+# The one tree every run parses with.  It is a constant, not a memo: it holds
+# no answer, so `bigrade.clear_caches` does not reach it, and `import bigrade`
+# does not import this module, so only a command-line run builds it.
+PARSER = build_parser()
+
+
 def _error(message, code) -> tuple:
     return code, json.dumps({"schema": SCHEMA, "error": message}, sort_keys=True)
 
@@ -295,7 +299,7 @@ def _report(argv) -> tuple:
     """(exit code, JSON text) of the command line argv."""
     args = None
     try:
-        args = build_parser().parse_args(argv)
+        args = PARSER.parse_args(argv)
         payload = args.fn(args)
     except InternalCheckFailed as exc:
         # a theorem-backed assertion failed: a bug, reported with the input that shows it

@@ -213,7 +213,9 @@ def koszul_dims_at(N: Subquotient, zvars, b) -> list:
     """All Koszul homology dimensions [H_0 .. H_k] on the variables zvars in fine degree b.
 
     The term of sigma is the piece of N at b - e_sigma, so a coordinate z in
-    sigma reads the row at b_z - 1.
+    sigma reads the row at b_z - 1.  zvars is not checked: the Betti and
+    depth scans call this per lattice degree after `_refuse_scan` has
+    required all variables of N's ring.
     """
     return _term_dims(N, b, {z: _corner_row(N.J, N.Jp, z, b[z] - 1) for z in zvars})
 
@@ -354,14 +356,21 @@ def cech_dims_at(N: Subquotient, Z, c) -> list:
     The answer is all zeros when c_z is at least the largest exponent of a
     generator at some z in Z (`_axis_cells`), so `_fiber_table` in
     local_cohomology never asks for such a degree; a direct call still
-    builds its complex.
+    builds its complex.  Z is not checked: `_fiber_table` calls this per
+    cell with all variables of a fiber's ring, and `cech_piece_dim` checks
+    its own Z.
     """
     every = ((1 << len(N.J.gens)) - 1, 0)
     return _term_dims(N, c, dict.fromkeys(Z, every))
 
 
 def cech_piece_dim(N: Subquotient, Z, i: int, c) -> int:
-    """dim_K of H^i_Z(N) in fine degree c (coordinates on Z may be negative)."""
+    """dim_K of H^i_Z(N) in fine degree c (coordinates on Z may be negative).
+
+    Z goes through `RingSpec.axis` first, so a variable outside the ring is
+    a ValueError, then i is checked against |Z|.
+    """
+    Z = N.ring.axis(Z)
     if not (0 <= i <= len(Z)):
         raise PreconditionFailed(f"index {i} outside [0, {len(Z)}]")
     return cech_dims_at(N, Z, c)[i]

@@ -210,7 +210,11 @@ def _cd(N: Subquotient, Z: frozenset) -> int:
 
 
 def cd_prime(p: frozenset, Z) -> int:
-    """cd(Z, S/p) for a variable prime p: the Z-variables avoiding p."""
+    """cd(Z, S/p) for a variable prime p: the Z-variables avoiding p.
+
+    It takes no ring, so Z must be an axis already checked by `RingSpec.axis`,
+    as every caller in the package passes; not exported from `bigrade`.
+    """
     return len(frozenset(Z) - p)
 
 

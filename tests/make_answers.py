@@ -16,7 +16,6 @@ rewrites the golden.  Rewrite it only for an answer change that is meant.
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import io
 import json
@@ -87,25 +86,14 @@ def write_ideals(sample, directory) -> None:
 
 
 def run_answers(runs, directory) -> list:
-    """(exit code, 16-hex sha256 of stdout) of each command line, each run cold.
-
-    Every memo is emptied before each run, but the argparse tree is built
-    once: `clear_caches` empties the parser memo, so the run goes through a
-    memo that hands back the one tree.
-    """
-    parser = cli.build_parser()
-    built_once = cli.build_parser
-    cli.build_parser = functools.cache(lambda: parser)
+    """(exit code, 16-hex sha256 of stdout) of each command line, each run cold."""
     answers = []
-    try:
-        for argv in runs:
-            bigrade.clear_caches()
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = cli.main([a.format(dir=directory) for a in argv])
-            answers.append((code, hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]))
-    finally:
-        cli.build_parser = built_once
+    for argv in runs:
+        bigrade.clear_caches()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main([a.format(dir=directory) for a in argv])
+        answers.append((code, hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]))
     return answers
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -11,8 +12,8 @@ from itertools import combinations
 import pytest
 
 import bigrade
-from bigrade import homology
-from bigrade.cli import build_parser, main
+from bigrade import cli, homology
+from bigrade.cli import main
 
 SAMPLE = """ring 2 4
 gens: x1*x2, x1*y3, x1*y4, x2*y1, y1*y3, y1*y4, y2*y4, y2*y3
@@ -114,7 +115,6 @@ def test_hypersurface_inline(capsys):
 
 
 def test_inconsistent_hypersurface_verdict_exits_internal(capsys, monkeypatch):
-    from bigrade import cli
     from bigrade.hypersurface import HypersurfaceVerdict
 
     monkeypatch.setattr(
@@ -291,7 +291,6 @@ def test_closed_stdout_ends_without_a_traceback():
 
 
 def test_internal_check_failure_is_reported_with_its_input(sample_file, capsys, monkeypatch):
-    from bigrade import cli
     from bigrade.errors import InternalCheckFailed
     from bigrade.io_formats import parse_ideal_text
 
@@ -379,15 +378,26 @@ def test_unreadable_inputs_are_parse_errors(tmp_path, capsys, argv, message):
     assert error.startswith("parse: ") and message in error
 
 
-def test_every_subcommand_shares_one_parser(sample_file, capsys):
-    from bigrade import cli
+def test_every_subcommand_shares_one_parser(sample_file, capsys, monkeypatch):
+    # the argparse tree is a module constant, not a memo: emptying every memo
+    # between two runs of each subcommand keeps it and builds no parser
+    built = []
+    init = argparse.ArgumentParser.__init__
 
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    parser = cli.PARSER
     commands = [[a.format(sample=sample_file) for a in argv] for argv in COMMANDS]
     first = [run_cli(capsys, *argv) for argv in commands]
+    bigrade.clear_caches()
     second = [run_cli(capsys, *argv) for argv in commands]
+    assert cli.PARSER is parser
     assert second == first
     assert all(code == 0 for code, _ in first)
-    assert cli.build_parser.cache_info().misses == 1
+    assert built == []
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "cli_golden.json")
@@ -478,7 +488,7 @@ def test_readme_lists_every_subcommand():
     readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
     with open(readme, encoding="utf-8") as fh:
         listed = re.findall(r"^bigrade (\S+)", fh.read(), flags=re.MULTILINE)
-    (subparsers,) = [a for a in build_parser()._actions if a.dest == "command"]
+    (subparsers,) = [a for a in cli.PARSER._actions if a.dest == "command"]
     assert sorted(listed) == sorted(subparsers.choices)
 
 

@@ -8,7 +8,7 @@ from bigrade import homology, invariants, local_cohomology, rings
 from bigrade.cli import main
 from bigrade.errors import PreconditionFailed, UnitIdeal
 from bigrade.filtration import dimension_filtration, sequentially_cm
-from bigrade.homology import Subquotient, ass_subquotient
+from bigrade.homology import Subquotient, ass_subquotient, cech_piece_dim
 from bigrade.invariants import analyze, cd, fibers, mgrade
 from bigrade.io_formats import parse_ideal_text
 from bigrade.local_cohomology import (
@@ -122,6 +122,7 @@ def test_a_non_integer_index_or_radius_is_refused_cold_and_warm():
 AXIS_CALLS = {
     "analyze": analyze,
     "cd": lambda I, Z: cd(Subquotient.cyclic(I), Z),
+    "cech_piece_dim": lambda I, Z: cech_piece_dim(Subquotient.cyclic(I), Z, 1, (0, -1)),
     "corollary_check": corollary_check,
     "dimension_filtration": dimension_filtration,
     "fibers": lambda I, Z: fibers(Subquotient.cyclic(I), Z),
