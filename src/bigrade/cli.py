@@ -163,7 +163,7 @@ def cmd_hypersurface(args):
     elif args.input is None:
         raise ParseError("hypersurface needs a profile file or --factors")
     else:
-        with open(args.input, encoding="utf-8") as fh:
+        with open(args.input, encoding="utf-8-sig") as fh:
             profile = parse_profile(fh.read())
     verdict = classify(profile, ring)
     return {
@@ -289,17 +289,34 @@ def build_parser():
 # no answer, so `bigrade.clear_caches` does not reach it, and `import bigrade`
 # does not import this module, so only a command-line run builds it.
 PARSER = build_parser()
+# name -> subparser: the `choices` map of PARSER's one subparsers action
+(SUBCOMMANDS,) = [a.choices for a in PARSER._actions if a.dest == "command"]
 
 
 def _error(message, code) -> tuple:
     return code, json.dumps({"schema": SCHEMA, "error": message}, sort_keys=True)
 
 
-def _report(argv) -> tuple:
-    """(exit code, JSON text) of the command line argv."""
+def _parse_args(argv):
+    """PARSER's Namespace for argv, with a leading subcommand parsed by its
+    own subparser.  Every other argv (empty, help, an unknown command or an
+    option before the command) goes through the whole tree, the only route
+    to its messages and to the top-level help."""
+    subparser = SUBCOMMANDS.get(argv[0]) if argv else None
+    if subparser is None:
+        return PARSER.parse_args(argv)
+    args = subparser.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
+
+
+def _report(argv=None) -> tuple:
+    """(exit code, JSON text) of the command line argv, by default sys.argv[1:]."""
+    if argv is None:
+        argv = sys.argv[1:]
     args = None
     try:
-        args = PARSER.parse_args(argv)
+        args = _parse_args(argv)
         payload = args.fn(args)
     except InternalCheckFailed as exc:
         # a theorem-backed assertion failed: a bug, reported with the input that shows it

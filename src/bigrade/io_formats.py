@@ -1,6 +1,6 @@
 """Text formats: the ideal file and canonical rendering.
 
-Ideal file (UTF-8):
+Ideal file (UTF-8, with or without a byte order mark):
 
     # comment
     ring 2 4
@@ -12,6 +12,7 @@ variable powers (`^1` optional, `1` for the unit ideal, empty for (0)).
 
 from __future__ import annotations
 
+import functools
 import re
 
 from .errors import ParseError
@@ -43,8 +44,13 @@ def parse_term(ring: RingSpec, term: str, lineno=None):
     return tuple(exps)
 
 
+@functools.lru_cache(maxsize=256)
 def parse_ideal_text(text: str, char: int = 0):
-    """Parse the ideal file format; returns (RingSpec, MonomialIdeal)."""
+    """Parse the ideal file format; returns (RingSpec, MonomialIdeal).
+
+    A memo keyed on (text, char): equal texts give the same ring and ideal
+    objects, so every memo keyed on them hits by identity.  Both are frozen,
+    and a `ParseError` is raised again on every call, never kept."""
     ring = None
     gens = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -81,7 +87,8 @@ def parse_ideal_text(text: str, char: int = 0):
 
 
 def parse_ideal_file(path: str, char: int = 0):
-    with open(path, encoding="utf-8") as fh:
+    """Read the file on every call and parse its text through the memo."""
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_ideal_text(fh.read(), char=char)
 
 

@@ -14,6 +14,7 @@ import pytest
 import bigrade
 from bigrade import cli, homology
 from bigrade.cli import main
+from bigrade.errors import ParseError
 
 SAMPLE = """ring 2 4
 gens: x1*x2, x1*y3, x1*y4, x2*y1, y1*y3, y1*y4, y2*y4, y2*y3
@@ -457,6 +458,76 @@ def test_help_still_prints_usage_and_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: bigrade")
 
 
+def _parse_outcome(parse, argv, capsys):
+    """The Namespace's fields, the ParseError, or the exit code and stdout of a help run."""
+    try:
+        return "args", vars(parse(argv))
+    except ParseError as exc:
+        return "error", str(exc), exc.line
+    except SystemExit as exc:
+        return "exit", exc.code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *COMMANDS,
+        ("analyze", "{sample}", "--axis=all"),
+        ("lc", "{sample}", "--ax", "P", "--i", "0"),
+        ("analyze", "--", "{sample}"),
+        ("analyze", "{sample}", "extra"),
+        ("decompose", "{sample}", "--axis", "Q"),
+        ("lc", "{sample}"),
+        ("analyze", "{sample}", "--axis", "Z"),
+        ("analyze", "{sample}", "--char", "x"),
+        (),
+        ("bogus", "{sample}"),
+        ("--char", "2", "analyze", "{sample}"),
+        ("analyze", "-h"),
+        ("-h",),
+    ],
+)
+def test_dispatch_matches_the_whole_tree(sample_file, capsys, argv):
+    # a leading subcommand is parsed by its own subparser; every argv gives
+    # what PARSER.parse_args gives: the same fields, error or help
+    argv = [a.format(sample=sample_file) for a in argv]
+    dispatched = _parse_outcome(cli._parse_args, argv, capsys)
+    assert dispatched == _parse_outcome(cli.PARSER.parse_args, argv, capsys)
+
+
+def test_a_leading_subcommand_skips_the_whole_tree(sample_file, capsys, monkeypatch):
+    def whole_tree(argv):
+        raise AssertionError(f"PARSER.parse_args({argv!r})")
+
+    expected = [run_cli(capsys, *(a.format(sample=sample_file) for a in argv)) for argv in COMMANDS]
+    monkeypatch.setattr(cli.PARSER, "parse_args", whole_tree)
+    assert [run_cli(capsys, *(a.format(sample=sample_file) for a in argv)) for argv in COMMANDS] == expected
+
+
+def test_main_reads_sys_argv_by_default(sample_file, capsys, monkeypatch):
+    expected = run_cli(capsys, "render", sample_file)
+    monkeypatch.setattr(sys, "argv", ["bigrade", "render", sample_file])
+    code = main()
+    assert (code, capsys.readouterr().out) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (("render", "{path}"), "ring 1 1\ngens: x1\n"),
+        (("analyze", "{path}"), "# with a comment\nring 1 1\ngens: x1*y1\n"),
+        (("hypersurface", "{path}", "--ring", "2", "2"), "factors: (1,1) (0,2)\n"),
+    ],
+)
+def test_a_byte_order_mark_is_read_past(tmp_path, capsys, argv, text):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    without = run_cli(capsys, *(a.format(path=plain) for a in argv))
+    assert run_cli(capsys, *(a.format(path=marked) for a in argv)) == without
+    assert without[0] == 0
+
+
 def test_profile_file_matches_inline_factors(tmp_path, capsys):
     p = tmp_path / "profile.txt"
     p.write_text("# two factors\nfactors: (1,1) (0,2)\n")
@@ -488,8 +559,7 @@ def test_readme_lists_every_subcommand():
     readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
     with open(readme, encoding="utf-8") as fh:
         listed = re.findall(r"^bigrade (\S+)", fh.read(), flags=re.MULTILINE)
-    (subparsers,) = [a for a in cli.PARSER._actions if a.dest == "command"]
-    assert sorted(listed) == sorted(subparsers.choices)
+    assert sorted(listed) == sorted(cli.SUBCOMMANDS)
 
 
 def test_analyze_tests_only_the_sigma_the_term_rule_can_keep(tmp_path, capsys, monkeypatch):

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import inspect
 import io
+import json
 import pickle
 import random
 import sys
@@ -368,3 +369,51 @@ def test_a_cyclic_module_makes_no_containment_scan(monkeypatch):
     # a non-unit J still gets its scan
     Subquotient(minimal_generators(ring, [var_power(ring, 0)]), zero_ideal(ring))
     assert len(calls) == 1
+
+
+def test_equal_texts_parse_to_the_same_ring_and_ideal():
+    # the parse memo is keyed on the text: a second parse of an equal string
+    # in one memo lifetime returns the first parse's objects
+    ring, I = parse_ideal_text(SAMPLE)
+    again = parse_ideal_text("".join(list(SAMPLE)))
+    assert again[0] is ring and again[1] is I
+    bigrade.clear_caches()
+    cold = parse_ideal_text(SAMPLE)
+    assert cold == (ring, I) and cold[1] is not I
+
+
+def test_the_same_text_over_two_characteristics_gives_two_rings():
+    ring0, I0 = parse_ideal_text(SAMPLE, char=0)
+    ring2, I2 = parse_ideal_text(SAMPLE, char=2)
+    assert (ring0.char, ring2.char) == (0, 2)
+    assert ring0 is not ring2 and I0.ring is ring0 and I2.ring is ring2
+
+
+def _render(path):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["render", str(path)])
+    return code, out.getvalue()
+
+
+def _render_doc(canonical):
+    return json.dumps({"canonical": canonical, "command": "render", "schema": 1}, indent=2) + "\n"
+
+
+def test_a_rewritten_file_is_read_again(tmp_path):
+    # the memo is keyed on the text, not the path: no clear_caches is needed
+    path = tmp_path / "i.ideal"
+    path.write_text("ring 1 1\ngens: x1\n")
+    assert _render(path) == (0, _render_doc("ring 1 1\ngens: x1\n"))
+    path.write_text("ring 1 1\ngens: y1^2\n")
+    assert _render(path) == (0, _render_doc("ring 1 1\ngens: y1^2\n"))
+
+
+def test_a_parse_error_is_raised_on_every_call(tmp_path):
+    path = tmp_path / "i.ideal"
+    path.write_text("ring 1 1\nwat\n")
+    error = '{"error": "parse: unexpected line \'wat\' (line 2)", "schema": 1}\n'
+    assert _render(path) == (2, error)
+    assert _render(path) == (2, error)
+    path.write_text("ring 1 1\ngens: x1\n")
+    assert _render(path) == (0, _render_doc("ring 1 1\ngens: x1\n"))
