@@ -214,7 +214,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser():
-    """A fresh argparse tree; the module builds one at import as `PARSER`."""
+    """A fresh argparse tree and its map from each subcommand's name to its
+    subparser, the `choices` of the action `add_subparsers` returns; the
+    module builds one pair at import as `PARSER` and `SUBCOMMANDS`."""
     parser = _Parser(
         prog="bigrade",
         description="Invariants of bigraded monomial quotients",
@@ -282,15 +284,14 @@ def build_parser():
     common(p, with_axis=False)
     p.set_defaults(fn=cmd_render)
 
-    return parser
+    return parser, sub.choices
 
 
-# The one tree every run parses with.  It is a constant, not a memo: it holds
-# no answer, so `bigrade.clear_caches` does not reach it, and `import bigrade`
-# does not import this module, so only a command-line run builds it.
-PARSER = build_parser()
-# name -> subparser: the `choices` map of PARSER's one subparsers action
-(SUBCOMMANDS,) = [a.choices for a in PARSER._actions if a.dest == "command"]
+# The one tree every run parses with, and its name -> subparser map.  They
+# are constants, not memos: they hold no answer, so `bigrade.clear_caches`
+# does not reach them, and `import bigrade` does not import this module, so
+# only a command-line run builds them.
+PARSER, SUBCOMMANDS = build_parser()
 
 
 def _error(message, code) -> tuple:

@@ -41,7 +41,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import product
 
 from . import kernels
 from .errors import InternalCheckFailed, PreconditionFailed, ZeroModule
@@ -108,7 +108,11 @@ def _cyclic(I: MonomialIdeal) -> Subquotient:
 
 
 def fine_piece(N: Subquotient, c) -> int:
-    """1 iff the monomial with exponent c >= 0 lies in J \\ J'."""
+    """1 iff the monomial with exponent c >= 0 lies in J \\ J'.
+
+    A direct membership test for the brute-force references; the engine
+    reads membership off the `_corner_row` rule instead.
+    """
     c = tuple(c)
     if any(e < 0 for e in c):
         return 0
@@ -175,37 +179,38 @@ def _term_dims(N: Subquotient, deg, inside) -> list:
 
     The term of sigma is nonzero iff the `_corner_row` rule holds on the rows
     `inside[k]` for k in sigma and `_corner_row(J, J', k, deg_k)` for k not
-    in sigma.  A coordinate whose inside row holds no generator of J is in no
-    nonzero term (a Koszul coordinate with deg_k = 0), and one whose outside
-    row holds none is in every nonzero term (a negative Cech coordinate), so
-    only the sigma of those forced coordinates plus a subset of the free ones
-    are tested.  Level j lists them in the order of `combinations(zvars, j)`.
+    in sigma.  One depth-first walk over the coordinates of `inside`, in
+    ascending order, takes each into sigma or leaves it out, with the `jin`
+    rows ANDed and the `miss` rows ORed along the way.  The AND only shrinks,
+    so a branch is dropped once it is 0, in a Koszul and a Cech degree alike:
+    no term below it is nonzero.  A full-length sigma is kept iff its OR
+    holds every generator of J'.  Level j lists the kept sigma of size j.
     """
     J, Jp = N.J, N.Jp
-    zvars = sorted(inside)
-    jin0, miss0 = (1 << len(J.gens)) - 1, 0
-    outside = {}
+    jin, miss = (1 << len(J.gens)) - 1, 0
+    steps = []  # (k, inside jin, inside miss, outside jin, outside miss)
     for k, e in enumerate(deg):
         row = _corner_row(J, Jp, k, e)
         if k in inside:
-            outside[k] = row
+            steps.append((k, inside[k][0], inside[k][1], row[0], row[1]))
         else:
-            jin0 &= row[0]
-            miss0 |= row[1]
-    forced = tuple(z for z in zvars if not outside[z][0])
-    free = [z for z in zvars if z not in forced and inside[z][0]]
+            jin &= row[0]
+            miss |= row[1]
     full = (1 << len(Jp.gens)) - 1
-    levels = [[] for _ in range(len(zvars) + 1)]
-    for r in range(len(free) + 1):
-        for subset in combinations(free, r):
-            sigma = tuple(sorted(forced + subset))
-            jin, miss = jin0, miss0
-            for z in zvars:
-                row = inside[z] if z in sigma else outside[z]
-                jin &= row[0]
-                miss |= row[1]
-            if jin and miss == full:
+    levels = [[] for _ in range(len(steps) + 1)]
+    # a node (n, sigma, jin, miss) has taken or left out steps[:n]
+    stack = [(0, (), jin, miss)] if jin else []
+    while stack:
+        n, sigma, jin, miss = stack.pop()
+        if n == len(steps):
+            if miss == full:
                 levels[len(sigma)].append(sigma)
+            continue
+        k, in_jin, in_miss, out_jin, out_miss = steps[n]
+        if jin & out_jin:
+            stack.append((n + 1, sigma, jin & out_jin, miss | out_miss))
+        if jin & in_jin:
+            stack.append((n + 1, sigma + (k,), jin & in_jin, miss | in_miss))
     return _complex_dims(levels, N.ring.char)
 
 
@@ -213,9 +218,12 @@ def koszul_dims_at(N: Subquotient, zvars, b) -> list:
     """All Koszul homology dimensions [H_0 .. H_k] on the variables zvars in fine degree b.
 
     The term of sigma is the piece of N at b - e_sigma, so a coordinate z in
-    sigma reads the row at b_z - 1.  zvars is not checked: the Betti and
-    depth scans call this per lattice degree after `_refuse_scan` has
-    required all variables of N's ring.
+    sigma reads the row at b_z - 1.  Where b_z = 0 that row holds no
+    generator of J, so the walk of `_term_dims` drops every sigma holding z
+    at once, and a complex in a degree of small support stays small however
+    many variables the ring has.  zvars is not checked: the Betti and depth
+    scans call this per lattice degree after `_refuse_scan` has required all
+    variables of N's ring.
     """
     return _term_dims(N, b, {z: _corner_row(N.J, N.Jp, z, b[z] - 1) for z in zvars})
 
@@ -353,6 +361,8 @@ def cech_dims_at(N: Subquotient, Z, c) -> list:
     Coordinates on Z may be negative.  The term of sigma is the piece of N
     localized at the variables of sigma, where every generator of J passes
     and none of J' misses, so a coordinate in sigma reads that constant row.
+    Where c_z < 0 the row outside sigma holds no generator of J, so the walk
+    of `_term_dims` drops every sigma without z at once.
     The answer is all zeros when c_z is at least the largest exponent of a
     generator at some z in Z (`_axis_cells`), so `_fiber_table` in
     local_cohomology never asks for such a degree; a direct call still

@@ -29,7 +29,7 @@ from typing import Optional
 
 from .errors import InternalCheckFailed, PreconditionFailed, UnitIdeal
 from .filtration import sequentially_cm
-from .homology import Subquotient, _axis_cells, cech_dims_at, exponent_cells, fine_piece
+from .homology import Subquotient, _axis_cells, cech_dims_at, exponent_cells
 from .invariants import analyze, cd, cd_prime, fibers
 from .rings import MonomialIdeal, _integer, associated_primes
 
@@ -181,11 +181,12 @@ def growth_scan(I: MonomialIdeal, i: int, box_radii, Z=None) -> list:
                         for a in fc.patterns
                     ]
     else:
-        # `fibers` refuses an empty axis; H^0 on no variables is S/I itself
+        # `fibers` refuses an empty axis; H^0 on no variables is S/I itself,
+        # whose piece at c is the one term of the Cech complex on no variables
         cells = [
             (c, lengths, 1)
             for c, lengths in exponent_cells(N, range(I.ring.nvars))
-            if fine_piece(N, c)
+            if cech_dims_at(N, frozenset(), c)[0]
         ]
 
     sums = []

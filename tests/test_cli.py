@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -7,7 +8,6 @@ import re
 import subprocess
 import sys
 import time
-from itertools import combinations
 
 import pytest
 
@@ -562,22 +562,31 @@ def test_readme_lists_every_subcommand():
     assert sorted(listed) == sorted(cli.SUBCOMMANDS)
 
 
-def test_analyze_tests_only_the_sigma_the_term_rule_can_keep(tmp_path, capsys, monkeypatch):
+def test_analyze_tests_only_the_sigma_the_term_rule_can_keep(tmp_path, capsys):
     # in a degree of S/(x1*y1, x2*y1, x2*y2) every coordinate outside the
     # degree's support is in no nonzero Koszul term, so no complex needs all
     # 2^16 subsets; the Ass height 2 is below the Taylor length 3, so the
-    # depth is read off a Koszul scan and not off its bounds alone
+    # depth is read off a Koszul scan and not off its bounds alone.  Every
+    # sigma the term walk reaches at full length, kept or not, runs its
+    # keep test once, so the trace counts the runs of that line.
     p = tmp_path / "r8.ideal"
     p.write_text("ring 8 8\ngens: x1*y1, x2*y1, x2*y2\n")
+    walk = homology._term_dims
+    lines, first = inspect.getsourcelines(walk)
+    (keep_test,) = [first + n for n, line in enumerate(lines) if "miss == full" in line]
     tested = []
 
-    def counting(pool, r):
-        for sigma in combinations(pool, r):
-            tested.append(sigma)
-            yield sigma
+    def in_walk(frame, event, arg):
+        if event == "line" and frame.f_lineno == keep_test:
+            tested.append(frame.f_locals["sigma"])
+        return in_walk
 
-    monkeypatch.setattr(homology, "combinations", counting)
-    code, _ = run_cli(capsys, "analyze", str(p))
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: in_walk if frame.f_code is walk.__code__ else None)
+    try:
+        code, _ = run_cli(capsys, "analyze", str(p))
+    finally:
+        sys.settrace(previous)
     assert code == 0
     assert 0 < len(tested) <= 64
 

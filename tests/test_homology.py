@@ -1,6 +1,6 @@
 import random
 import time
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -311,6 +311,69 @@ def test_cech_dims_match_independent_reference():
             shifted = tuple(a - b for a, b in zip(c, shift))
             want = [bf_cech_piece(nvars, colon_gens, Z, i, shifted) for i in range(len(Z) + 1)]
             assert cech_dims_at(N, Z, c) == want, (N, sorted(Z), c)
+
+
+def _kept_by_every_subset(N, deg, inside):
+    """Per size j, the sorted j-subsets sigma of inside whose term the
+    `_corner_row` rule keeps: rows `inside[k]` for k in sigma and the rows at
+    deg_k elsewhere, every subset tested."""
+    J, Jp = N.J, N.Jp
+    rows = [homology._corner_row(J, Jp, k, e) for k, e in enumerate(deg)]
+    full = (1 << len(Jp.gens)) - 1
+    levels = []
+    for j in range(len(inside) + 1):
+        kept = []
+        for sigma in combinations(sorted(inside), j):
+            jin, miss = (1 << len(J.gens)) - 1, 0
+            for k, row in enumerate(rows):
+                row = inside[k] if k in sigma else row
+                jin &= row[0]
+                miss |= row[1]
+            if jin and miss == full:
+                kept.append(sigma)
+        levels.append(kept)
+    return levels
+
+
+@pytest.mark.parametrize("char", [0, 2])
+def test_the_term_walk_keeps_what_every_subset_keeps(monkeypatch, char):
+    # 6-10 variables, past the reach of the brute-force oracles; odd draws
+    # take a Koszul degree from the lcm lattice, even ones a Cech degree of
+    # cell corners with the -1 class on the axis
+    seen = []
+    inner = homology._complex_dims
+
+    def recording(levels, ch):
+        seen.append(levels)
+        return inner(levels, ch)
+
+    monkeypatch.setattr(homology, "_complex_dims", recording)
+    rnd = random.Random(20261019 + char)
+    wide = nonzero = 0
+    for k in range(200):
+        nvars = rnd.randint(6, 10)
+        m = rnd.randint(0, nvars)
+        ring = RingSpec(m, nvars - m, char)
+        J = unit_ideal(ring) if k % 3 else _random_ideal(rnd, ring, 1, rnd.randint(1, 2))
+        Jp = intersect(J, _random_ideal(rnd, ring, 2, rnd.randint(1, 5)))
+        N = Subquotient(J, Jp)
+        gens = J.gens + Jp.gens
+        Z = rnd.sample(range(nvars), rnd.randint(nvars // 2, nvars))
+        if k % 2:
+            deg = tuple(map(max, zip(*rnd.sample(gens, rnd.randint(1, len(gens))))))
+            inside = {z: homology._corner_row(J, Jp, z, deg[z] - 1) for z in Z}
+            dims = koszul_dims_at(N, Z, deg)
+        else:
+            deg = tuple(rnd.choice([-1] * (v in Z) + sorted({g[v] for g in gens})) for v in range(nvars))
+            inside = dict.fromkeys(Z, ((1 << len(J.gens)) - 1, 0))
+            dims = cech_dims_at(N, Z, deg)
+        want = _kept_by_every_subset(N, deg, inside)
+        case = (str(J), str(Jp), char, sorted(Z), deg)
+        assert [sorted(level) for level in seen.pop()] == want, case
+        assert dims == inner(want, char), case
+        wide += len(Z) >= 8 and any(want)
+        nonzero += any(dims)
+    assert wide >= 20 and nonzero >= 40, (wide, nonzero)
 
 
 def test_cech_vanishes_past_the_box_on_an_axis_variable():

@@ -262,13 +262,15 @@ def test_cell_walks_match_box_walk_reference():
         case = (str(I), ring.char, sorted(Z))
         assert _classes(fibers(N, Z)) == _bf_classes(N, Z), case
 
+        radii = [0, 1, 2, 3, 4, 6, 9]
         for i in range(len(Z) + 1):
             rep = lc_report(I, i, Z)
             fin_gen, total, entries = bf_lc_report(I, i, Z)
             assert (rep.finitely_generated, rep.total_dim) == (fin_gen, total), (case, i)
             assert list(map(_lc_fields, rep.per_fiber)) == list(map(_lc_fields, entries)), (case, i)
-            radii = [0, 1, 2, 3, 4, 6, 9]
             assert growth_scan(I, i, radii, Z) == bf_growth_scan(I, i, radii, Z), (case, i)
+        # no axis: growth's own branch, as `fibers` refuses an empty axis
+        assert growth_scan(I, 0, radii, frozenset()) == bf_growth_scan(I, 0, radii, frozenset()), case
 
         assert ass_subquotient(unit_ideal(ring), I) == bf_ass_subquotient(unit_ideal(ring), I), case
         J = sum_ideal(I, _random_ideal(rnd, ring, 3, 2))  # proper: no unit generator
@@ -381,12 +383,12 @@ def test_large_exponents_cost_follows_the_cells(monkeypatch):
     # Cech calls per growth index and 150,515 colons for seqcm at e = 16, and
     # 900 and 1,069 at e = 4; the cells do not depend on e.  The fibers and
     # ass_subquotient build no colon, so the generator sets minimized
-    # elsewhere, the corner rows (one per coordinate of each Koszul and Cech
-    # degree, one per complement cell start of the fibers, and one per
-    # candidate exponent of ass_subquotient) and the fine pieces of growth's
-    # empty-axis path are counted too: a box walk in any of them would make
-    # these grow with e.
-    calls = {"cech": 0, "colon": 0, "mingens": 0, "fine_piece": 0, "corner_row": 0}
+    # elsewhere and the corner rows (one per coordinate of each Koszul and
+    # Cech degree, one per complement cell start of the fibers, and one per
+    # candidate exponent of ass_subquotient) are counted too, and growth on no
+    # axis, which reads its cells off Cech calls of its own: a box walk in any
+    # of them would make these grow with e.
+    calls = {"cech": 0, "colon": 0, "mingens": 0, "corner_row": 0}
     # set after e = 16 to twice its counts, so a walk that grows with e fails
     # at e = 1000 as soon as it passes them instead of running for hours
     ceiling = {}
@@ -403,7 +405,6 @@ def test_large_exponents_cost_follows_the_cells(monkeypatch):
     mingens = counted("mingens", rings.minimal_generators)
     for module in (rings, homology):
         monkeypatch.setattr(module, "minimal_generators", mingens)
-    monkeypatch.setattr(homology, "fine_piece", counted("fine_piece", homology.fine_piece))
     corner_row = counted("corner_row", homology._corner_row)
     for module in (homology, invariants):
         monkeypatch.setattr(module, "_corner_row", corner_row)
@@ -421,6 +422,7 @@ def test_large_exponents_cost_follows_the_cells(monkeypatch):
             ("lc 2", lambda: lc_report(I, 2, Q)),
             ("growth 1", lambda: growth_scan(I, 1, [1, 2, 3, 4], Q)),
             ("growth 2", lambda: growth_scan(I, 2, [1, 2, 3, 4], Q)),
+            ("growth none", lambda: growth_scan(I, 0, [1, 2, 3, 4], frozenset())),
             ("seqcm", lambda: sequentially_cm(I, Q)),
         ]:
             before = dict(calls)
@@ -444,6 +446,9 @@ def test_large_exponents_cost_follows_the_cells(monkeypatch):
     # every index is read off the tables the first lc query built
     assert [dict(counts_16)[label]["cech"] for label in ("lc 2", "growth 1", "growth 2")] == [0, 0, 0]
     assert dict(answers_16)["growth 1"] == [4, 36, 144, 400]
+    # on no axis no generator lies within radius 4: (r + 1)^4 degrees each
+    assert dict(answers_16)["growth none"] == [16, 81, 256, 625]
+    assert dict(counts_16)["growth none"]["cech"] > 0
     assert dict(answers_16)["seqcm"][0] is True
 
 
