@@ -35,7 +35,6 @@ from .homology import (
     cech_piece_dim,
     depth_module,
     dim_module,
-    fine_piece,
 )
 from .hypersurface import (
     FactorProfile,

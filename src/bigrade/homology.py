@@ -44,12 +44,13 @@ from functools import cached_property, lru_cache
 from itertools import product
 
 from . import kernels
-from .errors import InternalCheckFailed, PreconditionFailed, ZeroModule
+from .errors import DimensionMismatch, InternalCheckFailed, PreconditionFailed, ZeroModule
 from .io_formats import render_ideal
 from .rings import (
     MonomialIdeal,
     RingSpec,
     _check_same_ring,
+    _integer,
     associated_primes,
     colon_ideal,
     dim_quotient,
@@ -105,18 +106,6 @@ class Subquotient:
 def _cyclic(I: MonomialIdeal) -> Subquotient:
     """The memo behind `Subquotient.cyclic`."""
     return Subquotient(unit_ideal(I.ring), I)
-
-
-def fine_piece(N: Subquotient, c) -> int:
-    """1 iff the monomial with exponent c >= 0 lies in J \\ J'.
-
-    A direct membership test for the brute-force references; the engine
-    reads membership off the `_corner_row` rule instead.
-    """
-    c = tuple(c)
-    if any(e < 0 for e in c):
-        return 0
-    return 1 if (N.J.contains(c) and not N.Jp.contains(c)) else 0
 
 
 def _corner_row(J: MonomialIdeal, Jp: MonomialIdeal, k: int, e: int) -> tuple:
@@ -378,11 +367,16 @@ def cech_piece_dim(N: Subquotient, Z, i: int, c) -> int:
     """dim_K of H^i_Z(N) in fine degree c (coordinates on Z may be negative).
 
     Z goes through `RingSpec.axis` first, so a variable outside the ring is
-    a ValueError, then i is checked against |Z|.
+    a ValueError, then i is checked against |Z|.  A degree of the wrong
+    length is a DimensionMismatch and a non-integer coordinate a ValueError;
+    `cech_dims_at` takes c unchecked.
     """
     Z = N.ring.axis(Z)
     if not (0 <= i <= len(Z)):
         raise PreconditionFailed(f"index {i} outside [0, {len(Z)}]")
+    c = tuple(_integer(e, "a degree coordinate") for e in c)
+    if len(c) != N.ring.nvars:
+        raise DimensionMismatch(f"degree {c} has wrong length for {N.ring}")
     return cech_dims_at(N, Z, c)[i]
 
 

@@ -45,14 +45,23 @@ class FiberClass:
     `patterns` holds the smallest pattern (over the complement of Z, in
     complement order) of each exponent cell whose colon pair is the class's,
     in lex order, so `patterns[0]` is the smallest slice of the class;
-    `n_single` counts the slices in bounded cells, `infinite_family` flags
-    classes standing for infinitely many slices (a capped cell).
+    `lengths` holds each of those cells' lengths per coordinate, in the same
+    order (None for a cap, which stands for infinitely many exponents).
     """
 
     patterns: tuple
+    lengths: tuple
     fiber: Subquotient
-    infinite_family: bool
-    n_single: int
+
+    @property
+    def infinite_family(self) -> bool:
+        """True when the class stands for infinitely many slices (a capped cell)."""
+        return any(None in ns for ns in self.lengths)
+
+    @property
+    def n_single(self) -> int:
+        """The number of slices in the class's bounded cells."""
+        return sum(prod(ns) for ns in self.lengths if None not in ns)
 
 
 @dataclass(frozen=True)
@@ -112,6 +121,10 @@ def _fibers(N: Subquotient, Z: frozenset) -> tuple:
     outside J' has its complement part as the corner of a cell, and there
     g's Z-part lies in the restricted colon of J but not in that of J', as a
     generator of J' dividing both parts of g would divide g.
+
+    Each class keeps the corners and the lengths of its cells as the walk
+    meets them, so its readers (`n_single`, `infinite_family` and
+    `local_cohomology.growth_scan`) walk no cell again.
     """
     if N.is_zero:
         raise ZeroModule("fiber decomposition of the zero module")
@@ -147,20 +160,15 @@ def _fibers(N: Subquotient, Z: frozenset) -> tuple:
         classes.setdefault(key, []).append(cell)
 
     # classes in order of first cell, each with its cells in lex order of corners
-    out = []
-    for key, cells in classes.items():
-        if key[0] == key[1]:
-            continue
-        lengths = [tuple(c[1] for c in cell) for cell in cells]
-        out.append(
-            FiberClass(
-                patterns=tuple(tuple(c[0] for c in cell) for cell in cells),
-                fiber=Subquotient(MonomialIdeal(sub, key[0]), MonomialIdeal(sub, key[1])),
-                infinite_family=any(None in ns for ns in lengths),
-                n_single=sum(prod(ns) for ns in lengths if None not in ns),
-            )
+    return tuple(
+        FiberClass(
+            patterns=tuple(tuple(c[0] for c in cell) for cell in cells),
+            lengths=tuple(tuple(c[1] for c in cell) for cell in cells),
+            fiber=Subquotient(MonomialIdeal(sub, key[0]), MonomialIdeal(sub, key[1])),
         )
-    return tuple(out)
+        for key, cells in classes.items()
+        if key[0] != key[1]
+    )
 
 
 def _divisor_bits(parts) -> list:

@@ -29,7 +29,7 @@ from typing import Optional
 
 from .errors import InternalCheckFailed, PreconditionFailed, UnitIdeal
 from .filtration import sequentially_cm
-from .homology import Subquotient, _axis_cells, cech_dims_at, exponent_cells
+from .homology import Subquotient, cech_dims_at, exponent_cells
 from .invariants import analyze, cd, cd_prime, fibers
 from .rings import MonomialIdeal, _integer, associated_primes
 
@@ -146,14 +146,33 @@ def generalized_cm(I: MonomialIdeal, Z=None) -> bool:
     return all(lc_report(I, i, Z).finitely_generated for i in range(top))
 
 
+def _degrees(corner, lengths, r: int) -> int:
+    """The fine degrees of one cell within radius r, counted per coordinate.
+
+    The -1 class holds the r degrees -r..-1, a cap (length None) from e on
+    the degrees e..r, and a bounded cell from e the degrees e..e+n-1 up to r.
+    """
+    count = 1
+    for e, n in zip(corner, lengths):
+        if e == -1:
+            count *= r
+        elif n is None:
+            count *= max(0, r - e + 1)
+        else:
+            count *= max(0, min(e + n - 1, r) - e + 1)
+    return count
+
+
 def growth_scan(I: MonomialIdeal, i: int, box_radii, Z=None) -> list:
     """Cumulative piece dimensions of H^i_Z(S/I) over growing degree boxes.
 
     Radius r covers fine degrees with Z-coordinates in [-r, r] and the rest in
     [0, r].  A strictly increasing tail witnesses non-finite-generation.
-    H^i_Z(S/I) is the direct sum over the slices of its fibers, so its nonzero
-    cells are the complement cells of each fiber class times the nonzero
-    cells of the class's fiber table.  Each cell's degrees within radius r are
+    H^i_Z(S/I) is the direct sum over the slices of its fibers, so a fiber
+    class's nonzero cells are its complement cells (`FiberClass.patterns`
+    and `lengths`) times the nonzero cells of its fiber table, and the class
+    counts (degrees of its complement cells) x (d times the degrees of each
+    nonzero fiber cell within r), each by `_degrees`.  The degrees are
     counted, not visited, so the cost depends on neither the radius nor the
     size of the exponents.  Radii must be nonnegative integers.
     """
@@ -166,47 +185,34 @@ def growth_scan(I: MonomialIdeal, i: int, box_radii, Z=None) -> list:
         raise PreconditionFailed(f"index {i} outside [0, {len(Z)}]")
     N = Subquotient.cyclic(I)
 
-    # (corner, lengths, dim) of the nonzero cells; the count below reads each
-    # coordinate on its own, so a cell may list its coordinates in any order
-    cells = []
+    # (complement cells, nonzero fiber cells with their dimension) per class
     if Z:
-        # a slice's cell length on each complement coordinate, by the slice's
-        # exponent there, so the cells `fibers` walked are not walked again
-        axes = [dict(_axis_cells(I.gens, k)) for k in sorted(set(range(I.ring.nvars)) - Z)]
-        for fc in fibers(N, Z):
-            for zc, zlen, dims in _fiber_table(fc.fiber):
-                if dims[i]:
-                    cells += [
-                        (a + zc, tuple(ax[e] for ax, e in zip(axes, a)) + zlen, dims[i])
-                        for a in fc.patterns
-                    ]
+        classes = [
+            (
+                list(zip(fc.patterns, fc.lengths)),
+                [(c, lengths, dims[i]) for c, lengths, dims in _fiber_table(fc.fiber) if dims[i]],
+            )
+            for fc in fibers(N, Z)
+        ]
     else:
         # `fibers` refuses an empty axis; H^0 on no variables is S/I itself,
-        # whose piece at c is the one term of the Cech complex on no variables
+        # whose piece at c is the one term of the Cech complex on no
+        # variables, one class over the point of K[]
         cells = [
-            (c, lengths, 1)
+            (c, lengths)
             for c, lengths in exponent_cells(N, range(I.ring.nvars))
             if cech_dims_at(N, frozenset(), c)[0]
         ]
+        classes = [(cells, [((), (), 1)])]
 
-    sums = []
-    for r in box_radii:
-        total = 0
-        for c, lengths, d in cells:
-            mult = 1
-            for e, n in zip(c, lengths):
-                if e == -1:
-                    count = r  # degrees -r..-1
-                elif n is None:
-                    count = max(0, r - e + 1)  # degrees e..r
-                else:
-                    count = max(0, min(e + n - 1, r) - e + 1)  # degrees e..e+n-1 up to r
-                mult *= count
-                if mult == 0:
-                    break
-            total += d * mult
-        sums.append(total)
-    return sums
+    return [
+        sum(
+            sum(_degrees(a, n, r) for a, n in cells)
+            * sum(d * _degrees(c, n, r) for c, n, d in table)
+            for cells, table in classes
+        )
+        for r in box_radii
+    ]
 
 
 def corollary_check(I: MonomialIdeal, Z=None) -> dict:

@@ -25,7 +25,6 @@ from bigrade.errors import InternalCheckFailed
 from bigrade.homology import (
     Subquotient,
     cech_piece_dim,
-    fine_piece,
     koszul_dims_at,
     restrict_ideal,
 )
@@ -114,6 +113,15 @@ def bf_rank_mod_p(rows, p):
                 mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[rank])]
         rank += 1
     return rank
+
+
+def fine_piece(N, c) -> int:
+    """1 iff the monomial with exponent c >= 0 lies in J \\ J', by a direct
+    membership test; the package reads membership off its bitset rule."""
+    c = tuple(c)
+    if any(e < 0 for e in c):
+        return 0
+    return 1 if (N.J.contains(c) and not N.Jp.contains(c)) else 0
 
 
 def bf_cech_piece(nvars, gens, zvars, i, c):
@@ -275,7 +283,8 @@ def bf_betti_and_projdim(N, Z):
 def bf_fibers(N, Z):
     """Fiber decomposition by one colon pair per exponent of the capped box.
 
-    Each class lists every capped pattern of the box it holds.
+    Each class lists every capped pattern of the box it holds, each of length
+    1 on a coordinate below its cap and None on a capped one.
     """
     ring = N.ring
     comp = tuple(sorted(set(range(ring.nvars)) - set(Z)))
@@ -292,13 +301,14 @@ def bf_fibers(N, Z):
         classes.setdefault((Ja, Jpa), []).append(a)
     out = []
     for (Ja, Jpa), pats in classes.items():
-        capped = [any(a[idx] == caps[idx] for idx in range(len(comp))) for a in pats]
+        pats = sorted(pats)
         out.append(
             FiberClass(
-                patterns=tuple(sorted(pats)),
+                patterns=tuple(pats),
+                lengths=tuple(
+                    tuple(None if e == cap else 1 for e, cap in zip(a, caps)) for a in pats
+                ),
                 fiber=Subquotient(Ja, Jpa),
-                infinite_family=any(capped) and bool(comp),
-                n_single=sum(1 for c in capped if not c),
             )
         )
     return out

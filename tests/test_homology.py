@@ -4,9 +4,15 @@ from itertools import combinations, product
 
 import pytest
 
-from bruteforce import bf_betti_and_projdim, bf_cech_piece, bf_koszul_dims
+from bruteforce import bf_betti_and_projdim, bf_cech_piece, bf_koszul_dims, fine_piece
 from bigrade import homology
-from bigrade.errors import InternalCheckFailed, PreconditionFailed, RingMismatch, ZeroModule
+from bigrade.errors import (
+    DimensionMismatch,
+    InternalCheckFailed,
+    PreconditionFailed,
+    RingMismatch,
+    ZeroModule,
+)
 from bigrade.homology import (
     Subquotient,
     ass_subquotient,
@@ -16,7 +22,6 @@ from bigrade.homology import (
     depth_module,
     dim_module,
     exponent_cells,
-    fine_piece,
     koszul_dims_at,
     restrict_ideal,
     sub_ring_for,
@@ -479,6 +484,19 @@ def test_cech_point_and_free_modules():
 def test_cech_negative_off_axis_is_zero():
     N = Subquotient.cyclic(ideal(R11, (1, 1)))
     assert cech_piece_dim(N, R11.y_block(), 0, (-1, 0)) == 0
+
+
+@pytest.mark.parametrize(
+    "c, error",
+    [((0,), DimensionMismatch), ((0, 0, 0), DimensionMismatch), ((0.5, -1), ValueError), (("a", -1), ValueError)],
+)
+def test_cech_piece_dim_refuses_a_bad_degree(c, error):
+    # H^0_m(S/(x1*y1)) is 0 in every degree; unchecked, (0,) and (0.5, -1)
+    # read 1, (0, 0, 0) raised a bare IndexError and ("a", -1) a bare TypeError
+    N = Subquotient.cyclic(ideal(R11, (1, 1)))
+    with pytest.raises(error, match="degree"):
+        cech_piece_dim(N, (0, 1), 0, c)
+    assert [cech_piece_dim(N, (0, 1), i, (0, -1)) for i in range(3)] == [0, 1, 0]
 
 
 def test_ass_subquotient_matches_associated_primes():

@@ -44,6 +44,9 @@ def test_fibers_merge_and_flag_families():
     assert capped.n_single == 0
     free = next(fc for fc in fcs if not fc.fiber.Jp.gens)
     assert free.n_single == 1
+    # each class keeps its cells' corners and lengths, a cap's as None
+    assert (capped.patterns, capped.lengths) == (((1,),), ((None,),))
+    assert (free.patterns, free.lengths) == (((0,),), ((1,),))
 
 
 def test_fibers_list_only_nonzero_classes():

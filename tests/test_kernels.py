@@ -118,3 +118,33 @@ def test_modp_rank_exact_for_prime_above_32_bits():
         r3 = [(k * a + b) % p for a, b in zip(r1, r2)]
         assert rank_mod_p([r1, r2, r3], p) == 2
         assert rank_mod_p([r1, r2], p) == 2
+
+
+# Two matrices on which Bareiss elimination goes wrong when the rows with a 0
+# in the pivot column are not rescaled: it then reads ranks 5 and 4
+BAREISS_RESCALE_CASES = [
+    (
+        [[0, 1, 0, 1, 1, 0], [0, -1, -1, -1, 0, 0], [1, -1, 0, 0, 0, -1],
+         [-1, 0, 0, 1, 0, 0], [-1, 0, 0, 0, 0, 1], [1, -1, 0, 0, 1, 1]],
+        6,
+    ),
+    ([[0, 1, 1, 0], [-2, -3, -1, 3], [3, 0, 2, -2], [1, 0, -2, -2]], 3),
+]
+
+
+def test_ranks_match_the_oracles_on_seeded_draws():
+    # 300 draws of 4x4 to 8x8 matrices with entries 0/+-1 and 300 with entries
+    # in -3..3, each ranked over Q and over GF(2), GF(3) and GF(5), beside the
+    # two fixed cases: a rare elimination fault (a skipped rescale goes wrong
+    # on about 1 % of the 0/+-1 draws) is met on a fixed set every run
+    rng = random.Random(20261019)
+    cases = [rows for rows, _ in BAREISS_RESCALE_CASES]
+    for entries in ((0, 1, -1), range(-3, 4)):
+        for _ in range(300):
+            nrows, ncols = rng.randint(4, 8), rng.randint(4, 8)
+            cases.append([[rng.choice(entries) for _ in range(ncols)] for _ in range(nrows)])
+    for rows in cases:
+        assert rank_char0(rows) == rank_fraction_oracle(rows), rows
+        for p in (2, 3, 5):
+            assert rank_mod_p(rows, p) == bf_rank_mod_p(rows, p), (p, rows)
+    assert [rank_char0(rows) for rows, _ in BAREISS_RESCALE_CASES] == [6, 3]

@@ -3,12 +3,12 @@ import time
 
 import pytest
 
-from bruteforce import bf_ass_subquotient, bf_fibers, bf_growth_scan, bf_lc_report
+from bruteforce import bf_ass_subquotient, bf_fibers, bf_growth_scan, bf_lc_report, fine_piece
 from bigrade import homology, invariants, local_cohomology, rings
 from bigrade.cli import main
 from bigrade.errors import PreconditionFailed, UnitIdeal
 from bigrade.filtration import dimension_filtration, sequentially_cm
-from bigrade.homology import Subquotient, ass_subquotient, cech_piece_dim
+from bigrade.homology import Subquotient, ass_subquotient, cech_piece_dim, exponent_cells
 from bigrade.invariants import analyze, cd, fibers, mgrade
 from bigrade.io_formats import parse_ideal_text
 from bigrade.local_cohomology import (
@@ -275,6 +275,47 @@ def test_cell_walks_match_box_walk_reference():
         assert ass_subquotient(unit_ideal(ring), I) == bf_ass_subquotient(unit_ideal(ring), I), case
         J = sum_ideal(I, _random_ideal(rnd, ring, 3, 2))  # proper: no unit generator
         assert ass_subquotient(J, I) == bf_ass_subquotient(J, I), (case, str(J))
+
+
+def _k_family(k):
+    xs = [f"x{j}" for j in range(1, k + 1)]
+    text = f"ring {k} 2\ngens: {'*'.join(xs)}*y1^3, y1*y2^4, {'*'.join(xs[:k // 2])}*y1^2*y2^2\n"
+    return parse_ideal_text(text)[1]
+
+
+@pytest.mark.parametrize("k", [4, 8])
+def test_growth_counts_each_class_as_complement_times_fiber(monkeypatch, k):
+    # A class with P complement cells and T nonzero fiber-table cells is
+    # counted by P + T `_degrees` calls per radius, not by its P * T
+    # product cells (at k = 8: 263 calls against 766 cells).  On no axis the
+    # one class is the nonzero cells of S/I times the point of K[].
+    calls = []
+    inner = local_cohomology._degrees
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(local_cohomology, "_degrees", counted)
+    I = _k_family(k)
+    N = Subquotient.cyclic(I)
+    radii = [1, 2, 3, 4]
+    for i, Z in [(1, I.ring.y_block()), (2, I.ring.y_block()), (0, frozenset())]:
+        if Z:
+            tables = [
+                (len(fc.patterns), sum(1 for *_, dims in local_cohomology._fiber_table(fc.fiber) if dims[i]))
+                for fc in fibers(N, Z)
+            ]
+        else:
+            cells = exponent_cells(N, range(I.ring.nvars))
+            tables = [(sum(fine_piece(N, c) for c, _ in cells), 1)]
+        calls.clear()
+        sums = growth_scan(I, i, radii, Z)
+        assert len(calls) == len(radii) * sum(p + t for p, t in tables), (i, tables)
+        if k == 4:
+            assert sums == bf_growth_scan(I, i, radii, Z), i
+        elif i == 1:
+            assert (sum(p + t for p, t in tables), sum(p * t for p, t in tables)) == (263, 766)
 
 
 def _tied_ideal(rnd, ring, Z, pool):
