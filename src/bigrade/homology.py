@@ -25,12 +25,15 @@ tuples, built by one routine, and each complex in a fine degree is built
 once and read at every index.
 
 Every Koszul and Cech term, every corner of `ass_subquotient` and every
-fiber class of `invariants.fibers` is decided by one rule on bitsets over
-the generators of J and J' (`_corner_row`).
+exponent cell is decided by one rule on bitsets over the generators of J
+and J' (`_corner_row`).
 
 Membership, colons and Cech pieces only change where an exponent crosses a
 generator exponent, so the walks that need one degree per class visit
-exponent cells (`exponent_cells`) instead of the whole exponent box.
+exponent cells instead of the whole exponent box.  `exponent_cells` is the
+one walk over their product: it yields each cell with the bitsets of the
+generators of J and J' at its corner, which the fiber classes of
+`invariants.fibers` and the empty-axis growth scan read.
 `ass_subquotient` visits one corner exponent per bounded cell of J' and the
 box on each coordinate, depth first, and skips every subtree whose corners
 all lie outside J or all inside J'.
@@ -116,8 +119,8 @@ def _corner_row(J: MonomialIdeal, Jp: MonomialIdeal, k: int, e: int) -> tuple:
     monomial lies in J \\ J' iff the AND of the `jin` rows of its coordinates
     is nonzero and the OR of their `miss` rows holds every generator of J'.
     `_term_dims` (Koszul and Cech terms) and `ass_subquotient` test by this,
-    and `invariants._fibers` reads the generators dividing a slice off the
-    same AND and OR.
+    and `exponent_cells` yields the generators dividing a cell's corner off
+    the same AND and OR.
     """
     jin = 0
     for i, g in enumerate(J.gens):
@@ -408,18 +411,36 @@ def _axis_cells(gens, k, cech=False) -> list:
 def exponent_cells(N: Subquotient, coords, cech=frozenset()):
     """Products of the exponent cells of N over coords, in lex order of corners.
 
-    Yields (corner, lengths): the smallest exponent of the cell on each of
-    coords and the cell lengths (None for the cap and the -1 class, each of
-    which stands for infinitely many exponents).  The cells come from the
-    generators of J and J', so membership, colons and Cech pieces of N are
-    constant on a cell.  Coordinates in `cech` get the -1 class and their
-    bounded cells only: the Cech cohomology of N vanishes on their caps
-    (`_axis_cells`), so a coordinate no generator uses adds one cell.
+    Yields (corner, lengths, jin, jpin): the smallest exponent of the cell
+    on each of coords, the cell lengths (None for the cap and the -1 class,
+    each of which stands for infinitely many exponents), and the bitsets of
+    the generators of J and of J' whose exponents on coords are at most the
+    corner's, both empty on a -1 class.  The bitsets are the AND of the
+    `jin` rows and the complement of the OR of the `miss` rows of
+    `_corner_row`, built once per cell of each coordinate.  The cells come
+    from the generators of J and J', so membership, colons and Cech pieces
+    of N are constant on a cell.  Coordinates in `cech` get the -1 class
+    and their bounded cells only: the Cech cohomology of N vanishes on their
+    caps (`_axis_cells`), so a coordinate no generator uses adds one cell.
+
+    This is the package's one walk over exponent cells: `_fiber_table` in
+    local_cohomology reads the cells, `invariants._fibers` groups them by
+    their bitsets, and `growth_scan` on no axis keeps those with no
+    generator of J' in `jpin`.
     """
-    gens = N.J.gens + N.Jp.gens
-    axes = [_axis_cells(gens, k, k in cech) for k in coords]
+    J, Jp = N.J, N.Jp
+    gens = J.gens + Jp.gens
+    axes = [
+        [(e, n) + _corner_row(J, Jp, k, e)[:2] for e, n in _axis_cells(gens, k, k in cech)]
+        for k in coords
+    ]
+    every, full = (1 << len(J.gens)) - 1, (1 << len(Jp.gens)) - 1
     for cell in product(*axes):
-        yield tuple(s for s, _ in cell), tuple(n for _, n in cell)
+        jin, miss = every, 0
+        for _, _, j, m in cell:
+            jin &= j
+            miss |= m
+        yield tuple(c[0] for c in cell), tuple(c[1] for c in cell), jin, full & ~miss
 
 
 def ass_subquotient(J: MonomialIdeal, Jp: MonomialIdeal) -> set:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .errors import BadProfile, BadRing, InternalCheckFailed, ParseError
 from .homology import Subquotient
 from .invariants import grade, mgrade
+from .io_formats import content_lines, parse_int
 from .rings import Monomial, RingSpec, minimal_generators
 
 
@@ -137,11 +138,7 @@ def monomial_crosscheck(f: Monomial, ring: RingSpec) -> bool:
 
 def parse_profile(text: str) -> FactorProfile:
     """Parse `factors: (a1,b1) (a2,b2) ...` with xN/yN shorthand for variables."""
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append((lineno, line))
+    lines = list(content_lines(text))
     if len(lines) > 1:
         raise ParseError(
             f"unexpected line {lines[1][1]!r}", line=lines[1][0]
@@ -161,7 +158,7 @@ def parse_profile(text: str) -> FactorProfile:
             fields = tok[1:-1].split(",")
             if len(fields) != 2 or not all(map(str.isdecimal, fields)):
                 raise ParseError(f"bad bidegree {tok!r}")
-            factors.append(tuple(map(int, fields)))
+            factors.append(tuple(parse_int(f, lines[0][0]) for f in fields))
         elif tok[0] == "x" and tok[1:].isdecimal():
             factors.append((1, 0))
         elif tok[0] == "y" and tok[1:].isdecimal():

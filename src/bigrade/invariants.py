@@ -4,27 +4,25 @@ Everything is driven by the fiber decomposition: slicing a subquotient along
 the exponents of the variables outside the chosen axis Z leaves a finite list
 of K[Z]-module classes (colon ideals stabilize at the generator caps), and
 H^i_Z of the module is the direct sum of the fibers' local cohomologies.
-A slice's class is read off the bitsets of `homology._corner_row`: the
-generators dividing the slice, and of those the ones whose Z-part no other
-selected Z-part divides (of equal ones the lower index), which are exactly
-the minimal generators of its restricted colons.
+A slice's class is read off the bitsets `homology.exponent_cells` yields
+with each cell: the generators dividing the slice, and of those the ones
+whose Z-part no other selected Z-part divides (of equal ones the lower
+index), which are exactly the minimal generators of its restricted colons.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from math import prod
 from typing import Optional
 
 from .errors import InternalCheckFailed, PreconditionFailed, UnitIdeal, WrongBlock, ZeroModule
 from .homology import (
     Subquotient,
-    _axis_cells,
-    _corner_row,
     depth_module,
     dim_module,
+    exponent_cells,
     restrict_ideal,
     sub_ring_for,
 )
@@ -104,10 +102,10 @@ def _fibers(N: Subquotient, Z: frozenset) -> tuple:
 
     A slice u is supported off Z, so (J : u) cap K[Z] is generated by the
     Z-parts of the generators g of J with g_k <= u_k for every k off Z.
-    Those generators are the AND of the `jin` rows of `homology._corner_row`
-    over the complement coordinates at u, and those of J' are the ones
-    outside the OR of the `miss` rows, the rule `_term_dims` reads.  Each
-    distinct pair of bitsets is turned into its restricted colons once: a
+    `homology.exponent_cells` over the complement yields each cell with the
+    bitsets of those generators of J and of J' at its corner, and the cells
+    are grouped by that pair.  Each distinct pair of bitsets is turned into
+    its restricted colons once: a
     selected generator is kept iff no other selected generator has a Z-part
     dividing its own, where of equal Z-parts the lower index is kept
     (`_divisor_bits`).  The kept Z-parts divide no other kept one and every
@@ -139,31 +137,19 @@ def _fibers(N: Subquotient, Z: frozenset) -> tuple:
     Jp_z = [tuple(g[z] for z in zvars) for g in Jp.gens]
     J_below = _divisor_bits(J_z)
     Jp_below = _divisor_bits(Jp_z)
-    every, full = (1 << len(J.gens)) - 1, (1 << len(Jp.gens)) - 1
-    # one pass per complement coordinate: its cells as (start, length, jin,
-    # miss), walked as a product in lex order of corners, as `exponent_cells`
-    gens = J.gens + Jp.gens
-    axes = [
-        [(e, n) + _corner_row(J, Jp, k, e)[:2] for e, n in _axis_cells(gens, k)] for k in comp
-    ]
     keys = {}
     classes = {}
-    for cell in product(*axes):
-        jin, miss = every, 0
-        for _, _, j, m in cell:
-            jin &= j
-            miss |= m
-        pair = (jin, full & ~miss)
-        key = keys.get(pair)
+    for corner, lengths, jin, jpin in exponent_cells(N, comp):
+        key = keys.get((jin, jpin))
         if key is None:
-            key = keys[pair] = (_kept(J_z, J_below, jin), _kept(Jp_z, Jp_below, pair[1]))
-        classes.setdefault(key, []).append(cell)
+            key = keys[jin, jpin] = (_kept(J_z, J_below, jin), _kept(Jp_z, Jp_below, jpin))
+        classes.setdefault(key, []).append((corner, lengths))
 
     # classes in order of first cell, each with its cells in lex order of corners
     return tuple(
         FiberClass(
-            patterns=tuple(tuple(c[0] for c in cell) for cell in cells),
-            lengths=tuple(tuple(c[1] for c in cell) for cell in cells),
+            patterns=tuple(corner for corner, _ in cells),
+            lengths=tuple(lengths for _, lengths in cells),
             fiber=Subquotient(MonomialIdeal(sub, key[0]), MonomialIdeal(sub, key[1])),
         )
         for key, cells in classes.items()

@@ -21,6 +21,25 @@ from .rings import MonomialIdeal, RingSpec, minimal_generators, render_monomial
 _FACTOR_RE = re.compile(r"^([xy])(\d+)(?:\^(\d+))?$")
 
 
+def content_lines(text: str):
+    """(line number, content) of each line of text that holds more than a
+    comment: a `#` starts a comment, content is stripped, lines count from 1.
+    The ideal file and the hypersurface profile read their lines this way."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def parse_int(digits: str, lineno=None) -> int:
+    """int(digits) for a literal of decimal digits, or a ParseError where it
+    has more digits than the interpreter converts (`sys.get_int_max_str_digits`)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer of {len(digits)} digits is too long", line=lineno) from None
+
+
 def parse_term(ring: RingSpec, term: str, lineno=None):
     term = term.strip()
     if term == "1":
@@ -31,7 +50,8 @@ def parse_term(ring: RingSpec, term: str, lineno=None):
         mt = _FACTOR_RE.match(factor)
         if not mt:
             raise ParseError(f"bad factor {factor!r} in term {term!r}", line=lineno)
-        block, idx, exp = mt.group(1), int(mt.group(2)), int(mt.group(3) or 1)
+        block, idx = mt.group(1), parse_int(mt.group(2), lineno)
+        exp = parse_int(mt.group(3) or "1", lineno)
         if block == "x":
             if not (1 <= idx <= ring.m):
                 raise ParseError(f"x{idx} out of range (m={ring.m})", line=lineno)
@@ -53,10 +73,7 @@ def parse_ideal_text(text: str, char: int = 0):
     and a `ParseError` is raised again on every call, never kept."""
     ring = None
     gens = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         parts = line.split()
         if parts[0] == "ring":
             if ring is not None:

@@ -66,12 +66,14 @@ def _fiber_table(fiber: Subquotient) -> tuple:
     with dims = [H^0 .. H^k] of the cell, so every index is read off one
     complex per cell.  Only the -1 class and the bounded cells of each
     coordinate are scanned: the cohomology vanishes on every capped cell
-    (`homology._axis_cells`).  Kept in a bounded memo per fiber, which every
-    index, report and growth scan on that fiber shares.
+    (`homology._axis_cells`).  The cells come from `exponent_cells`, whose
+    generator bitsets are not read here: the Cech complex decides each
+    cell.  Kept in a bounded memo per fiber, which every index, report and
+    growth scan on that fiber shares.
     """
     allvars = fiber.ring.all_vars()
     table = []
-    for c, lengths in exponent_cells(fiber, range(fiber.ring.nvars), cech=allvars):
+    for c, lengths, *_ in exponent_cells(fiber, range(fiber.ring.nvars), cech=allvars):
         dims = cech_dims_at(fiber, allvars, c)
         if any(dims):
             table.append((c, lengths, tuple(dims)))
@@ -172,9 +174,12 @@ def growth_scan(I: MonomialIdeal, i: int, box_radii, Z=None) -> list:
     class's nonzero cells are its complement cells (`FiberClass.patterns`
     and `lengths`) times the nonzero cells of its fiber table, and the class
     counts (degrees of its complement cells) x (d times the degrees of each
-    nonzero fiber cell within r), each by `_degrees`.  The degrees are
-    counted, not visited, so the cost depends on neither the radius nor the
-    size of the exponents.  Radii must be nonnegative integers.
+    nonzero fiber cell within r), each by `_degrees`.  On an empty axis,
+    H^0 is S/I itself: its cells are those of `exponent_cells` whose corner
+    no generator of I divides, read off the cell's bitset, with no Cech
+    complex.  The degrees are counted, not visited, so the cost depends on
+    neither the radius nor the size of the exponents.  Radii must be
+    nonnegative integers.
     """
     i = _integer(i, "the local cohomology index")
     box_radii = [_integer(r, "a growth radius") for r in box_radii]
@@ -195,14 +200,8 @@ def growth_scan(I: MonomialIdeal, i: int, box_radii, Z=None) -> list:
             for fc in fibers(N, Z)
         ]
     else:
-        # `fibers` refuses an empty axis; H^0 on no variables is S/I itself,
-        # whose piece at c is the one term of the Cech complex on no
-        # variables, one class over the point of K[]
-        cells = [
-            (c, lengths)
-            for c, lengths in exponent_cells(N, range(I.ring.nvars))
-            if cech_dims_at(N, frozenset(), c)[0]
-        ]
+        # `fibers` refuses an empty axis: one class over the point of K[]
+        cells = [(c, n) for c, n, _, jpin in exponent_cells(N, range(I.ring.nvars)) if not jpin]
         classes = [(cells, [((), (), 1)])]
 
     return [

@@ -125,4 +125,18 @@ MUTANTS = [
         "elif False:",
         "tests/test_kernels.py::test_ranks_match_the_oracles_on_seeded_draws",
     ),
+    Mutant(
+        "J' bitset of a cell holds every generator of J'",
+        "homology.py",
+        "yield tuple(c[0] for c in cell), tuple(c[1] for c in cell), jin, full & ~miss",
+        "yield tuple(c[0] for c in cell), tuple(c[1] for c in cell), jin, full",
+        "tests/test_acceptance.py::test_criterion_1_eight_generator_example",
+    ),
+    Mutant(
+        "keep test of growth on no axis",
+        "local_cohomology.py",
+        "if not jpin]",
+        "if True]",
+        "tests/test_cli.py::test_growth_and_filtration_answer_on_an_empty_axis",
+    ),
 ]

@@ -636,3 +636,32 @@ def test_five_hundred_variables_per_block_analyze_and_seqcm_within_a_second(tmp_
         assert (doc["grade"], doc["cd"], doc["mgrade"], doc["dim"]) == (498, 500, 498, 998)
     else:
         assert doc["verdict"] is True
+
+
+# 3.10 before 3.10.7 converts an integer literal of any length
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not LIMIT, reason="no integer conversion limit")
+@pytest.mark.parametrize(
+    "argv, text, where",
+    [
+        (("analyze", "{path}"), "ring 1 1\ngens: x{ones}\n", " (line 2)"),
+        (("render", "{path}"), "ring 1 1\ngens: x{ones}\n", " (line 2)"),
+        (("growth", "{path}", "--i", "0"), "ring 1 1\ngens: x1^{nines}\n", " (line 2)"),
+        (("seqcm", "{path}"), "# c\nring 1 1\ngens: x1^{nines}\n", " (line 3)"),
+        (("crosscheck", "--monomial", "x1^{nines}", "--ring", "1", "1"), None, ""),
+        (("hypersurface", "--factors", "({ones},1)", "--ring", "1", "1"), None, " (line 1)"),
+        (("hypersurface", "{path}", "--ring", "1", "1"), "factors: ({ones},1)\n", " (line 1)"),
+    ],
+    ids=["analyze", "render", "growth", "seqcm", "crosscheck", "factors", "profile-file"],
+)
+def test_an_integer_literal_over_the_conversion_limit_exits_2(tmp_path, capsys, argv, text, where):
+    # at the parent each of these escaped as a ValueError traceback
+    digits = {"ones": "1" * (LIMIT + 1), "nines": "9" * (LIMIT + 1)}
+    p = tmp_path / "input.txt"
+    if text is not None:
+        p.write_text(text.format(**digits))
+    code, out = run_cli(capsys, *(a.format(path=p, **digits) for a in argv))
+    assert code == 2
+    assert json.loads(out)["error"] == f"parse: integer of {LIMIT + 1} digits is too long{where}"

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import bigrade
+from code_lines import code_lines
 
 
 def test_package_imports_only_the_standard_library():
@@ -232,3 +233,26 @@ def test_every_error_class_is_raised():
     }
     assert classes
     assert sorted(classes - raised) == []
+
+
+def test_code_lines_drop_docstrings_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        '"""Module docstring,\n\nthree lines."""\n'
+        "\n"
+        "# a comment\n"
+        "class A:\n"
+        '    """Class docstring."""\n'
+        "    x = 1  # code with a comment\n"
+        "\n"
+        "    def f(self):\n"
+        '        """Function\n        docstring."""\n'
+        '        return """a string,\n        not a docstring"""\n'
+        "\n"
+        "\n"
+        "y = (\n"
+        "    2,\n"
+        ")\n"
+    )
+    # class A, x = 1, def f, the two lines of the returned string, y = ( 2, )
+    assert code_lines(path) == 8

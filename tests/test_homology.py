@@ -293,6 +293,34 @@ def test_koszul_dims_match_independent_reference():
                 assert koszul_dims_at(N, Z, b) == want, (N, sorted(Z), b)
 
 
+def test_cell_bitsets_match_a_scan_of_the_generators():
+    # each cell of `exponent_cells` carries the generators of J and of J'
+    # whose exponents on coords are at most its corner's; a -1 coordinate
+    # holds none, so both bitsets are empty on a -1 class
+    rnd = random.Random(20261020)
+    for draw in range(200):
+        nvars = rnd.randint(1, 4)
+        m = rnd.randint(0, nvars)
+        ring = RingSpec(m, nvars - m)
+        max_exp = rnd.randint(1, 4)
+        J = unit_ideal(ring) if draw % 2 else sum_ideal(
+            _random_ideal(rnd, ring, max_exp, 1), _random_ideal(rnd, ring, max_exp)
+        )
+        N = Subquotient(J, intersect(J, _random_ideal(rnd, ring, max_exp)))
+        coords = rnd.sample(range(nvars), rnd.randint(0, nvars))
+        cech = frozenset(rnd.sample(range(nvars), rnd.randint(0, nvars)))
+
+        def below(gens, corner):
+            divides = [all(g[k] <= e for k, e in zip(coords, corner)) for g in gens]
+            return sum(1 << i for i, d in enumerate(divides) if d)
+
+        for corner, _, jin, jpin in exponent_cells(N, coords, cech):
+            want = (below(N.J.gens, corner), below(N.Jp.gens, corner))
+            assert (jin, jpin) == want, (N, coords, corner)
+            if -1 in corner:
+                assert jin == jpin == 0
+
+
 def test_cech_dims_match_independent_reference():
     # J = S, or J = (m) with J/J' the module S/(J' : m) shifted by m, which the
     # oracle takes; (J' : m) is generated by the g / gcd(g, m).  One degree is
@@ -308,7 +336,7 @@ def test_cech_dims_match_independent_reference():
         Z = frozenset(rnd.sample(range(nvars), rnd.randint(0, nvars)))
         colon_gens = [tuple(max(a - b, 0) for a, b in zip(g, shift)) for g in N.Jp.gens]
         cells = list(exponent_cells(N, range(nvars), Z))
-        for corner, lengths in rnd.sample(cells, min(8, len(cells))):
+        for corner, lengths, *_ in rnd.sample(cells, min(8, len(cells))):
             c = tuple(
                 -rnd.randint(1, 3) if e == -1 else e + rnd.randrange(n or 3)
                 for e, n in zip(corner, lengths)

@@ -1,7 +1,10 @@
+import sys
+
 import pytest
 
 from bigrade.errors import ParseError
-from bigrade.io_formats import parse_ideal_text, parse_term, render_ideal
+from bigrade.hypersurface import parse_profile
+from bigrade.io_formats import content_lines, parse_ideal_text, parse_term, render_ideal
 from bigrade.rings import RingSpec, minimal_generators
 
 
@@ -72,3 +75,39 @@ def test_round_trip():
 def test_char_threads_through():
     ring, _ = parse_ideal_text("ring 1 1\ngens: x1\n", char=5)
     assert ring.char == 5
+
+
+def test_one_comment_and_blank_line_rule_for_both_formats():
+    # the ideal file and the hypersurface profile skip the same lines and
+    # count them the same way
+    text = "# head\n\n  \t# indented\nfactors: (1,1) # tail\n"
+    assert list(content_lines(text)) == [(4, "factors: (1,1)")]
+    assert parse_profile(text).factors == ((1, 1),)
+    for extra, line in [("ring 1 1", 5), ("\n\n(0,2)", 7)]:
+        with pytest.raises(ParseError) as ei:
+            parse_profile(text + extra)
+        assert ei.value.line == line
+    with pytest.raises(ParseError) as ei:
+        parse_ideal_text(text.replace("factors: (1,1)", "ring 1 1") + "\n# c\nwat\n")
+    assert ei.value.line == 7
+
+
+# 3.10 before 3.10.7 converts an integer literal of any length
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not LIMIT, reason="no integer conversion limit")
+def test_an_integer_literal_over_the_conversion_limit_is_a_parse_error():
+    ones, nines = "1" * (LIMIT + 1), "9" * (LIMIT + 1)
+    message = f"integer of {LIMIT + 1} digits is too long"
+    for text in [f"ring 1 1\ngens: x{ones}\n", f"# c\nring 1 1\ngens: x1, x1^{nines}\n"]:
+        with pytest.raises(ParseError, match=message) as ei:
+            parse_ideal_text(text)
+        assert ei.value.line == text.count("\n")
+    with pytest.raises(ParseError, match=message) as ei:
+        parse_term(RingSpec(1, 1), f"x1^{nines}")
+    assert ei.value.line is None
+    for text, line in [(f"({ones},1)", 1), (f"# c\nfactors: (1,0) (0,{nines})\n", 2)]:
+        with pytest.raises(ParseError, match=message) as ei:
+            parse_profile(text)
+        assert ei.value.line == line
