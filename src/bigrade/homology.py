@@ -140,10 +140,9 @@ def _boundary_rank(upper, lower_index, char) -> int:
 
     `upper` lists the sorted tuples sigma (the columns) and `lower_index`
     maps each tuple one entry shorter to its row; a face missing from it is
-    a zero term and gets no entry.
+    a zero term and gets no entry.  Both are nonempty: `_complex_dims`
+    gives rank 0 to a map from or to a zero level without building it.
     """
-    if not upper or not lower_index:
-        return 0
     mat = [[0] * len(upper) for _ in lower_index]
     for col, sigma in enumerate(upper):
         for pos in range(len(sigma)):
@@ -161,48 +160,52 @@ def _complex_dims(levels, char) -> list:
     """
     ranks = [0] * (len(levels) + 1)  # ranks[j] = rank between levels j and j-1
     for j in range(1, len(levels)):
-        lower = {s: n for n, s in enumerate(levels[j - 1])}
-        ranks[j] = _boundary_rank(levels[j], lower, char)
+        if levels[j] and levels[j - 1]:
+            lower = {s: n for n, s in enumerate(levels[j - 1])}
+            ranks[j] = _boundary_rank(levels[j], lower, char)
     return [len(level) - ranks[j] - ranks[j + 1] for j, level in enumerate(levels)]
 
 
-def _term_dims(N: Subquotient, deg, inside) -> list:
-    """Homology dimensions of the complex on the variables `inside` in fine degree deg.
+def _term_dims(N: Subquotient, rows, inside) -> list:
+    """Homology dimensions of the complex on the variables `inside` in one fine degree.
 
-    The term of sigma is nonzero iff the `_corner_row` rule holds on the rows
-    `inside[k]` for k in sigma and `_corner_row(J, J', k, deg_k)` for k not
-    in sigma.  One depth-first walk over the coordinates of `inside`, in
-    ascending order, takes each into sigma or leaves it out, with the `jin`
-    rows ANDed and the `miss` rows ORed along the way.  The AND only shrinks,
-    so a branch is dropped once it is 0, in a Koszul and a Cech degree alike:
-    no term below it is nonzero.  A full-length sigma is kept iff its OR
-    holds every generator of J'.  Level j lists the kept sigma of size j.
+    `rows[k]` is the `_corner_row` of coordinate k at the degree, which the
+    term of sigma reads for k not in sigma, and `inside[k]` the row it reads
+    for k in sigma; the term is nonzero iff the AND of the `jin` rows is
+    nonzero and the OR of the `miss` rows holds every generator of J'.
+    `koszul_dims_at` and `cech_dims_at` build `rows` from their degree, and
+    `local_cohomology._fiber_table` passes the rows `exponent_cells` built
+    for a cell.  One walk over the coordinates of `inside`, in ascending
+    order, grows every node (a partial sigma with the AND of its `jin` rows
+    and the OR of its `miss` rows) by leaving the coordinate out and by
+    taking it in.  The AND only shrinks, so a branch is dropped once it is
+    0, in a Koszul and a Cech degree alike: no term below it is nonzero.  A
+    full-length sigma is kept iff its OR holds every generator of J'.
+    Level j lists the kept sigma of size j.
     """
-    J, Jp = N.J, N.Jp
-    jin, miss = (1 << len(J.gens)) - 1, 0
+    jin, miss = (1 << len(N.J.gens)) - 1, 0
     steps = []  # (k, inside jin, inside miss, outside jin, outside miss)
-    for k, e in enumerate(deg):
-        row = _corner_row(J, Jp, k, e)
+    for k, row in enumerate(rows):
         if k in inside:
             steps.append((k, inside[k][0], inside[k][1], row[0], row[1]))
         else:
             jin &= row[0]
             miss |= row[1]
-    full = (1 << len(Jp.gens)) - 1
+    full = (1 << len(N.Jp.gens)) - 1
+    # a node (sigma, jin, miss) has taken or left out each coordinate walked so far
+    nodes = [((), jin, miss)] if jin else []
+    for k, in_jin, in_miss, out_jin, out_miss in steps:
+        grown = []
+        for sigma, jin, miss in nodes:
+            if jin & out_jin:
+                grown.append((sigma, jin & out_jin, miss | out_miss))
+            if jin & in_jin:
+                grown.append((sigma + (k,), jin & in_jin, miss | in_miss))
+        nodes = grown
     levels = [[] for _ in range(len(steps) + 1)]
-    # a node (n, sigma, jin, miss) has taken or left out steps[:n]
-    stack = [(0, (), jin, miss)] if jin else []
-    while stack:
-        n, sigma, jin, miss = stack.pop()
-        if n == len(steps):
-            if miss == full:
-                levels[len(sigma)].append(sigma)
-            continue
-        k, in_jin, in_miss, out_jin, out_miss = steps[n]
-        if jin & out_jin:
-            stack.append((n + 1, sigma, jin & out_jin, miss | out_miss))
-        if jin & in_jin:
-            stack.append((n + 1, sigma + (k,), jin & in_jin, miss | in_miss))
+    for sigma, jin, miss in nodes:
+        if miss == full:
+            levels[len(sigma)].append(sigma)
     return _complex_dims(levels, N.ring.char)
 
 
@@ -217,7 +220,9 @@ def koszul_dims_at(N: Subquotient, zvars, b) -> list:
     scans call this per lattice degree after `_refuse_scan` has required all
     variables of N's ring.
     """
-    return _term_dims(N, b, {z: _corner_row(N.J, N.Jp, z, b[z] - 1) for z in zvars})
+    J, Jp = N.J, N.Jp
+    rows = [_corner_row(J, Jp, k, e) for k, e in enumerate(b)]
+    return _term_dims(N, rows, {z: _corner_row(J, Jp, z, b[z] - 1) for z in zvars})
 
 
 def _refuse_scan(N: Subquotient, Z):
@@ -362,8 +367,14 @@ def cech_dims_at(N: Subquotient, Z, c) -> list:
     cell with all variables of a fiber's ring, and `cech_piece_dim` checks
     its own Z.
     """
-    every = ((1 << len(N.J.gens)) - 1, 0)
-    return _term_dims(N, c, dict.fromkeys(Z, every))
+    rows = [_corner_row(N.J, N.Jp, k, e) for k, e in enumerate(c)]
+    return _term_dims(N, rows, dict.fromkeys(Z, _localized_row(N)))
+
+
+def _localized_row(N: Subquotient) -> tuple:
+    """The row of a coordinate in sigma of a Cech term: every generator of J
+    passes and no generator of J' misses once its variable is inverted."""
+    return (1 << len(N.J.gens)) - 1, 0
 
 
 def cech_piece_dim(N: Subquotient, Z, i: int, c) -> int:
@@ -383,64 +394,86 @@ def cech_piece_dim(N: Subquotient, Z, i: int, c) -> int:
     return cech_dims_at(N, Z, c)[i]
 
 
-def _axis_cells(gens, k, cech=False) -> list:
-    """Exponent cells of coordinate k for the monomials gens, as (start, length).
+def _axis_cells(N: Subquotient, k: int, cech=False) -> list:
+    """Exponent cells of coordinate k for the generators of J and J', as (start, length, row).
 
-    With d_0 = 0 < d_1 < ... < d_r the distinct exponents of gens at k, the
-    cells are [d_j, d_{j+1} - 1] and the cap [d_r, inf) (length None).
-    Whether g_k <= e holds for a generator g is constant on a cell.
+    With d_0 = 0 < d_1 < ... < d_r the distinct exponents of the generators
+    at k, the cells are [d_j, d_{j+1} - 1] and the cap [d_r, inf) (length
+    None).  Whether g_k <= e holds for a generator g is constant on a cell,
+    and `row` is the (jin, miss) pair of `_corner_row(J, J', k, start)`,
+    built in one ascending pass: at d_j the generators with g_k = d_j join
+    `jin` and leave `miss`.
 
     A Cech coordinate gets the class (-1, None) of all negative exponents
-    first and no cap: the Cech cohomology of J/J' on any variables that
-    include the k-th vanishes in every degree c with c_k >= d_r (for S/I
-    this is Takayama's vanishing).  There the row
-    `_corner_row(J, J', k, c_k)` holds all of J and none of J', the row of
-    the localized coordinate, so the term of sigma without k equals the term
-    of sigma with k and the Cech complex in degree c is the cone of an
-    isomorphism: multiplication by the k-th variable is bijective on J/J'
-    from d_r on.  The cone is acyclic.
+    first, with the row (0, every generator of J'), and no cap: the Cech
+    cohomology of J/J' on any variables that include the k-th vanishes in
+    every degree c with c_k >= d_r (for S/I this is Takayama's vanishing).
+    There the row `_corner_row(J, J', k, c_k)` holds all of J and none of
+    J', the row of the localized coordinate, so the term of sigma without k
+    equals the term of sigma with k and the Cech complex in degree c is the
+    cone of an isomorphism: multiplication by the k-th variable is bijective
+    on J/J' from d_r on.  The cone is acyclic.
     """
-    d = sorted({0} | {g[k] for g in gens})
-    cells = [(-1, None)] if cech else []
-    cells += [(a, b - a) for a, b in zip(d, d[1:])]
-    if not cech:
-        cells.append((d[-1], None))
+    at_J, at_Jp = {0: 0}, {}  # exponent at k -> the generators with that exponent
+    for i, g in enumerate(N.J.gens):
+        at_J[g[k]] = at_J.get(g[k], 0) | 1 << i
+    for j, g in enumerate(N.Jp.gens):
+        at_Jp[g[k]] = at_Jp.get(g[k], 0) | 1 << j
+    d = sorted(at_J.keys() | at_Jp.keys())
+    full = (1 << len(N.Jp.gens)) - 1
+    cells = [(-1, None, (0, full))] if cech else []
+    jin = jpin = 0
+    for j, e in enumerate(d):
+        jin |= at_J.get(e, 0)
+        jpin |= at_Jp.get(e, 0)
+        if j + 1 < len(d):
+            cells.append((e, d[j + 1] - e, (jin, full ^ jpin)))
+        elif not cech:
+            cells.append((e, None, (jin, full ^ jpin)))
     return cells
 
 
-def exponent_cells(N: Subquotient, coords, cech=frozenset()):
+def exponent_cells(N: Subquotient, coords, cech=frozenset(), rows=False):
     """Products of the exponent cells of N over coords, in lex order of corners.
 
-    Yields (corner, lengths, jin, jpin): the smallest exponent of the cell
-    on each of coords, the cell lengths (None for the cap and the -1 class,
-    each of which stands for infinitely many exponents), and the bitsets of
-    the generators of J and of J' whose exponents on coords are at most the
-    corner's, both empty on a -1 class.  The bitsets are the AND of the
-    `jin` rows and the complement of the OR of the `miss` rows of
-    `_corner_row`, built once per cell of each coordinate.  The cells come
-    from the generators of J and J', so membership, colons and Cech pieces
-    of N are constant on a cell.  Coordinates in `cech` get the -1 class
-    and their bounded cells only: the Cech cohomology of N vanishes on their
-    caps (`_axis_cells`), so a coordinate no generator uses adds one cell.
+    Gives (corner, lengths, jin, jpin) per cell: the smallest exponent of
+    the cell on each of coords, the cell lengths (None for the cap and the
+    -1 class, each of which stands for infinitely many exponents), and the
+    bitsets of the generators of J and of J' whose exponents on coords are
+    at most the corner's, both empty on a -1 class.  The cells come from the
+    generators of J and J', so membership, colons and Cech pieces of N are
+    constant on a cell.  Coordinates in `cech` get the -1 class and their
+    bounded cells only: the Cech cohomology of N vanishes on their caps
+    (`_axis_cells`), so a coordinate no generator uses adds one cell.  With
+    `rows`, gives (corner, lengths, rows) instead, rows holding the
+    (jin, miss) row of `_corner_row` of each of coords at the corner, the
+    outside rows of the cell's Cech complex.
+
+    Each coordinate's cells and their rows are built once, by one
+    `_axis_cells` pass.  The bitsets are folded one coordinate at a time, in
+    lex order: each prefix of cells is extended by one AND of the `jin` rows
+    and one AND of the complements of the `miss` rows, so a cell costs one
+    step of each, not one per coordinate.
 
     This is the package's one walk over exponent cells: `_fiber_table` in
-    local_cohomology reads the cells, `invariants._fibers` groups them by
-    their bitsets, and `growth_scan` on no axis keeps those with no
-    generator of J' in `jpin`.
+    local_cohomology passes each cell's rows to `_term_dims`,
+    `invariants._fibers` groups the cells by their bitsets, and
+    `growth_scan` on no axis keeps those with no generator of J' in `jpin`.
     """
-    J, Jp = N.J, N.Jp
-    gens = J.gens + Jp.gens
-    axes = [
-        [(e, n) + _corner_row(J, Jp, k, e)[:2] for e, n in _axis_cells(gens, k, k in cech)]
-        for k in coords
-    ]
-    every, full = (1 << len(J.gens)) - 1, (1 << len(Jp.gens)) - 1
-    for cell in product(*axes):
-        jin, miss = every, 0
-        for _, _, j, m in cell:
-            jin &= j
-            miss |= m
-        yield tuple(c[0] for c in cell), tuple(c[1] for c in cell), jin, full & ~miss
+    axes = [_axis_cells(N, k, k in cech) for k in coords]
+    if rows:
+        # the corners, the lengths and the rows of the cells, one product each
+        return zip(*(product(*([cell[i] for cell in axis] for axis in axes)) for i in range(3)))
+    full = (1 << len(N.Jp.gens)) - 1
+    prefixes = [((), (), (1 << len(N.J.gens)) - 1, full)]
+    for axis in axes:
+        steps = [((e,), (n,), jin, full ^ miss) for e, n, (jin, miss) in axis]
+        prefixes = [
+            (corner + e, lengths + n, jin & j, jpin & jp)
+            for corner, lengths, jin, jpin in prefixes
+            for e, n, j, jp in steps
+        ]
+    return prefixes
 
 
 def ass_subquotient(J: MonomialIdeal, Jp: MonomialIdeal) -> set:

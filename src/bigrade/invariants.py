@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
+from operator import le
 from typing import Optional
 
 from .errors import InternalCheckFailed, PreconditionFailed, UnitIdeal, WrongBlock, ZeroModule
@@ -31,7 +32,6 @@ from .rings import (
     _check_same_ring,
     associated_primes,
     dim_quotient,
-    divides,
     sum_ideal,
 )
 
@@ -129,46 +129,68 @@ def _fibers(N: Subquotient, Z: frozenset) -> tuple:
     if not Z:
         raise PreconditionFailed("the axis has no variables")
     ring = N.ring
-    J, Jp = N.J, N.Jp
-    comp = tuple(sorted(set(range(ring.nvars)) - Z))
-    zvars = sorted(Z)
-    sub = sub_ring_for(ring, Z)
-    J_z = [tuple(g[z] for z in zvars) for g in J.gens]
-    Jp_z = [tuple(g[z] for z in zvars) for g in Jp.gens]
-    J_below = _divisor_bits(J_z)
-    Jp_below = _divisor_bits(Jp_z)
-    keys = {}
-    classes = {}
+    comp = tuple(k for k in range(ring.nvars) if k not in Z)
+    groups = {}  # (jin, jpin) -> its cells, in lex order
     for corner, lengths, jin, jpin in exponent_cells(N, comp):
-        key = keys.get((jin, jpin))
-        if key is None:
-            key = keys[jin, jpin] = (_kept(J_z, J_below, jin), _kept(Jp_z, Jp_below, jpin))
-        classes.setdefault(key, []).append((corner, lengths))
+        cells = groups.get((jin, jpin))
+        if cells is None:
+            groups[jin, jpin] = [(corner, lengths)]
+        else:
+            cells.append((corner, lengths))
+
+    zvars = sorted(Z)
+    J_colons = _restricted_colons(N.J.gens, zvars, {jin for jin, _ in groups})
+    Jp_colons = _restricted_colons(N.Jp.gens, zvars, {jpin for _, jpin in groups})
+    classes = {}
+    merged = []
+    for (jin, jpin), cells in groups.items():
+        key = (J_colons[jin], Jp_colons[jpin])
+        if key[0] == key[1]:
+            continue
+        have = classes.get(key)
+        if have is None:
+            classes[key] = cells
+        else:
+            have += cells
+            merged.append(have)
+    for cells in merged:
+        cells.sort()  # corners are distinct, so only corners are compared
 
     # classes in order of first cell, each with its cells in lex order of corners
-    return tuple(
-        FiberClass(
-            patterns=tuple(corner for corner, _ in cells),
-            lengths=tuple(lengths for _, lengths in cells),
-            fiber=Subquotient(MonomialIdeal(sub, key[0]), MonomialIdeal(sub, key[1])),
-        )
-        for key, cells in classes.items()
-        if key[0] != key[1]
-    )
+    sub = sub_ring_for(ring, Z)
+    fiber_J = {}  # a restricted colon of J shared by classes, as the S of every class of S/I
+    out = []
+    for (J_gens, Jp_gens), cells in classes.items():
+        J_fiber = fiber_J.get(J_gens)
+        if J_fiber is None:
+            J_fiber = fiber_J[J_gens] = MonomialIdeal(sub, J_gens)
+        patterns, lengths = zip(*cells)
+        out.append(FiberClass(patterns, lengths, Subquotient(J_fiber, MonomialIdeal(sub, Jp_gens))))
+    return tuple(out)
 
 
-def _divisor_bits(parts) -> list:
-    """Bit j of entry i is set when parts[j] divides parts[i] and is unequal
-    to it or has the lower index: the parts that make part i redundant."""
-    return [
-        sum(1 << j for j, v in enumerate(parts) if divides(v, u) and (v != u or j < i))
-        for i, u in enumerate(parts)
-    ]
+def _restricted_colons(gens, zvars, sels) -> dict:
+    """Each bitset in sels -> the minimal generators, lex-sorted, of the
+    Z-parts of the generators it selects.
 
-
-def _kept(parts, below, sel: int) -> tuple:
-    """The minimal generators of the parts selected by the bitset sel, lex-sorted."""
-    return tuple(sorted(u for i, u in enumerate(parts) if sel >> i & 1 and not below[i] & sel))
+    The parts are sorted once.  A divisor of a part is at most it in lex
+    order, so one pass over the selected parts in that order meets every
+    divisor of a part before the part, and a part is kept iff no part kept
+    before it divides it (an equal part included), as `minimal_generators`
+    does.  A one-generator ideal, such as J = S, needs no pass.
+    """
+    if len(gens) == 1:
+        part = tuple(map(gens[0].__getitem__, zvars))
+        return {sel: (part,) if sel else () for sel in sels}
+    parts = sorted((tuple(map(g.__getitem__, zvars)), i) for i, g in enumerate(gens))
+    colons = {}
+    for sel in sels:
+        kept = []
+        for u, i in parts:
+            if sel >> i & 1 and not any(all(map(le, v, u)) for v in kept):
+                kept.append(u)
+        colons[sel] = tuple(kept)
+    return colons
 
 
 def grade(N: Subquotient, Z) -> int:

@@ -29,7 +29,7 @@ from typing import Optional
 
 from .errors import InternalCheckFailed, PreconditionFailed, UnitIdeal
 from .filtration import sequentially_cm
-from .homology import Subquotient, cech_dims_at, exponent_cells
+from .homology import Subquotient, _localized_row, _term_dims, exponent_cells
 from .invariants import analyze, cd, cd_prime, fibers
 from .rings import MonomialIdeal, _integer, associated_primes
 
@@ -66,15 +66,18 @@ def _fiber_table(fiber: Subquotient) -> tuple:
     with dims = [H^0 .. H^k] of the cell, so every index is read off one
     complex per cell.  Only the -1 class and the bounded cells of each
     coordinate are scanned: the cohomology vanishes on every capped cell
-    (`homology._axis_cells`).  The cells come from `exponent_cells`, whose
-    generator bitsets are not read here: the Cech complex decides each
-    cell.  Kept in a bounded memo per fiber, which every index, report and
-    growth scan on that fiber shares.
+    (`homology._axis_cells`).  `exponent_cells` gives each cell with the
+    `_corner_row` of every coordinate at its corner, built once per cell of
+    that coordinate, and those rows go to `_term_dims` as the outside rows
+    of the cell's complex, the rows `cech_dims_at` would build at the
+    corner.  Kept in a bounded memo per fiber, which every index, report
+    and growth scan on that fiber shares.
     """
     allvars = fiber.ring.all_vars()
+    inside = dict.fromkeys(allvars, _localized_row(fiber))
     table = []
-    for c, lengths, *_ in exponent_cells(fiber, range(fiber.ring.nvars), cech=allvars):
-        dims = cech_dims_at(fiber, allvars, c)
+    for c, lengths, rows in exponent_cells(fiber, range(fiber.ring.nvars), allvars, rows=True):
+        dims = _term_dims(fiber, rows, inside)
         if any(dims):
             table.append((c, lengths, tuple(dims)))
     return tuple(table)
