@@ -11,7 +11,7 @@ from .errors import BigradeError, InternalCheckFailed, ParseError
 from .filtration import ass_quotients, dimension_filtration, sequentially_cm
 from .hypersurface import classify, monomial_crosscheck, parse_profile, profile_of_monomial
 from .invariants import analyze
-from .io_formats import parse_ideal_file, parse_term, render_ideal
+from .io_formats import parse_ideal_file, parse_int, parse_term, render_ideal
 from .local_cohomology import generalized_cm, growth_scan, lc_report
 from .rings import (
     RingSpec,
@@ -141,12 +141,12 @@ def cmd_gencm(args):
 
 
 def cmd_growth(args):
-    try:
-        radii = [int(r) for r in args.radii.split(",")]
-    except ValueError:
-        raise ParseError(f"--radii needs comma-separated integers, got {args.radii!r}") from None
-    if any(r < 0 for r in radii):
-        raise ParseError(f"--radii must be nonnegative, got {args.radii!r}")
+    # each radius is decimal digits, as a bidegree field: int() alone would
+    # read "1_0" as 10 and take "+2"
+    fields = [r.strip() for r in args.radii.split(",")]
+    if not all(map(str.isdecimal, fields)):
+        raise ParseError(f"--radii needs comma-separated nonnegative integers, got {args.radii!r}")
+    radii = [parse_int(r) for r in fields]
     ring, I = _load(args)
     sums = growth_scan(I, args.i, radii, _axis(ring, args.axis))
     return {

@@ -137,18 +137,23 @@ def monomial_crosscheck(f: Monomial, ring: RingSpec) -> bool:
 
 
 def parse_profile(text: str) -> FactorProfile:
-    """Parse `factors: (a1,b1) (a2,b2) ...` with xN/yN shorthand for variables."""
+    """Parse `factors: (a1,b1) (a2,b2) ...` with xN/yN shorthand for variables.
+
+    The profile is one content line (`io_formats.content_lines`), and every
+    error in it carries that line's number; the inline `--factors` text is
+    line 1.
+    """
     lines = list(content_lines(text))
     if len(lines) > 1:
         raise ParseError(
             f"unexpected line {lines[1][1]!r}", line=lines[1][0]
         )
-    body = lines[0][1] if lines else ""
+    lineno, body = lines[0] if lines else (None, "")
     if body.startswith("factors:"):
         # the file form; --factors passes the bare list
         body = body[len("factors:"):].strip()
     if not body:
-        raise ParseError("empty factor profile")
+        raise ParseError("empty factor profile", line=lineno)
 
     factors = []
     for tok in body.split():
@@ -157,12 +162,12 @@ def parse_profile(text: str) -> FactorProfile:
             # alone would take "1_0" and "+1"
             fields = tok[1:-1].split(",")
             if len(fields) != 2 or not all(map(str.isdecimal, fields)):
-                raise ParseError(f"bad bidegree {tok!r}")
-            factors.append(tuple(parse_int(f, lines[0][0]) for f in fields))
+                raise ParseError(f"bad bidegree {tok!r}", line=lineno)
+            factors.append(tuple(parse_int(f, lineno) for f in fields))
         elif tok[0] == "x" and tok[1:].isdecimal():
             factors.append((1, 0))
         elif tok[0] == "y" and tok[1:].isdecimal():
             factors.append((0, 1))
         else:
-            raise ParseError(f"bad factor token {tok!r}")
+            raise ParseError(f"bad factor token {tok!r}", line=lineno)
     return FactorProfile(tuple(factors))

@@ -81,7 +81,7 @@ def parse_ideal_text(text: str, char: int = 0):
             if len(parts) != 3 or not all(p.isdecimal() for p in parts[1:]):
                 raise ParseError(f"bad ring line {line!r}", line=lineno)
             try:
-                ring = RingSpec(int(parts[1]), int(parts[2]), char)
+                ring = RingSpec(parse_int(parts[1], lineno), parse_int(parts[2], lineno), char)
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno) from exc
         elif line.startswith("gens:"):

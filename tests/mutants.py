@@ -30,8 +30,8 @@ MUTANTS = [
     Mutant(
         "keep test of the term walk",
         "homology.py",
-        "            if miss == full:\n                levels[len(sigma)]",
-        "            if True:\n                levels[len(sigma)]",
+        "        if miss == full:\n            levels[len(sigma)]",
+        "        if True:\n            levels[len(sigma)]",
         "tests/test_acceptance.py::test_criterion_2_two_prime_intersection",
     ),
     Mutant(
@@ -51,8 +51,8 @@ MUTANTS = [
     Mutant(
         "cell length",
         "homology.py",
-        "cells += [(a, b - a) for a, b in zip(d, d[1:])]",
-        "cells += [(a, b - a + 1) for a, b in zip(d, d[1:])]",
+        "cells.append((e, d[j + 1] - e, (jin, full ^ jpin)))",
+        "cells.append((e, d[j + 1] - e + 1, (jin, full ^ jpin)))",
         "tests/test_acceptance.py::test_criterion_2_two_prime_intersection",
     ),
     Mutant(
@@ -63,10 +63,10 @@ MUTANTS = [
         "tests/test_kernels.py::test_modp_rank_matches_gauss_jordan_oracle",
     ),
     Mutant(
-        "minimalization in _kept",
+        "minimalization in _restricted_colons",
         "invariants.py",
-        "if sel >> i & 1 and not below[i] & sel",
-        "if sel >> i & 1",
+        "if sel >> i & 1 and not any(all(map(le, v, u)) for v in kept):",
+        "if sel >> i & 1:",
         "tests/test_acceptance.py::test_criterion_1_eight_generator_example",
     ),
     Mutant(
@@ -128,9 +128,30 @@ MUTANTS = [
     Mutant(
         "J' bitset of a cell holds every generator of J'",
         "homology.py",
-        "yield tuple(c[0] for c in cell), tuple(c[1] for c in cell), jin, full & ~miss",
-        "yield tuple(c[0] for c in cell), tuple(c[1] for c in cell), jin, full",
+        "steps = [((e,), (n,), jin, full ^ miss) for e, n, (jin, miss) in axis]",
+        "steps = [((e,), (n,), jin, full) for e, n, (jin, miss) in axis]",
         "tests/test_acceptance.py::test_criterion_1_eight_generator_example",
+    ),
+    Mutant(
+        "prefix fold drops the J' rows of a level",
+        "homology.py",
+        "(corner + e, lengths + n, jin & j, jpin & jp)",
+        "(corner + e, lengths + n, jin & j, jpin)",
+        "tests/test_homology.py::test_cell_bitsets_match_a_scan_of_the_generators",
+    ),
+    Mutant(
+        "J row of a bounded cell taken from the cell below",
+        "homology.py",
+        "cells.append((e, d[j + 1] - e, (jin, full ^ jpin)))",
+        "cells.append((e, d[j + 1] - e, (jin & ~at_J.get(e, 0), full ^ jpin)))",
+        "tests/test_homology.py::test_cell_bitsets_match_a_scan_of_the_generators",
+    ),
+    Mutant(
+        "Cech table given the rows of the next cell",
+        "homology.py",
+        "product(*([cell[i] for cell in axis] for axis in axes)) for i in range(3)",
+        "product(*([cell[i] for cell in axis[i // 2:] + axis[:i // 2]] for axis in axes)) for i in range(3)",
+        "tests/test_homology.py::test_fiber_tables_match_a_cech_complex_per_cell",
     ),
     Mutant(
         "keep test of growth on no axis",

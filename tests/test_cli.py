@@ -266,6 +266,9 @@ def test_infinite_encoding(tmp_path, capsys):
         ("hypersurface", "--factors", "(1_0,2)", "--ring", "2", "2"),
         ("hypersurface", "--factors", "(+1,2)", "--ring", "2", "2"),
         ("hypersurface", "--factors", "(-1,2)", "--ring", "2", "2"),
+        # radii are decimal digits too: int() alone would read "1_0" as 10 and take "+1"
+        ("growth", "{sample}", "--i", "1", "--radii", "1_0,2"),
+        ("growth", "{sample}", "--i", "1", "--radii", "+1,2"),
     ],
 )
 def test_bad_option_values_are_parse_errors(sample_file, capsys, argv):
@@ -545,6 +548,14 @@ def test_profile_file_matches_inline_factors(tmp_path, capsys):
         (("render", "{path}"), "ring \u00b2 1\ngens: x1\n",
          "parse: bad ring line 'ring \u00b2 1' (line 1)"),
         (("render", "{path}"), "# only a comment\n", "parse: missing ring line"),
+        (("hypersurface", "{path}", "--ring", "1", "1"), "# c\nfactors: (1;2)\n",
+         "parse: bad bidegree '(1;2)' (line 2)"),
+        (("hypersurface", "{path}", "--ring", "1", "1"), "factors: (1,1) z3\n",
+         "parse: bad factor token 'z3' (line 1)"),
+        (("hypersurface", "{path}", "--ring", "1", "1"), "# c\n\nfactors:\n",
+         "parse: empty factor profile (line 3)"),
+        (("hypersurface", "{path}", "--ring", "1", "1"), "# only a comment\n",
+         "parse: empty factor profile"),
     ],
 )
 def test_input_file_errors_name_their_line(tmp_path, capsys, argv, text, error):
@@ -647,6 +658,7 @@ LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     "argv, text, where",
     [
         (("analyze", "{path}"), "ring 1 1\ngens: x{ones}\n", " (line 2)"),
+        (("render", "{path}"), "ring {ones} 1\ngens: x1\n", " (line 1)"),
         (("render", "{path}"), "ring 1 1\ngens: x{ones}\n", " (line 2)"),
         (("growth", "{path}", "--i", "0"), "ring 1 1\ngens: x1^{nines}\n", " (line 2)"),
         (("seqcm", "{path}"), "# c\nring 1 1\ngens: x1^{nines}\n", " (line 3)"),
@@ -654,7 +666,7 @@ LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         (("hypersurface", "--factors", "({ones},1)", "--ring", "1", "1"), None, " (line 1)"),
         (("hypersurface", "{path}", "--ring", "1", "1"), "factors: ({ones},1)\n", " (line 1)"),
     ],
-    ids=["analyze", "render", "growth", "seqcm", "crosscheck", "factors", "profile-file"],
+    ids=["analyze", "ring-line", "render", "growth", "seqcm", "crosscheck", "factors", "profile-file"],
 )
 def test_an_integer_literal_over_the_conversion_limit_exits_2(tmp_path, capsys, argv, text, where):
     # at the parent each of these escaped as a ValueError traceback

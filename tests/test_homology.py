@@ -5,7 +5,7 @@ from itertools import combinations, product
 import pytest
 
 from bruteforce import bf_betti_and_projdim, bf_cech_piece, bf_koszul_dims, fine_piece
-from bigrade import homology
+from bigrade import homology, local_cohomology
 from bigrade.errors import (
     DimensionMismatch,
     InternalCheckFailed,
@@ -314,11 +314,39 @@ def test_cell_bitsets_match_a_scan_of_the_generators():
             divides = [all(g[k] <= e for k, e in zip(coords, corner)) for g in gens]
             return sum(1 << i for i, d in enumerate(divides) if d)
 
-        for corner, _, jin, jpin in exponent_cells(N, coords, cech):
+        cells = list(exponent_cells(N, coords, cech))
+        for corner, _, jin, jpin in cells:
             want = (below(N.J.gens, corner), below(N.Jp.gens, corner))
             assert (jin, jpin) == want, (N, coords, corner)
             if -1 in corner:
                 assert jin == jpin == 0
+        # the rows the Cech tables read: `_corner_row` at the corner, cell by
+        # cell in the same lex order
+        with_rows = list(exponent_cells(N, coords, cech, rows=True))
+        assert [(c, n) for c, n, _ in with_rows] == [(c, n) for c, n, *_ in cells]
+        for corner, _, rows in with_rows:
+            want = [homology._corner_row(N.J, N.Jp, k, e)[:2] for k, e in zip(coords, corner)]
+            assert list(rows) == want, (N, coords, corner)
+
+
+@pytest.mark.parametrize("char", [0, 2])
+def test_fiber_tables_match_a_cech_complex_per_cell(char):
+    # `_fiber_table` builds each cell's complex from the rows `exponent_cells`
+    # gives with the cell; `cech_dims_at` at the cell's corner builds the rows
+    # itself, so the two must list the same nonzero cells with the same dims
+    rnd = random.Random(20261021 + char)
+    nonzero = 0
+    for k in range(150):
+        N, _ = _random_subquotient(rnd, unit_J=k % 3 != 0, proper_Z=False, char=char)
+        allvars = N.ring.all_vars()
+        want = []
+        for corner, lengths, *_ in exponent_cells(N, range(N.ring.nvars), allvars):
+            dims = cech_dims_at(N, allvars, corner)
+            if any(dims):
+                want.append((corner, lengths, tuple(dims)))
+        assert local_cohomology._fiber_table.__wrapped__(N) == tuple(want), N
+        nonzero += len(want)
+    assert nonzero >= 150, nonzero
 
 
 def test_cech_dims_match_independent_reference():

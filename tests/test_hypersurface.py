@@ -108,9 +108,14 @@ def test_parse_profile():
     assert p.factors == ((1, 1), (0, 2))
     p = parse_profile("x1 y2 (2,1)")
     assert p.factors == ((1, 0), (0, 1), (2, 1))
-    with pytest.raises(ParseError):
-        parse_profile("")
-    with pytest.raises(ParseError):
-        parse_profile("factors: (1;2)")
-    with pytest.raises(ParseError):
-        parse_profile("factors: z3")
+    # every error names the profile's line, the inline text being line 1
+    for text, message, line in [
+        ("", "empty factor profile", None),
+        ("# c\nfactors:\n", "empty factor profile", 2),
+        ("# c\nfactors: (1;2)", "bad bidegree '(1;2)'", 2),
+        ("factors: z3", "bad factor token 'z3'", 1),
+        ("(1,1) (1_0,2)", "bad bidegree '(1_0,2)'", 1),
+    ]:
+        with pytest.raises(ParseError) as ei:
+            parse_profile(text)
+        assert (str(ei.value), ei.value.line) == (message, line)

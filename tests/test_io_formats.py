@@ -104,6 +104,10 @@ def test_an_integer_literal_over_the_conversion_limit_is_a_parse_error():
         with pytest.raises(ParseError, match=message) as ei:
             parse_ideal_text(text)
         assert ei.value.line == text.count("\n")
+    # the ring line reads its fields by the same rule, not by the interpreter's text
+    with pytest.raises(ParseError, match=f"^{message}$") as ei:
+        parse_ideal_text(f"ring {ones} 1\ngens: x1\n")
+    assert ei.value.line == 1
     with pytest.raises(ParseError, match=message) as ei:
         parse_term(RingSpec(1, 1), f"x1^{nines}")
     assert ei.value.line is None
