@@ -26,14 +26,16 @@ once and read at every index.
 
 Every Koszul and Cech term, every corner of `ass_subquotient` and every
 exponent cell is decided by one rule on bitsets over the generators of J
-and J' (`_corner_row`).
+and J' (`_corner_row`); `_axis_cells` builds the rows of a coordinate's
+cells in one ascending pass.
 
 Membership, colons and Cech pieces only change where an exponent crosses a
 generator exponent, so the walks that need one degree per class visit
 exponent cells instead of the whole exponent box.  `exponent_cells` is the
-one walk over their product: it yields each cell with the bitsets of the
-generators of J and J' at its corner, which the fiber classes of
-`invariants.fibers` and the empty-axis growth scan read.
+one walk over their product: it gives each cell with the bitsets of the
+generators of J and J' at or below its corner, which the fiber classes of
+`invariants.fibers` and the empty-axis growth scan read, or with its rows,
+which the Cech tables of `local_cohomology` read.
 `ass_subquotient` visits one corner exponent per bounded cell of J' and the
 box on each coordinate, depth first, and skips every subtree whose corners
 all lie outside J or all inside J'.
@@ -119,8 +121,8 @@ def _corner_row(J: MonomialIdeal, Jp: MonomialIdeal, k: int, e: int) -> tuple:
     monomial lies in J \\ J' iff the AND of the `jin` rows of its coordinates
     is nonzero and the OR of their `miss` rows holds every generator of J'.
     `_term_dims` (Koszul and Cech terms) and `ass_subquotient` test by this,
-    and `exponent_cells` yields the generators dividing a cell's corner off
-    the same AND and OR.
+    and `exponent_cells` gives the generators dividing a cell's corner off
+    the same AND and OR of the rows `_axis_cells` builds.
     """
     jin = 0
     for i, g in enumerate(J.gens):
@@ -361,11 +363,11 @@ def cech_dims_at(N: Subquotient, Z, c) -> list:
     Where c_z < 0 the row outside sigma holds no generator of J, so the walk
     of `_term_dims` drops every sigma without z at once.
     The answer is all zeros when c_z is at least the largest exponent of a
-    generator at some z in Z (`_axis_cells`), so `_fiber_table` in
-    local_cohomology never asks for such a degree; a direct call still
-    builds its complex.  Z is not checked: `_fiber_table` calls this per
-    cell with all variables of a fiber's ring, and `cech_piece_dim` checks
-    its own Z.
+    generator at some z in Z (`_axis_cells`), so the tables of
+    local_cohomology have no such cell; a direct call still builds its
+    complex.  Z is not checked: `cech_piece_dim` checks its own Z.  The
+    tables build the same complex per cell from the rows `exponent_cells`
+    gives with it.
     """
     rows = [_corner_row(N.J, N.Jp, k, e) for k, e in enumerate(c)]
     return _term_dims(N, rows, dict.fromkeys(Z, _localized_row(N)))

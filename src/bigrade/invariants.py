@@ -4,10 +4,9 @@ Everything is driven by the fiber decomposition: slicing a subquotient along
 the exponents of the variables outside the chosen axis Z leaves a finite list
 of K[Z]-module classes (colon ideals stabilize at the generator caps), and
 H^i_Z of the module is the direct sum of the fibers' local cohomologies.
-A slice's class is read off the bitsets `homology.exponent_cells` yields
-with each cell: the generators dividing the slice, and of those the ones
-whose Z-part no other selected Z-part divides (of equal ones the lower
-index), which are exactly the minimal generators of its restricted colons.
+A slice's class is read off the bitsets `homology.exponent_cells` gives
+with each cell: the generators dividing the slice, whose minimal Z-parts
+generate its restricted colons.
 """
 
 from __future__ import annotations
@@ -102,16 +101,12 @@ def _fibers(N: Subquotient, Z: frozenset) -> tuple:
 
     A slice u is supported off Z, so (J : u) cap K[Z] is generated by the
     Z-parts of the generators g of J with g_k <= u_k for every k off Z.
-    `homology.exponent_cells` over the complement yields each cell with the
+    `homology.exponent_cells` over the complement gives each cell with the
     bitsets of those generators of J and of J' at its corner, and the cells
-    are grouped by that pair.  Each distinct pair of bitsets is turned into
-    its restricted colons once: a
-    selected generator is kept iff no other selected generator has a Z-part
-    dividing its own, where of equal Z-parts the lower index is kept
-    (`_divisor_bits`).  The kept Z-parts divide no other kept one and every
-    dropped one has a kept divisor (divisibility is transitive and the
-    index breaks ties), so they are exactly the minimal generators, and
-    sorted they are the canonical generator tuple.
+    are grouped by that pair first.  Then each distinct bitset of each
+    ideal is turned into its restricted colon once, as the minimal
+    generators of the selected Z-parts (`_restricted_colons`), and groups
+    with equal colon pairs merge into one class.
 
     The restricted colon of J' lies in that of J, so a class's fiber is zero
     iff the two have the same minimal generators, and such a class is
@@ -120,9 +115,10 @@ def _fibers(N: Subquotient, Z: frozenset) -> tuple:
     g's Z-part lies in the restricted colon of J but not in that of J', as a
     generator of J' dividing both parts of g would divide g.
 
-    Each class keeps the corners and the lengths of its cells as the walk
-    meets them, so its readers (`n_single`, `infinite_family` and
-    `local_cohomology.growth_scan`) walk no cell again.
+    Classes come in order of first cell, and each keeps the corners and the
+    lengths of its cells in lex order of corners, so its readers
+    (`n_single`, `infinite_family` and `local_cohomology.growth_scan`) walk
+    no cell again.
     """
     if N.is_zero:
         raise ZeroModule("fiber decomposition of the zero module")
@@ -132,40 +128,23 @@ def _fibers(N: Subquotient, Z: frozenset) -> tuple:
     comp = tuple(k for k in range(ring.nvars) if k not in Z)
     groups = {}  # (jin, jpin) -> its cells, in lex order
     for corner, lengths, jin, jpin in exponent_cells(N, comp):
-        cells = groups.get((jin, jpin))
-        if cells is None:
-            groups[jin, jpin] = [(corner, lengths)]
-        else:
-            cells.append((corner, lengths))
+        groups.setdefault((jin, jpin), []).append((corner, lengths))
 
     zvars = sorted(Z)
     J_colons = _restricted_colons(N.J.gens, zvars, {jin for jin, _ in groups})
     Jp_colons = _restricted_colons(N.Jp.gens, zvars, {jpin for _, jpin in groups})
-    classes = {}
-    merged = []
+    classes = {}  # in order of first cell
     for (jin, jpin), cells in groups.items():
         key = (J_colons[jin], Jp_colons[jpin])
-        if key[0] == key[1]:
-            continue
-        have = classes.get(key)
-        if have is None:
-            classes[key] = cells
-        else:
-            have += cells
-            merged.append(have)
-    for cells in merged:
-        cells.sort()  # corners are distinct, so only corners are compared
+        if key[0] != key[1]:
+            classes.setdefault(key, []).extend(cells)
 
-    # classes in order of first cell, each with its cells in lex order of corners
     sub = sub_ring_for(ring, Z)
-    fiber_J = {}  # a restricted colon of J shared by classes, as the S of every class of S/I
     out = []
     for (J_gens, Jp_gens), cells in classes.items():
-        J_fiber = fiber_J.get(J_gens)
-        if J_fiber is None:
-            J_fiber = fiber_J[J_gens] = MonomialIdeal(sub, J_gens)
-        patterns, lengths = zip(*cells)
-        out.append(FiberClass(patterns, lengths, Subquotient(J_fiber, MonomialIdeal(sub, Jp_gens))))
+        patterns, lengths = zip(*sorted(cells))  # corners are distinct: only they are compared
+        fiber = Subquotient(MonomialIdeal(sub, J_gens), MonomialIdeal(sub, Jp_gens))
+        out.append(FiberClass(patterns, lengths, fiber))
     return tuple(out)
 
 
