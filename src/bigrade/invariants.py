@@ -166,8 +166,12 @@ def _restricted_colons(gens, zvars, sels) -> dict:
     for sel in sels:
         kept = []
         for u, i in parts:
-            if sel >> i & 1 and not any(all(map(le, v, u)) for v in kept):
-                kept.append(u)
+            if sel >> i & 1:
+                for v in kept:
+                    if all(map(le, v, u)):
+                        break
+                else:
+                    kept.append(u)
         colons[sel] = tuple(kept)
     return colons
 
