@@ -438,18 +438,19 @@ def _axis_cells(N: Subquotient, k: int, cech=False) -> list:
 def exponent_cells(N: Subquotient, coords, cech=frozenset(), rows=False):
     """Products of the exponent cells of N over coords, in lex order of corners.
 
-    Gives (corner, lengths, jin, jpin) per cell: the smallest exponent of
-    the cell on each of coords, the cell lengths (None for the cap and the
-    -1 class, each of which stands for infinitely many exponents), and the
-    bitsets of the generators of J and of J' whose exponents on coords are
-    at most the corner's, both empty on a -1 class.  The cells come from the
-    generators of J and J', so membership, colons and Cech pieces of N are
-    constant on a cell.  Coordinates in `cech` get the -1 class and their
-    bounded cells only: the Cech cohomology of N vanishes on their caps
-    (`_axis_cells`), so a coordinate no generator uses adds one cell.  With
-    `rows`, gives (corner, lengths, rows) instead, rows holding the
-    (jin, miss) row of `_corner_row` of each of coords at the corner, the
-    outside rows of the cell's Cech complex.
+    Returns a list of (corner, lengths, jin, jpin), one per cell: the
+    smallest exponent of the cell on each of coords, the cell lengths (None
+    for the cap and the -1 class, each of which stands for infinitely many
+    exponents), and the bitsets of the generators of J and of J' whose
+    exponents on coords are at most the corner's, both empty on a -1 class.
+    The cells come from the generators of J and J', so membership, colons
+    and Cech pieces of N are constant on a cell.  Coordinates in `cech` get
+    the -1 class and their bounded cells only: the Cech cohomology of N
+    vanishes on their caps (`_axis_cells`), so a coordinate no generator
+    uses adds one cell.  With `rows`, returns an iterator of (corner,
+    lengths, rows) instead, rows holding the (jin, miss) row of `_corner_row`
+    of each of coords at the corner, the outside rows of the cell's Cech
+    complex.
 
     Each coordinate's cells and their rows are built once, by one
     `_axis_cells` pass.  The bitsets are folded one coordinate at a time, in
