@@ -195,7 +195,6 @@ def cmd_crosscheck(args):
 def cmd_suite(args):
     from .suite import run_property_suite
 
-    _ring(1, 1, args.char)  # rejects a bad --char before the run starts
     if args.count < 0:
         raise ParseError(f"--count must be nonnegative, got {args.count}")
     return run_property_suite(count=args.count, seed=args.seed, char=args.char)
@@ -318,6 +317,7 @@ def _report(argv=None) -> tuple:
     args = None
     try:
         args = _parse_args(argv)
+        _ring(1, 1, args.char)  # a bad --char is refused before any input is read
         payload = args.fn(args)
     except InternalCheckFailed as exc:
         # a theorem-backed assertion failed: a bug, reported with the input that shows it

@@ -1,9 +1,11 @@
 """Dimension filtration with respect to an axis and sequential CM classification.
 
 For S/I the filtration is realized by ideals: the i-th submodule D_i is
-J_i/I where J_i intersects the primary components whose radical has cd value
-above the i-th threshold.  The Ass-theoretic facts about the filtration are
-theorems, so they are re-verified at runtime from independent enumeration.
+J_i/I where J_i intersects the irreducible components whose radical has cd
+value above the i-th threshold, built as one chain of meets from S down.
+The Ass-theoretic facts about the filtration are theorems, so they are
+re-verified at runtime from independent enumeration: one corner walk over
+I for the Ass of every D_i, and one per later step for Ass(D_i/D_(i-1)).
 Each ladder is built and verified once per (I, Z) and kept in a bounded memo,
 which every reader of the filtration shares.
 """
@@ -14,13 +16,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InternalCheckFailed, UnitIdeal
-from .homology import Subquotient, ass_subquotient
+from .homology import Subquotient, ass_subquotient, ass_subquotients
 from .invariants import cd, cd_prime, grade
 from .rings import (
     MonomialIdeal,
+    _decomposition,
     associated_primes,
-    intersect_all,
-    irreducible_decomposition,
+    intersect_pure_powers,
     unit_ideal,
 )
 
@@ -58,32 +60,45 @@ def dimension_filtration(I: MonomialIdeal, Z) -> FiltrationLadder:
 
 @lru_cache(maxsize=256)
 def _ladder(I: MonomialIdeal, Z: frozenset) -> FiltrationLadder:
-    """The memo behind `dimension_filtration`."""
-    comps = irreducible_decomposition(I)
-    gammas = sorted({cd_prime(pc.radical, Z) for pc in comps})
+    """The memo behind `dimension_filtration`.
 
-    ideals = [I]
-    for g in gammas:
-        higher = [pc.component for pc in comps if cd_prime(pc.radical, Z) > g]
-        ideals.append(intersect_all(higher) if higher else unit_ideal(I.ring))
+    J_i meets the irreducible components of I whose radical has cd above
+    gamma_i, so J_r = S and J_(i-1) is J_i met with the components at cd
+    gamma_i.  The ladder is built as that one chain, from S down, on the
+    (exponent vector, radical) pairs of the decomposition memo: each
+    component is met once (`intersect_pure_powers`), and J_0 is I itself.
+    """
+    comps = _decomposition(I)
+    cds = [cd_prime(rad, Z) for _, rad in comps]
+    gammas = sorted(set(cds))
+    ideals = [unit_ideal(I.ring)]
+    for g_hi in reversed(gammas[1:]):
+        J = ideals[-1]
+        for (a, rad), c in zip(comps, cds):
+            if c == g_hi:
+                J = intersect_pure_powers(J, a, rad)
+        ideals.append(J)
+    ideals = [I] + ideals[::-1]
 
     for lower, upper in zip(ideals, ideals[1:]):
         if not (upper.contains_ideal(lower) and upper != lower):
             raise InternalCheckFailed("filtration ladder is not strictly increasing")
 
-    _verify_ass_facts(I, Z, zip(ideals[1:], gammas))
+    _verify_ass_facts(I, Z, ideals[1:], gammas)
     return FiltrationLadder(axis=Z, ideals=tuple(ideals), cd_values=tuple(gammas))
 
 
-def _verify_ass_facts(I: MonomialIdeal, Z, steps):
+def _verify_ass_facts(I: MonomialIdeal, Z, ideals, gammas):
     """Runtime check of the filtration's Ass identities (they are theorems).
 
-    `steps` are the (J_i, gamma_i) of the ladder over I.
+    `ideals` and `gammas` are the J_1..J_r and gamma_1..gamma_r of the
+    ladder over I.  Ass(J_i/I) of every step comes from one walk over the
+    corners of I (`ass_subquotients`), and Ass(S/J_i) from the
+    decomposition memo of J_i.
     """
     ass_total = associated_primes(I)
-    for J_i, gamma in steps:
+    for J_i, gamma, actual in zip(ideals, gammas, ass_subquotients(ideals, I)):
         expected = {p for p in ass_total if cd_prime(p, Z) <= gamma}
-        actual = ass_subquotient(J_i, I)
         if actual != expected:
             raise InternalCheckFailed(
                 f"Ass(D_i) mismatch at cd {gamma}: computed {sorted(map(sorted, actual))}, "

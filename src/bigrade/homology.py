@@ -24,7 +24,7 @@ Every Koszul and Cech differential is the boundary map of sorted index
 tuples, built by one routine, and each complex in a fine degree is built
 once and read at every index.
 
-Every Koszul and Cech term, every corner of `ass_subquotient` and every
+Every Koszul and Cech term, every corner of `ass_subquotients` and every
 exponent cell is decided by one rule on bitsets over the generators of J
 and J' (`_corner_row`); `_axis_cells` builds the rows of a coordinate's
 cells in one ascending pass.
@@ -36,9 +36,10 @@ one walk over their product: it gives each cell with the bitsets of the
 generators of J and J' at or below its corner, which the fiber classes of
 `invariants.fibers` and the empty-axis growth scan read, or with its rows,
 which the Cech tables of `local_cohomology` read.
-`ass_subquotient` visits one corner exponent per bounded cell of J' and the
+`ass_subquotients` visits one corner exponent per bounded cell of J' and the
 box on each coordinate, depth first, and skips every subtree whose corners
-all lie outside J or all inside J'.
+all lie outside every J or all inside J'; one walk answers for several J
+over one J', and `ass_subquotient` is the walk for one J.
 """
 
 from __future__ import annotations
@@ -113,19 +114,21 @@ def _cyclic(I: MonomialIdeal) -> Subquotient:
     return Subquotient(unit_ideal(I.ring), I)
 
 
-def _corner_row(J: MonomialIdeal, Jp: MonomialIdeal, k: int, e: int) -> tuple:
+def _corner_row(gens, Jp: MonomialIdeal, k: int, e: int) -> tuple:
     """Bitsets (jin, miss, one) over the generators at exponent e of coordinate k.
 
-    Bit i of `jin` is set when generator i of J has g_k <= e; bit j of `miss`
-    when generator j of J' has g_k > e, and of `one` when g_k == e + 1.  A
+    `gens` are the generators of J (or, for `ass_subquotients`, those of
+    several ideals one block after another).  Bit i of `jin` is set when
+    gens[i] has g_k <= e; bit j of `miss` when generator j of J' has
+    g_k > e, and of `one` when g_k == e + 1.  A
     monomial lies in J \\ J' iff the AND of the `jin` rows of its coordinates
     is nonzero and the OR of their `miss` rows holds every generator of J'.
-    `_term_dims` (Koszul and Cech terms) and `ass_subquotient` test by this,
+    `_term_dims` (Koszul and Cech terms) and `ass_subquotients` test by this,
     and `exponent_cells` gives the generators dividing a cell's corner off
     the same AND and OR of the rows `_axis_cells` builds.
     """
     jin = 0
-    for i, g in enumerate(J.gens):
+    for i, g in enumerate(gens):
         if g[k] <= e:
             jin |= 1 << i
     miss = one = 0
@@ -223,8 +226,8 @@ def koszul_dims_at(N: Subquotient, zvars, b) -> list:
     variables of N's ring.
     """
     J, Jp = N.J, N.Jp
-    rows = [_corner_row(J, Jp, k, e) for k, e in enumerate(b)]
-    return _term_dims(N, rows, {z: _corner_row(J, Jp, z, b[z] - 1) for z in zvars})
+    rows = [_corner_row(J.gens, Jp, k, e) for k, e in enumerate(b)]
+    return _term_dims(N, rows, {z: _corner_row(J.gens, Jp, z, b[z] - 1) for z in zvars})
 
 
 def _refuse_scan(N: Subquotient, Z):
@@ -369,7 +372,7 @@ def cech_dims_at(N: Subquotient, Z, c) -> list:
     tables build the same complex per cell from the rows `exponent_cells`
     gives with it.
     """
-    rows = [_corner_row(N.J, N.Jp, k, e) for k, e in enumerate(c)]
+    rows = [_corner_row(N.J.gens, N.Jp, k, e) for k, e in enumerate(c)]
     return _term_dims(N, rows, dict.fromkeys(Z, _localized_row(N)))
 
 
@@ -402,7 +405,7 @@ def _axis_cells(N: Subquotient, k: int, cech=False) -> list:
     With d_0 = 0 < d_1 < ... < d_r the distinct exponents of the generators
     at k, the cells are [d_j, d_{j+1} - 1] and the cap [d_r, inf) (length
     None).  Whether g_k <= e holds for a generator g is constant on a cell,
-    and `row` is the (jin, miss) pair of `_corner_row(J, J', k, start)`,
+    and `row` is the (jin, miss) pair of `_corner_row(J.gens, J', k, start)`,
     built in one ascending pass: at d_j the generators with g_k = d_j join
     `jin` and leave `miss`.
 
@@ -410,7 +413,7 @@ def _axis_cells(N: Subquotient, k: int, cech=False) -> list:
     first, with the row (0, every generator of J'), and no cap: the Cech
     cohomology of J/J' on any variables that include the k-th vanishes in
     every degree c with c_k >= d_r (for S/I this is Takayama's vanishing).
-    There the row `_corner_row(J, J', k, c_k)` holds all of J and none of
+    There the row `_corner_row(J.gens, J', k, c_k)` holds all of J and none of
     J', the row of the localized coordinate, so the term of sigma without k
     equals the term of sigma with k and the Cech complex in degree c is the
     cone of an isomorphism: multiplication by the k-th variable is bijective
@@ -480,19 +483,29 @@ def exponent_cells(N: Subquotient, coords, cech=frozenset(), rows=False):
 
 
 def ass_subquotient(J: MonomialIdeal, Jp: MonomialIdeal) -> set:
-    """Ass of the module J/J' by enumerating annihilators of corner monomials.
+    """Ass of the module J/J': the walk of `ass_subquotients` for J alone."""
+    return ass_subquotients([J], Jp)[0]
 
+
+def ass_subquotients(Js, Jp: MonomialIdeal) -> list:
+    """Ass(J/J') for each J of Js, by one walk over the corner monomials of J'.
+
+    Each J must contain J' (ValueError otherwise, as for `Subquotient`).
     If (J' : u) = P is prime for u in J \\ J', then raising u_k to the box on a
     variable k outside P keeps u in J and its annihilator P, and on a variable
     k of P some generator g of J' has g_k = u_k + 1.  So it suffices to try
     u_k in {g_k - 1 : g in gens(J'), g_k >= 1} (the last exponent of each
-    bounded cell of J') together with box_k.
+    bounded cell of J') together with box_k.  The box is the lcm box of J'
+    and every J of Js, so the candidates are complete for each J at once,
+    and the annihilator found at a corner is exact whichever J holds it.
 
     The corners are walked depth first on an explicit stack, as a ring may
     have more variables than the interpreter's recursion limit, one
-    coordinate at a time, on bitsets over the generators (`_corner_row`).
-    The AND of the `jin` rows along the path holds the generators of J that
-    divide every corner below it, and a subtree is skipped once it is 0.
+    coordinate at a time, on bitsets over the generators (`_corner_row`):
+    those of J_1, J_2, ... one block after another.  The AND of the `jin`
+    rows along the path holds the generators of the Js that divide every
+    corner below it, and a subtree is skipped once it is 0; a prime found
+    at a leaf goes to each J whose block of the AND is nonzero.
     Bit-sliced counters `at1` and `at2` hold the generators of J' that miss
     the path (exceed it) in at least one and in at least two coordinates; a
     subtree is also skipped once some generator can no longer miss, as then
@@ -503,13 +516,18 @@ def ass_subquotient(J: MonomialIdeal, Jp: MonomialIdeal) -> set:
     V.  For J' = 0 it is the prime ().  For J' nonzero, V is empty below a
     path that every generator of J' misses twice (`at2` full), so that row
     is skipped too; the next row, a larger exponent, misses less and is
-    still tried.
+    still tried.  `filtration` checks the Ass of every step of a ladder over
+    I by one such walk.
     """
-    N = Subquotient(J, Jp)
-    box = N.box()
+    gens, blocks, box = [], [], Jp.max_exponents()
+    for J in Js:
+        Subquotient(J, Jp)  # one ring, and J' inside J
+        blocks.append(((1 << len(J.gens)) - 1) << len(gens))
+        gens += J.gens
+        box = lcm(box, J.max_exponents())
     rows = [
-        [_corner_row(J, Jp, k, e) for e in sorted({g[k] - 1 for g in Jp.gens if g[k]} | {box[k]})]
-        for k in range(J.ring.nvars)
+        [_corner_row(gens, Jp, k, e) for e in sorted({g[k] - 1 for g in Jp.gens if g[k]} | {box[k]})]
+        for k in range(Jp.ring.nvars)
     ]
     nvars = len(rows)
     full = (1 << len(Jp.gens)) - 1
@@ -518,10 +536,10 @@ def ass_subquotient(J: MonomialIdeal, Jp: MonomialIdeal) -> set:
     for k in range(nvars - 1, -1, -1):
         reach[k] = reach[k + 1] | rows[k][0][1]
     path = [None] * nvars
-    found = set()
+    found = [set() for _ in blocks]
     # a node (k, jin, at1, at2, row) took `row` at coordinate k - 1; popped
     # last in first out, it finds path[:k - 1] still holding its ancestors' rows
-    stack = [(0, (1 << len(J.gens)) - 1, 0, 0, None)]
+    stack = [(0, (1 << len(gens)) - 1, 0, 0, None)]
     while stack:
         k, jin, at1, at2, row = stack.pop()
         if k:
@@ -533,12 +551,15 @@ def ass_subquotient(J: MonomialIdeal, Jp: MonomialIdeal) -> set:
             for v in prime:
                 cover |= path[v][1]
             if cover == full:
-                found.add(frozenset(prime))
+                prime = frozenset(prime)
+                for block, primes in zip(blocks, found):
+                    if jin & block:
+                        primes.add(prime)
             continue
         for row in rows[k]:  # e ascending: jin grows, miss shrinks
             below = jin & row[0]
             if not below:
-                continue  # no generator of J divides a corner below
+                continue  # no generator of any J divides a corner below
             miss = row[1]
             if (at1 | miss | reach[k + 1]) != full:
                 break  # some generator of J' divides every corner below

@@ -269,6 +269,21 @@ def intersect_all(ideals) -> MonomialIdeal:
     return acc
 
 
+def intersect_pure_powers(I: MonomialIdeal, a: Monomial, rad) -> MonomialIdeal:
+    """I cap (x_i^{a_i} : i in rad): I met with a component of `_decomposition`.
+
+    lcm(g, x_i^{a_i}) is g with g_i raised to a_i.  So a generator g with
+    g_i >= a_i for some i in rad lies in the component and stays as it is
+    (its other lcms are its multiples), and any other g gives one monomial
+    per i in rad.  The filtration ladder is one chain of these meets.
+    """
+    raw = []
+    for g in I.gens:
+        inside = any(g[i] >= a[i] for i in rad)
+        raw += [g] if inside else [g[:i] + (a[i],) + g[i + 1:] for i in rad]
+    return minimal_generators(I.ring, raw)
+
+
 def colon(I: MonomialIdeal, u: Monomial) -> MonomialIdeal:
     """(I : u) = {v : v*u in I}."""
     if len(u) != I.ring.nvars:
@@ -312,8 +327,9 @@ def irreducible_decomposition(I: MonomialIdeal) -> list:
     dropped.  The decomposition is unique, so it is computed once per ideal
     and kept in a bounded memo (`_decomposition`) as exponent vectors and
     radicals.  Each call builds a fresh list of `PrimaryComponent` objects
-    from it, sorted by generator tuple; `associated_primes` reads the
-    radicals off the memo without building any.
+    from it, sorted by generator tuple; `associated_primes` and the
+    filtration ladder (`intersect_pure_powers`) read the memo without
+    building any.
 
     The zero ideal is the irreducible monomial ideal with no pure powers, so
     its decomposition is the one empty component PrimaryComponent((0), {}):

@@ -42,7 +42,7 @@ MUTANTS = [
         "tests/test_homology.py::test_support_bound_depth_matches_box_scan_reference",
     ),
     Mutant(
-        "once in ass_subquotient",
+        "once in ass_subquotients",
         "homology.py",
         "once = at1 & ~at2",
         "once = at1",
@@ -152,6 +152,27 @@ MUTANTS = [
         "product(*([cell[i] for cell in axis] for axis in axes)) for i in range(3)",
         "product(*([cell[i] for cell in axis[i // 2:] + axis[:i // 2]] for axis in axes)) for i in range(3)",
         "tests/test_homology.py::test_fiber_tables_match_a_cech_complex_per_cell",
+    ),
+    Mutant(
+        "per-ideal block test at a leaf of the Ass walk",
+        "homology.py",
+        "if jin & block:",
+        "if jin:",
+        "tests/test_local_cohomology.py::test_one_walk_gives_the_ass_of_every_ladder_step",
+    ),
+    Mutant(
+        "keep test of the pure-power meet",
+        "rings.py",
+        "inside = any(g[i] >= a[i] for i in rad)",
+        "inside = any(g[i] > a[i] for i in rad)",
+        "tests/test_rings.py::test_a_pure_power_meet_is_the_intersection",
+    ),
+    Mutant(
+        "level test of the ladder chain",
+        "filtration.py",
+        "if c == g_hi:",
+        "if c >= g_hi:",
+        "tests/test_filtration.py::test_the_chain_of_meets_gives_the_intersection_of_the_higher_components",
     ),
     Mutant(
         "keep test of growth on no axis",

@@ -566,6 +566,25 @@ def test_input_file_errors_name_their_line(tmp_path, capsys, argv, text, error):
     assert json.loads(out)["error"] == error
 
 
+@pytest.mark.parametrize("command", [("analyze",), ("lc", "--i", "1")], ids=["analyze", "lc"])
+@pytest.mark.parametrize(
+    "char, error",
+    [
+        ("9", "parse: characteristic must be 0 or prime, got 9"),
+        (str(2 ** 89 - 1), f"parse: characteristic must be below 3317044064679887385961981, got {2 ** 89 - 1}"),
+    ],
+    ids=["9", "2**89-1"],
+)
+def test_a_bad_char_is_refused_before_the_input_is_read(tmp_path, capsys, command, char, error):
+    # the option's value is refused with no line of the ideal file, and a
+    # missing file is not even opened
+    p = tmp_path / "input.ideal"
+    p.write_text("# c\n\nring 2 2\ngens: x1\n")
+    for path in (p, tmp_path / "missing.ideal"):
+        code, out = run_cli(capsys, command[0], str(path), *command[1:], "--char", char)
+        assert (code, json.loads(out)["error"]) == (2, error)
+
+
 def test_readme_lists_every_subcommand():
     readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
     with open(readme, encoding="utf-8") as fh:

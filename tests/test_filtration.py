@@ -1,5 +1,6 @@
 import contextlib
 import io
+import random
 from collections import Counter
 
 import pytest
@@ -14,8 +15,16 @@ from bigrade.filtration import (
     mgrade_constancy,
     sequentially_cm,
 )
+from bigrade.invariants import cd_prime
 from bigrade.io_formats import parse_ideal_text
-from bigrade.rings import RingSpec, minimal_generators, unit_ideal, zero_ideal
+from bigrade.rings import (
+    RingSpec,
+    intersect_all,
+    irreducible_decomposition,
+    minimal_generators,
+    unit_ideal,
+    zero_ideal,
+)
 
 EIGHT_GEN = """
 ring 2 4
@@ -48,44 +57,77 @@ def test_ass_quotients_partition():
     ]
 
 
-def test_filtration_command_enumerates_each_ass_once(tmp_path, monkeypatch):
-    # building the ladder compared Ass(J_1/I), so ass_quotients does not enumerate it again
+def test_filtration_command_enumerates_each_ass_once(tmp_path, walks):
+    # one walk over the corners of I gives Ass(J_i/I) of every step, and
+    # ass_quotients walks over J_(i-1) for each step but the first, as
+    # building the ladder compared Ass(J_1/I) already
     ring, I = parse_ideal_text(EIGHT_GEN)
-    steps = len(dimension_filtration(I, ring.y_block()).steps)
+    ladder = dimension_filtration(I, ring.y_block())
+    steps = len(ladder.steps)
     bigrade.clear_caches()
-    calls = []
-    body = filtration.ass_subquotient
-
-    def counted(J, Jp):
-        calls.append((J, Jp))
-        return body(J, Jp)
-
-    monkeypatch.setattr(filtration, "ass_subquotient", counted)
+    walks.clear()
     p = tmp_path / "i.ideal"
     p.write_text(EIGHT_GEN)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["filtration", str(p)]) == 0
-    assert len(calls) == 2 * steps - 1
-    assert len(set(calls)) == len(calls)
+    assert len(walks) == steps
+    assert len(set(walks)) == len(walks)
+    assert walks[0] == (ladder.ideals[1:], I)
 
 
-def test_filtration_then_seqcm_builds_one_ladder(tmp_path, monkeypatch):
+def test_filtration_then_seqcm_builds_one_ladder(tmp_path, monkeypatch, walks):
     # the second command in the same process reads the memoized ladder
     counts = Counter()
-    for name in ("_verify_ass_facts", "ass_subquotient"):
-        body = getattr(filtration, name)
+    body = filtration._verify_ass_facts
 
-        def counted(*args, name=name, body=body):
-            counts[name] += 1
-            return body(*args)
+    def counted(*args):
+        counts["_verify_ass_facts"] += 1
+        return body(*args)
 
-        monkeypatch.setattr(filtration, name, counted)
+    monkeypatch.setattr(filtration, "_verify_ass_facts", counted)
     p = tmp_path / "i.ideal"
     p.write_text(EIGHT_GEN)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["filtration", str(p)]) == 0
         assert main(["seqcm", str(p)]) == 0
-    assert counts == {"_verify_ass_facts": 1, "ass_subquotient": 3}
+    # two steps: one walk for the ladder, one in ass_quotients, none in seqcm
+    assert counts == {"_verify_ass_facts": 1}
+    assert len(walks) == 2
+
+
+def test_the_chain_of_meets_gives_the_intersection_of_the_higher_components(monkeypatch):
+    # J_i is the intersection of the irreducible components with cd above
+    # gamma_i, and the chain meets each component above gamma_1 once
+    meets = []
+    body = filtration.intersect_pure_powers
+
+    def counted(J, a, rad):
+        meets.append(a)
+        return body(J, a, rad)
+
+    monkeypatch.setattr(filtration, "intersect_pure_powers", counted)
+    ring, I = parse_ideal_text(EIGHT_GEN)
+    cases = [(I, ring.x_block()), (I, ring.y_block()), (I, ring.all_vars())]
+    rnd = random.Random(20261028)
+    for _ in range(80):
+        ring = RingSpec(rnd.randint(1, 3), rnd.randint(1, 3))
+        gens = [tuple(rnd.choice((0, 0, 1, 2)) for _ in range(ring.nvars)) for _ in range(rnd.randint(1, 5))]
+        I = minimal_generators(ring, [g for g in gens if any(g)] or [(1,) * ring.nvars])
+        cases += [(I, Z) for Z in (ring.x_block(), ring.y_block(), ring.all_vars())]
+    levels = Counter()
+    for I, Z in cases:
+        bigrade.clear_caches()
+        meets.clear()
+        ladder = dimension_filtration(I, Z)
+        comps = irreducible_decomposition(I)
+        for J, gamma in ladder.steps:
+            higher = [pc.component for pc in comps if cd_prime(pc.radical, Z) > gamma]
+            assert J == (intersect_all(higher) if higher else unit_ideal(I.ring)), (str(I), sorted(Z))
+        above = [pc for pc in comps if cd_prime(pc.radical, Z) > ladder.cd_values[0]]
+        assert len(meets) == len(above), (str(I), sorted(Z))
+        levels[min(len(ladder.steps), 3)] += 1
+    # ladders of one, two and three or more steps all occur
+    assert sorted(levels) == [1, 2, 3], levels
 
 
 def test_single_step_ladder():

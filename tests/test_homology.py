@@ -325,7 +325,7 @@ def test_cell_bitsets_match_a_scan_of_the_generators():
         with_rows = list(exponent_cells(N, coords, cech, rows=True))
         assert [(c, n) for c, n, _ in with_rows] == [(c, n) for c, n, *_ in cells]
         for corner, _, rows in with_rows:
-            want = [homology._corner_row(N.J, N.Jp, k, e)[:2] for k, e in zip(coords, corner)]
+            want = [homology._corner_row(N.J.gens, N.Jp, k, e)[:2] for k, e in zip(coords, corner)]
             assert list(rows) == want, (N, coords, corner)
 
 
@@ -379,7 +379,7 @@ def _kept_by_every_subset(N, deg, inside):
     `_corner_row` rule keeps: rows `inside[k]` for k in sigma and the rows at
     deg_k elsewhere, every subset tested."""
     J, Jp = N.J, N.Jp
-    rows = [homology._corner_row(J, Jp, k, e) for k, e in enumerate(deg)]
+    rows = [homology._corner_row(J.gens, Jp, k, e) for k, e in enumerate(deg)]
     full = (1 << len(Jp.gens)) - 1
     levels = []
     for j in range(len(inside) + 1):
@@ -422,7 +422,7 @@ def test_the_term_walk_keeps_what_every_subset_keeps(monkeypatch, char):
         Z = rnd.sample(range(nvars), rnd.randint(nvars // 2, nvars))
         if k % 2:
             deg = tuple(map(max, zip(*rnd.sample(gens, rnd.randint(1, len(gens))))))
-            inside = {z: homology._corner_row(J, Jp, z, deg[z] - 1) for z in Z}
+            inside = {z: homology._corner_row(J.gens, Jp, z, deg[z] - 1) for z in Z}
             dims = koszul_dims_at(N, Z, deg)
         else:
             deg = tuple(rnd.choice([-1] * (v in Z) + sorted({g[v] for g in gens})) for v in range(nvars))

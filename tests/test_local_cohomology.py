@@ -8,7 +8,13 @@ from bigrade import homology, invariants, local_cohomology, rings
 from bigrade.cli import main
 from bigrade.errors import PreconditionFailed, UnitIdeal
 from bigrade.filtration import dimension_filtration, sequentially_cm
-from bigrade.homology import Subquotient, ass_subquotient, cech_piece_dim, exponent_cells
+from bigrade.homology import (
+    Subquotient,
+    ass_subquotient,
+    ass_subquotients,
+    cech_piece_dim,
+    exponent_cells,
+)
 from bigrade.invariants import analyze, cd, fibers, mgrade
 from bigrade.io_formats import parse_ideal_text
 from bigrade.local_cohomology import (
@@ -417,6 +423,43 @@ def test_ass_subquotient_matches_box_walk_on_edge_pairs():
             pairs += [(B, zero), (S, I), (sum_ideal(I, B), I), (B, intersect(I, B))]
         for J, Jp in pairs:
             assert ass_subquotient(J, Jp) == bf_ass_subquotient(J, Jp), (m, n, str(J), str(Jp))
+
+
+def test_one_walk_gives_the_ass_of_every_ladder_step():
+    # the nested J_1 < ... < J_r = S of each ladder over I, in one walk over
+    # the corners of I
+    rnd = random.Random(20261026)
+    for k in range(80):
+        if k % 4:
+            ring = RingSpec(rnd.randint(1, 2), rnd.randint(1, 2))
+            I = _random_ideal(rnd, ring, 3, 4)
+        else:
+            ring = RingSpec(3, 3)
+            I = _decompose_shaped_ideal(rnd, ring)
+        for Z in (ring.x_block(), ring.y_block(), ring.all_vars()):
+            Js = dimension_filtration(I, Z).ideals[1:]
+            assert ass_subquotients(Js, I) == [bf_ass_subquotient(J, I) for J in Js], (str(I), sorted(Z))
+
+
+def test_one_walk_gives_the_ass_of_unrelated_ideals_over_one_ideal():
+    # J = J', J = S and J's that share nothing but J', in a random order,
+    # and over J' = (0) the ideals (0), S and any others
+    rnd = random.Random(20261027)
+    for m, n, top in EDGE_RINGS:
+        ring = RingSpec(m, n)
+        S, zero = unit_ideal(ring), zero_ideal(ring)
+        for _ in range(8):
+            Jp = _random_ideal(rnd, ring, top, 4)
+            Js = [Jp, S] + [sum_ideal(Jp, _random_ideal(rnd, ring, top, 3)) for _ in range(3)]
+            rnd.shuffle(Js)
+            assert ass_subquotients(Js, Jp) == [bf_ass_subquotient(J, Jp) for J in Js], (m, n, str(Jp))
+            Js = [zero, S] + [_random_ideal(rnd, ring, top, 3) for _ in range(2)]
+            rnd.shuffle(Js)
+            assert ass_subquotients(Js, zero) == [bf_ass_subquotient(J, zero) for J in Js], (m, n)
+        assert ass_subquotients([], zero) == []
+        # one J without J' refuses the whole list
+        with pytest.raises(ValueError):
+            ass_subquotients([S, _random_ideal(rnd, ring, top, 3)], S)
 
 
 def test_large_exponents_cost_follows_the_cells(monkeypatch):

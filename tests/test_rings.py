@@ -20,6 +20,7 @@ from bigrade.rings import (
     dim_quotient,
     intersect,
     intersect_all,
+    intersect_pure_powers,
     irreducible_decomposition,
     minimal_generators,
     primary_decomposition,
@@ -27,6 +28,7 @@ from bigrade.rings import (
     render_monomial,
     sum_ideal,
     unit_ideal,
+    var_power,
     zero_ideal,
 )
 
@@ -333,6 +335,34 @@ def test_decomposition_cost_follows_the_components(monkeypatch):
         assert all(e & pc.radical for e in edges)
         for v in pc.radical:
             assert not all(e & (pc.radical - {v}) for e in edges)
+
+
+def test_a_pure_power_meet_is_the_intersection(monkeypatch):
+    # I cap (x_i^{a_i} : i in rad) on seeded draws, S and (0) among them; an
+    # ideal inside the component passes its generators to minimal_generators
+    # as they are, one monomial each
+    raws = []
+    body = rings.minimal_generators
+
+    def recorded(ring, raw):
+        raws.append(list(raw))
+        return body(ring, raws[-1])
+
+    rnd = random.Random(20261029)
+    for k in range(200):
+        ring = RingSpec(rnd.randint(1, 3), rnd.randint(1, 3))
+        gens = [tuple(rnd.randint(0, 3) for _ in range(ring.nvars)) for _ in range(rnd.randint(0, 5))]
+        I = (unit_ideal(ring), zero_ideal(ring), minimal_generators(ring, gens))[min(k % 8, 2)]
+        rad = frozenset(rnd.sample(range(ring.nvars), rnd.randint(1, ring.nvars)))
+        a = tuple(rnd.randint(1, 3) if i in rad else 0 for i in range(ring.nvars))
+        q = minimal_generators(ring, [var_power(ring, i, a[i]) for i in rad])
+        J = intersect(I, q)
+        assert intersect_pure_powers(I, a, rad) == J, (str(I), a)
+        raws.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(rings, "minimal_generators", recorded)
+            assert intersect_pure_powers(J, a, rad) == J, (str(J), a)
+        assert raws == [list(J.gens)], (str(J), a)
 
 
 def test_primary_groups_by_radical():

@@ -35,17 +35,18 @@ def _counting(monkeypatch, name, counts):
     monkeypatch.setattr(filtration, name, counted)
 
 
-def test_check_instance_builds_the_ladder_once(monkeypatch):
+def test_check_instance_builds_the_ladder_once(monkeypatch, walks):
     ring, I = parse_ideal_text(EIGHT_GEN)
     steps = len(dimension_filtration(I, ring.y_block()).steps)
     bigrade.clear_caches()
+    walks.clear()
     counts = Counter()
     _counting(monkeypatch, "_verify_ass_facts", counts)
-    _counting(monkeypatch, "ass_subquotient", counts)
     assert check_instance(ring, I) == []
     assert counts["_verify_ass_facts"] == 1
-    # Ass(J_i/I) per step for the ladder, then Ass(J_i/J_(i-1)) for every step but the first
-    assert counts["ass_subquotient"] == 2 * steps - 1
+    # one walk gives Ass(J_i/I) of every step for the ladder, then one walk
+    # gives Ass(J_i/J_(i-1)) for each step but the first
+    assert len(walks) == steps
 
 
 def test_corollary_check_reuses_the_ladder(monkeypatch):
