@@ -11,7 +11,7 @@ from .errors import BigradeError, InternalCheckFailed, ParseError
 from .filtration import ass_quotients, dimension_filtration, sequentially_cm
 from .hypersurface import classify, monomial_crosscheck, parse_profile, profile_of_monomial
 from .invariants import analyze
-from .io_formats import parse_ideal_file, parse_int, parse_term, render_ideal
+from .io_formats import parse_ideal_file, parse_int, parse_term, read_text, render_ideal
 from .local_cohomology import generalized_cm, growth_scan, lc_report
 from .rings import (
     RingSpec,
@@ -23,6 +23,8 @@ from .rings import (
 )
 
 SCHEMA = 1
+
+_quote = json.encoder.encode_basestring_ascii  # json.dumps's own C string escaper
 
 
 def _axis(ring, name):
@@ -158,13 +160,12 @@ def cmd_growth(args):
 
 def cmd_hypersurface(args):
     ring = _ring(args.ring[0], args.ring[1], args.char)
-    if args.factors:
+    if args.factors is not None:
         profile = parse_profile(args.factors)
     elif args.input is None:
         raise ParseError("hypersurface needs a profile file or --factors")
     else:
-        with open(args.input, encoding="utf-8-sig") as fh:
-            profile = parse_profile(fh.read())
+        profile = parse_profile(read_text(args.input))
     verdict = classify(profile, ring)
     return {
         "factors": [list(f) for f in profile.factors],
@@ -293,6 +294,35 @@ def build_parser():
 PARSER, SUBCOMMANDS = build_parser()
 
 
+def _indented(value, pad=""):
+    """The text of json.dumps(value, sort_keys=True, indent=2) for a document
+    whose dict keys are strings.  With `indent` set, json.dumps runs the
+    pure-Python encoder; this writer gives its bytes at about half the cost.
+    A scalar other than a string, an int, a bool or None goes to json.dumps."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = ",\n".join([f"{inner}{_quote(k)}: {_indented(value[k], inner)}" for k in sorted(value)])
+        return f"{{\n{items}\n{pad}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        items = ",\n".join([inner + _indented(v, inner) for v in value])
+        return f"[\n{items}\n{pad}]"
+    return json.dumps(value)
+
+
 def _error(message, code) -> tuple:
     return code, json.dumps({"schema": SCHEMA, "error": message}, sort_keys=True)
 
@@ -335,7 +365,7 @@ def _report(argv=None) -> tuple:
     doc = {"schema": SCHEMA, "command": args.command, **payload}
     if "axis" in args:
         doc["axis"] = args.axis
-    return 0, json.dumps(doc, sort_keys=True, indent=2)
+    return 0, _indented(doc)
 
 
 def main(argv=None) -> int:

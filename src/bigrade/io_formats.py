@@ -103,10 +103,17 @@ def parse_ideal_text(text: str, char: int = 0):
     return ring, minimal_generators(ring, gens)
 
 
+def read_text(path: str) -> str:
+    """The text of an input file: its bytes decoded once as UTF-8, after an
+    optional byte order mark.  Bytes that are not UTF-8, a cut-off byte
+    order mark among them, raise `UnicodeDecodeError`."""
+    with open(path, "rb") as fh:
+        return fh.read().decode("utf-8-sig")
+
+
 def parse_ideal_file(path: str, char: int = 0):
     """Read the file on every call and parse its text through the memo."""
-    with open(path, encoding="utf-8-sig") as fh:
-        return parse_ideal_text(fh.read(), char=char)
+    return parse_ideal_text(read_text(path), char=char)
 
 
 def render_ideal(I: MonomialIdeal) -> str:

@@ -181,4 +181,25 @@ MUTANTS = [
         "if True]",
         "tests/test_cli.py::test_growth_and_filtration_answer_on_an_empty_axis",
     ),
+    Mutant(
+        "report writer keeps the keys in insertion order",
+        "cli.py",
+        "for k in sorted(value)]",
+        "for k in value]",
+        "tests/test_cli.py::test_the_writer_gives_the_bytes_of_json_dumps",
+    ),
+    Mutant(
+        "report writer without its empty-list case",
+        "cli.py",
+        'if not value:\n            return "[]"',
+        'if False:\n            return "[]"',
+        "tests/test_cli.py::test_the_writer_gives_the_bytes_of_json_dumps",
+    ),
+    Mutant(
+        "report writer escapes strings by repr",
+        "cli.py",
+        "_quote = json.encoder.encode_basestring_ascii",
+        "_quote = repr",
+        "tests/test_cli.py::test_the_writer_gives_the_bytes_of_json_dumps",
+    ),
 ]

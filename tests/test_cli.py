@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -371,12 +372,18 @@ def test_growth_and_filtration_answer_on_an_empty_axis(tmp_path, capsys):
         (("analyze", "{dir}"), "Is a directory"),
         (("analyze", "{latin1}"), "can't decode byte 0xff"),
         (("hypersurface", "{dir}", "--ring", "1", "1"), "Is a directory"),
+        # a byte order mark cut off after one or two bytes is not UTF-8,
+        # not an empty file
+        (("render", "{bom1}"), "can't decode byte 0xef in position 0"),
+        (("hypersurface", "{bom2}", "--ring", "1", "1"), "can't decode bytes in position 0-1"),
     ],
 )
 def test_unreadable_inputs_are_parse_errors(tmp_path, capsys, argv, message):
-    latin1 = tmp_path / "latin1.ideal"
-    latin1.write_bytes(b"ring 1 1\n# caf\xff\ngens: x1*y1\n")
-    code, out = run_cli(capsys, *(a.format(dir=tmp_path, latin1=latin1) for a in argv))
+    files = {"latin1": b"ring 1 1\n# caf\xff\ngens: x1*y1\n", "bom1": b"\xef", "bom2": b"\xef\xbb"}
+    paths = {name: tmp_path / name for name in files}
+    for name, data in files.items():
+        paths[name].write_bytes(data)
+    code, out = run_cli(capsys, *(a.format(dir=tmp_path, **paths) for a in argv))
     assert code == 2
     error = json.loads(out)["error"]
     assert error.startswith("parse: ") and message in error
@@ -433,6 +440,39 @@ def test_every_subcommand_prints_its_golden_bytes(sample_file):
     with open(GOLDEN, encoding="utf-8") as fh:
         expected = json.load(fh)
     assert golden_records(sample_file) == expected
+
+
+# quotes, backslashes, control characters, DEL, non-ASCII, an astral
+# character, a line separator and a lone surrogate, beside plain letters
+CHARS = 'aZ0 "\\/\n\t\x00\x1f\x7f\u00e9\u00df\u2202\U0001f600\u2028\ud800'
+
+
+def _draw(rng, depth=0):
+    """A seeded JSON value: a string, an int, a bool or None, or, down to
+    depth 3, a list, a tuple or a dict of such values, empty now and then."""
+    kind = rng.randrange(8 if depth < 3 else 4)
+    if kind == 0:
+        return rng.choice([True, False, None])
+    if kind == 1:
+        return rng.choice([rng.randint(-3, 3), rng.randint(-(10**30), 10**30)])
+    if kind in (2, 3):
+        return "".join(rng.choice(CHARS) for _ in range(rng.randrange(6)))
+    items = [_draw(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if kind == 4:
+        return items
+    if kind == 5:
+        return tuple(items)
+    return {"".join(rng.choice(CHARS) for _ in range(rng.randrange(4))): v for v in items}
+
+
+def test_the_writer_gives_the_bytes_of_json_dumps():
+    rng = random.Random(35)
+    values = [_draw(rng) for _ in range(1500)]
+    values += [{}, [], (), {"b": [], "a": {}}, [[[]]], {"": ""}, -(2**100), 1.5, float("inf"), [-0.0]]
+    for value in values:
+        assert cli._indented(value) == json.dumps(value, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        cli._indented({"a": [object()]})
 
 
 @pytest.mark.parametrize(
@@ -523,11 +563,14 @@ def test_main_reads_sys_argv_by_default(sample_file, capsys, monkeypatch):
     ],
 )
 def test_a_byte_order_mark_is_read_past(tmp_path, capsys, argv, text):
-    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    # so are CRLF line ends after it
+    plain, marked, crlf = tmp_path / "plain.txt", tmp_path / "marked.txt", tmp_path / "crlf.txt"
     plain.write_bytes(text.encode("utf-8"))
     marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    crlf.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode("utf-8"))
     without = run_cli(capsys, *(a.format(path=plain) for a in argv))
     assert run_cli(capsys, *(a.format(path=marked) for a in argv)) == without
+    assert run_cli(capsys, *(a.format(path=crlf) for a in argv)) == without
     assert without[0] == 0
 
 
@@ -555,6 +598,11 @@ def test_profile_file_matches_inline_factors(tmp_path, capsys):
         (("hypersurface", "{path}", "--ring", "1", "1"), "# c\n\nfactors:\n",
          "parse: empty factor profile (line 3)"),
         (("hypersurface", "{path}", "--ring", "1", "1"), "# only a comment\n",
+         "parse: empty factor profile"),
+        # an empty --factors is given, not absent: it is parsed, and a
+        # profile file beside it is not read
+        (("hypersurface", "--factors", "", "--ring", "1", "1"), "", "parse: empty factor profile"),
+        (("hypersurface", "{path}", "--factors", "", "--ring", "1", "1"), "factors: (1,1)\n",
          "parse: empty factor profile"),
     ],
 )
