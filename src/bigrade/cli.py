@@ -6,6 +6,8 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
+from itertools import islice
 
 from .errors import BigradeError, InternalCheckFailed, ParseError
 from .filtration import ass_quotients, dimension_filtration, sequentially_cm
@@ -206,6 +208,16 @@ def cmd_render(args):
     return {"canonical": render_ideal(I)}
 
 
+def integer(text):
+    """The value of an integer option: an optional '-' and decimal digits,
+    with surrounding spaces stripped, as a ring line's fields are.  int()
+    alone would read "1_9" as 19 and take "+3"."""
+    digits = text.strip()
+    if not digits.removeprefix("-").isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer of decimal digits, got {text!r}")
+    return parse_int(digits)
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are parse errors, not usage text."""
 
@@ -213,81 +225,102 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@dataclass(frozen=True)
+class Command:
+    """What the token route reads of one subcommand: the `fn` it sets as a
+    default, and the actions `add_argument` returned, as its positionals in
+    order and by each exact option string."""
+
+    fn: object
+    actions: tuple
+    positionals: tuple
+    options: dict
+
+
 def build_parser():
-    """A fresh argparse tree and its map from each subcommand's name to its
-    subparser, the `choices` of the action `add_subparsers` returns; the
-    module builds one pair at import as `PARSER` and `SUBCOMMANDS`."""
+    """A fresh argparse tree and, by each subcommand's name, its `Command`;
+    the module builds one pair at import as `PARSER` and `SUBCOMMANDS`."""
     parser = _Parser(
         prog="bigrade",
         description="Invariants of bigraded monomial quotients",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    def common(p, with_input=True, with_axis=True):
+    def command(name, fn, summary):
+        """A new subcommand's add_argument, which keeps each action it adds."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(fn=fn)
+        actions = []
+        commands[name] = fn, actions
+
+        def add(*args, **kwargs):
+            actions.append(p.add_argument(*args, **kwargs))
+
+        return add
+
+    def common(add, with_input=True, with_axis=True):
         if with_input:
-            p.add_argument("input", help="ideal file")
+            add("input", help="ideal file")
         if with_axis:
-            p.add_argument("--axis", choices=["P", "Q", "all"], default="Q")
-        p.add_argument("--char", type=int, default=0, help="rank characteristic (0 or prime)")
+            add("--axis", choices=["P", "Q", "all"], default="Q")
+        add("--char", type=integer, default=0, help="rank characteristic (0 or prime)")
 
-    p = sub.add_parser("analyze", help="grade/cd/mgrade/maximal depth report")
-    common(p)
-    p.set_defaults(fn=cmd_analyze)
+    add = command("analyze", cmd_analyze, "grade/cd/mgrade/maximal depth report")
+    common(add)
 
-    p = sub.add_parser("decompose", help="irreducible and primary decomposition")
-    common(p, with_axis=False)
-    p.set_defaults(fn=cmd_decompose)
+    add = command("decompose", cmd_decompose, "irreducible and primary decomposition")
+    common(add, with_axis=False)
 
-    p = sub.add_parser("filtration", help="dimension filtration ladder")
-    common(p)
-    p.set_defaults(fn=cmd_filtration)
+    add = command("filtration", cmd_filtration, "dimension filtration ladder")
+    common(add)
 
-    p = sub.add_parser("seqcm", help="sequential Cohen-Macaulay test")
-    common(p)
-    p.set_defaults(fn=cmd_seqcm)
+    add = command("seqcm", cmd_seqcm, "sequential Cohen-Macaulay test")
+    common(add)
 
-    p = sub.add_parser("lc", help="local cohomology report at index i")
-    common(p)
-    p.add_argument("--i", type=int, required=True)
-    p.set_defaults(fn=cmd_lc)
+    add = command("lc", cmd_lc, "local cohomology report at index i")
+    common(add)
+    add("--i", type=integer, required=True)
 
-    p = sub.add_parser("gencm", help="generalized Cohen-Macaulay test")
-    common(p)
-    p.set_defaults(fn=cmd_gencm)
+    add = command("gencm", cmd_gencm, "generalized Cohen-Macaulay test")
+    common(add)
 
-    p = sub.add_parser("growth", help="cumulative cohomology dimensions over growing boxes")
-    common(p)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--radii", default="1,2,3,4", help="comma-separated radii")
-    p.set_defaults(fn=cmd_growth)
+    add = command("growth", cmd_growth, "cumulative cohomology dimensions over growing boxes")
+    common(add)
+    add("--i", type=integer, required=True)
+    add("--radii", default="1,2,3,4", help="comma-separated radii")
 
-    p = sub.add_parser("hypersurface", help="classify a hypersurface factor profile")
-    p.add_argument("input", nargs="?", help="factor profile file")
-    p.add_argument("--factors", help='inline profile, e.g. "(1,1) (0,2)"')
-    p.add_argument("--ring", type=int, nargs=2, required=True, metavar=("M", "N"))
-    common(p, with_input=False, with_axis=False)
-    p.set_defaults(fn=cmd_hypersurface)
+    add = command("hypersurface", cmd_hypersurface, "classify a hypersurface factor profile")
+    add("input", nargs="?", help="factor profile file")
+    add("--factors", help='inline profile, e.g. "(1,1) (0,2)"')
+    add("--ring", type=integer, nargs=2, required=True, metavar=("M", "N"))
+    common(add, with_input=False, with_axis=False)
 
-    p = sub.add_parser("crosscheck", help="theorem vs engine on a monomial hypersurface")
-    p.add_argument("--monomial", required=True, help='e.g. "x1*y1"')
-    p.add_argument("--ring", type=int, nargs=2, required=True, metavar=("M", "N"))
-    common(p, with_input=False, with_axis=False)
-    p.set_defaults(fn=cmd_crosscheck)
+    add = command("crosscheck", cmd_crosscheck, "theorem vs engine on a monomial hypersurface")
+    add("--monomial", required=True, help='e.g. "x1*y1"')
+    add("--ring", type=integer, nargs=2, required=True, metavar=("M", "N"))
+    common(add, with_input=False, with_axis=False)
 
-    p = sub.add_parser("suite", help="seeded random property suite")
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--seed", type=int, default=20240811)
-    common(p, with_input=False, with_axis=False)
-    p.set_defaults(fn=cmd_suite)
+    add = command("suite", cmd_suite, "seeded random property suite")
+    add("--count", type=integer, default=200)
+    add("--seed", type=integer, default=20240811)
+    common(add, with_input=False, with_axis=False)
 
-    p = sub.add_parser("render", help="canonical form of an ideal file")
-    common(p, with_axis=False)
-    p.set_defaults(fn=cmd_render)
+    add = command("render", cmd_render, "canonical form of an ideal file")
+    common(add, with_axis=False)
 
-    return parser, sub.choices
+    return parser, {
+        name: Command(
+            fn,
+            tuple(actions),
+            tuple(a for a in actions if not a.option_strings),
+            {s: a for a in actions for s in a.option_strings},
+        )
+        for name, (fn, actions) in commands.items()
+    }
 
 
-# The one tree every run parses with, and its name -> subparser map.  They
+# The one tree every run parses with, and its subcommands' `Command`s.  They
 # are constants, not memos: they hold no answer, so `bigrade.clear_caches`
 # does not reach them, and `import bigrade` does not import this module, so
 # only a command-line run builds them.
@@ -327,17 +360,55 @@ def _error(message, code) -> tuple:
     return code, json.dumps({"schema": SCHEMA, "error": message}, sort_keys=True)
 
 
+def _read_line(argv):
+    """PARSER's Namespace for argv, read in one pass over its tokens: the
+    subcommand, then each exact option string with its `nargs` values and
+    each bare positional, every value through its action's `type` and
+    `choices`, and the defaults and `fn` filled in.  None where argv is not
+    such a line, so that argparse parses it."""
+    command = SUBCOMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    values = {}
+    positionals = iter(command.positionals)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            action = command.options.get(token)
+            if action is None or action.dest in values:
+                return None
+            count = action.nargs or 1
+            strings = list(islice(tokens, count))
+            if len(strings) < count or any(s.startswith("-") for s in strings):
+                return None
+        else:
+            action = next(positionals, None)
+            if action is None:
+                return None
+            strings = [token]
+        try:
+            converted = [s if action.type is None else action.type(s) for s in strings]
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None  # the errors of a type that argparse reports
+        if action.choices is not None and not all(v in action.choices for v in converted):
+            return None
+        values[action.dest] = converted if isinstance(action.nargs, int) else converted[0]
+    for action in command.actions:
+        if action.dest not in values:
+            if action.required:
+                return None
+            values[action.dest] = action.default
+    return argparse.Namespace(command=argv[0], fn=command.fn, **values)
+
+
 def _parse_args(argv):
-    """PARSER's Namespace for argv, with a leading subcommand parsed by its
-    own subparser.  Every other argv (empty, help, an unknown command or an
-    option before the command) goes through the whole tree, the only route
-    to its messages and to the top-level help."""
-    subparser = SUBCOMMANDS.get(argv[0]) if argv else None
-    if subparser is None:
-        return PARSER.parse_args(argv)
-    args = subparser.parse_args(argv[1:])
-    args.command = argv[0]
-    return args
+    """PARSER's Namespace for argv.  A well-formed line of a subcommand is
+    read by `_read_line`; every other argv goes through the whole tree, the
+    only source of help and of usage errors: help, a missing or unknown
+    subcommand, a missing required option, `--opt=value`, an abbreviation,
+    `--`, a repeated option, a bad value and any token after the subcommand
+    that starts with '-' but is not an exact option string."""
+    return _read_line(argv) or PARSER.parse_args(argv)
 
 
 def _report(argv=None) -> tuple:

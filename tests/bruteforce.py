@@ -242,6 +242,63 @@ def bf_grade_cd(nvars, gens, zvars):
     return nonzero[0], nonzero[-1]
 
 
+def bf_cech_dims(nvars, jgens, jpgens, zvars, c):
+    """[H^0 .. H^k] over Q of the Cech complex of J/J' on the variables zvars in degree c.
+
+    The term for sigma is J/J' localized at prod(sigma); its degree-c piece
+    is K iff c is nonnegative off sigma and the monomial with a large
+    exponent added on sigma lies in J and not in J'.
+    """
+    zvars = sorted(zvars)
+    k = len(zvars)
+    c = tuple(c)
+    if any(e < 0 for idx, e in enumerate(c) if idx not in zvars):
+        return [0] * (k + 1)
+    big = sum(max(g, default=0) for g in (*jgens, *jpgens)) + sum(abs(e) for e in c) + 5
+
+    def term_nonzero(sigma):
+        if any(c[idx] < 0 for idx in zvars if idx not in sigma):
+            return False
+        shifted = tuple(e + (big if idx in sigma else 0) for idx, e in enumerate(c))
+        return bf_in_ideal(shifted, jgens) and not bf_in_ideal(shifted, jpgens)
+
+    levels = [[s for s in combinations(zvars, j) if term_nonzero(s)] for j in range(k + 1)]
+
+    def coboundary_matrix(src, dst):
+        mat = [[0] * len(src) for _ in dst]
+        for ci, sigma in enumerate(src):
+            for ri, tau in enumerate(dst):
+                if set(sigma) <= set(tau):
+                    (z,) = set(tau) - set(sigma)
+                    mat[ri][ci] = (-1) ** tau.index(z)
+        return mat
+
+    # ranks[j + 1] is the rank of the map from term j to term j + 1
+    ranks = [0] * (k + 2)
+    for j in range(k):
+        ranks[j + 1] = bf_rank(coboundary_matrix(levels[j], levels[j + 1]))
+    return [len(levels[j]) - ranks[j] - ranks[j + 1] for j in range(k + 1)]
+
+
+def bf_subquotient_grade_cd(nvars, jgens, jpgens, zvars):
+    """(grade, cd) of J/J' w.r.t. zvars: the least and largest index of a
+    nonzero Cech cohomology piece over every degree of the box below.
+
+    Membership of a monomial in J or J' reads each exponent only up to the
+    largest exponent b of that variable in the generators, and a negative
+    exponent on zvars only by its sign, since the term clears it.  So the
+    degrees with entries from -1 (on zvars) or 0 up to b hold every piece."""
+    gens = (*jgens, *jpgens)
+    box = [max((g[v] for g in gens), default=0) for v in range(nvars)]
+    degrees = product(*(range(-1 if v in zvars else 0, box[v] + 1) for v in range(nvars)))
+    nonzero = set()
+    for c in degrees:
+        nonzero.update(j for j, d in enumerate(bf_cech_dims(nvars, jgens, jpgens, zvars, c)) if d)
+    if not nonzero:
+        return None, None
+    return min(nonzero), max(nonzero)
+
+
 def bf_scan_koszul(N, Z, max_retries=3):
     """Scan the certified box; returns {degree: [dims per j]} with zero rows dropped.
 

@@ -202,4 +202,32 @@ MUTANTS = [
         "_quote = repr",
         "tests/test_cli.py::test_the_writer_gives_the_bytes_of_json_dumps",
     ),
+    Mutant(
+        "seqCM verdict read off the last ladder step",
+        "filtration.py",
+        "verdict = verdict and g == c",
+        "verdict = g == c",
+        "tests/test_filtration.py::test_a_step_that_is_not_cm_makes_the_seqcm_verdict_false",
+    ),
+    Mutant(
+        "token route without the choices check",
+        "cli.py",
+        "if action.choices is not None and not all(",
+        "if False and not all(",
+        "tests/test_cli.py::test_the_token_route_matches_the_whole_tree_on_seeded_draws",
+    ),
+    Mutant(
+        "token route without the type call",
+        "cli.py",
+        "s if action.type is None else action.type(s)",
+        "s",
+        "tests/test_cli.py::test_the_token_route_matches_the_whole_tree_on_seeded_draws",
+    ),
+    Mutant(
+        "token route without the required-option check",
+        "cli.py",
+        "            if action.required:\n                return None",
+        "            if False:\n                return None",
+        "tests/test_cli.py::test_the_token_route_matches_the_whole_tree_on_seeded_draws",
+    ),
 ]

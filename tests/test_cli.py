@@ -270,6 +270,16 @@ def test_infinite_encoding(tmp_path, capsys):
         # radii are decimal digits too: int() alone would read "1_0" as 10 and take "+1"
         ("growth", "{sample}", "--i", "1", "--radii", "1_0,2"),
         ("growth", "{sample}", "--i", "1", "--radii", "+1,2"),
+        # so are integer options: int() alone would compute "--char 1_9" in
+        # characteristic 19 and take "+3"
+        ("analyze", "{sample}", "--char", "1_9"),
+        ("analyze", "{sample}", "--char", "+3"),
+        ("lc", "{sample}", "--i", "0_1"),
+        ("growth", "{sample}", "--i", "+1"),
+        ("suite", "--count", "0_3"),
+        ("suite", "--count", "1", "--seed", "1_0"),
+        ("hypersurface", "--factors", "(1,1)", "--ring", "1_0", "2"),
+        ("crosscheck", "--monomial", "x1*y1", "--ring", "2", "+2"),
     ],
 )
 def test_bad_option_values_are_parse_errors(sample_file, capsys, argv):
@@ -528,11 +538,16 @@ def _parse_outcome(parse, argv, capsys):
         ("--char", "2", "analyze", "{sample}"),
         ("analyze", "-h"),
         ("-h",),
+        ("analyze", "{sample}", "--char", "1_9"),
+        ("analyze", "{sample}", "--char", "9" * 5000),
+        ("analyze", "{sample}", "--axis", "P", "--axis", "all"),
+        ("growth", "{sample}", "--i", "-1"),
+        ("hypersurface", "--ring", "2", "2", "{sample}"),
     ],
 )
 def test_dispatch_matches_the_whole_tree(sample_file, capsys, argv):
-    # a leading subcommand is parsed by its own subparser; every argv gives
-    # what PARSER.parse_args gives: the same fields, error or help
+    # a well-formed line is read by the token route, any other by argparse;
+    # every argv gives what PARSER.parse_args gives: the same fields, error or help
     argv = [a.format(sample=sample_file) for a in argv]
     dispatched = _parse_outcome(cli._parse_args, argv, capsys)
     assert dispatched == _parse_outcome(cli.PARSER.parse_args, argv, capsys)
@@ -545,6 +560,76 @@ def test_a_leading_subcommand_skips_the_whole_tree(sample_file, capsys, monkeypa
     expected = [run_cli(capsys, *(a.format(sample=sample_file) for a in argv)) for argv in COMMANDS]
     monkeypatch.setattr(cli.PARSER, "parse_args", whole_tree)
     assert [run_cli(capsys, *(a.format(sample=sample_file) for a in argv)) for argv in COMMANDS] == expected
+
+
+# the values each option string and positional is drawn with, as the parse
+# takes or refuses them: the refused ones hold a digit group separator, a
+# sign, a negative number, a choice the option does not take and a leading '-'
+VALUES = {
+    "input": (["{sample}", "missing.ideal", "", "x y"], ["-", "-x y"]),
+    "--axis": (["P", "Q", "all"], ["Z", "q", ""]),
+    "--char": (["0", "2", " 3 ", "\u0663"], ["1_0", "+3", "-1", "x", ""]),
+    "--i": (["0", "1", "99", " -1"], ["0_1", "-1", "+1", "i"]),
+    "--radii": (["1,2", "1_0", ""], ["-1"]),
+    "--factors": (["(1,1) (0,2)", ""], ["-(1,1)"]),
+    "--ring": (["2", "0"], ["1_0", "-2", "+2"]),
+    "--monomial": (["x1*y1"], ["-x1"]),
+    "--count": (["3"], ["0_3", "-1"]),
+    "--seed": (["7"], ["1_0", "-7"]),
+}
+
+
+def _draw_argv(rng, sample):
+    """A seeded command line: a subcommand, its positionals and a random set
+    of its options with drawn values in a random order, and now and then one
+    fault: a repeat, a dropped token, an abbreviation, `--opt=value`, `--`,
+    help, or a bad or missing subcommand."""
+    name = rng.choice(sorted(cli.SUBCOMMANDS))
+    command = cli.SUBCOMMANDS[name]
+
+    def value(key):
+        good, bad = VALUES[key]
+        return rng.choice(bad if rng.random() < 0.1 else good)
+
+    groups = [[value(a.dest)] for a in command.positionals if rng.random() < 0.9]
+    for string, action in sorted(command.options.items()):
+        if rng.random() < (0.9 if action.required else 0.4):
+            groups.append([string] + [value(string) for _ in range(action.nargs or 1)])
+    rng.shuffle(groups)
+    fault = rng.randrange(16)
+    options = [g for g in groups if g[0] in command.options]
+    if fault == 0 and groups:
+        groups.insert(rng.randrange(len(groups) + 1), list(rng.choice(groups)))
+    elif fault == 1 and options:
+        group = rng.choice(options)
+        group[0] = group[0][: rng.randrange(2, len(group[0]))]
+    elif fault == 2 and options:
+        group = rng.choice(options)
+        group[:2] = [f"{group[0]}={group[1]}"]
+    elif fault == 3:
+        groups.insert(rng.randrange(len(groups) + 1), ["--"])
+    elif fault == 4:
+        groups.insert(rng.randrange(len(groups) + 1), [rng.choice(["-h", "--help"])])
+    argv = [name] + [token for group in groups for token in group]
+    if fault == 5:
+        del argv[rng.randrange(len(argv))]
+    elif fault == 6:
+        argv[0] = rng.choice(["bogus", "--char", "ana"])
+    return [a.format(sample=sample) for a in argv]
+
+
+def test_the_token_route_matches_the_whole_tree_on_seeded_draws(sample_file, capsys):
+    # every outcome of cli._parse_args, fields, error or help, is that of
+    # PARSER.parse_args; the draws reach both routes
+    assert {s for c in cli.SUBCOMMANDS.values() for s in c.options} | {"input"} == set(VALUES)
+    rng = random.Random(36)
+    taken = 0
+    for _ in range(2000):
+        argv = _draw_argv(rng, sample_file)
+        taken += cli._read_line(argv) is not None
+        outcome = _parse_outcome(cli._parse_args, argv, capsys)
+        assert outcome == _parse_outcome(cli.PARSER.parse_args, argv, capsys), argv
+    assert 500 < taken < 1500
 
 
 def test_main_reads_sys_argv_by_default(sample_file, capsys, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 
 import bigrade
 from bigrade import filtration
+from bigrade.invariants import analyze
 from bigrade.cli import main
 from bigrade.errors import UnitIdeal
 from bigrade.filtration import (
@@ -25,6 +26,8 @@ from bigrade.rings import (
     unit_ideal,
     zero_ideal,
 )
+from bigrade.suite import random_ideal
+from bruteforce import bf_grade_cd, bf_subquotient_grade_cd
 
 EIGHT_GEN = """
 ring 2 4
@@ -162,6 +165,43 @@ def test_sequentially_cm_negative():
     out = sequentially_cm(I, ring.y_block())
     assert out["verdict"] is False
     assert any(not s["is_cm"] for s in out["per_step"])
+
+
+# ideals with a ladder step that is not CM below a last step that is, which
+# the property suite's draws do not reach: maximal depth holds on the first
+# two and fails on the third, and none is sequentially CM
+NOT_SEQCM = [
+    ("ring 2 5\ngens: y4, y2*y5, y2*y3, x2*y1*y5, x2*y1*y3, x1*y3*y5\n", True, [(1, 1), (1, 2), (3, 3)]),
+    ("ring 2 5\ngens: y3*y5, y1*y4*y5, x2*y3*y4, x1*y4*y5, x1*y2*y4, x1*y2*y3\n", True, [(2, 2), (2, 3), (4, 4)]),
+    ("ring 2 4\ngens: y3*y4, y1*y4, x2*y2*y3, x1*x2*y1*y2\n", False, [(1, 2), (3, 3)]),
+]
+
+
+@pytest.mark.parametrize("text, maximal_depth, steps", NOT_SEQCM, ids=["2-5a", "2-5b", "2-4"])
+def test_a_step_that_is_not_cm_makes_the_seqcm_verdict_false(text, maximal_depth, steps):
+    # every step's (grade, cd) is also read off a Cech complex of J_i/J_(i-1)
+    # in every degree of a box, by the brute-force oracle
+    ring, I = parse_ideal_text(text)
+    Z = ring.y_block()
+    out = sequentially_cm(I, Z)
+    assert out["verdict"] is False
+    assert [(s["grade"], s["cd"]) for s in out["per_step"]] == steps
+    assert analyze(I, Z).maximal_depth is maximal_depth
+    below, oracle = I, []
+    for J, _ in dimension_filtration(I, Z).steps:
+        oracle.append(bf_subquotient_grade_cd(ring.nvars, J.gens, below.gens, sorted(Z)))
+        below = J
+    assert oracle == steps
+
+
+def test_the_subquotient_oracle_matches_the_cyclic_oracle_on_seeded_draws():
+    # on S/I, as the quotient of the unit ideal by I, over Q
+    rng = random.Random(17)
+    for _ in range(20):
+        ring, I = random_ideal(rng, max_m=2, max_n=2, max_exp=2, max_gens=4)
+        Z = sorted(ring.y_block())
+        unit = [(0,) * ring.nvars]
+        assert bf_subquotient_grade_cd(ring.nvars, unit, I.gens, Z) == bf_grade_cd(ring.nvars, I.gens, Z), I
 
 
 def test_mgrade_constancy():
