@@ -3,6 +3,10 @@
 Monomials are exponent tuples of length m+n (x-block first).  Ideals are kept
 in minimal-generator normal form with a fixed lexicographic generator order,
 so equal ideals compare equal and all downstream output is deterministic.
+
+A characteristic is read by one rule, `characteristic`: an integer, 0 or a
+prime, and below MAX_CHAR, where deterministic Miller-Rabin is exact.
+`RingSpec` and `kernels.rank_mod_p` both call it.
 """
 
 from __future__ import annotations
@@ -36,10 +40,8 @@ class RingSpec:
         object.__setattr__(self, "char", _integer(self.char, "the characteristic"))
         if self.m < 0 or self.n < 0 or self.m + self.n < 1:
             raise ValueError(f"need m, n >= 0 and m + n >= 1, got m={self.m} n={self.n}")
-        if self.char >= MAX_CHAR:
-            raise ValueError(f"characteristic must be below {MAX_CHAR}, got {self.char}")
-        if self.char < 0 or self.char == 1 or (self.char > 1 and not _is_prime(self.char)):
-            raise ValueError(f"characteristic must be 0 or prime, got {self.char}")
+        # the value rule comes after the m, n check, which names a bad m or n first
+        characteristic(self.char)
         object.__setattr__(self, "nvars", self.m + self.n)
         object.__setattr__(self, "_hash", hash((self.m, self.n, self.char)))
 
@@ -79,6 +81,17 @@ def _integer(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def characteristic(value) -> int:
+    """value as a characteristic: an integer (`_integer`), 0 or a prime, and
+    below MAX_CHAR, or ValueError."""
+    char = _integer(value, "the characteristic")
+    if char >= MAX_CHAR:
+        raise ValueError(f"characteristic must be below {MAX_CHAR}, got {char}")
+    if char < 0 or char == 1 or (char > 1 and not _is_prime(char)):
+        raise ValueError(f"characteristic must be 0 or prime, got {char}")
+    return char
 
 
 # Strong-probable-prime tests to these bases decide primality exactly below

@@ -114,8 +114,8 @@ MUTANTS = [
     Mutant(
         "mod-p reduction",
         "kernels.py",
-        "rows = [[x % p for x in row] for row",
-        "rows = [[x for x in row] for row",
+        "_eliminate([[x % p for x in row] for row",
+        "_eliminate([[x for x in row] for row",
         "tests/test_kernels.py::test_modp_rank_matches_gauss_jordan_oracle",
     ),
     Mutant(
@@ -124,6 +124,20 @@ MUTANTS = [
         "elif piv != prev:",
         "elif False:",
         "tests/test_kernels.py::test_ranks_match_the_oracles_on_seeded_draws",
+    ),
+    Mutant(
+        "row update of the other characteristic",
+        "kernels.py",
+        "        if p:\n",
+        "        if not p:\n",
+        "tests/test_kernels.py::test_ranks_match_the_oracles_on_seeded_draws",
+    ),
+    Mutant(
+        "composite characteristic accepted",
+        "rings.py",
+        " or (char > 1 and not _is_prime(char))",
+        "",
+        "tests/test_refusals.py::test_refusal_raises_its_class_and_message",
     ),
     Mutant(
         "J' bitset of a cell holds every generator of J'",

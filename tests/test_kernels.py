@@ -133,18 +133,20 @@ BAREISS_RESCALE_CASES = [
 
 
 def test_ranks_match_the_oracles_on_seeded_draws():
-    # 300 draws of 4x4 to 8x8 matrices with entries 0/+-1 and 300 with entries
-    # in -3..3, each ranked over Q and over GF(2), GF(3) and GF(5), beside the
-    # two fixed cases: a rare elimination fault (a skipped rescale goes wrong
-    # on about 1 % of the 0/+-1 draws) is met on a fixed set every run
+    # 300 draws of 4x4 to 8x8 matrices with entries 0/+-1, 300 with entries
+    # in -3..3 and 300 with entries 0/+-2/+-3 (no unit pivot over Q, as in
+    # what a unit-pivot pass leaves over), each ranked over Q and over GF(2),
+    # GF(3), GF(5), GF(32003) and GF(4294967311), beside the two fixed cases:
+    # a rare elimination fault (a skipped rescale goes wrong on about 1 % of
+    # the 0/+-1 draws) is met on a fixed set every run
     rng = random.Random(20261019)
     cases = [rows for rows, _ in BAREISS_RESCALE_CASES]
-    for entries in ((0, 1, -1), range(-3, 4)):
+    for entries in ((0, 1, -1), range(-3, 4), (0, 2, -2, 3, -3)):
         for _ in range(300):
             nrows, ncols = rng.randint(4, 8), rng.randint(4, 8)
             cases.append([[rng.choice(entries) for _ in range(ncols)] for _ in range(nrows)])
     for rows in cases:
         assert rank_char0(rows) == rank_fraction_oracle(rows), rows
-        for p in (2, 3, 5):
+        for p in (2, 3, 5, 32003, 4294967311):
             assert rank_mod_p(rows, p) == bf_rank_mod_p(rows, p), (p, rows)
     assert [rank_char0(rows) for rows, _ in BAREISS_RESCALE_CASES] == [6, 3]

@@ -74,6 +74,27 @@ REFUSALS = {
         ValueError,
         "rank_mod_p expects a rectangular matrix",
     ),
+    # the modulus is read by RingSpec's characteristic rule, with its messages
+    "rank_mod_p_composite": (
+        lambda: kernels.rank_mod_p([[1, 1], [1, 1]], 4),
+        ValueError,
+        "characteristic must be 0 or prime, got 4",
+    ),
+    "rank_mod_p_float": (
+        lambda: kernels.rank_mod_p([[1, 1], [1, 1]], 3.5),
+        ValueError,
+        "the characteristic must be an integer, got 3.5",
+    ),
+    "rank_mod_p_string": (
+        lambda: kernels.rank_mod_p([[1, 1], [1, 1]], "3"),
+        ValueError,
+        "the characteristic must be an integer, got '3'",
+    ),
+    "rank_composite": (
+        lambda: kernels.rank([[2, 0], [0, 2]], 4),
+        ValueError,
+        "characteristic must be 0 or prime, got 4",
+    ),
 }
 
 
