@@ -225,99 +225,74 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+# add_argument's arguments for one argument: its name and its keywords
+INPUT = "input", dict(help="ideal file")
+AXIS = "--axis", dict(choices=["P", "Q", "all"], default="Q")
+CHAR = "--char", dict(type=integer, default=0, help="rank characteristic (0 or prime)")
+INDEX = "--i", dict(type=integer, required=True)
+RING = "--ring", dict(type=integer, nargs=2, required=True, metavar=("M", "N"))
+
+# each subcommand: the function it runs, its help line and its arguments in usage order
+COMMANDS = {
+    "analyze": (cmd_analyze, "grade/cd/mgrade/maximal depth report", (INPUT, AXIS, CHAR)),
+    "decompose": (cmd_decompose, "irreducible and primary decomposition", (INPUT, CHAR)),
+    "filtration": (cmd_filtration, "dimension filtration ladder", (INPUT, AXIS, CHAR)),
+    "seqcm": (cmd_seqcm, "sequential Cohen-Macaulay test", (INPUT, AXIS, CHAR)),
+    "lc": (cmd_lc, "local cohomology report at index i", (INPUT, AXIS, CHAR, INDEX)),
+    "gencm": (cmd_gencm, "generalized Cohen-Macaulay test", (INPUT, AXIS, CHAR)),
+    "growth": (
+        cmd_growth,
+        "cumulative cohomology dimensions over growing boxes",
+        (INPUT, AXIS, CHAR, INDEX, ("--radii", dict(default="1,2,3,4", help="comma-separated radii"))),
+    ),
+    "hypersurface": (
+        cmd_hypersurface,
+        "classify a hypersurface factor profile",
+        (
+            ("input", dict(nargs="?", help="factor profile file")),
+            ("--factors", dict(help='inline profile, e.g. "(1,1) (0,2)"')),
+            RING,
+            CHAR,
+        ),
+    ),
+    "crosscheck": (
+        cmd_crosscheck,
+        "theorem vs engine on a monomial hypersurface",
+        (("--monomial", dict(required=True, help='e.g. "x1*y1"')), RING, CHAR),
+    ),
+    "suite": (
+        cmd_suite,
+        "seeded random property suite",
+        (("--count", dict(type=integer, default=200)), ("--seed", dict(type=integer, default=20240811)), CHAR),
+    ),
+    "render": (cmd_render, "canonical form of an ideal file", (INPUT, CHAR)),
+}
+
+
 @dataclass(frozen=True)
 class Command:
-    """What the token route reads of one subcommand: the `fn` it sets as a
-    default, and the actions `add_argument` returned, as its positionals in
-    order and by each exact option string."""
+    """What the token route reads of one subcommand: the actions
+    `add_argument` returned, as its positionals in order and by each exact
+    option string."""
 
-    fn: object
     actions: tuple
     positionals: tuple
     options: dict
 
 
 def build_parser():
-    """A fresh argparse tree and, by each subcommand's name, its `Command`;
-    the module builds one pair at import as `PARSER` and `SUBCOMMANDS`."""
-    parser = _Parser(
-        prog="bigrade",
-        description="Invariants of bigraded monomial quotients",
-    )
+    """A fresh argparse tree built from `COMMANDS` and, by each subcommand's
+    name, its `Command`; the module builds one pair at import as `PARSER`
+    and `SUBCOMMANDS`."""
+    parser = _Parser(prog="bigrade", description="Invariants of bigraded monomial quotients")
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
-
-    def command(name, fn, summary):
-        """A new subcommand's add_argument, which keeps each action it adds."""
+    for name, (_, summary, specs) in COMMANDS.items():
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(fn=fn)
-        actions = []
-        commands[name] = fn, actions
-
-        def add(*args, **kwargs):
-            actions.append(p.add_argument(*args, **kwargs))
-
-        return add
-
-    def common(add, with_input=True, with_axis=True):
-        if with_input:
-            add("input", help="ideal file")
-        if with_axis:
-            add("--axis", choices=["P", "Q", "all"], default="Q")
-        add("--char", type=integer, default=0, help="rank characteristic (0 or prime)")
-
-    add = command("analyze", cmd_analyze, "grade/cd/mgrade/maximal depth report")
-    common(add)
-
-    add = command("decompose", cmd_decompose, "irreducible and primary decomposition")
-    common(add, with_axis=False)
-
-    add = command("filtration", cmd_filtration, "dimension filtration ladder")
-    common(add)
-
-    add = command("seqcm", cmd_seqcm, "sequential Cohen-Macaulay test")
-    common(add)
-
-    add = command("lc", cmd_lc, "local cohomology report at index i")
-    common(add)
-    add("--i", type=integer, required=True)
-
-    add = command("gencm", cmd_gencm, "generalized Cohen-Macaulay test")
-    common(add)
-
-    add = command("growth", cmd_growth, "cumulative cohomology dimensions over growing boxes")
-    common(add)
-    add("--i", type=integer, required=True)
-    add("--radii", default="1,2,3,4", help="comma-separated radii")
-
-    add = command("hypersurface", cmd_hypersurface, "classify a hypersurface factor profile")
-    add("input", nargs="?", help="factor profile file")
-    add("--factors", help='inline profile, e.g. "(1,1) (0,2)"')
-    add("--ring", type=integer, nargs=2, required=True, metavar=("M", "N"))
-    common(add, with_input=False, with_axis=False)
-
-    add = command("crosscheck", cmd_crosscheck, "theorem vs engine on a monomial hypersurface")
-    add("--monomial", required=True, help='e.g. "x1*y1"')
-    add("--ring", type=integer, nargs=2, required=True, metavar=("M", "N"))
-    common(add, with_input=False, with_axis=False)
-
-    add = command("suite", cmd_suite, "seeded random property suite")
-    add("--count", type=integer, default=200)
-    add("--seed", type=integer, default=20240811)
-    common(add, with_input=False, with_axis=False)
-
-    add = command("render", cmd_render, "canonical form of an ideal file")
-    common(add, with_axis=False)
-
-    return parser, {
-        name: Command(
-            fn,
-            tuple(actions),
-            tuple(a for a in actions if not a.option_strings),
-            {s: a for a in actions for s in a.option_strings},
-        )
-        for name, (fn, actions) in commands.items()
-    }
+        actions = tuple(p.add_argument(flag, **keywords) for flag, keywords in specs)
+        positionals = tuple(a for a in actions if not a.option_strings)
+        commands[name] = Command(actions, positionals, {s: a for a in actions for s in a.option_strings})
+    return parser, commands
 
 
 # The one tree every run parses with, and its subcommands' `Command`s.  They
@@ -364,8 +339,8 @@ def _read_line(argv):
     """PARSER's Namespace for argv, read in one pass over its tokens: the
     subcommand, then each exact option string with its `nargs` values and
     each bare positional, every value through its action's `type` and
-    `choices`, and the defaults and `fn` filled in.  None where argv is not
-    such a line, so that argparse parses it."""
+    `choices`, and the defaults filled in.  None where argv is not such a
+    line, so that argparse parses it."""
     command = SUBCOMMANDS.get(argv[0]) if argv else None
     if command is None:
         return None
@@ -398,7 +373,7 @@ def _read_line(argv):
             if action.required:
                 return None
             values[action.dest] = action.default
-    return argparse.Namespace(command=argv[0], fn=command.fn, **values)
+    return argparse.Namespace(command=argv[0], **values)
 
 
 def _parse_args(argv):
@@ -419,7 +394,7 @@ def _report(argv=None) -> tuple:
     try:
         args = _parse_args(argv)
         _ring(1, 1, args.char)  # a bad --char is refused before any input is read
-        payload = args.fn(args)
+        payload = COMMANDS[args.command][0](args)
     except InternalCheckFailed as exc:
         # a theorem-backed assertion failed: a bug, reported with the input that shows it
         ideal = getattr(args, "ideal", None)

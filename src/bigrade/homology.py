@@ -386,11 +386,13 @@ def cech_piece_dim(N: Subquotient, Z, i: int, c) -> int:
     """dim_K of H^i_Z(N) in fine degree c (coordinates on Z may be negative).
 
     Z goes through `RingSpec.axis` first, so a variable outside the ring is
-    a ValueError, then i is checked against |Z|.  A degree of the wrong
+    a ValueError, then i is read as an integer (a float or a string is a
+    ValueError) and checked against |Z|.  A degree of the wrong
     length is a DimensionMismatch and a non-integer coordinate a ValueError;
     `cech_dims_at` takes c unchecked.
     """
     Z = N.ring.axis(Z)
+    i = _integer(i, "the local cohomology index")
     if not (0 <= i <= len(Z)):
         raise PreconditionFailed(f"index {i} outside [0, {len(Z)}]")
     c = tuple(_integer(e, "a degree coordinate") for e in c)

@@ -156,11 +156,8 @@ def _restricted_colons(gens, zvars, sels) -> dict:
     order, so one pass over the selected parts in that order meets every
     divisor of a part before the part, and a part is kept iff no part kept
     before it divides it (an equal part included), as `minimal_generators`
-    does.  A one-generator ideal, such as J = S, needs no pass.
+    does.
     """
-    if len(gens) == 1:
-        part = tuple(map(gens[0].__getitem__, zvars))
-        return {sel: (part,) if sel else () for sel in sels}
     parts = sorted((tuple(map(g.__getitem__, zvars)), i) for i, g in enumerate(gens))
     colons = {}
     for sel in sels:

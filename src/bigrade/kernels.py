@@ -90,7 +90,8 @@ def rank_mod_p(matrix, p: int) -> int:
 
 
 def rank(matrix, char: int = 0) -> int:
-    """Rank over Q (char 0) or GF(char)."""
-    if char == 0:
+    """Rank over Q (char 0) or GF(char); `char` is read by the characteristic
+    rule, so 0.0 is refused as 3.0 is."""
+    if characteristic(char) == 0:
         return rank_char0(matrix)
     return rank_mod_p(matrix, char)

@@ -56,11 +56,25 @@ MUTANTS = [
         "tests/test_acceptance.py::test_criterion_2_two_prime_intersection",
     ),
     Mutant(
+        "cech_piece_dim without the integer rule on its index",
+        "homology.py",
+        '    i = _integer(i, "the local cohomology index")\n',
+        "",
+        "tests/test_refusals.py::test_refusal_raises_its_class_and_message[cech_piece_dim_float_index]",
+    ),
+    Mutant(
         "GF(p) pivot inverse",
         "kernels.py",
         "inv = pow(piv, -1, p)",
         "inv = piv",
         "tests/test_kernels.py::test_modp_rank_matches_gauss_jordan_oracle",
+    ),
+    Mutant(
+        "rank without the characteristic rule",
+        "kernels.py",
+        "if characteristic(char) == 0:",
+        "if char == 0:",
+        "tests/test_refusals.py::test_refusal_raises_its_class_and_message[rank_float_zero]",
     ),
     Mutant(
         "minimalization in _restricted_colons",
@@ -243,5 +257,12 @@ MUTANTS = [
         "            if action.required:\n                return None",
         "            if False:\n                return None",
         "tests/test_cli.py::test_the_token_route_matches_the_whole_tree_on_seeded_draws",
+    ),
+    Mutant(
+        "--axis default P in the subcommand table",
+        "cli.py",
+        'default="Q"',
+        'default="P"',
+        "tests/test_cli.py::test_every_subcommand_keeps_its_arguments",
     ),
 ]

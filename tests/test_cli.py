@@ -632,6 +632,65 @@ def test_the_token_route_matches_the_whole_tree_on_seeded_draws(sample_file, cap
     assert 500 < taken < 1500
 
 
+# each subcommand's arguments in usage order, as (option_strings, dest,
+# nargs, type name, choices, default, required, metavar, help); the token
+# route and the whole tree both read these actions, so only this list pins them
+_INPUT = ((), "input", None, None, None, None, True, None, "ideal file")
+_AXIS = (("--axis",), "axis", None, None, ["P", "Q", "all"], "Q", False, None, None)
+_CHAR = (("--char",), "char", None, "integer", None, 0, False, None, "rank characteristic (0 or prime)")
+_I = (("--i",), "i", None, "integer", None, None, True, None, None)
+_RING = (("--ring",), "ring", 2, "integer", None, None, True, ("M", "N"), None)
+ARGUMENTS = [
+    ("analyze", [_INPUT, _AXIS, _CHAR]),
+    ("decompose", [_INPUT, _CHAR]),
+    ("filtration", [_INPUT, _AXIS, _CHAR]),
+    ("seqcm", [_INPUT, _AXIS, _CHAR]),
+    ("lc", [_INPUT, _AXIS, _CHAR, _I]),
+    ("gencm", [_INPUT, _AXIS, _CHAR]),
+    (
+        "growth",
+        [
+            _INPUT,
+            _AXIS,
+            _CHAR,
+            _I,
+            (("--radii",), "radii", None, None, None, "1,2,3,4", False, None, "comma-separated radii"),
+        ],
+    ),
+    (
+        "hypersurface",
+        [
+            ((), "input", "?", None, None, None, False, None, "factor profile file"),
+            (("--factors",), "factors", None, None, None, None, False, None, 'inline profile, e.g. "(1,1) (0,2)"'),
+            _RING,
+            _CHAR,
+        ],
+    ),
+    (
+        "crosscheck",
+        [(("--monomial",), "monomial", None, None, None, None, True, None, 'e.g. "x1*y1"'), _RING, _CHAR],
+    ),
+    (
+        "suite",
+        [
+            (("--count",), "count", None, "integer", None, 200, False, None, None),
+            (("--seed",), "seed", None, "integer", None, 20240811, False, None, None),
+            _CHAR,
+        ],
+    ),
+    ("render", [_INPUT, _CHAR]),
+]
+
+
+def test_every_subcommand_keeps_its_arguments():
+    def fields(a):
+        kind = None if a.type is None else a.type.__name__
+        return (tuple(a.option_strings), a.dest, a.nargs, kind, a.choices, a.default, a.required, a.metavar, a.help)
+
+    built = [(name, [fields(a) for a in command.actions]) for name, command in cli.SUBCOMMANDS.items()]
+    assert built == ARGUMENTS
+
+
 def test_main_reads_sys_argv_by_default(sample_file, capsys, monkeypatch):
     expected = run_cli(capsys, "render", sample_file)
     monkeypatch.setattr(sys, "argv", ["bigrade", "render", sample_file])

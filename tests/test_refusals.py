@@ -5,6 +5,7 @@ import pytest
 from bigrade import kernels
 from bigrade.errors import DimensionMismatch, RingMismatch, UnitIdeal
 from bigrade.filtration import mgrade_constancy
+from bigrade.homology import Subquotient, cech_piece_dim
 from bigrade.invariants import ordinary_depth, tensor_verdict
 from bigrade.local_cohomology import (
     corollary_check,
@@ -94,6 +95,22 @@ REFUSALS = {
         lambda: kernels.rank([[2, 0], [0, 2]], 4),
         ValueError,
         "characteristic must be 0 or prime, got 4",
+    ),
+    # rank reads char by the same rule before it picks Q: 0.0 is refused as 3.0 is
+    "rank_float_zero": (
+        lambda: kernels.rank([[1, 0], [0, 1]], 0.0),
+        ValueError,
+        "the characteristic must be an integer, got 0.0",
+    ),
+    "cech_piece_dim_float_index": (
+        lambda: cech_piece_dim(Subquotient.cyclic(zero_ideal(R11)), R11.y_block(), 1.0, (0, -1)),
+        ValueError,
+        "the local cohomology index must be an integer, got 1.0",
+    ),
+    "cech_piece_dim_string_index": (
+        lambda: cech_piece_dim(Subquotient.cyclic(zero_ideal(R11)), R11.y_block(), "1", (0, -1)),
+        ValueError,
+        "the local cohomology index must be an integer, got '1'",
     ),
 }
 
