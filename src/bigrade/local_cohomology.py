@@ -38,7 +38,12 @@ logger = logging.getLogger("bigrade")
 
 @dataclass(frozen=True)
 class FiberLC:
-    """H^i of one fiber class; the first three fields come from the class."""
+    """H^i of one fiber class.
+
+    The first three fields come from the class, read once per (I, Z); the
+    last three from column i of the class's fiber table, which `_lc_reports`
+    folds with every other column in one pass.
+    """
 
     pattern: tuple  # the class's smallest slice, patterns[0]
     infinite_family: bool
@@ -83,32 +88,6 @@ def _fiber_table(fiber: Subquotient) -> tuple:
     return tuple(table)
 
 
-def _fiber_lc(fc, i: int) -> FiberLC:
-    """H^i of one fiber class, read from column i of its fiber's Cech table."""
-    finite = True
-    witness = None
-    total = 0
-    for c, lengths, dims in _fiber_table(fc.fiber):
-        d = dims[i]
-        if d == 0:
-            continue
-        if None in lengths:
-            # a -1 class: the cell stands for infinitely many fine degrees
-            finite = False
-            if witness is None:
-                witness = c
-        else:
-            total += d * prod(lengths)
-    return FiberLC(
-        pattern=fc.patterns[0],
-        infinite_family=fc.infinite_family,
-        n_single=fc.n_single,
-        finite_length=finite,
-        total_dim=total if finite else None,
-        witness_degree=witness,
-    )
-
-
 def _axis_of(I: MonomialIdeal, Z, what: str) -> frozenset:
     """Z, the y-block by default, after refusing the zero module S/S; a
     given Z is checked by `RingSpec.axis`."""
@@ -120,28 +99,51 @@ def _axis_of(I: MonomialIdeal, Z, what: str) -> frozenset:
 def lc_report(I: MonomialIdeal, i: int, Z=None) -> LCReport:
     """Per-fiber report on H^i_Z(S/I); Z defaults to the y-block.
 
-    The report is computed once per (I, i, Z) and kept in a bounded memo;
-    it is immutable, so every caller shares it.
+    The reports of every index 0..|Z| are computed together, once per (I, Z),
+    and kept in one bounded memo (`_lc_reports`); they are immutable, so
+    every caller shares them, and a repeated call returns the same object.
     """
     i = _integer(i, "the local cohomology index")
     Z = _axis_of(I, Z, "local cohomology")
     if not (0 <= i <= len(Z)):
         raise PreconditionFailed(f"index {i} outside [0, {len(Z)}]")
-    return _lc_report(I, i, Z)
+    return _lc_reports(I, Z)[i]
 
 
 @lru_cache(maxsize=1024)
-def _lc_report(I: MonomialIdeal, i: int, Z: frozenset) -> LCReport:
-    """The memo behind `lc_report`."""
-    entries = [_fiber_lc(fc, i) for fc in fibers(Subquotient.cyclic(I), Z)]
+def _lc_reports(I: MonomialIdeal, Z: frozenset) -> tuple:
+    """The memo behind `lc_report`: the `LCReport` of every index 0..|Z|.
 
-    fin_gen = all(e.finite_length for e in entries)
-    total = None
-    if fin_gen and all(
-        e.total_dim == 0 for e in entries if e.infinite_family
-    ):
-        total = sum(e.n_single * e.total_dim for e in entries)
-    return LCReport(i=i, per_fiber=tuple(entries), finitely_generated=fin_gen, total_dim=total)
+    One walk over `fibers` reads each class's `_fiber_table` once and folds
+    every column i of it in the same pass.  H^i of the class has finite
+    length unless it is nonzero on a -1 class, a cell that stands for
+    infinitely many fine degrees, and the first such cell is its witness;
+    its total is d * prod(lengths) over the bounded cells.  The class's own
+    fields are read once and shared by the entries of every index.
+    """
+    entries = [[] for _ in range(len(Z) + 1)]
+    for fc in fibers(Subquotient.cyclic(I), Z):
+        witnesses = [None] * len(entries)
+        totals = [0] * len(entries)
+        for c, lengths, dims in _fiber_table(fc.fiber):
+            bounded = None not in lengths
+            for i, d in enumerate(dims):
+                if d and bounded:
+                    totals[i] += d * prod(lengths)
+                elif d and witnesses[i] is None:
+                    witnesses[i] = c
+        head = (fc.patterns[0], fc.infinite_family, fc.n_single)
+        for i, w in enumerate(witnesses):
+            entries[i].append(FiberLC(*head, w is None, totals[i] if w is None else None, w))
+
+    reports = []
+    for i, per_fiber in enumerate(entries):
+        fin_gen = all(e.finite_length for e in per_fiber)
+        total = None
+        if fin_gen and all(e.total_dim == 0 for e in per_fiber if e.infinite_family):
+            total = sum(e.n_single * e.total_dim for e in per_fiber)
+        reports.append(LCReport(i=i, per_fiber=tuple(per_fiber), finitely_generated=fin_gen, total_dim=total))
+    return tuple(reports)
 
 
 def generalized_cm(I: MonomialIdeal, Z=None) -> bool:

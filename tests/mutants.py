@@ -112,10 +112,31 @@ MUTANTS = [
         "tests/test_homology.py::test_depth_of_a_dense_draw_is_read_off_its_bounds",
     ),
     Mutant(
-        "prod(lengths) in _fiber_lc",
+        "prod(lengths) in _lc_reports",
         "local_cohomology.py",
-        "total += d * prod(lengths)",
-        "total += d",
+        "totals[i] += d * prod(lengths)",
+        "totals[i] += d",
+        "tests/test_local_cohomology.py::test_cell_walks_match_box_walk_reference",
+    ),
+    Mutant(
+        "bounded cell counted once, not d times, in _lc_reports",
+        "local_cohomology.py",
+        "totals[i] += d * prod(lengths)",
+        "totals[i] += prod(lengths)",
+        "tests/test_local_cohomology.py::test_a_cell_of_dimension_two_counts_twice_per_degree",
+    ),
+    Mutant(
+        "witness taken from the last -1 cell in _lc_reports",
+        "local_cohomology.py",
+        "elif d and witnesses[i] is None:",
+        "elif d:",
+        "tests/test_local_cohomology.py::test_cell_walks_match_box_walk_reference",
+    ),
+    Mutant(
+        "report total summed without n_single",
+        "local_cohomology.py",
+        "sum(e.n_single * e.total_dim for e in per_fiber)",
+        "sum(e.total_dim for e in per_fiber)",
         "tests/test_local_cohomology.py::test_cell_walks_match_box_walk_reference",
     ),
     Mutant(

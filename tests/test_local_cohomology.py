@@ -212,25 +212,26 @@ def test_question_scan_returns_list():
 
 
 def test_a_repeated_lc_report_is_read_from_its_memo(monkeypatch):
-    # check_instance asks for the same index about twice per query
-    calls = []
-    body = local_cohomology._fiber_lc
+    # check_instance asks for the same index about twice per query, and the
+    # reports of every index of (I, Z) come from one read of each fiber table
+    reads = []
+    body = local_cohomology._fiber_table
 
-    def counting(fc, i):
-        calls.append(i)
-        return body(fc, i)
+    def counting(fiber):
+        reads.append(fiber)
+        return body(fiber)
 
-    monkeypatch.setattr(local_cohomology, "_fiber_lc", counting)
+    monkeypatch.setattr(local_cohomology, "_fiber_table", counting)
     ring, I = parse_ideal_text(EIGHT_GEN)
     Q = ring.y_block()
     first = lc_report(I, 1, Q)
-    assert calls
-    calls.clear()
+    assert len(reads) == len(fibers(Subquotient.cyclic(I), Q))
+    reads.clear()
     assert lc_report(I, 1, list(Q)) is first
     assert lc_report(I, 1) is first  # Q is the default axis
-    assert calls == []
-    lc_report(I, 2, Q)
-    assert calls and set(calls) == {2}
+    assert reads == []
+    assert lc_report(I, 2, Q).i == 2  # a new index of the same (I, Z)
+    assert reads == []
 
 
 def _random_ideal(rnd, ring, max_exp, max_gens):
@@ -281,6 +282,22 @@ def test_cell_walks_match_box_walk_reference():
         assert ass_subquotient(unit_ideal(ring), I) == bf_ass_subquotient(unit_ideal(ring), I), case
         J = sum_ideal(I, _random_ideal(rnd, ring, 3, 2))  # proper: no unit generator
         assert ass_subquotient(J, I) == bf_ass_subquotient(J, I), (case, str(J))
+
+
+def test_a_cell_of_dimension_two_counts_twice_per_degree():
+    # K[D] for D three disjoint edges on y1..y6 has H^1_m = H~^0(D) = K^2 in
+    # degree 0 and nowhere else (Hochster); x1^2 gives the fiber two slices,
+    # so H^1_Q(S/I) has length 2 * 2.  The seeded draws reach no cell of
+    # dimension above 1.
+    edges = {(1, 2), (3, 4), (5, 6)}
+    gens = ["x1^2"] + [f"y{a}*y{b}" for a in range(1, 7) for b in range(a + 1, 7) if (a, b) not in edges]
+    ring, I = parse_ideal_text(f"ring 1 6\ngens: {', '.join(gens)}\n")
+    Q = ring.y_block()
+    rep = lc_report(I, 1, Q)
+    fin_gen, total, entries = bf_lc_report(I, 1, Q)
+    assert (rep.finitely_generated, rep.total_dim) == (fin_gen, total) == (True, 4)
+    assert [(e.n_single, e.total_dim, e.witness_degree) for e in rep.per_fiber] == [(2, 2, None)]
+    assert list(map(_lc_fields, rep.per_fiber)) == list(map(_lc_fields, entries))
 
 
 def _k_family(k):

@@ -237,7 +237,7 @@ def test_clear_caches_empties_every_memo(tmp_path):
         assert cli.main(["render", "--char", "7", str(path)]) == 0  # fills the primality memo
     memos = _memos()
     assert len(memos) >= 8
-    assert "bigrade.local_cohomology._lc_report" in memos
+    assert "bigrade.local_cohomology._lc_reports" in memos
     assert [name for name, memo in memos.items() if _size(memo) == 0] == []
     bigrade.clear_caches()
     assert [name for name, memo in memos.items() if _size(memo) != 0] == []
