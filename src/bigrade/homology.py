@@ -48,6 +48,7 @@ import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
+from math import prod
 
 from . import kernels
 from .errors import DimensionMismatch, InternalCheckFailed, PreconditionFailed, ZeroModule
@@ -440,6 +441,12 @@ def _axis_cells(N: Subquotient, k: int, cech=False) -> list:
     return cells
 
 
+# the most cells `exponent_cells` lists: 8x the largest product (2^14) that
+# any golden command line, Tier-1 input or benchmark query reaches; at 2^17
+# `seqcm` on x1*...*x17 peaks at about 100 MB
+MAX_CELLS = 2 ** 17
+
+
 def exponent_cells(N: Subquotient, coords, cech=frozenset(), rows=False):
     """Products of the exponent cells of N over coords, in lex order of corners.
 
@@ -467,11 +474,24 @@ def exponent_cells(N: Subquotient, coords, cech=frozenset(), rows=False):
     local_cohomology passes each cell's rows to `_term_dims`,
     `invariants._fibers` groups the cells by their bitsets, and
     `growth_scan` on no axis keeps those with no generator of J' in `jpin`.
+
+    The list holds one entry per cell, so a product of more than MAX_CELLS
+    cells is refused (PreconditionFailed) before it is built.  The iterator
+    of `rows` holds one cell at a time and is not refused.
     """
     axes = [_axis_cells(N, k, k in cech) for k in coords]
     if rows:
         # the corners, the lengths and the rows of the cells, one product each
         return zip(*(product(*([cell[i] for cell in axis] for axis in axes)) for i in range(3)))
+    cells = prod(len(axis) for axis in axes)
+    if cells > MAX_CELLS:
+        name, text = (
+            ("input ideal", render_ideal(N.Jp)) if N.J.is_unit
+            else ("J, then J', of J/J'", render_ideal(N.J) + render_ideal(N.Jp))
+        )
+        raise PreconditionFailed(
+            f"homology.exponent_cells: {cells} exponent cells exceed the bound {MAX_CELLS}; {name}:\n{text}"
+        )
     full = (1 << len(N.Jp.gens)) - 1
     prefixes = [((), (), (1 << len(N.J.gens)) - 1, full)]
     for axis in axes:

@@ -6,7 +6,7 @@ consecutive distinct generator exponents, the class of all negative
 exponents, and off the axis the cap from the largest one on) and weights it
 by the cell's length, the interval structure of Takayama's formula.  Each
 fiber's cells are scanned once, with every index of a cell read off one Cech
-complex, into a table that every local cohomology question on that fiber
+complex, into a table that every local cohomology answer on that fiber
 reads.  The table has no capped cell: past the largest generator exponent
 of a coordinate its variable acts bijectively, so the Cech complex there is
 acyclic (`homology._axis_cells`).
@@ -21,7 +21,6 @@ box generates; a nonvanishing negative-degree family can never be generated.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
@@ -30,10 +29,8 @@ from typing import Optional
 from .errors import InternalCheckFailed, PreconditionFailed, UnitIdeal
 from .filtration import sequentially_cm
 from .homology import Subquotient, _localized_row, _term_dims, exponent_cells
-from .invariants import analyze, cd, cd_prime, fibers
-from .rings import MonomialIdeal, _integer, associated_primes
-
-logger = logging.getLogger("bigrade")
+from .invariants import analyze, cd, fibers
+from .rings import MonomialIdeal, _integer
 
 
 @dataclass(frozen=True)
@@ -236,22 +233,3 @@ def corollary_check(I: MonomialIdeal, Z=None) -> dict:
         raise InternalCheckFailed(f"corollary equivalence violated: {triple}")
     return triple
 
-
-def question_counterexample_scan(I: MonomialIdeal, Z=None) -> list:
-    """Indices j = cd(Z, S/p) > 0 of Ass primes where H^j is nonetheless f.g.
-
-    It is unknown whether such instances exist; hits are logged and returned,
-    never asserted absent.
-    """
-    Z = _axis_of(I, Z, "scan")
-
-    hits = []
-    for j in sorted({cd_prime(p, Z) for p in associated_primes(I)}):
-        if j > 0 and lc_report(I, j, Z).finitely_generated:
-            hits.append(j)
-    if hits:
-        logger.warning(
-            "potential counterexample to the open question: I=%s, finitely "
-            "generated H^j at j=%s", I, hits,
-        )
-    return hits

@@ -280,6 +280,29 @@ MUTANTS = [
         "tests/test_cli.py::test_the_token_route_matches_the_whole_tree_on_seeded_draws",
     ),
     Mutant(
+        "cell product refused past the bound no more",
+        "homology.py",
+        "    if cells > MAX_CELLS:\n",
+        "    if False:\n",
+        "tests/test_refusals.py::test_a_cell_product_past_the_bound_exits_3_before_it_is_built",
+    ),
+    Mutant(
+        "Ass check index taken as |Q & p|",
+        "suite.py",
+        "{len(Z - p) for p in ass}",
+        "{len(Z & p) for p in ass}",
+        "tests/test_acceptance.py::test_criterion_4_property_suite",
+    ),
+    # on the suite's draws only ass_lc_not_fg catches it: the suite passes
+    # with that check removed
+    Mutant(
+        "top local cohomology index reported finitely generated",
+        "local_cohomology.py",
+        "finitely_generated=fin_gen,",
+        "finitely_generated=fin_gen or i == len(Z),",
+        "tests/test_acceptance.py::test_criterion_4_property_suite",
+    ),
+    Mutant(
         "--axis default P in the subcommand table",
         "cli.py",
         'default="Q"',

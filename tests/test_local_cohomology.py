@@ -12,6 +12,7 @@ from bigrade.homology import (
     Subquotient,
     ass_subquotient,
     ass_subquotients,
+    cech_dims_at,
     cech_piece_dim,
     exponent_cells,
 )
@@ -22,17 +23,21 @@ from bigrade.local_cohomology import (
     generalized_cm,
     growth_scan,
     lc_report,
-    question_counterexample_scan,
 )
 from bigrade.rings import (
     MonomialIdeal,
     RingSpec,
+    colon,
     intersect,
     minimal_generators,
+    prime_ideal,
     sum_ideal,
     unit_ideal,
     zero_ideal,
 )
+from bigrade.suite import random_ideal
+from test_closed_forms import FAMILIES, edge_ideal, one_generator
+from test_field_dependence import RP2_16
 
 EIGHT_GEN = """
 ring 2 4
@@ -136,7 +141,6 @@ AXIS_CALLS = {
     "growth_scan": lambda I, Z: growth_scan(I, 1, [1], Z),
     "lc_report": lambda I, Z: lc_report(I, 1, Z),
     "mgrade": mgrade,
-    "question_counterexample_scan": question_counterexample_scan,
     "sequentially_cm": sequentially_cm,
 }
 
@@ -206,9 +210,36 @@ def test_corollary_holds_on_the_zero_ideal():
     assert triple == {"max_depth": True, "seq_cm": True, "cm_wrt_Q": True}
 
 
-def test_question_scan_returns_list():
-    r, I = two_prime_ideal()
-    assert question_counterexample_scan(I) == []
+def test_each_associated_prime_gives_a_witness_family_on_both_axes():
+    # suite._ass_lc_not_fg's proof, step by step: for each component (a, p)
+    # of the decomposition, (I : x^w) = p for w = a - 1 on p and the lcm box
+    # off p; for each axis Z with F = Z \ p nonempty, the Cech complex on Z
+    # at a degree with a_F < 0 and w elsewhere is K at index |F| only; and
+    # H^|F|_Z(S/I) is not finitely generated.  x1*...*xk stops at k = 8: its
+    # P axis has 2^k Cech cells, each ranked (1.1 s at k = 10)
+    ideals = [edge_ideal(n, cycle) for n in range(3, 11) for cycle in (False, True)]
+    for family in FAMILIES:
+        ideals += [family(k)[0] for k in range(1, 9 if family is one_generator else 11)]
+    ideals += [parse_ideal_text(RP2_16, char=char)[1] for char in (0, 2)]
+    rng = random.Random(20240813)
+    ideals += [random_ideal(rng, max_m=3, max_n=4, max_exp=3)[1] for _ in range(200)]
+    cases = 0
+    for I in ideals:
+        ring, N, box = I.ring, Subquotient.cyclic(I), I.max_exponents()
+        for a, p in rings._decomposition(I):
+            w = tuple(a[k] - 1 if k in p else box[k] for k in range(ring.nvars))
+            assert colon(I, w) == prime_ideal(ring, p), (str(I), sorted(p))
+            for Z in (ring.x_block(), ring.y_block()):
+                F = Z - p
+                if not F:
+                    continue
+                case = (str(I), sorted(p), sorted(Z))
+                for low in (-1, -2):
+                    d = tuple(low if k in F else w[k] for k in range(ring.nvars))
+                    assert cech_dims_at(N, Z, d) == [int(i == len(F)) for i in range(len(Z) + 1)], case
+                assert not lc_report(I, len(F), Z).finitely_generated, case
+                cases += 1
+    assert cases > 1500
 
 
 def test_a_repeated_lc_report_is_read_from_its_memo(monkeypatch):

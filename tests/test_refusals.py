@@ -1,17 +1,26 @@
 """Each documented refusal raises its class with its message."""
 
+import json
+import os
+import resource
+import subprocess
+import sys
+import time
+from math import prod
+
 import pytest
 
-from bigrade import kernels
+import bigrade
+from bigrade import homology, kernels
 from bigrade.errors import DimensionMismatch, RingMismatch, UnitIdeal
-from bigrade.filtration import mgrade_constancy
+from bigrade.filtration import mgrade_constancy, sequentially_cm
 from bigrade.homology import Subquotient, cech_piece_dim
-from bigrade.invariants import ordinary_depth, tensor_verdict
+from bigrade.invariants import analyze, ordinary_depth, tensor_verdict
+from bigrade.io_formats import render_ideal
 from bigrade.local_cohomology import (
     corollary_check,
     generalized_cm,
     growth_scan,
-    question_counterexample_scan,
 )
 from bigrade.rings import (
     MonomialIdeal,
@@ -23,6 +32,7 @@ from bigrade.rings import (
     unit_ideal,
     zero_ideal,
 )
+from test_closed_forms import one_generator
 
 R11 = RingSpec(1, 1)
 R21 = RingSpec(2, 1)
@@ -36,11 +46,6 @@ REFUSALS = {
         lambda: corollary_check(S),
         UnitIdeal,
         "corollary check of the zero module",
-    ),
-    "question_counterexample_scan": (
-        lambda: question_counterexample_scan(S),
-        UnitIdeal,
-        "scan of the zero module",
     ),
     "mgrade_constancy": (
         lambda: mgrade_constancy(S, R11.y_block()),
@@ -121,3 +126,45 @@ def test_refusal_raises_its_class_and_message(name):
     with pytest.raises(cls) as info:
         call()
     assert str(info.value) == message
+
+
+def _cells_over_Q(I):
+    """The number of exponent cells the fibers of S/I over Q list: the
+    product over the x-coordinates of their cell counts."""
+    N = Subquotient.cyclic(I)
+    return prod(len(homology._axis_cells(N, x)) for x in sorted(I.ring.x_block()))
+
+
+def test_a_cell_product_past_the_bound_exits_3_before_it_is_built(tmp_path):
+    I, _ = one_generator(24)
+    cells = _cells_over_Q(I)
+    assert cells == 2 ** 24 > homology.MAX_CELLS
+    path = tmp_path / "one24.ideal"
+    path.write_text(render_ideal(I))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bigrade.__file__)))
+    # 1 GiB of address space: a process that builds the product fails, as
+    # the 2^24 cells need several
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "bigrade.cli", "seqcm", str(path)],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap,
+    )
+    assert time.perf_counter() - start < 2
+    assert done.returncode == 3, done.stdout + done.stderr
+    assert json.loads(done.stdout)["error"] == (
+        f"precondition: homology.exponent_cells: {cells} exponent cells exceed the bound "
+        f"{homology.MAX_CELLS}; input ideal:\n{render_ideal(I)}"
+    )
+
+
+def test_a_cell_product_at_the_bound_still_answers():
+    # S/(x1*...*x17) is a hypersurface ring, so CM: y1 is regular on it
+    I, _ = one_generator(17)
+    assert _cells_over_Q(I) == homology.MAX_CELLS
+    Q = I.ring.y_block()
+    rep = analyze(I, Q)
+    assert (rep.grade, rep.cd, rep.maximal_depth) == (1, 1, True)
+    assert sequentially_cm(I, Q)["verdict"]
