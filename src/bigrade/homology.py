@@ -26,16 +26,19 @@ once and read at every index.
 
 Every Koszul and Cech term, every corner of `ass_subquotients` and every
 exponent cell is decided by one rule on bitsets over the generators of J
-and J' (`_corner_row`); `_axis_cells` builds the rows of a coordinate's
-cells in one ascending pass.
+and J' (`_corner_row`): the AND of the `jin` rows and the OR of the `miss`
+rows of the coordinates.
 
 Membership, colons and Cech pieces only change where an exponent crosses a
 generator exponent, so the walks that need one degree per class visit
 exponent cells instead of the whole exponent box.  `exponent_cells` is the
-one walk over their product: it gives each cell with the bitsets of the
-generators of J and J' at or below its corner, which the fiber classes of
-`invariants.fibers` and the empty-axis growth scan read, or with its rows,
-which the Cech tables of `local_cohomology` read.
+one walk over their product, in one form: it yields each cell with the
+`_corner_row` of each coordinate at its corner, taken once per cell of the
+coordinate by `_axis_cells`.  The Cech tables of `local_cohomology` pass
+those rows to `_term_dims`; the fiber classes of `invariants.fibers` and the
+empty-axis growth scan fold them into the generators of J and J' at or below
+the corner (`cell_bitsets`).  One bound, MAX_CELLS, refuses every product
+past it before a cell is walked.
 `ass_subquotients` visits one corner exponent per bounded cell of J' and the
 box on each coordinate, depth first, and skips every subtree whose corners
 all lie outside every J or all inside J'; one walk answers for several J
@@ -125,8 +128,8 @@ def _corner_row(gens, Jp: MonomialIdeal, k: int, e: int) -> tuple:
     monomial lies in J \\ J' iff the AND of the `jin` rows of its coordinates
     is nonzero and the OR of their `miss` rows holds every generator of J'.
     `_term_dims` (Koszul and Cech terms) and `ass_subquotients` test by this,
-    and `exponent_cells` gives the generators dividing a cell's corner off
-    the same AND and OR of the rows `_axis_cells` builds.
+    and `cell_bitsets` folds the rows of an exponent cell by the same AND
+    and OR.
     """
     jin = 0
     for i, g in enumerate(gens):
@@ -180,8 +183,8 @@ def _term_dims(N: Subquotient, rows, inside) -> list:
     for k in sigma; the term is nonzero iff the AND of the `jin` rows is
     nonzero and the OR of the `miss` rows holds every generator of J'.
     `koszul_dims_at` and `cech_dims_at` build `rows` from their degree, and
-    `local_cohomology._fiber_table` passes the rows `exponent_cells` built
-    for a cell.  One walk over the coordinates of `inside`, in ascending
+    `local_cohomology._fiber_table` passes the rows `exponent_cells` gives
+    with a cell.  One walk over the coordinates of `inside`, in ascending
     order, grows every node (a partial sigma with the AND of its `jin` rows
     and the OR of its `miss` rows) by leaving the coordinate out and by
     taking it in.  The AND only shrinks, so a branch is dropped once it is
@@ -408,9 +411,8 @@ def _axis_cells(N: Subquotient, k: int, cech=False) -> list:
     With d_0 = 0 < d_1 < ... < d_r the distinct exponents of the generators
     at k, the cells are [d_j, d_{j+1} - 1] and the cap [d_r, inf) (length
     None).  Whether g_k <= e holds for a generator g is constant on a cell,
-    and `row` is the (jin, miss) pair of `_corner_row(J.gens, J', k, start)`,
-    built in one ascending pass: at d_j the generators with g_k = d_j join
-    `jin` and leave `miss`.
+    so its `row` is the (jin, miss) pair of `_corner_row(J.gens, J', k,
+    start)`, the rule every Koszul and Cech term reads.
 
     A Cech coordinate gets the class (-1, None) of all negative exponents
     first, with the row (0, every generator of J'), and no cap: the Cech
@@ -422,86 +424,69 @@ def _axis_cells(N: Subquotient, k: int, cech=False) -> list:
     cone of an isomorphism: multiplication by the k-th variable is bijective
     on J/J' from d_r on.  The cone is acyclic.
     """
-    at_J, at_Jp = {0: 0}, {}  # exponent at k -> the generators with that exponent
-    for i, g in enumerate(N.J.gens):
-        at_J[g[k]] = at_J.get(g[k], 0) | 1 << i
-    for j, g in enumerate(N.Jp.gens):
-        at_Jp[g[k]] = at_Jp.get(g[k], 0) | 1 << j
-    d = sorted(at_J.keys() | at_Jp.keys())
-    full = (1 << len(N.Jp.gens)) - 1
-    cells = [(-1, None, (0, full))] if cech else []
-    jin = jpin = 0
-    for j, e in enumerate(d):
-        jin |= at_J.get(e, 0)
-        jpin |= at_Jp.get(e, 0)
-        if j + 1 < len(d):
-            cells.append((e, d[j + 1] - e, (jin, full ^ jpin)))
-        elif not cech:
-            cells.append((e, None, (jin, full ^ jpin)))
+    d = sorted({0, *(g[k] for g in N.J.gens + N.Jp.gens)})
+    cells = [(-1, None, (0, (1 << len(N.Jp.gens)) - 1))] if cech else []
+    # d_r starts the cap, which a Cech coordinate does not have
+    for e, end in zip(d, d[1:] if cech else d[1:] + [None]):
+        cells.append((e, end - e if end else None, _corner_row(N.J.gens, N.Jp, k, e)[:2]))
     return cells
 
 
-# the most cells `exponent_cells` lists: 8x the largest product (2^14) that
-# any golden command line, Tier-1 input or benchmark query reaches; at 2^17
-# `seqcm` on x1*...*x17 peaks at about 100 MB
+def cell_bitsets(N: Subquotient, rows) -> tuple:
+    """(jin, jpin): the generators of J and of J' dividing a cell's corner on its coordinates.
+
+    `rows` are the cell's `_corner_row` pairs from `exponent_cells`, and the
+    fold is the rule of `_corner_row`: `jin` is the AND of the `jin` rows and
+    `jpin` the complement of the OR of the `miss` rows.  Both are empty on a
+    -1 class, whose row holds no generator of J and misses every one of J'.
+    """
+    jin, miss = (1 << len(N.J.gens)) - 1, 0
+    for j, m in rows:
+        jin &= j
+        miss |= m
+    return jin, ((1 << len(N.Jp.gens)) - 1) ^ miss
+
+
+# the most cells `exponent_cells` walks: 8x the largest fiber product (2^14)
+# and 512x the largest Cech table (2^8) that any golden command line, Tier-1
+# input or benchmark query reaches; at 2^17 `seqcm` on x1*...*x17 peaks at
+# about 100 MB
 MAX_CELLS = 2 ** 17
 
 
-def exponent_cells(N: Subquotient, coords, cech=frozenset(), rows=False):
-    """Products of the exponent cells of N over coords, in lex order of corners.
+def exponent_cells(N: Subquotient, coords, cech=frozenset()):
+    """The products of the exponent cells of N over coords, in lex order of corners.
 
-    Returns a list of (corner, lengths, jin, jpin), one per cell: the
-    smallest exponent of the cell on each of coords, the cell lengths (None
-    for the cap and the -1 class, each of which stands for infinitely many
-    exponents), and the bitsets of the generators of J and of J' whose
-    exponents on coords are at most the corner's, both empty on a -1 class.
-    The cells come from the generators of J and J', so membership, colons
-    and Cech pieces of N are constant on a cell.  Coordinates in `cech` get
-    the -1 class and their bounded cells only: the Cech cohomology of N
-    vanishes on their caps (`_axis_cells`), so a coordinate no generator
-    uses adds one cell.  With `rows`, returns an iterator of (corner,
-    lengths, rows) instead, rows holding the (jin, miss) row of `_corner_row`
-    of each of coords at the corner, the outside rows of the cell's Cech
-    complex.
+    An iterator of (corner, lengths, rows), one per cell: the smallest
+    exponent of the cell on each of coords, the cell lengths (None for the
+    cap and the -1 class, each of which stands for infinitely many
+    exponents), and the (jin, miss) `_corner_row` of each of coords at the
+    corner.  The cells come from the generators of J and J', so membership,
+    colons and Cech pieces of N are constant on a cell.  Coordinates in
+    `cech` get the -1 class and their bounded cells only: the Cech
+    cohomology of N vanishes on their caps (`_axis_cells`), so a coordinate
+    no generator uses adds one cell.  Each coordinate's cells and rows are
+    built once, by `_axis_cells`, and the iterator holds one cell at a time.
 
-    Each coordinate's cells and their rows are built once, by one
-    `_axis_cells` pass.  The bitsets are folded one coordinate at a time, in
-    lex order: each prefix of cells is extended by one AND of the `jin` rows
-    and one AND of the complements of the `miss` rows, so a cell costs one
-    step of each, not one per coordinate.
-
-    This is the package's one walk over exponent cells: `_fiber_table` in
-    local_cohomology passes each cell's rows to `_term_dims`,
-    `invariants._fibers` groups the cells by their bitsets, and
-    `growth_scan` on no axis keeps those with no generator of J' in `jpin`.
-
-    The list holds one entry per cell, so a product of more than MAX_CELLS
-    cells is refused (PreconditionFailed) before it is built.  The iterator
-    of `rows` holds one cell at a time and is not refused.
+    This is the package's one walk over exponent cells, with one row rule:
+    `local_cohomology._fiber_table` passes each cell's rows to `_term_dims`
+    as the outside rows of its Cech complex, and `invariants._fibers` and
+    `growth_scan` on no axis fold them with `cell_bitsets`.  A product of
+    more than MAX_CELLS cells is refused (PreconditionFailed) for every
+    caller, before the first cell is walked.
     """
     axes = [_axis_cells(N, k, k in cech) for k in coords]
-    if rows:
-        # the corners, the lengths and the rows of the cells, one product each
-        return zip(*(product(*([cell[i] for cell in axis] for axis in axes)) for i in range(3)))
     cells = prod(len(axis) for axis in axes)
     if cells > MAX_CELLS:
         name, text = (
-            ("input ideal", render_ideal(N.Jp)) if N.J.is_unit
-            else ("J, then J', of J/J'", render_ideal(N.J) + render_ideal(N.Jp))
+            ("module S/I, I =", render_ideal(N.Jp)) if N.J.is_unit
+            else ("module J/J', J then J' =", render_ideal(N.J) + render_ideal(N.Jp))
         )
         raise PreconditionFailed(
-            f"homology.exponent_cells: {cells} exponent cells exceed the bound {MAX_CELLS}; {name}:\n{text}"
+            f"homology.exponent_cells: {cells} exponent cells exceed the bound {MAX_CELLS}; {name}\n{text}"
         )
-    full = (1 << len(N.Jp.gens)) - 1
-    prefixes = [((), (), (1 << len(N.J.gens)) - 1, full)]
-    for axis in axes:
-        steps = [((e,), (n,), jin, full ^ miss) for e, n, (jin, miss) in axis]
-        prefixes = [
-            (corner + e, lengths + n, jin & j, jpin & jp)
-            for corner, lengths, jin, jpin in prefixes
-            for e, n, j, jp in steps
-        ]
-    return prefixes
+    # the corners, the lengths and the rows of the cells, one product each
+    return zip(*(product(*([cell[i] for cell in axis] for axis in axes)) for i in range(3)))
 
 
 def ass_subquotient(J: MonomialIdeal, Jp: MonomialIdeal) -> set:

@@ -4,9 +4,9 @@ Everything is driven by the fiber decomposition: slicing a subquotient along
 the exponents of the variables outside the chosen axis Z leaves a finite list
 of K[Z]-module classes (colon ideals stabilize at the generator caps), and
 H^i_Z of the module is the direct sum of the fibers' local cohomologies.
-A slice's class is read off the bitsets `homology.exponent_cells` gives
-with each cell: the generators dividing the slice, whose minimal Z-parts
-generate its restricted colons.
+A slice's class is read off the rows `homology.exponent_cells` gives with
+each cell, folded by `homology.cell_bitsets` into the generators dividing
+the slice, whose minimal Z-parts generate its restricted colons.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from typing import Optional
 from .errors import InternalCheckFailed, PreconditionFailed, UnitIdeal, WrongBlock, ZeroModule
 from .homology import (
     Subquotient,
+    cell_bitsets,
     depth_module,
     dim_module,
     exponent_cells,
@@ -101,12 +102,15 @@ def _fibers(N: Subquotient, Z: frozenset) -> tuple:
 
     A slice u is supported off Z, so (J : u) cap K[Z] is generated by the
     Z-parts of the generators g of J with g_k <= u_k for every k off Z.
-    `homology.exponent_cells` over the complement gives each cell with the
-    bitsets of those generators of J and of J' at its corner, and the cells
-    are grouped by that pair first.  Then each distinct bitset of each
-    ideal is turned into its restricted colon once, as the minimal
-    generators of the selected Z-parts (`_restricted_colons`), and groups
-    with equal colon pairs merge into one class.
+    `homology.exponent_cells` over the complement gives each cell with its
+    corner rows, `homology.cell_bitsets` folds them into the bitsets of
+    those generators of J and of J' at its corner, and the cells are
+    grouped by that pair first; a complement of more than
+    `homology.MAX_CELLS` cells is refused before its first cell.  Then
+    each distinct bitset of each ideal is turned into its restricted colon
+    once, as the minimal generators of the selected Z-parts
+    (`_restricted_colons`), and groups with equal colon pairs merge into
+    one class.
 
     The restricted colon of J' lies in that of J, so a class's fiber is zero
     iff the two have the same minimal generators, and such a class is
@@ -127,8 +131,8 @@ def _fibers(N: Subquotient, Z: frozenset) -> tuple:
     ring = N.ring
     comp = tuple(k for k in range(ring.nvars) if k not in Z)
     groups = {}  # (jin, jpin) -> its cells, in lex order
-    for corner, lengths, jin, jpin in exponent_cells(N, comp):
-        groups.setdefault((jin, jpin), []).append((corner, lengths))
+    for corner, lengths, rows in exponent_cells(N, comp):
+        groups.setdefault(cell_bitsets(N, rows), []).append((corner, lengths))
 
     zvars = sorted(Z)
     J_colons = _restricted_colons(N.J.gens, zvars, {jin for jin, _ in groups})

@@ -28,7 +28,7 @@ from typing import Optional
 
 from .errors import InternalCheckFailed, PreconditionFailed, UnitIdeal
 from .filtration import sequentially_cm
-from .homology import Subquotient, _localized_row, _term_dims, exponent_cells
+from .homology import Subquotient, _localized_row, _term_dims, cell_bitsets, exponent_cells
 from .invariants import analyze, cd, fibers
 from .rings import MonomialIdeal, _integer
 
@@ -69,16 +69,17 @@ def _fiber_table(fiber: Subquotient) -> tuple:
     complex per cell.  Only the -1 class and the bounded cells of each
     coordinate are scanned: the cohomology vanishes on every capped cell
     (`homology._axis_cells`).  `exponent_cells` gives each cell with the
-    `_corner_row` of every coordinate at its corner, built once per cell of
+    `_corner_row` of every coordinate at its corner, taken once per cell of
     that coordinate, and those rows go to `_term_dims` as the outside rows
     of the cell's complex, the rows `cech_dims_at` would build at the
-    corner.  Kept in a bounded memo per fiber, which every index, report
-    and growth scan on that fiber shares.
+    corner.  A table of more than `homology.MAX_CELLS` cells is refused
+    before its first cell.  Kept in a bounded memo per fiber, which every
+    index, report and growth scan on that fiber shares.
     """
     allvars = fiber.ring.all_vars()
     inside = dict.fromkeys(allvars, _localized_row(fiber))
     table = []
-    for c, lengths, rows in exponent_cells(fiber, range(fiber.ring.nvars), allvars, rows=True):
+    for c, lengths, rows in exponent_cells(fiber, range(fiber.ring.nvars), allvars):
         dims = _term_dims(fiber, rows, inside)
         if any(dims):
             table.append((c, lengths, tuple(dims)))
@@ -178,10 +179,11 @@ def growth_scan(I: MonomialIdeal, i: int, box_radii, Z=None) -> list:
     counts (degrees of its complement cells) x (d times the degrees of each
     nonzero fiber cell within r), each by `_degrees`.  On an empty axis,
     H^0 is S/I itself: its cells are those of `exponent_cells` whose corner
-    no generator of I divides, read off the cell's bitset, with no Cech
-    complex.  The degrees are counted, not visited, so the cost depends on
-    neither the radius nor the size of the exponents.  Radii must be
-    nonnegative integers.
+    no generator of I divides, read off the cell's rows by `cell_bitsets`,
+    with no Cech complex.  Both walks meet the bound of `exponent_cells`.
+    The degrees are counted, not visited, so the cost depends on neither
+    the radius nor the size of the exponents.  Radii must be nonnegative
+    integers.
     """
     i = _integer(i, "the local cohomology index")
     box_radii = [_integer(r, "a growth radius") for r in box_radii]
@@ -203,7 +205,7 @@ def growth_scan(I: MonomialIdeal, i: int, box_radii, Z=None) -> list:
         ]
     else:
         # `fibers` refuses an empty axis: one class over the point of K[]
-        cells = [(c, n) for c, n, _, jpin in exponent_cells(N, range(I.ring.nvars)) if not jpin]
+        cells = [(c, n) for c, n, rows in exponent_cells(N, range(I.ring.nvars)) if not cell_bitsets(N, rows)[1]]
         classes = [(cells, [((), (), 1)])]
 
     return [

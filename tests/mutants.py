@@ -51,8 +51,8 @@ MUTANTS = [
     Mutant(
         "cell length",
         "homology.py",
-        "cells.append((e, d[j + 1] - e, (jin, full ^ jpin)))",
-        "cells.append((e, d[j + 1] - e + 1, (jin, full ^ jpin)))",
+        "end - e if end else None",
+        "end - e + 1 if end else None",
         "tests/test_acceptance.py::test_criterion_2_two_prime_intersection",
     ),
     Mutant(
@@ -177,22 +177,22 @@ MUTANTS = [
     Mutant(
         "J' bitset of a cell holds every generator of J'",
         "homology.py",
-        "steps = [((e,), (n,), jin, full ^ miss) for e, n, (jin, miss) in axis]",
-        "steps = [((e,), (n,), jin, full) for e, n, (jin, miss) in axis]",
+        "return jin, ((1 << len(N.Jp.gens)) - 1) ^ miss",
+        "return jin, (1 << len(N.Jp.gens)) - 1",
         "tests/test_acceptance.py::test_criterion_1_eight_generator_example",
     ),
     Mutant(
-        "prefix fold drops the J' rows of a level",
+        "cell fold drops the J' rows of every coordinate but the last",
         "homology.py",
-        "(corner + e, lengths + n, jin & j, jpin & jp)",
-        "(corner + e, lengths + n, jin & j, jpin)",
+        "        miss |= m\n",
+        "        miss = m\n",
         "tests/test_homology.py::test_cell_bitsets_match_a_scan_of_the_generators",
     ),
     Mutant(
         "J row of a bounded cell taken from the cell below",
         "homology.py",
-        "cells.append((e, d[j + 1] - e, (jin, full ^ jpin)))",
-        "cells.append((e, d[j + 1] - e, (jin & ~at_J.get(e, 0), full ^ jpin)))",
+        "_corner_row(N.J.gens, N.Jp, k, e)[:2]",
+        "(_corner_row(N.J.gens, N.Jp, k, e - 1)[0], _corner_row(N.J.gens, N.Jp, k, e)[1])",
         "tests/test_homology.py::test_cell_bitsets_match_a_scan_of_the_generators",
     ),
     Mutant(
@@ -226,7 +226,7 @@ MUTANTS = [
     Mutant(
         "keep test of growth on no axis",
         "local_cohomology.py",
-        "if not jpin]",
+        "if not cell_bitsets(N, rows)[1]]",
         "if True]",
         "tests/test_cli.py::test_growth_and_filtration_answer_on_an_empty_axis",
     ),
@@ -285,6 +285,20 @@ MUTANTS = [
         "    if cells > MAX_CELLS:\n",
         "    if False:\n",
         "tests/test_refusals.py::test_a_cell_product_past_the_bound_exits_3_before_it_is_built",
+    ),
+    Mutant(
+        "cell fold keeps only the J' generators every coordinate misses",
+        "homology.py",
+        "miss |= m",
+        "miss &= m",
+        "tests/test_homology.py::test_cell_bitsets_match_a_scan_of_the_generators",
+    ),
+    Mutant(
+        "Cech table walked past the bound",
+        "homology.py",
+        "if cells > MAX_CELLS:",
+        "if cells > MAX_CELLS and not cech:",
+        "tests/test_refusals.py::test_a_cech_table_at_the_bound_is_not_refused",
     ),
     Mutant(
         "Ass check index taken as |Q & p|",

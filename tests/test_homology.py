@@ -19,6 +19,7 @@ from bigrade.homology import (
     betti_and_projdim,
     cech_dims_at,
     cech_piece_dim,
+    cell_bitsets,
     depth_module,
     dim_module,
     exponent_cells,
@@ -294,9 +295,10 @@ def test_koszul_dims_match_independent_reference():
 
 
 def test_cell_bitsets_match_a_scan_of_the_generators():
-    # each cell of `exponent_cells` carries the generators of J and of J'
-    # whose exponents on coords are at most its corner's; a -1 coordinate
-    # holds none, so both bitsets are empty on a -1 class
+    # `cell_bitsets` folds the rows of each cell of `exponent_cells` into the
+    # generators of J and of J' whose exponents on coords are at most its
+    # corner's; a -1 coordinate holds none, so both bitsets are empty on a -1
+    # class
     rnd = random.Random(20261020)
     for draw in range(200):
         nvars = rnd.randint(1, 4)
@@ -315,18 +317,18 @@ def test_cell_bitsets_match_a_scan_of_the_generators():
             return sum(1 << i for i, d in enumerate(divides) if d)
 
         cells = list(exponent_cells(N, coords, cech))
-        for corner, _, jin, jpin in cells:
+        for corner, _, rows in cells:
+            jin, jpin = cell_bitsets(N, rows)
             want = (below(N.J.gens, corner), below(N.Jp.gens, corner))
             assert (jin, jpin) == want, (N, coords, corner)
             if -1 in corner:
                 assert jin == jpin == 0
-        # the rows the Cech tables read: `_corner_row` at the corner, cell by
-        # cell in the same lex order
-        with_rows = list(exponent_cells(N, coords, cech, rows=True))
-        assert [(c, n) for c, n, _ in with_rows] == [(c, n) for c, n, *_ in cells]
-        for corner, _, rows in with_rows:
+            # the rows the Cech tables read: `_corner_row` at the corner
             want = [homology._corner_row(N.J.gens, N.Jp, k, e)[:2] for k, e in zip(coords, corner)]
             assert list(rows) == want, (N, coords, corner)
+        # cell by cell in lex order of corners
+        corners = [corner for corner, *_ in cells]
+        assert corners == sorted(corners), (N, coords)
 
 
 @pytest.mark.parametrize("char", [0, 2])

@@ -12,10 +12,10 @@ import pytest
 
 import bigrade
 from bigrade import homology, kernels
-from bigrade.errors import DimensionMismatch, RingMismatch, UnitIdeal
+from bigrade.errors import DimensionMismatch, PreconditionFailed, RingMismatch, UnitIdeal
 from bigrade.filtration import mgrade_constancy, sequentially_cm
 from bigrade.homology import Subquotient, cech_piece_dim
-from bigrade.invariants import analyze, ordinary_depth, tensor_verdict
+from bigrade.invariants import analyze, fibers, ordinary_depth, tensor_verdict
 from bigrade.io_formats import render_ideal
 from bigrade.local_cohomology import (
     corollary_check,
@@ -29,6 +29,7 @@ from bigrade.rings import (
     dim_quotient,
     intersect,
     intersect_all,
+    minimal_generators,
     unit_ideal,
     zero_ideal,
 )
@@ -156,7 +157,7 @@ def test_a_cell_product_past_the_bound_exits_3_before_it_is_built(tmp_path):
     assert done.returncode == 3, done.stdout + done.stderr
     assert json.loads(done.stdout)["error"] == (
         f"precondition: homology.exponent_cells: {cells} exponent cells exceed the bound "
-        f"{homology.MAX_CELLS}; input ideal:\n{render_ideal(I)}"
+        f"{homology.MAX_CELLS}; module S/I, I =\n{render_ideal(I)}"
     )
 
 
@@ -168,3 +169,54 @@ def test_a_cell_product_at_the_bound_still_answers():
     rep = analyze(I, Q)
     assert (rep.grade, rep.cd, rep.maximal_depth) == (1, 1, True)
     assert sequentially_cm(I, Q)["verdict"]
+
+
+def _interleaved_powers():
+    """y1^j*y2^(8-j)*y3^j*y4^(8-j)*y5^j*y6^(8-j) for j = 1..7 in ring 1 6:
+    eight Cech cells on each y-coordinate, 8^6 = 262,144 in the Q-axis
+    table of its one fiber."""
+    ring = RingSpec(1, 6)
+    return minimal_generators(ring, [(0,) + (j, 8 - j) * 3 for j in range(1, 8)])
+
+
+@pytest.mark.parametrize("make, axis, argv", [
+    (lambda: one_generator(18)[0], "x", ["lc", "--i", "1", "--axis", "P"]),
+    (_interleaved_powers, "y", ["lc", "--i", "3"]),
+], ids=["one18_P", "interleaved_Q"])
+def test_a_cech_table_past_the_bound_exits_3_before_it_is_walked(tmp_path, make, axis, argv):
+    # the table of the one fiber over the axis is the product of the -1
+    # class and the bounded cells of every coordinate of the fiber ring
+    I = make()
+    Z = I.ring.x_block() if axis == "x" else I.ring.y_block()
+    (fc,) = fibers(Subquotient.cyclic(I), Z)
+    fiber = fc.fiber
+    cells = prod(len(homology._axis_cells(fiber, k, True)) for k in range(fiber.ring.nvars))
+    assert cells == 2 ** 18 > homology.MAX_CELLS
+    path = tmp_path / "table.ideal"
+    path.write_text(render_ideal(I))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bigrade.__file__)))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "bigrade.cli", argv[0], str(path), *argv[1:]],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert time.perf_counter() - start < 2
+    assert done.returncode == 3, done.stdout + done.stderr
+    assert json.loads(done.stdout)["error"] == (
+        f"precondition: homology.exponent_cells: {cells} exponent cells exceed the bound "
+        f"{homology.MAX_CELLS}; module S/I, I =\n{render_ideal(fiber.Jp)}"
+    )
+
+
+def test_a_cech_table_at_the_bound_is_not_refused():
+    # K[x1..xk]/(x1*...*xk): the -1 class and [0, 0] on each coordinate, 2^k
+    # cells.  At k = 17 the iterator walks none until it is read; one more
+    # coordinate is refused at the call.
+    def table(k):
+        ring = RingSpec(k, 0)
+        N = Subquotient.cyclic(minimal_generators(ring, [(1,) * k]))
+        return homology.exponent_cells(N, range(k), ring.all_vars())
+
+    assert next(table(17))[:2] == ((-1,) * 17, (None,) * 17)
+    with pytest.raises(PreconditionFailed, match="homology.exponent_cells: 262144 exponent cells"):
+        table(18)
