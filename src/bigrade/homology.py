@@ -66,6 +66,7 @@ from .rings import (
     dim_quotient,
     lcm,
     minimal_generators,
+    support,
     unit_ideal,
 )
 
@@ -103,7 +104,7 @@ class Subquotient:
 
     @cached_property
     def is_zero(self) -> bool:
-        return all(self.Jp.contains(g) for g in self.J.gens)
+        return self.Jp.contains_ideal(self.J)
 
     def box(self) -> tuple:
         """Componentwise max generator exponent of J and J' (the lcm box)."""
@@ -116,6 +117,17 @@ class Subquotient:
 def _cyclic(I: MonomialIdeal) -> Subquotient:
     """The memo behind `Subquotient.cyclic`."""
     return Subquotient(unit_ideal(I.ring), I)
+
+
+def _module_text(N: Subquotient) -> str:
+    """N named for an error message, its ideals in canonical `render` form.
+
+    N may be a module the engine built, such as a fiber over K[Z], so it is
+    not called the input ideal; the CLI adds that after it.
+    """
+    if N.J.is_unit:
+        return f"module S/I, I =\n{render_ideal(N.Jp)}"
+    return f"module J/J', J then J' =\n{render_ideal(N.J)}{render_ideal(N.Jp)}"
 
 
 def _corner_row(gens, Jp: MonomialIdeal, k: int, e: int) -> tuple:
@@ -304,9 +316,7 @@ def _projdim_bounds(N: Subquotient) -> tuple:
     low = max(len(p) for p in associated_primes(I))
     high = min(nvars - (low < nvars), len(I.gens))
     if low > high:
-        raise InternalCheckFailed(
-            f"Ass height {low} exceeds the Taylor length {high}; input ideal:\n{render_ideal(I)}"
-        )
+        raise InternalCheckFailed(f"Ass height {low} exceeds the Taylor length {high}; {_module_text(N)}")
     return low, high
 
 
@@ -478,12 +488,8 @@ def exponent_cells(N: Subquotient, coords, cech=frozenset()):
     axes = [_axis_cells(N, k, k in cech) for k in coords]
     cells = prod(len(axis) for axis in axes)
     if cells > MAX_CELLS:
-        name, text = (
-            ("module S/I, I =", render_ideal(N.Jp)) if N.J.is_unit
-            else ("module J/J', J then J' =", render_ideal(N.J) + render_ideal(N.Jp))
-        )
         raise PreconditionFailed(
-            f"homology.exponent_cells: {cells} exponent cells exceed the bound {MAX_CELLS}; {name}\n{text}"
+            f"homology.exponent_cells: {cells} exponent cells exceed the bound {MAX_CELLS}; {_module_text(N)}"
         )
     # the corners, the lengths and the rows of the cells, one product each
     return zip(*(product(*([cell[i] for cell in axis] for axis in axes)) for i in range(3)))
@@ -578,13 +584,13 @@ def ass_subquotients(Js, Jp: MonomialIdeal) -> list:
 
 
 def restrict_ideal(I: MonomialIdeal, Z) -> MonomialIdeal:
-    """I intersected with K[Z], in the ring K[Z] built from I's (`sub_ring_for`)."""
+    """I intersected with K[Z], in the ring K[Z] built from I's (`sub_ring_for`).
+
+    Z is a set of variable indices.  I cap K[Z] is generated by the
+    generators of I whose `support` lies in Z, read in K[Z]'s variables.
+    """
     zvars = sorted(Z)
-    gens = [
-        tuple(g[z] for z in zvars)
-        for g in I.gens
-        if all(e == 0 for idx, e in enumerate(g) if idx not in Z)
-    ]
+    gens = [tuple(g[z] for z in zvars) for g in I.gens if support(g) <= Z]
     return minimal_generators(sub_ring_for(I.ring, Z), gens)
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from operator import le
 from typing import Optional
 
 from .errors import InternalCheckFailed, PreconditionFailed, UnitIdeal, WrongBlock, ZeroModule
@@ -30,9 +29,11 @@ from .homology import (
 from .rings import (
     MonomialIdeal,
     _check_same_ring,
+    _minimal,
     associated_primes,
     dim_quotient,
     sum_ideal,
+    support,
 )
 
 
@@ -156,25 +157,12 @@ def _restricted_colons(gens, zvars, sels) -> dict:
     """Each bitset in sels -> the minimal generators, lex-sorted, of the
     Z-parts of the generators it selects.
 
-    The parts are sorted once.  A divisor of a part is at most it in lex
-    order, so one pass over the selected parts in that order meets every
-    divisor of a part before the part, and a part is kept iff no part kept
-    before it divides it (an equal part included), as `minimal_generators`
-    does.
+    The parts are sorted once, and the selected ones, still in lex order,
+    go through `rings._minimal`, the one pass `minimal_generators` also
+    reads.  Two generators may share a Z-part, and the pass keeps it once.
     """
     parts = sorted((tuple(map(g.__getitem__, zvars)), i) for i, g in enumerate(gens))
-    colons = {}
-    for sel in sels:
-        kept = []
-        for u, i in parts:
-            if sel >> i & 1:
-                for v in kept:
-                    if all(map(le, v, u)):
-                        break
-                else:
-                    kept.append(u)
-        colons[sel] = tuple(kept)
-    return colons
+    return {sel: _minimal([u for u, i in parts if sel >> i & 1]) for sel in sels}
 
 
 def grade(N: Subquotient, Z) -> int:
@@ -268,7 +256,7 @@ def ordinary_depth(I: MonomialIdeal) -> int:
 
 def _check_block(I: MonomialIdeal, block: frozenset, label: str):
     for g in I.gens:
-        if any(e > 0 and i not in block for i, e in enumerate(g)):
+        if not support(g) <= block:
             raise WrongBlock(f"generator {g} of the {label}-ideal leaves its block")
 
 

@@ -216,11 +216,33 @@ def render_monomial(ring: RingSpec, u: Monomial) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def _minimal(monomials) -> tuple:
+    """The monomials, given in lex order, that no monomial kept before them
+    divides (an equal one included), in that order.
+
+    A proper divisor of u is lex-smaller than u, so one pass in lex order
+    meets every divisor of u before u (a dropped one has a kept divisor of
+    its own), and what is kept are the minimal elements, each once.  The
+    package's one minimality pass: `minimal_generators` and the fibers'
+    restricted colons (`invariants._restricted_colons`) both read it.
+    """
+    kept = []
+    for u in monomials:
+        for v in kept:
+            if all(map(operator.le, v, u)):
+                break
+        else:
+            kept.append(u)
+    return tuple(kept)
+
+
 def minimal_generators(ring: RingSpec, raw) -> MonomialIdeal:
     """Canonical form: drop duplicates and any generator divisible by another.
 
     Exponents must be integers (`operator.index`): a float or a string is
-    refused with ValueError, not rounded or parsed.
+    refused with ValueError, not rounded or parsed.  The distinct monomials
+    are sorted and kept by the one pass of `_minimal`, so the generators
+    come out lex-sorted.
     """
     nvars = ring.nvars
     gens = set()
@@ -236,17 +258,7 @@ def minimal_generators(ring: RingSpec, raw) -> MonomialIdeal:
         if min(u) < 0:
             raise ValueError(f"negative exponent in {u}")
         gens.add(u)
-    # a proper divisor of u is lex-smaller than u, so one pass in lex order
-    # meets every divisor of u before u (a dropped one has a kept divisor of
-    # its own), and the kept list comes out sorted
-    minimal = []
-    for u in sorted(gens):
-        for v in minimal:
-            if all(map(operator.le, v, u)):
-                break
-        else:
-            minimal.append(u)
-    return MonomialIdeal(ring, tuple(minimal))
+    return MonomialIdeal(ring, _minimal(sorted(gens)))
 
 
 def unit_ideal(ring: RingSpec) -> MonomialIdeal:

@@ -77,11 +77,18 @@ MUTANTS = [
         "tests/test_refusals.py::test_refusal_raises_its_class_and_message[rank_float_zero]",
     ),
     Mutant(
-        "minimalization in _restricted_colons",
-        "invariants.py",
-        "                    if all(map(le, v, u)):\n                        break",
-        "                    if False:\n                        break",
-        "tests/test_acceptance.py::test_criterion_1_eight_generator_example",
+        "divisor test of the one minimality pass turned round",
+        "rings.py",
+        "all(map(operator.le, v, u))",
+        "all(map(operator.le, u, v))",
+        "tests/test_rings.py::test_the_minimality_pass_keeps_a_repeated_monomial_once",
+    ),
+    Mutant(
+        "restrict_ideal drops the generators supported on all of Z",
+        "homology.py",
+        "if support(g) <= Z]",
+        "if support(g) < Z]",
+        "tests/test_homology.py::test_restrict_ideal_matches_a_box_reference",
     ),
     Mutant(
         "count of negative degrees in growth",

@@ -321,6 +321,30 @@ def test_internal_check_failure_is_reported_with_its_input(sample_file, capsys, 
     assert parse_ideal_text(canonical) == parse_ideal_text(SAMPLE)
 
 
+def test_a_faulted_fiber_is_named_apart_from_the_input_ideal(tmp_path, capsys, monkeypatch):
+    # Ass of the fiber over x1^0, K[y1, y2]/(y1^2), faulted to the maximal
+    # ideal: its height 2 exceeds its Taylor length 1.  The message names
+    # that fiber as the module, and the CLI adds the input ideal once.
+    from bigrade.io_formats import parse_ideal_text
+
+    text = "ring 1 2\ngens: x1*y1, y1^2\n"
+    ring, I = parse_ideal_text(text)
+    ass = homology.associated_primes
+    monkeypatch.setattr(
+        homology, "associated_primes", lambda J: {J.ring.all_vars()} if J.ring != ring else ass(J)
+    )
+    p = tmp_path / "f.ideal"
+    p.write_text(text)
+    code, out = run_cli(capsys, "analyze", str(p))
+    assert code == 4
+    error = json.loads(out)["error"]
+    assert error == (
+        "internal: Ass height 2 exceeds the Taylor length 1; module S/I, I =\nring 0 2\ngens: y1^2\n"
+        f"; input ideal:\n{homology.render_ideal(I)}"
+    )
+    assert error.count("input ideal:") == 1
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 def test_depth_outside_grade_and_dim_exits_internal(sample_file, capsys, monkeypatch, sign):
     # fiber depths stay right; the depth of S/I leaves [grade, dim]

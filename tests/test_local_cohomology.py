@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import combinations
 
 import pytest
 
@@ -318,8 +319,9 @@ def test_cell_walks_match_box_walk_reference():
 def test_a_cell_of_dimension_two_counts_twice_per_degree():
     # K[D] for D three disjoint edges on y1..y6 has H^1_m = H~^0(D) = K^2 in
     # degree 0 and nowhere else (Hochster); x1^2 gives the fiber two slices,
-    # so H^1_Q(S/I) has length 2 * 2.  The seeded draws reach no cell of
-    # dimension above 1.
+    # so H^1_Q(S/I) has length 2 * 2.  The draws of
+    # `test_cell_walks_match_box_walk_reference` reach no cell of dimension
+    # above 1; those of `test_stanley_reisner_draws_match_box_walk_reference` do.
     edges = {(1, 2), (3, 4), (5, 6)}
     gens = ["x1^2"] + [f"y{a}*y{b}" for a in range(1, 7) for b in range(a + 1, 7) if (a, b) not in edges]
     ring, I = parse_ideal_text(f"ring 1 6\ngens: {', '.join(gens)}\n")
@@ -329,6 +331,64 @@ def test_a_cell_of_dimension_two_counts_twice_per_degree():
     assert (rep.finitely_generated, rep.total_dim) == (fin_gen, total) == (True, 4)
     assert [(e.n_single, e.total_dim, e.witness_degree) for e in rep.per_fiber] == [(2, 2, None)]
     assert list(map(_lc_fields, rep.per_fiber)) == list(map(_lc_fields, entries))
+
+
+def _disconnected_complex(rnd, sizes):
+    """The faces of a random simplicial complex on sum(sizes) vertices, one
+    connected component of each size: a spanning tree, some more edges,
+    and some of the triangles those edges bound, filled."""
+    n = sum(sizes)
+    verts = rnd.sample(range(n), n)
+    ends = [sum(sizes[:j + 1]) for j in range(len(sizes))]
+    faces = {frozenset()}
+    for part in (verts[end - size:end] for size, end in zip(sizes, ends)):
+        faces |= {frozenset([v]) for v in part}
+        faces |= {frozenset([v, rnd.choice(part[:j])]) for j, v in enumerate(part) if j}
+        faces |= {frozenset(e) for e in combinations(part, 2) if rnd.random() < 0.5}
+        faces |= {
+            frozenset(t)
+            for t in combinations(part, 3)
+            if all(frozenset(e) in faces for e in combinations(t, 2)) and rnd.random() < 0.5
+        }
+    return faces
+
+
+def test_stanley_reisner_draws_match_box_walk_reference():
+    # x1^a + I_D for D with c >= 3 components: each of the a slices below
+    # x1^a has the fiber K[D], whose H^1_m in degree 0 is H~^0(D) = K^(c-1)
+    # (Hochster), a bounded Cech cell of dimension at least 2.  An isolated
+    # vertex v adds H~^-1(lk v) = K to H^1_m in each degree negative on v
+    # only, so H^1_Q has finite length, and a total, only when D has none:
+    # on at most 6 vertices, three disjoint edges, drawn on every fourth turn
+    rnd = random.Random(20261020)
+    radii = [0, 1, 2, 3]
+    for k in range(12):
+        if k % 4:
+            cuts = sorted(rnd.sample(range(1, 5), rnd.randint(2, 4)))
+            sizes = [b - a for a, b in zip([0, *cuts], [*cuts, 5])]
+        else:
+            sizes = [2, 2, 2]
+        n = sum(sizes)
+        ring = RingSpec(1, n)
+        faces = _disconnected_complex(rnd, sizes)
+        nonfaces = [
+            (0, *(int(v in S) for v in range(n)))
+            for r in range(1, n + 1)
+            for S in map(frozenset, combinations(range(n), r))
+            if S not in faces
+        ]
+        I = minimal_generators(ring, [(rnd.randint(1, 3),) + (0,) * n, *nonfaces])
+        Q = ring.y_block()
+        tables = [local_cohomology._fiber_table(fc.fiber) for fc in fibers(Subquotient.cyclic(I), Q)]
+        cells = [(lengths, dims) for table in tables for _, lengths, dims in table]
+        assert any(None not in lengths and max(dims) >= 2 for lengths, dims in cells), str(I)
+        for i in range(n + 1):
+            rep = lc_report(I, i, Q)
+            fin_gen, total, entries = bf_lc_report(I, i, Q)
+            assert (rep.finitely_generated, rep.total_dim) == (fin_gen, total), (str(I), i)
+            assert list(map(_lc_fields, rep.per_fiber)) == list(map(_lc_fields, entries)), (str(I), i)
+        assert lc_report(I, 1, Q).finitely_generated == (min(sizes) > 1), str(I)
+        assert growth_scan(I, 1, radii, Q) == bf_growth_scan(I, 1, radii, Q), str(I)
 
 
 def _k_family(k):

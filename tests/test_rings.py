@@ -14,6 +14,7 @@ from bigrade.rings import (
     PrimaryComponent,
     RingSpec,
     _is_prime,
+    _minimal,
     associated_primes,
     colon,
     colon_ideal,
@@ -126,6 +127,19 @@ def test_minimal_generators_match_the_all_pairs_reference():
             raw.append((0,) * ring.nvars)  # the unit monomial
         rnd.shuffle(raw)
         assert minimal_generators(ring, raw) == bf_minimal_generators(ring, raw), raw
+
+
+def test_the_minimality_pass_keeps_a_repeated_monomial_once():
+    # `minimal_generators` drops repeats before the pass; the fibers'
+    # restricted colons do not, as two generators may share a Z-part
+    rnd = random.Random(20261020)
+    for _ in range(600):
+        nvars = rnd.randint(1, 5)
+        raw = [tuple(rnd.choice((0, 0, 1, 2, 3)) for _ in range(nvars)) for _ in range(rnd.randint(1, 30))]
+        raw += rnd.choices(raw, k=rnd.randint(1, len(raw)))
+        if rnd.random() < 0.1:
+            raw += [(0,) * nvars] * 2  # the unit monomial, twice
+        assert _minimal(sorted(raw)) == bf_minimal_generators(RingSpec(0, nvars), raw).gens, raw
 
 
 @pytest.mark.parametrize("raw", [[(0.5, 1)], [("2", 1)], [(1.0, 0)], [(None, 1)]])
