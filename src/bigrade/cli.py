@@ -163,11 +163,11 @@ def cmd_growth(args):
 def cmd_hypersurface(args):
     ring = _ring(args.ring[0], args.ring[1], args.char)
     if args.factors is not None:
-        profile = parse_profile(args.factors)
+        profile = parse_profile(args.factors, ring)
     elif args.input is None:
         raise ParseError("hypersurface needs a profile file or --factors")
     else:
-        profile = parse_profile(read_text(args.input))
+        profile = parse_profile(read_text(args.input), ring)
     verdict = classify(profile, ring)
     return {
         "factors": [list(f) for f in profile.factors],

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .errors import InternalCheckFailed, UnitIdeal
 from .homology import Subquotient, ass_subquotient, ass_subquotients
-from .invariants import cd, cd_prime, grade
+from .invariants import ass_by_cd, cd, cd_prime, grade
 from .rings import (
     MonomialIdeal,
     _decomposition,
@@ -62,20 +62,20 @@ def dimension_filtration(I: MonomialIdeal, Z) -> FiltrationLadder:
 def _ladder(I: MonomialIdeal, Z: frozenset) -> FiltrationLadder:
     """The memo behind `dimension_filtration`.
 
-    J_i meets the irreducible components of I whose radical has cd above
-    gamma_i, so J_r = S and J_(i-1) is J_i met with the components at cd
-    gamma_i.  The ladder is built as that one chain, from S down, on the
-    (exponent vector, radical) pairs of the decomposition memo: each
-    component is met once (`intersect_pure_powers`), and J_0 is I itself.
+    The gammas and their classes are those of `ass_by_cd`.  J_i meets the
+    irreducible components of I whose radical has cd above gamma_i, so
+    J_r = S and J_(i-1) is J_i met with the components whose radical is in
+    the class of gamma_i.  The ladder is built as that one chain, from S
+    down, on the (exponent vector, radical) pairs of the decomposition memo:
+    each component is met once (`intersect_pure_powers`), and J_0 is I itself.
     """
+    classes = ass_by_cd(I, Z)
     comps = _decomposition(I)
-    cds = [cd_prime(rad, Z) for _, rad in comps]
-    gammas = sorted(set(cds))
     ideals = [unit_ideal(I.ring)]
-    for g_hi in reversed(gammas[1:]):
+    for _, primes in reversed(classes[1:]):
         J = ideals[-1]
-        for (a, rad), c in zip(comps, cds):
-            if c == g_hi:
+        for a, rad in comps:
+            if rad in primes:
                 J = intersect_pure_powers(J, a, rad)
         ideals.append(J)
     ideals = [I] + ideals[::-1]
@@ -84,21 +84,22 @@ def _ladder(I: MonomialIdeal, Z: frozenset) -> FiltrationLadder:
         if not (upper.contains_ideal(lower) and upper != lower):
             raise InternalCheckFailed("filtration ladder is not strictly increasing")
 
-    _verify_ass_facts(I, Z, ideals[1:], gammas)
-    return FiltrationLadder(axis=Z, ideals=tuple(ideals), cd_values=tuple(gammas))
+    _verify_ass_facts(I, ideals[1:], classes)
+    return FiltrationLadder(axis=Z, ideals=tuple(ideals), cd_values=tuple(g for g, _ in classes))
 
 
-def _verify_ass_facts(I: MonomialIdeal, Z, ideals, gammas):
+def _verify_ass_facts(I: MonomialIdeal, ideals, classes):
     """Runtime check of the filtration's Ass identities (they are theorems).
 
-    `ideals` and `gammas` are the J_1..J_r and gamma_1..gamma_r of the
-    ladder over I.  Ass(J_i/I) of every step comes from one walk over the
-    corners of I (`ass_subquotients`), and Ass(S/J_i) from the
-    decomposition memo of J_i.
+    `ideals` are the J_1..J_r of the ladder over I and `classes` its
+    `ass_by_cd` classes, so Ass(J_i/I) is the union of the first i classes.
+    Ass(J_i/I) of every step comes from one walk over the corners of I
+    (`ass_subquotients`), and Ass(S/J_i) from the decomposition memo of J_i.
     """
     ass_total = associated_primes(I)
-    for J_i, gamma, actual in zip(ideals, gammas, ass_subquotients(ideals, I)):
-        expected = {p for p in ass_total if cd_prime(p, Z) <= gamma}
+    expected = set()
+    for J_i, (gamma, primes), actual in zip(ideals, classes, ass_subquotients(ideals, I)):
+        expected |= primes
         if actual != expected:
             raise InternalCheckFailed(
                 f"Ass(D_i) mismatch at cd {gamma}: computed {sorted(map(sorted, actual))}, "
@@ -113,25 +114,22 @@ def _verify_ass_facts(I: MonomialIdeal, Z, ideals, gammas):
 def ass_quotients(ladder: FiltrationLadder) -> list:
     """Ass(D_i/D_{i-1}) per step: the Ass primes at exactly the step's cd value.
 
-    D_1/D_0 is D_1.  Building the ladder compared Ass(D_1) with the primes of
-    cd <= gamma_1, which are those of cd = gamma_1 since gamma_1 is the least
-    value; every later step is enumerated and compared here.
+    Step i's primes are class i of `ass_by_cd`.  D_1/D_0 is D_1, whose Ass
+    building the ladder compared with the first class; every later step is
+    enumerated and compared here.  Each call returns fresh sets.
     """
     I = ladder.base
-    ass_total = associated_primes(I)
-    blocks = []
+    classes = ass_by_cd(I, ladder.axis)
     seen = set()
     prev = I
-    for i, (J_i, gamma) in enumerate(ladder.steps):
-        expected = {p for p in ass_total if cd_prime(p, ladder.axis) == gamma}
-        if i > 0 and ass_subquotient(J_i, prev) != expected:
+    for i, ((J_i, gamma), (_, primes)) in enumerate(zip(ladder.steps, classes)):
+        if i > 0 and ass_subquotient(J_i, prev) != primes:
             raise InternalCheckFailed(f"Ass(D_i/D_(i-1)) mismatch at cd {gamma}")
-        blocks.append(expected)
-        seen |= expected
+        seen |= primes
         prev = J_i
-    if seen != ass_total:
+    if seen != associated_primes(I):
         raise InternalCheckFailed("step primes do not partition Ass(M)")
-    return blocks
+    return [set(primes) for _, primes in classes]
 
 
 def sequentially_cm(I: MonomialIdeal, Z) -> dict:
@@ -155,10 +153,10 @@ def sequentially_cm(I: MonomialIdeal, Z) -> dict:
 def mgrade_constancy(I: MonomialIdeal, Z) -> bool:
     """All D_i on the ladder of (I, Z) share mgrade = gamma_1; False would signal a bug."""
     ladder = dimension_filtration(I, Z)
-    ass_total = associated_primes(I)
     gamma_1 = ladder.cd_values[0]
-    for _, gamma in ladder.steps:
-        primes = {p for p in ass_total if cd_prime(p, ladder.axis) <= gamma}
+    primes = set()  # Ass(D_i): the union of the first i classes
+    for _, step in ass_by_cd(I, ladder.axis):
+        primes |= step
         if min(cd_prime(p, ladder.axis) for p in primes) != gamma_1:
             return False
     return True

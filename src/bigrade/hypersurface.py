@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import BadProfile, BadRing, InternalCheckFailed, ParseError
 from .homology import Subquotient
 from .invariants import grade, mgrade
-from .io_formats import content_lines, parse_int
+from .io_formats import content_lines, parse_int, parse_term
 from .rings import Monomial, RingSpec, minimal_generators
 
 
@@ -136,12 +136,14 @@ def monomial_crosscheck(f: Monomial, ring: RingSpec) -> bool:
     )
 
 
-def parse_profile(text: str) -> FactorProfile:
+def parse_profile(text: str, ring: RingSpec) -> FactorProfile:
     """Parse `factors: (a1,b1) (a2,b2) ...` with xN/yN shorthand for variables.
 
-    The profile is one content line (`io_formats.content_lines`), and every
-    error in it carries that line's number; the inline `--factors` text is
-    line 1.
+    An xN/yN token must name a variable of `ring`, read by the factor rule
+    of `io_formats.parse_term` with its range messages; an exponent on it is
+    refused.  The profile is one content line (`io_formats.content_lines`),
+    and every error in it carries that line's number; the inline `--factors`
+    text is line 1.
     """
     lines = list(content_lines(text))
     if len(lines) > 1:
@@ -164,10 +166,9 @@ def parse_profile(text: str) -> FactorProfile:
             if len(fields) != 2 or not all(map(str.isdecimal, fields)):
                 raise ParseError(f"bad bidegree {tok!r}", line=lineno)
             factors.append(tuple(parse_int(f, lineno) for f in fields))
-        elif tok[0] == "x" and tok[1:].isdecimal():
-            factors.append((1, 0))
-        elif tok[0] == "y" and tok[1:].isdecimal():
-            factors.append((0, 1))
+        elif tok[0] in "xy" and tok[1:].isdecimal():
+            parse_term(ring, tok, lineno)  # refuses a variable outside the ring
+            factors.append((1, 0) if tok[0] == "x" else (0, 1))
         else:
             raise ParseError(f"bad factor token {tok!r}", line=lineno)
     return FactorProfile(tuple(factors))

@@ -206,12 +206,26 @@ def cd_prime(p: frozenset, Z) -> int:
     return len(frozenset(Z) - p)
 
 
+def ass_by_cd(I: MonomialIdeal, Z) -> tuple:
+    """Ass(S/I) grouped by cd(Z, S/p) = |Z \\ p|: ((gamma, primes), ...), ascending in gamma.
+
+    The package's one reading of that grouping: the least gamma is mgrade,
+    and the gammas and their classes are the thresholds gamma_1 < ... <
+    gamma_r of the dimension filtration and the primes of its steps.  It is
+    read off `associated_primes` (the decomposition memo) on every call.  As
+    for `cd_prime`, Z must be an axis already checked by `RingSpec.axis`.
+    """
+    classes = {}
+    for p in associated_primes(I):
+        classes.setdefault(cd_prime(p, Z), set()).add(p)
+    return tuple((gamma, frozenset(classes[gamma])) for gamma in sorted(classes))
+
+
 def mgrade(I: MonomialIdeal, Z) -> int:
-    """min of cd over the associated primes of S/I."""
+    """min of cd over the associated primes of S/I: the first gamma of `ass_by_cd`."""
     if I.is_unit:
         raise UnitIdeal("mgrade of the zero module")
-    Z = I.ring.axis(Z)
-    return min(cd_prime(p, Z) for p in associated_primes(I))
+    return ass_by_cd(I, I.ring.axis(Z))[0][0]
 
 
 def analyze(I: MonomialIdeal, Z) -> InvariantReport:
@@ -231,10 +245,8 @@ def analyze(I: MonomialIdeal, Z) -> InvariantReport:
     maximal = g == mg
     witness = None
     if maximal:
-        witness = min(
-            (p for p in associated_primes(I) if cd_prime(p, Z) == g),
-            key=sorted,
-        )
+        # the least prime of the first class, whose cd is mgrade = grade
+        witness = min(ass_by_cd(I, I.ring.axis(Z))[0][1], key=sorted)
     return InvariantReport(
         grade=g,
         cd=c,

@@ -16,7 +16,7 @@ import random
 from .errors import InternalCheckFailed
 from .filtration import ass_quotients, dimension_filtration, mgrade_constancy, sequentially_cm
 from .homology import Subquotient
-from .invariants import analyze, cd, grade
+from .invariants import analyze, ass_by_cd, cd, grade
 from .local_cohomology import corollary_check, generalized_cm, lc_report
 from .rings import (
     MonomialIdeal,
@@ -148,12 +148,12 @@ def check_instance(ring: RingSpec, I: MonomialIdeal) -> list:
             "lc_grade_cd_match",
             lambda: bool(nonzero) and nonzero[0] == rep.grade and nonzero[-1] == rep.cd,
         )
-    run("ass_lc_not_fg", lambda: _ass_lc_not_fg(I, ass, Z))
+    run("ass_lc_not_fg", lambda: _ass_lc_not_fg(I, Z))
 
     return failures
 
 
-def _ass_lc_not_fg(I: MonomialIdeal, ass, Z) -> bool:
+def _ass_lc_not_fg(I: MonomialIdeal, Z) -> bool:
     """H^j_Z(S/I) is not finitely generated at each j = |Z \\ p| > 0, p in Ass(S/I).
 
     This covers the paper's theorem, H^grade_Z(S/I) not finitely generated
@@ -187,7 +187,7 @@ def _ass_lc_not_fg(I: MonomialIdeal, ass, Z) -> bool:
        every d with d_F low enough.  The degrees of 2. reach every d_F < 0,
        so H^|F|_Z(S/I) is not finitely generated.
     """
-    return not any(lc_report(I, j, Z).finitely_generated for j in {len(Z - p) for p in ass} if j)
+    return not any(lc_report(I, j, Z).finitely_generated for j, _ in ass_by_cd(I, Z) if j)
 
 
 def _lc_nonzero(report) -> bool:

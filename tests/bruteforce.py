@@ -15,16 +15,19 @@ over Q, by `bf_koszul_dims`, which shares no code with the package.
 
 The fiber, local cohomology, growth and Ass references visit every exponent
 of the box, one degree at a time, with the package's per-degree pieces.  They
-check only which degrees the exponent-cell walks may skip.
+check only which degrees the exponent-cell walks may skip.  The local
+cohomology and growth references read one memoized walk per (I, Z), the
+classes of `bf_fibers` with every index at every degree of each fiber's box.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 from bigrade.errors import InternalCheckFailed
 from bigrade.homology import (
     Subquotient,
-    cech_piece_dim,
+    cech_dims_at,
     koszul_dims_at,
     restrict_ideal,
 )
@@ -371,41 +374,52 @@ def bf_fibers(N, Z):
     return out
 
 
-def bf_fiber_lc(fc, i):
-    """H^i of one fiber by a Cech piece at every degree of {-1} u [0, box] per coordinate."""
-    fiber = fc.fiber
-    box = fiber.box()
-    allvars = fiber.ring.all_vars()
-    finite = True
-    witness = None
-    total = 0
-    for c in product(*([-1] + list(range(b + 1)) for b in box)):
-        d = cech_piece_dim(fiber, allvars, i, c)
-        if d == 0:
+def _box_degrees(box, axis):
+    """Every degree of the capped box: {-1} u [0, box_v] on a coordinate of
+    the axis, [0, box_v] off it."""
+    return product(*(([-1] if v in axis else []) + list(range(b + 1)) for v, b in enumerate(box)))
+
+
+@lru_cache(maxsize=4)
+def _bf_fiber_dims(I, Z):
+    """(class, fiber box, [(degree, [H^0 .. H^k])]) for each nonzero class of
+    `bf_fibers(S/I, Z)`: one walk per (I, Z), with the Cech dimensions of every
+    index at every degree of the fiber's box, that each index reads."""
+    out = []
+    for fc in bf_fibers(Subquotient.cyclic(I), Z):
+        fiber = fc.fiber
+        if fiber.is_zero:
             continue
-        if any(e < 0 for e in c) or any(e == box[k] for k, e in enumerate(c)):
-            finite = False
-            if witness is None:
-                witness = c
-        else:
-            total += d
-    return FiberLC(
-        pattern=fc.patterns[0],
-        infinite_family=fc.infinite_family,
-        n_single=fc.n_single,
-        finite_length=finite,
-        total_dim=total if finite else None,
-        witness_degree=witness,
-    )
+        allvars = fiber.ring.all_vars()
+        box = fiber.box()
+        out.append((fc, box, [(c, cech_dims_at(fiber, allvars, c)) for c in _box_degrees(box, allvars)]))
+    return out
 
 
 def bf_lc_report(I, i, Z):
     """(finitely generated, total dim, per-fiber data) of H^i_Z(S/I) from the box walks."""
-    entries = [
-        bf_fiber_lc(fc, i)
-        for fc in bf_fibers(Subquotient.cyclic(I), Z)
-        if not fc.fiber.is_zero
-    ]
+    entries = []
+    for fc, box, pieces in _bf_fiber_dims(I, frozenset(Z)):
+        finite = True
+        witness = None
+        total = 0
+        for c, dims in pieces:
+            if dims[i] == 0:
+                continue
+            if any(e < 0 for e in c) or any(e == box[k] for k, e in enumerate(c)):
+                finite = False
+                if witness is None:
+                    witness = c
+            else:
+                total += dims[i]
+        entries.append(FiberLC(
+            pattern=fc.patterns[0],
+            infinite_family=fc.infinite_family,
+            n_single=fc.n_single,
+            finite_length=finite,
+            total_dim=total if finite else None,
+            witness_degree=witness,
+        ))
     fin_gen = all(e.finite_length for e in entries)
     total = None
     if fin_gen and all(e.total_dim == 0 for e in entries if e.infinite_family):
@@ -413,35 +427,44 @@ def bf_lc_report(I, i, Z):
     return fin_gen, total, entries
 
 
+def _bf_degrees_within(c, box, r):
+    """The number of degrees with every coordinate within r that the capped
+    box degree c stands for: -1 for the r negative ones, a cap for all from
+    it, any other exponent for itself."""
+    mult = 1
+    for e, b in zip(c, box):
+        if e == -1:
+            mult *= r
+        elif e == b:
+            mult *= max(0, r - e + 1)
+        else:
+            mult *= 1 if e <= r else 0
+    return mult
+
+
 def bf_growth_scan(I, i, radii, Z):
-    """Cumulative H^i_Z(S/I) piece dimensions over growing boxes, one box degree at a time."""
+    """Cumulative H^i_Z(S/I) piece dimensions over growing boxes, one box degree at a time.
+
+    Over an axis, the degrees are each capped pattern of a class of
+    `bf_fibers` with each degree of its fiber's box, read off the walk that
+    `bf_lc_report` makes; over no axis, H^0 is S/I, one box degree at a time.
+    """
     N = Subquotient.cyclic(I)
     box = N.box()
-    nv = I.ring.nvars
-    classes = []
-    for c in product(*(
-        ([-1] + list(range(box[v] + 1))) if v in Z else list(range(box[v] + 1))
-        for v in range(nv)
-    )):
-        d = cech_piece_dim(N, Z, i, c)
-        if d:
-            classes.append((c, d))
-    sums = []
-    for r in radii:
-        total = 0
-        for c, d in classes:
-            mult = 1
-            for v in range(nv):
-                e = c[v]
-                if e == -1:
-                    mult *= r
-                elif e == box[v]:
-                    mult *= max(0, r - e + 1)
-                else:
-                    mult *= 1 if e <= r else 0
-            total += d * mult
-        sums.append(total)
-    return sums
+    if Z:
+        caps = tuple(b for k, b in enumerate(box) if k not in Z)
+        points = [
+            (a, caps, c, fbox, dims[i])
+            for fc, fbox, pieces in _bf_fiber_dims(I, frozenset(Z))
+            for a in fc.patterns
+            for c, dims in pieces
+        ]
+    else:
+        points = [(c, box, (), (), fine_piece(N, c)) for c in _box_degrees(box, ())]
+    return [
+        sum(d * _bf_degrees_within(a, caps, r) * _bf_degrees_within(c, fbox, r) for a, caps, c, fbox, d in points)
+        for r in radii
+    ]
 
 
 def bf_ass_subquotient(J, Jp):

@@ -107,9 +107,23 @@ MUTANTS = [
     Mutant(
         "mgrade as max",
         "invariants.py",
-        "return min(cd_prime(p, Z) for p in associated_primes(I))",
-        "return max(cd_prime(p, Z) for p in associated_primes(I))",
+        "return ass_by_cd(I, I.ring.axis(Z))[0][0]",
+        "return ass_by_cd(I, I.ring.axis(Z))[-1][0]",
         "tests/test_acceptance.py::test_criterion_1_eight_generator_example",
+    ),
+    Mutant(
+        "classes of Ass sorted in descending order of cd",
+        "invariants.py",
+        "for gamma in sorted(classes))",
+        "for gamma in sorted(classes, reverse=True))",
+        "tests/test_acceptance.py::test_criterion_1_eight_generator_example",
+    ),
+    Mutant(
+        "Ass(D_i) compared with the step's own class, not the running union",
+        "filtration.py",
+        "expected |= primes",
+        "expected = set(primes)",
+        "tests/test_filtration.py::test_ladder_shape_two_component_ideal",
     ),
     Mutant(
         "depth-0 cap",
@@ -224,10 +238,10 @@ MUTANTS = [
         "tests/test_rings.py::test_a_pure_power_meet_is_the_intersection",
     ),
     Mutant(
-        "level test of the ladder chain",
+        "ladder level met with the class one below",
         "filtration.py",
-        "if c == g_hi:",
-        "if c >= g_hi:",
+        "reversed(classes[1:])",
+        "reversed(classes[:-1])",
         "tests/test_filtration.py::test_the_chain_of_meets_gives_the_intersection_of_the_higher_components",
     ),
     Mutant(
@@ -308,10 +322,10 @@ MUTANTS = [
         "tests/test_refusals.py::test_a_cech_table_at_the_bound_is_not_refused",
     ),
     Mutant(
-        "Ass check index taken as |Q & p|",
+        "Ass check run at index 0 too",
         "suite.py",
-        "{len(Z - p) for p in ass}",
-        "{len(Z & p) for p in ass}",
+        "for j, _ in ass_by_cd(I, Z) if j)",
+        "for j, _ in ass_by_cd(I, Z))",
         "tests/test_acceptance.py::test_criterion_4_property_suite",
     ),
     # on the suite's draws only ass_lc_not_fg catches it: the suite passes

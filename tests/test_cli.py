@@ -772,6 +772,12 @@ def test_profile_file_matches_inline_factors(tmp_path, capsys):
         (("hypersurface", "--factors", "", "--ring", "1", "1"), "", "parse: empty factor profile"),
         (("hypersurface", "{path}", "--factors", "", "--ring", "1", "1"), "factors: (1,1)\n",
          "parse: empty factor profile"),
+        # a variable token names a variable of the ring, in a profile as in a monomial
+        (("hypersurface", "--factors", "x9", "--ring", "1", "1"), "", "parse: x9 out of range (m=1) (line 1)"),
+        (("hypersurface", "--factors", "y0", "--ring", "1", "1"), "", "parse: y0 out of range (n=1) (line 1)"),
+        (("hypersurface", "{path}", "--ring", "1", "1"), "# c\nfactors: (1,1) y2\n",
+         "parse: y2 out of range (n=1) (line 2)"),
+        (("crosscheck", "--monomial", "x3", "--ring", "1", "1"), "", "parse: x3 out of range (m=1)"),
     ],
 )
 def test_input_file_errors_name_their_line(tmp_path, capsys, argv, text, error):

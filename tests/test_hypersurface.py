@@ -104,18 +104,23 @@ def test_monomial_crosscheck_spots():
 
 
 def test_parse_profile():
-    p = parse_profile("factors: (1,1) (0,2)")
+    p = parse_profile("factors: (1,1) (0,2)", R22)
     assert p.factors == ((1, 1), (0, 2))
-    p = parse_profile("x1 y2 (2,1)")
+    p = parse_profile("x1 y2 (2,1)", R22)
     assert p.factors == ((1, 0), (0, 1), (2, 1))
-    # every error names the profile's line, the inline text being line 1
+    # every error names the profile's line, the inline text being line 1;
+    # a variable token names a variable of the ring, as in an ideal file
     for text, message, line in [
         ("", "empty factor profile", None),
         ("# c\nfactors:\n", "empty factor profile", 2),
         ("# c\nfactors: (1;2)", "bad bidegree '(1;2)'", 2),
         ("factors: z3", "bad factor token 'z3'", 1),
         ("(1,1) (1_0,2)", "bad bidegree '(1_0,2)'", 1),
+        ("x9 y1", "x9 out of range (m=2)", 1),
+        ("# c\nfactors: x1 y0", "y0 out of range (n=2)", 2),
+        ("y3", "y3 out of range (n=2)", 1),
+        ("x1^2", "bad factor token 'x1^2'", 1),
     ]:
         with pytest.raises(ParseError) as ei:
-            parse_profile(text)
+            parse_profile(text, R22)
         assert (str(ei.value), ei.value.line) == (message, line)

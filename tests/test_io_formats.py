@@ -82,10 +82,10 @@ def test_one_comment_and_blank_line_rule_for_both_formats():
     # count them the same way
     text = "# head\n\n  \t# indented\nfactors: (1,1) # tail\n"
     assert list(content_lines(text)) == [(4, "factors: (1,1)")]
-    assert parse_profile(text).factors == ((1, 1),)
+    assert parse_profile(text, RingSpec(1, 1)).factors == ((1, 1),)
     for extra, line in [("ring 1 1", 5), ("\n\n(0,2)", 7)]:
         with pytest.raises(ParseError) as ei:
-            parse_profile(text + extra)
+            parse_profile(text + extra, RingSpec(1, 1))
         assert ei.value.line == line
     with pytest.raises(ParseError) as ei:
         parse_ideal_text(text.replace("factors: (1,1)", "ring 1 1") + "\n# c\nwat\n")
@@ -111,7 +111,7 @@ def test_an_integer_literal_over_the_conversion_limit_is_a_parse_error():
     with pytest.raises(ParseError, match=message) as ei:
         parse_term(RingSpec(1, 1), f"x1^{nines}")
     assert ei.value.line is None
-    for text, line in [(f"({ones},1)", 1), (f"# c\nfactors: (1,0) (0,{nines})\n", 2)]:
+    for text, line in [(f"({ones},1)", 1), (f"# c\nfactors: (1,0) (0,{nines})\n", 2), (f"x{ones}", 1)]:
         with pytest.raises(ParseError, match=message) as ei:
-            parse_profile(text)
+            parse_profile(text, RingSpec(1, 1))
         assert ei.value.line == line

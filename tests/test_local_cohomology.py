@@ -359,13 +359,15 @@ def test_stanley_reisner_draws_match_box_walk_reference():
     # (Hochster), a bounded Cech cell of dimension at least 2.  An isolated
     # vertex v adds H~^-1(lk v) = K to H^1_m in each degree negative on v
     # only, so H^1_Q has finite length, and a total, only when D has none:
-    # on at most 6 vertices, three disjoint edges, drawn on every fourth turn
+    # on 6 vertices, three disjoint edges, drawn on every fourth turn.  All
+    # 36 draws are in ring 1 6: 9 of three disjoint edges, 27 of 3 to 6
+    # components; the references walk each (I, Q) once for every index
     rnd = random.Random(20261020)
     radii = [0, 1, 2, 3]
-    for k in range(12):
+    for k in range(36):
         if k % 4:
-            cuts = sorted(rnd.sample(range(1, 5), rnd.randint(2, 4)))
-            sizes = [b - a for a, b in zip([0, *cuts], [*cuts, 5])]
+            cuts = sorted(rnd.sample(range(1, 6), rnd.randint(2, 5)))
+            sizes = [b - a for a, b in zip([0, *cuts], [*cuts, 6])]
         else:
             sizes = [2, 2, 2]
         n = sum(sizes)

@@ -12,10 +12,10 @@ import pytest
 
 import bigrade
 from bigrade import homology, kernels
-from bigrade.errors import DimensionMismatch, PreconditionFailed, RingMismatch, UnitIdeal
+from bigrade.errors import DimensionMismatch, InternalCheckFailed, PreconditionFailed, RingMismatch, UnitIdeal
 from bigrade.filtration import mgrade_constancy, sequentially_cm
 from bigrade.homology import Subquotient, cech_piece_dim
-from bigrade.invariants import analyze, fibers, ordinary_depth, tensor_verdict
+from bigrade.invariants import InvariantReport, analyze, fibers, ordinary_depth, tensor_verdict
 from bigrade.io_formats import render_ideal
 from bigrade.local_cohomology import (
     corollary_check,
@@ -37,7 +37,19 @@ from test_closed_forms import one_generator
 
 R11 = RingSpec(1, 1)
 R21 = RingSpec(2, 1)
+R181 = RingSpec(18, 1)
 S = unit_ideal(R11)
+# J = (x1*...*x18) over J' = (x1*...*x18*y1): 2^18 cells off Q
+J18 = minimal_generators(R181, [(1,) * 18 + (0,)])
+J18p = minimal_generators(R181, [(1,) * 19])
+
+
+def _report(**fields):
+    """An InvariantReport of S/(x1) over Q in ring 1 1, with `fields` changed."""
+    values = dict(grade=1, cd=1, mgrade=1, dim=1, maximal_depth=True,
+                  witness_prime=frozenset({0}), cm_wrt_Z=True, cm_ordinary=True)
+    return InvariantReport(**{**values, **fields})
+
 
 REFUSALS = {
     "ordinary_depth": (lambda: ordinary_depth(S), UnitIdeal, "depth of the zero module"),
@@ -107,6 +119,28 @@ REFUSALS = {
         lambda: kernels.rank([[1, 0], [0, 1]], 0.0),
         ValueError,
         "the characteristic must be an integer, got 0.0",
+    ),
+    "rank_mod_p_zero": (
+        lambda: kernels.rank_mod_p([[1, 1], [1, 1]], 0),
+        ValueError,
+        "p must be prime, got 0",
+    ),
+    # a module that is not cyclic is named by both its ideals
+    "fibers_subquotient_past_the_bound": (
+        lambda: fibers(Subquotient(J18, J18p), R181.y_block()),
+        PreconditionFailed,
+        f"homology.exponent_cells: {2 ** 18} exponent cells exceed the bound {homology.MAX_CELLS}; "
+        f"module J/J', J then J' =\n{render_ideal(J18)}{render_ideal(J18p)}",
+    ),
+    "InvariantReport_chain": (
+        lambda: _report(grade=2, maximal_depth=False),
+        InternalCheckFailed,
+        "invariant chain violated: grade=2 mgrade=1 cd=1 dim=1",
+    ),
+    "InvariantReport_flag": (
+        lambda: _report(maximal_depth=False),
+        InternalCheckFailed,
+        "maximal_depth flag inconsistent with grade/mgrade",
     ),
     "cech_piece_dim_float_index": (
         lambda: cech_piece_dim(Subquotient.cyclic(zero_ideal(R11)), R11.y_block(), 1.0, (0, -1)),

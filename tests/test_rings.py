@@ -175,6 +175,10 @@ def test_unit_zero_flags():
 def test_render_monomial():
     assert render_monomial(R22, (2, 0, 1, 0)) == "x1^2*y1"
     assert render_monomial(R22, (0, 0, 0, 0)) == "1"
+    # an ideal's label lists its generators; the zero ideal has none
+    assert str(ideal(R22, (2, 0, 1, 0), (0, 1, 0, 0))) == "(x2, x1^2*y1)"
+    assert str(unit_ideal(R22)) == "(1)"
+    assert str(zero_ideal(R22)) == "(0)"
 
 
 exp_tuples = st.tuples(*[st.integers(min_value=0, max_value=3)] * 4)
