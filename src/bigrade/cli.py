@@ -417,15 +417,22 @@ def _report(argv=None) -> tuple:
 def main(argv=None) -> int:
     code, text = _report(argv)
     try:
+        if sys.stdout is None:  # started with fd 1 closed, as by `>&-`
+            raise OSError("stdout is closed")
         print(text)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout (e.g. `bigrade suite | head -1`); send the
-        # rest to devnull so the flush at interpreter exit cannot fail again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return 141  # 128 + SIGPIPE, as a shell reports a process that signal ends
+    except OSError as exc:
+        if sys.stdout is not None:
+            # send the rest to devnull so the flush at interpreter exit cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            # the reader closed stdout (e.g. `bigrade suite | head -1`)
+            return 141  # 128 + SIGPIPE, as a shell reports a process that signal ends
+        # such as a full disk (`> /dev/full`)
+        print(f"bigrade: cannot write the report: {exc}", file=sys.stderr)
+        return 1
     return code
 
 

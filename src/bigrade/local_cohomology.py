@@ -6,10 +6,11 @@ consecutive distinct generator exponents, the class of all negative
 exponents, and off the axis the cap from the largest one on) and weights it
 by the cell's length, the interval structure of Takayama's formula.  Each
 fiber's cells are scanned once, with every index of a cell read off one Cech
-complex, into a table that every local cohomology answer on that fiber
-reads.  The table has no capped cell: past the largest generator exponent
-of a coordinate its variable acts bijectively, so the Cech complex there is
-acyclic (`homology._axis_cells`).
+complex, into a table of one column per index: column i lists the cells
+where H^i is nonzero, with its dimension there.  Totals, witnesses and
+growth of H^i on that fiber all read column i.  The table has no capped
+cell: past the largest generator exponent of a coordinate its variable acts
+bijectively, so the Cech complex there is acyclic (`homology._axis_cells`).
 
 H^i_Z splits over the fiber decomposition; a fiber contributes finite length
 iff its cohomology vanishes on every cell with a negative coordinate, the
@@ -38,8 +39,7 @@ class FiberLC:
     """H^i of one fiber class.
 
     The first three fields come from the class, read once per (I, Z); the
-    last three from column i of the class's fiber table, which `_lc_reports`
-    folds with every other column in one pass.
+    last three from column i of the class's fiber table (`_lc_reports`).
     """
 
     pattern: tuple  # the class's smallest slice, patterns[0]
@@ -62,28 +62,30 @@ class LCReport:
 
 @lru_cache(maxsize=1024)
 def _fiber_table(fiber: Subquotient) -> tuple:
-    """The nonzero Cech cells of one fiber over its full sub-ring.
+    """The nonzero Cech cells of one fiber over its full sub-ring, by index.
 
-    Holds (corner, lengths, dims) per exponent cell in lex order of corners,
-    with dims = [H^0 .. H^k] of the cell, so every index is read off one
-    complex per cell.  Only the -1 class and the bounded cells of each
-    coordinate are scanned: the cohomology vanishes on every capped cell
-    (`homology._axis_cells`).  `exponent_cells` gives each cell with the
-    `_corner_row` of every coordinate at its corner, taken once per cell of
-    that coordinate, and those rows go to `_term_dims` as the outside rows
-    of the cell's complex, the rows `cech_dims_at` would build at the
-    corner.  A table of more than `homology.MAX_CELLS` cells is refused
-    before its first cell.  Kept in a bounded memo per fiber, which every
-    index, report and growth scan on that fiber shares.
+    One column per index 0..k, k the number of variables of the fiber's
+    ring: column i holds (corner, lengths, d) for each exponent cell where
+    d = dim H^i is nonzero, in lex order of corners.  Every index of a cell
+    is read off one complex.  Only the -1 class and the bounded cells of
+    each coordinate are scanned: the cohomology vanishes on every capped cell
+    (`homology._axis_cells`), so a length is None only on a -1 class.
+    `exponent_cells` gives each cell with the `_corner_row` of every
+    coordinate at its corner, taken once per cell of that coordinate, and
+    those rows go to `_term_dims` as the outside rows of the cell's
+    complex, the rows `cech_dims_at` would build at the corner.  A table of
+    more than `homology.MAX_CELLS` cells is refused before its first cell.
+    Kept in a bounded memo per fiber, which every index, report and growth
+    scan on that fiber shares.
     """
     allvars = fiber.ring.all_vars()
     inside = dict.fromkeys(allvars, _localized_row(fiber))
-    table = []
+    columns = [[] for _ in range(fiber.ring.nvars + 1)]
     for c, lengths, rows in exponent_cells(fiber, range(fiber.ring.nvars), allvars):
-        dims = _term_dims(fiber, rows, inside)
-        if any(dims):
-            table.append((c, lengths, tuple(dims)))
-    return tuple(table)
+        for column, d in zip(columns, _term_dims(fiber, rows, inside)):
+            if d:
+                column.append((c, lengths, d))
+    return tuple(map(tuple, columns))
 
 
 def _axis_of(I: MonomialIdeal, Z, what: str) -> frozenset:
@@ -112,27 +114,21 @@ def lc_report(I: MonomialIdeal, i: int, Z=None) -> LCReport:
 def _lc_reports(I: MonomialIdeal, Z: frozenset) -> tuple:
     """The memo behind `lc_report`: the `LCReport` of every index 0..|Z|.
 
-    One walk over `fibers` reads each class's `_fiber_table` once and folds
-    every column i of it in the same pass.  H^i of the class has finite
-    length unless it is nonzero on a -1 class, a cell that stands for
-    infinitely many fine degrees, and the first such cell is its witness;
-    its total is d * prod(lengths) over the bounded cells.  The class's own
-    fields are read once and shared by the entries of every index.
+    One walk over `fibers` reads each class's `_fiber_table` once, and
+    column i of it gives the class's entry of index i.  H^i of the class has
+    finite length unless the column holds a -1 class, a cell that stands
+    for infinitely many fine degrees, and the first such cell is its
+    witness; otherwise its total is the sum of d * prod(lengths) over the
+    column.  The class's own fields are read once and shared by the entries
+    of every index.
     """
     entries = [[] for _ in range(len(Z) + 1)]
     for fc in fibers(Subquotient.cyclic(I), Z):
-        witnesses = [None] * len(entries)
-        totals = [0] * len(entries)
-        for c, lengths, dims in _fiber_table(fc.fiber):
-            bounded = None not in lengths
-            for i, d in enumerate(dims):
-                if d and bounded:
-                    totals[i] += d * prod(lengths)
-                elif d and witnesses[i] is None:
-                    witnesses[i] = c
         head = (fc.patterns[0], fc.infinite_family, fc.n_single)
-        for i, w in enumerate(witnesses):
-            entries[i].append(FiberLC(*head, w is None, totals[i] if w is None else None, w))
+        for i, column in enumerate(_fiber_table(fc.fiber)):
+            w = next((c for c, lengths, _ in column if None in lengths), None)
+            total = sum(d * prod(lengths) for _, lengths, d in column) if w is None else None
+            entries[i].append(FiberLC(*head, w is None, total, w))
 
     reports = []
     for i, per_fiber in enumerate(entries):
@@ -175,9 +171,9 @@ def growth_scan(I: MonomialIdeal, i: int, box_radii, Z=None) -> list:
     [0, r].  A strictly increasing tail witnesses non-finite-generation.
     H^i_Z(S/I) is the direct sum over the slices of its fibers, so a fiber
     class's nonzero cells are its complement cells (`FiberClass.patterns`
-    and `lengths`) times the nonzero cells of its fiber table, and the class
-    counts (degrees of its complement cells) x (d times the degrees of each
-    nonzero fiber cell within r), each by `_degrees`.  On an empty axis,
+    and `lengths`) times column i of its fiber table, and the class counts
+    (degrees of its complement cells) x (d times the degrees of each cell
+    of that column within r), each by `_degrees`.  On an empty axis,
     H^0 is S/I itself: its cells are those of `exponent_cells` whose corner
     no generator of I divides, read off the cell's rows by `cell_bitsets`,
     with no Cech complex.  Both walks meet the bound of `exponent_cells`.
@@ -196,13 +192,7 @@ def growth_scan(I: MonomialIdeal, i: int, box_radii, Z=None) -> list:
 
     # (complement cells, nonzero fiber cells with their dimension) per class
     if Z:
-        classes = [
-            (
-                list(zip(fc.patterns, fc.lengths)),
-                [(c, lengths, dims[i]) for c, lengths, dims in _fiber_table(fc.fiber) if dims[i]],
-            )
-            for fc in fibers(N, Z)
-        ]
+        classes = [(list(zip(fc.patterns, fc.lengths)), _fiber_table(fc.fiber)[i]) for fc in fibers(N, Z)]
     else:
         # `fibers` refuses an empty axis: one class over the point of K[]
         cells = [(c, n) for c, n, rows in exponent_cells(N, range(I.ring.nvars)) if not cell_bitsets(N, rows)[1]]

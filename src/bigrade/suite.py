@@ -141,7 +141,7 @@ def check_instance(ring: RingSpec, I: MonomialIdeal) -> list:
     # cross-module consistency: grade and cd from lc_report nonvanishing
     nonzero = compute(
         "lc_report_Q",
-        lambda: [i for i in range(ring.n + 1) if _lc_nonzero(lc_report(I, i, Z))],
+        lambda: [i for i in range(ring.n + 1) if lc_report(I, i, Z).total_dim != 0],
     )
     if nonzero is not None and rep is not None:
         run(
@@ -188,13 +188,6 @@ def _ass_lc_not_fg(I: MonomialIdeal, Z) -> bool:
        so H^|F|_Z(S/I) is not finitely generated.
     """
     return not any(lc_report(I, j, Z).finitely_generated for j, _ in ass_by_cd(I, Z) if j)
-
-
-def _lc_nonzero(report) -> bool:
-    return any(
-        (e.total_dim is None) or e.total_dim > 0
-        for e in report.per_fiber
-    )
 
 
 def run_property_suite(count=200, seed=20240811, char=0) -> dict:

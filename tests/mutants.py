@@ -135,23 +135,37 @@ MUTANTS = [
     Mutant(
         "prod(lengths) in _lc_reports",
         "local_cohomology.py",
-        "totals[i] += d * prod(lengths)",
-        "totals[i] += d",
+        "sum(d * prod(lengths) for",
+        "sum(d for",
         "tests/test_local_cohomology.py::test_cell_walks_match_box_walk_reference",
     ),
     Mutant(
         "bounded cell counted once, not d times, in _lc_reports",
         "local_cohomology.py",
-        "totals[i] += d * prod(lengths)",
-        "totals[i] += prod(lengths)",
+        "sum(d * prod(lengths) for",
+        "sum(prod(lengths) for",
         "tests/test_local_cohomology.py::test_a_cell_of_dimension_two_counts_twice_per_degree",
     ),
     Mutant(
         "witness taken from the last -1 cell in _lc_reports",
         "local_cohomology.py",
-        "elif d and witnesses[i] is None:",
-        "elif d:",
+        "in column if None in lengths",
+        "in column[::-1] if None in lengths",
         "tests/test_local_cohomology.py::test_cell_walks_match_box_walk_reference",
+    ),
+    Mutant(
+        "growth reads the column of the index below",
+        "local_cohomology.py",
+        "_fiber_table(fc.fiber)[i])",
+        "_fiber_table(fc.fiber)[i - 1])",
+        "tests/test_local_cohomology.py::test_cell_walks_match_box_walk_reference",
+    ),
+    Mutant(
+        "fiber table column keeps its zero cells",
+        "local_cohomology.py",
+        "            if d:\n                column.append",
+        "            if True:\n                column.append",
+        "tests/test_homology.py::test_fiber_tables_match_a_cech_complex_per_cell",
     ),
     Mutant(
         "report total summed without n_single",

@@ -288,21 +288,32 @@ def test_bad_option_values_are_parse_errors(sample_file, capsys, argv):
     assert json.loads(out)["error"].startswith("parse: ")
 
 
-def test_closed_stdout_ends_without_a_traceback():
-    # as in `bigrade suite | head -1`, with the reader gone before the report is written
-    read_end, write_end = os.pipe()
+@pytest.mark.parametrize("stdout", ["broken-pipe", "closed", "dev-full"])
+def test_closed_stdout_ends_without_a_traceback(sample_file, stdout):
+    # a reader gone before the report is written, as in `bigrade suite | head -1`,
+    # exits 141 and says nothing; fd 1 closed (`>&-`) or a full device exits 1
+    # with one line on stderr
+    if stdout == "dev-full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
     src = os.path.dirname(os.path.dirname(bigrade.__file__))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "bigrade.cli", "suite", "--count", "1"],
-        stdout=write_end,
-        stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    os.close(write_end)
-    os.close(read_end)
-    _, err = proc.communicate(timeout=120)
-    assert err == b""
-    assert proc.returncode == 141  # 128 + SIGPIPE
+    argv = [sys.executable, "-m", "bigrade.cli", "render", sample_file]
+    with contextlib.ExitStack() as stack:
+        if stdout == "broken-pipe":
+            read_end, out = os.pipe()
+            os.close(read_end)
+            stack.callback(os.close, out)
+        elif stdout == "closed":
+            argv, out = ["sh", "-c", 'exec "$0" "$@" >&-', *argv], None
+        else:
+            out = stack.enter_context(open("/dev/full", "wb"))
+        proc = subprocess.run(
+            argv, stdout=out, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src}, timeout=120
+        )
+    if stdout == "broken-pipe":
+        assert (proc.returncode, proc.stderr) == (141, b"")  # 128 + SIGPIPE
+    else:
+        assert proc.returncode == 1, proc.stderr
+        assert re.fullmatch(rb"bigrade: cannot write the report: .+\n", proc.stderr), proc.stderr
 
 
 def test_internal_check_failure_is_reported_with_its_input(sample_file, capsys, monkeypatch):
