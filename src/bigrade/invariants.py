@@ -206,14 +206,17 @@ def cd_prime(p: frozenset, Z) -> int:
     return len(frozenset(Z) - p)
 
 
+@lru_cache(maxsize=256)
 def ass_by_cd(I: MonomialIdeal, Z) -> tuple:
     """Ass(S/I) grouped by cd(Z, S/p) = |Z \\ p|: ((gamma, primes), ...), ascending in gamma.
 
     The package's one reading of that grouping: the least gamma is mgrade,
     and the gammas and their classes are the thresholds gamma_1 < ... <
     gamma_r of the dimension filtration and the primes of its steps.  It is
-    read off `associated_primes` (the decomposition memo) on every call.  As
-    for `cd_prime`, Z must be an axis already checked by `RingSpec.axis`.
+    read off `associated_primes` (the decomposition memo) once per (I, Z)
+    and kept in a bounded memo; the value is a tuple of frozensets, so its
+    readers share it.  As for `cd_prime`, Z must be an axis already checked
+    by `RingSpec.axis`.
     """
     classes = {}
     for p in associated_primes(I):

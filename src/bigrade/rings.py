@@ -236,28 +236,35 @@ def _minimal(monomials) -> tuple:
     return tuple(kept)
 
 
+def _monomial(u, nvars: int) -> Monomial:
+    """u as a monomial of a ring with nvars variables: a tuple of nvars
+    nonnegative integer exponents.
+
+    The package's one monomial rule, applied to each generator by
+    `minimal_generators` and to u by `colon`.  Exponents must be integers
+    (`operator.index`): a float or a string is refused with ValueError, not
+    rounded or parsed.
+    """
+    try:
+        u = tuple(map(operator.index, u))
+    except TypeError:
+        raise ValueError(f"exponents must be integers, got {u!r}") from None
+    if len(u) != nvars:
+        raise DimensionMismatch(f"monomial {u} has length {len(u)}, ring has {nvars} variables")
+    if min(u) < 0:
+        raise ValueError(f"negative exponent in {u}")
+    return u
+
+
 def minimal_generators(ring: RingSpec, raw) -> MonomialIdeal:
     """Canonical form: drop duplicates and any generator divisible by another.
 
-    Exponents must be integers (`operator.index`): a float or a string is
-    refused with ValueError, not rounded or parsed.  The distinct monomials
-    are sorted and kept by the one pass of `_minimal`, so the generators
-    come out lex-sorted.
+    Each generator is read by `_monomial`.  The distinct monomials are
+    sorted and kept by the one pass of `_minimal`, so the generators come
+    out lex-sorted.
     """
     nvars = ring.nvars
-    gens = set()
-    for u in raw:
-        try:
-            u = tuple(map(operator.index, u))
-        except TypeError:
-            raise ValueError(f"minimal_generators expects integer exponents, got {u!r}") from None
-        if len(u) != nvars:
-            raise DimensionMismatch(
-                f"monomial {u} has length {len(u)}, ring has {nvars} variables"
-            )
-        if min(u) < 0:
-            raise ValueError(f"negative exponent in {u}")
-        gens.add(u)
+    gens = {_monomial(u, nvars) for u in raw}
     return MonomialIdeal(ring, _minimal(sorted(gens)))
 
 
@@ -310,9 +317,8 @@ def intersect_pure_powers(I: MonomialIdeal, a: Monomial, rad) -> MonomialIdeal:
 
 
 def colon(I: MonomialIdeal, u: Monomial) -> MonomialIdeal:
-    """(I : u) = {v : v*u in I}."""
-    if len(u) != I.ring.nvars:
-        raise DimensionMismatch(f"monomial {u} has wrong length for {I.ring}")
+    """(I : u) = {v : v*u in I}, for a monomial u (`_monomial`)."""
+    u = _monomial(u, I.ring.nvars)
     return minimal_generators(I.ring, (mon_quot(g, u) for g in I.gens))
 
 

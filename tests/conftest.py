@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 import bigrade
@@ -11,19 +13,30 @@ def cold_caches():
 
 
 @pytest.fixture
-def walks(monkeypatch):
-    """The (ideals, J') of every corner walk of `homology.ass_subquotients`
-    from here on: `filtration._verify_ass_facts` calls it by its name in
-    filtration, `ass_subquotient` by its name in homology."""
-    from bigrade import filtration, homology
+def record(monkeypatch):
+    """`record(owners, name)`: the arguments of every call of `name` from here
+    on, each a dict from parameter name to the value passed.
 
-    calls = []
-    body = homology.ass_subquotients
+    owners is a module or a class, or a tuple of them where one function is
+    bound under `name` in several modules.  Each binding is rebound to one
+    wrapper that appends the call and returns the original's result;
+    monkeypatch restores them after the test.  The tests that count work
+    read these lists, each projected onto what it counts.
+    """
 
-    def counted(Js, Jp):
-        calls.append((tuple(Js), Jp))
-        return body(Js, Jp)
+    def record(owners, name):
+        owners = owners if isinstance(owners, tuple) else (owners,)
+        body = getattr(owners[0], name)
+        bind = inspect.signature(body).bind
+        calls = []
 
-    for module in (filtration, homology):
-        monkeypatch.setattr(module, "ass_subquotients", counted)
-    return calls
+        def recorded(*args, **kwargs):
+            calls.append(bind(*args, **kwargs).arguments)
+            return body(*args, **kwargs)
+
+        for owner in owners:
+            assert getattr(owner, name) is body, f"{owner.__name__}.{name} is another object"
+            monkeypatch.setattr(owner, name, recorded)
+        return calls
+
+    return record

@@ -358,4 +358,18 @@ MUTANTS = [
         'default="P"',
         "tests/test_cli.py::test_every_subcommand_keeps_its_arguments",
     ),
+    Mutant(
+        "monomial rule without its nonnegative test",
+        "rings.py",
+        "    if min(u) < 0:\n",
+        "    if False:\n",
+        "tests/test_refusals.py::test_refusal_raises_its_class_and_message[colon_negative]",
+    ),
+    Mutant(
+        "Ass grouped by cd without its memo",
+        "invariants.py",
+        "@lru_cache(maxsize=256)\ndef ass_by_cd(",
+        "def ass_by_cd(",
+        "tests/test_memo.py::test_ass_by_cd_is_grouped_once_per_ideal_and_axis",
+    ),
 ]

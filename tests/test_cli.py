@@ -434,17 +434,10 @@ def test_unreadable_inputs_are_parse_errors(tmp_path, capsys, argv, message):
     assert error.startswith("parse: ") and message in error
 
 
-def test_every_subcommand_shares_one_parser(sample_file, capsys, monkeypatch):
+def test_every_subcommand_shares_one_parser(sample_file, capsys, record):
     # the argparse tree is a module constant, not a memo: emptying every memo
     # between two runs of each subcommand keeps it and builds no parser
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    built = record(argparse.ArgumentParser, "__init__")
     parser = cli.PARSER
     commands = [[a.format(sample=sample_file) for a in argv] for argv in COMMANDS]
     first = [run_cli(capsys, *argv) for argv in commands]

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 import bigrade
-from bigrade import filtration
+from bigrade import filtration, homology
 from bigrade.invariants import analyze
 from bigrade.cli import main
 from bigrade.errors import UnitIdeal
@@ -60,55 +60,44 @@ def test_ass_quotients_partition():
     ]
 
 
-def test_filtration_command_enumerates_each_ass_once(tmp_path, walks):
+def test_filtration_command_enumerates_each_ass_once(tmp_path, record):
     # one walk over the corners of I gives Ass(J_i/I) of every step, and
     # ass_quotients walks over J_(i-1) for each step but the first, as
     # building the ladder compared Ass(J_1/I) already
+    calls = record((filtration, homology), "ass_subquotients")
     ring, I = parse_ideal_text(EIGHT_GEN)
     ladder = dimension_filtration(I, ring.y_block())
     steps = len(ladder.steps)
     bigrade.clear_caches()
-    walks.clear()
+    calls.clear()
     p = tmp_path / "i.ideal"
     p.write_text(EIGHT_GEN)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["filtration", str(p)]) == 0
+    walks = [(tuple(call["Js"]), call["Jp"]) for call in calls]
     assert len(walks) == steps
     assert len(set(walks)) == len(walks)
     assert walks[0] == (ladder.ideals[1:], I)
 
 
-def test_filtration_then_seqcm_builds_one_ladder(tmp_path, monkeypatch, walks):
+def test_filtration_then_seqcm_builds_one_ladder(tmp_path, record):
     # the second command in the same process reads the memoized ladder
-    counts = Counter()
-    body = filtration._verify_ass_facts
-
-    def counted(*args):
-        counts["_verify_ass_facts"] += 1
-        return body(*args)
-
-    monkeypatch.setattr(filtration, "_verify_ass_facts", counted)
+    verified = record(filtration, "_verify_ass_facts")
+    walks = record((filtration, homology), "ass_subquotients")
     p = tmp_path / "i.ideal"
     p.write_text(EIGHT_GEN)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["filtration", str(p)]) == 0
         assert main(["seqcm", str(p)]) == 0
     # two steps: one walk for the ladder, one in ass_quotients, none in seqcm
-    assert counts == {"_verify_ass_facts": 1}
+    assert len(verified) == 1
     assert len(walks) == 2
 
 
-def test_the_chain_of_meets_gives_the_intersection_of_the_higher_components(monkeypatch):
+def test_the_chain_of_meets_gives_the_intersection_of_the_higher_components(record):
     # J_i is the intersection of the irreducible components with cd above
     # gamma_i, and the chain meets each component above gamma_1 once
-    meets = []
-    body = filtration.intersect_pure_powers
-
-    def counted(J, a, rad):
-        meets.append(a)
-        return body(J, a, rad)
-
-    monkeypatch.setattr(filtration, "intersect_pure_powers", counted)
+    meets = record(filtration, "intersect_pure_powers")
     ring, I = parse_ideal_text(EIGHT_GEN)
     cases = [(I, ring.x_block()), (I, ring.y_block()), (I, ring.all_vars())]
     rnd = random.Random(20261028)

@@ -169,19 +169,12 @@ def test_lcm_scan_matches_box_scan_reference():
         assert betti_and_projdim(N, Z) == bf_betti_and_projdim(N, Z), (N, sorted(Z))
 
 
-def test_support_bound_depth_matches_box_scan_reference(monkeypatch):
+def test_support_bound_depth_matches_box_scan_reference(monkeypatch, record):
     # depth is read off the Ass-height and Taylor-length bounds when they
     # meet and off its own lcm scan, stopped at the support bound or the
     # upper bound, otherwise; both routes are checked against the box scan
     # apart from betti_and_projdim, in char 0, 2 and 3
-    lattice = homology._lattice
-    scans = []
-
-    def counting(N):
-        scans.append(N)
-        return lattice(N)
-
-    monkeypatch.setattr(homology, "_lattice", counting)
+    scans = record(homology, "_lattice")
     monkeypatch.setattr(homology, "_depth_cache", {})
     rnd = random.Random(20261020)
     routes = {"bound": 0, "scan": 0, "module": 0}
@@ -213,7 +206,7 @@ def test_support_bound_depth_matches_box_scan_reference(monkeypatch):
         homology._depth_cache.clear()
         assert depth_module(N, Z) == N.ring.nvars - projdim, (N, sorted(Z))
         if not cyclic:
-            assert scans == [N]
+            assert [call["N"] for call in scans] == [N]
             routes["module"] += 1
         else:
             routes["scan" if scans else "bound"] += 1
@@ -234,37 +227,23 @@ def test_depth_bounds_are_guarded(monkeypatch):
 
 
 @pytest.mark.parametrize("m, n", [(4, 4), (2, 2)])
-def test_depth_of_the_residue_field_reads_one_degree(monkeypatch, m, n):
+def test_depth_of_the_residue_field_reads_one_degree(record, m, n):
     # the maximal ideal is the one associated prime and has m+n generators,
     # so the Ass height and the Taylor length both fix the projdim at m+n
     # and none of the 2^(m+n) lattice degrees is read
-    calls = []
-    body = homology.koszul_dims_at
-
-    def counting(N, zvars, b):
-        calls.append(b)
-        return body(N, zvars, b)
-
-    monkeypatch.setattr(homology, "koszul_dims_at", counting)
+    calls = record(homology, "koszul_dims_at")
     ring = RingSpec(m, n)
     maximal = minimal_generators(ring, [var_power(ring, v, 1) for v in range(ring.nvars)])
     assert ordinary_depth(maximal) == 0
     assert calls == []
 
 
-def test_depth_of_a_dense_draw_is_read_off_its_bounds(monkeypatch):
+def test_depth_of_a_dense_draw_is_read_off_its_bounds(record):
     # 40 generators on 3 of 8 variables: Ass height 7 but 32 minimal
     # generators, so the Taylor length alone leaves projdim in [7, 8];
     # the maximal ideal is not associated, so depth >= 1 closes the gap and
     # none of the lattice degrees is read (2,558 without that bound)
-    calls = []
-    body = homology.koszul_dims_at
-
-    def counting(N, zvars, b):
-        calls.append(b)
-        return body(N, zvars, b)
-
-    monkeypatch.setattr(homology, "koszul_dims_at", counting)
+    calls = record(homology, "koszul_dims_at")
     rng = random.Random(1)
     ring = RingSpec(4, 4)
     gens = []
@@ -398,18 +377,12 @@ def _kept_by_every_subset(N, deg, inside):
 
 
 @pytest.mark.parametrize("char", [0, 2])
-def test_the_term_walk_keeps_what_every_subset_keeps(monkeypatch, char):
+def test_the_term_walk_keeps_what_every_subset_keeps(record, char):
     # 6-10 variables, past the reach of the brute-force oracles; odd draws
     # take a Koszul degree from the lcm lattice, even ones a Cech degree of
     # cell corners with the -1 class on the axis
-    seen = []
     inner = homology._complex_dims
-
-    def recording(levels, ch):
-        seen.append(levels)
-        return inner(levels, ch)
-
-    monkeypatch.setattr(homology, "_complex_dims", recording)
+    seen = record(homology, "_complex_dims")
     rnd = random.Random(20261019 + char)
     wide = nonzero = 0
     for k in range(200):
@@ -431,7 +404,7 @@ def test_the_term_walk_keeps_what_every_subset_keeps(monkeypatch, char):
             dims = cech_dims_at(N, Z, deg)
         want = _kept_by_every_subset(N, deg, inside)
         case = (str(J), str(Jp), char, sorted(Z), deg)
-        assert [sorted(level) for level in seen.pop()] == want, case
+        assert [sorted(level) for level in seen.pop()["levels"]] == want, case
         assert dims == inner(want, char), case
         wide += len(Z) >= 8 and any(want)
         nonzero += any(dims)
@@ -465,19 +438,12 @@ def test_cech_vanishes_past_the_box_on_an_axis_variable():
             assert cech_dims_at(N, Z, c) == want == [0] * (len(Z) + 1), (N, sorted(Z), c)
 
 
-def test_large_exponents_scan_only_the_lcm_lattice(monkeypatch):
+def test_large_exponents_scan_only_the_lcm_lattice(monkeypatch, record):
     def ideal_e(e):
         return ideal(RingSpec(2, 2), (e, 0, e, 0), (0, e, 0, 1), (1, 0, 0, e))
 
     assert ordinary_depth(ideal_e(4)) == 1
-    calls = []
-    inner = homology.koszul_dims_at
-
-    def counting(N, zvars, b):
-        calls.append(b)
-        return inner(N, zvars, b)
-
-    monkeypatch.setattr(homology, "koszul_dims_at", counting)
+    calls = record(homology, "koszul_dims_at")
     monkeypatch.setattr(homology, "_depth_cache", {})
     assert ordinary_depth(ideal_e(1000)) == 1
     # the depth's bounds meet here (Ass height 3, three generators), so the

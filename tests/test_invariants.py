@@ -67,7 +67,7 @@ def test_fibers_list_only_nonzero_classes():
     assert growth_scan(I, 1, [0, 1, 2, 3], Q) == [0, 1, 2, 3]
 
 
-def test_fibers_classify_cells_by_generator_bitsets(monkeypatch):
+def test_fibers_classify_cells_by_generator_bitsets(record):
     # (x1, ..., x12) in ring 12 1 over Q: 2^12 complement cells, and only the
     # cell at 0 has a nonzero fiber, K[y1].  The cells are classified by the
     # bitsets of their corner rows, so no restricted colon is minimized per
@@ -77,40 +77,28 @@ def test_fibers_classify_cells_by_generator_bitsets(monkeypatch):
     N = Subquotient.cyclic(I)
     Q = ring.y_block()
     assert len(list(exponent_cells(N, sorted(ring.x_block())))) == 4096
-    calls = []
-    body = rings.minimal_generators
-
-    def counting(*args):
-        calls.append(args)
-        return body(*args)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("bigrade") and getattr(module, "minimal_generators", None) is body:
-            monkeypatch.setattr(module, "minimal_generators", counting)
+    binders = tuple(
+        module for name, module in sys.modules.items()
+        if name.startswith("bigrade") and getattr(module, "minimal_generators", None) is rings.minimal_generators
+    )
+    calls = record(binders, "minimal_generators")
     (fc,) = fibers(N, Q)
     assert calls == []
     assert fc.fiber == Subquotient.cyclic(zero_ideal(RingSpec(0, 1)))
     assert (fc.patterns, fc.n_single, fc.infinite_family) == (((0,) * 12,), 1, False)
 
 
-def test_fibers_walk_each_complement_coordinate_once(monkeypatch):
+def test_fibers_walk_each_complement_coordinate_once(record):
     # one _axis_cells pass per complement coordinate gives both the cells and
     # their corner rows (the walk used to make a second pass for the cells);
     # the fibers walk the cells through `homology.exponent_cells`, so the
     # count is taken in homology
     ring = RingSpec(12, 1)
     I = minimal_generators(ring, [var_power(ring, i) for i in range(12)])
-    calls = []
-    body = homology._axis_cells
-
-    def counting(gens, k, cech=False):
-        calls.append(k)
-        return body(gens, k, cech)
-
-    monkeypatch.setattr(homology, "_axis_cells", counting)
+    calls = record(homology, "_axis_cells")
     bigrade.clear_caches()
     (fc,) = fibers(Subquotient.cyclic(I), ring.y_block())
-    assert sorted(calls) == list(range(12))
+    assert sorted(call["k"] for call in calls) == list(range(12))
     assert (fc.patterns, fc.n_single, fc.infinite_family) == (((0,) * 12,), 1, False)
 
 

@@ -161,7 +161,7 @@ def test_an_axis_outside_the_ring_is_refused_cold_and_warm(name):
         call(I, [1.0])
 
 
-def test_growth_reads_slice_lengths_without_a_second_cell_walk(monkeypatch):
+def test_growth_reads_slice_lengths_without_a_second_cell_walk(record):
     # (x1, ..., x12) in ring 12 1: S/I = K[y1], so H^1_Q is H^1_(y1)(K[y1]),
     # one degree at each of -1, ..., -r
     ring = RingSpec(12, 1)
@@ -170,14 +170,7 @@ def test_growth_reads_slice_lengths_without_a_second_cell_walk(monkeypatch):
     assert growth_scan(I, 1, [0, 1, 2, 5], Q) == [0, 1, 2, 5]
     # with fibers and their Cech tables warm, the slices' cell lengths come
     # from the per-coordinate cells, not from walking the product again
-    calls = []
-    walk = local_cohomology.exponent_cells
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return walk(*args, **kwargs)
-
-    monkeypatch.setattr(local_cohomology, "exponent_cells", counted)
+    calls = record(local_cohomology, "exponent_cells")
     assert growth_scan(I, 1, [0, 1, 2, 5], Q) == [0, 1, 2, 5]
     assert calls == []
 
@@ -243,17 +236,10 @@ def test_each_associated_prime_gives_a_witness_family_on_both_axes():
     assert cases > 1500
 
 
-def test_a_repeated_lc_report_is_read_from_its_memo(monkeypatch):
+def test_a_repeated_lc_report_is_read_from_its_memo(record):
     # check_instance asks for the same index about twice per query, and the
     # reports of every index of (I, Z) come from one read of each fiber table
-    reads = []
-    body = local_cohomology._fiber_table
-
-    def counting(fiber):
-        reads.append(fiber)
-        return body(fiber)
-
-    monkeypatch.setattr(local_cohomology, "_fiber_table", counting)
+    reads = record(local_cohomology, "_fiber_table")
     ring, I = parse_ideal_text(EIGHT_GEN)
     Q = ring.y_block()
     first = lc_report(I, 1, Q)
@@ -403,19 +389,12 @@ def _k_family(k):
 
 
 @pytest.mark.parametrize("k", [4, 8])
-def test_growth_counts_each_class_as_complement_times_fiber(monkeypatch, k):
+def test_growth_counts_each_class_as_complement_times_fiber(record, k):
     # A class with P complement cells and T nonzero fiber-table cells is
     # counted by P + T `_degrees` calls per radius, not by its P * T
     # product cells (at k = 8: 263 calls against 766 cells).  On no axis the
     # one class is the nonzero cells of S/I times the point of K[].
-    calls = []
-    inner = local_cohomology._degrees
-
-    def counted(*args):
-        calls.append(args)
-        return inner(*args)
-
-    monkeypatch.setattr(local_cohomology, "_degrees", counted)
+    calls = record(local_cohomology, "_degrees")
     I = _k_family(k)
     N = Subquotient.cyclic(I)
     radii = [1, 2, 3, 4]
@@ -588,6 +567,8 @@ def test_large_exponents_cost_follows_the_cells(monkeypatch):
     # at e = 1000 as soon as it passes them instead of running for hours
     ceiling = {}
 
+    # its own wrapper, not the `record` fixture: the ceilings are checked on
+    # each call, while the run goes on, not once it has ended
     def counted(name, inner):
         def wrapper(*args):
             calls[name] += 1
@@ -656,6 +637,8 @@ def test_cech_cost_does_not_grow_with_the_free_variables(monkeypatch):
     counts = {}
     inner = local_cohomology._term_dims
 
+    # its own wrapper, not the `record` fixture: the ratio is checked on each
+    # call, while the run goes on, not once it has ended
     def counted(*args):
         counts[n] += 1
         assert n == 2 or counts[n] <= counts[2] * n // 2, f"Cech calls grow faster than n: {counts}"
@@ -680,6 +663,8 @@ def test_x1y1_in_forty_by_forty_answers_within_a_second(tmp_path, capsys, monkey
     path.write_text("ring 40 40\ngens: x1*y1\n")
     deadline = time.perf_counter() + 1.0
 
+    # its own wrapper, not the `record` fixture: the deadline is checked on
+    # each call, while the run goes on, not once it has ended
     def timed(inner):
         def wrapper(*args):
             assert time.perf_counter() < deadline, f"{' '.join(argv)} took over 1 s"

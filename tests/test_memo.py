@@ -15,7 +15,7 @@ import pytest
 from bruteforce import bf_irreducible_decomposition
 
 import bigrade
-from bigrade import cli, invariants, rings
+from bigrade import cli, filtration, invariants, rings, suite
 from bigrade.errors import InternalCheckFailed
 from bigrade.filtration import dimension_filtration, sequentially_cm
 from bigrade.homology import Subquotient
@@ -36,7 +36,7 @@ from bigrade.rings import (
     var_power,
     zero_ideal,
 )
-from bigrade.suite import random_ideal
+from bigrade.suite import check_instance, random_ideal
 
 SAMPLE = """ring 2 4
 gens: x1*x2, x1*y3, x1*y4, x2*y1, y1*y3, y1*y4, y2*y4, y2*y3
@@ -115,18 +115,11 @@ def test_analyze_decomposes_each_ideal_once():
     assert memo.cache_info().misses == misses
 
 
-def test_ass_dim_and_mgrade_build_no_component_object(monkeypatch):
+def test_ass_dim_and_mgrade_build_no_component_object(record):
     # Ass, dim and mgrade read the radicals off the decomposition memo; only
     # irreducible_decomposition builds PrimaryComponent objects, on each call,
     # from the same memo entry
-    built = []
-    component = rings.PrimaryComponent
-
-    def counting_component(*args):
-        built.append(args)
-        return component(*args)
-
-    monkeypatch.setattr(rings, "PrimaryComponent", counting_component)
+    built = record(rings, "PrimaryComponent")
     ring = RingSpec(2, 3)
     I = minimal_generators(ring, [(1, 0, 1, 0, 0), (0, 1, 0, 2, 0), (1, 1, 0, 0, 1), (0, 0, 2, 1, 1)])
     expected = bf_irreducible_decomposition(I)
@@ -174,15 +167,9 @@ def test_a_failed_cd_is_not_memoized(monkeypatch):
     assert len(checks) == 2
 
 
-def test_cd_is_computed_once_per_module_and_axis(monkeypatch):
+def test_cd_is_computed_once_per_module_and_axis(record):
     memo = invariants._cd
-    asked = Counter()
-
-    def spy(N, Z):
-        asked[N, Z] += 1
-        return memo(N, Z)
-
-    monkeypatch.setattr(invariants, "_cd", spy)
+    calls = record(invariants, "_cd")
     ring, I = parse_ideal_text(SAMPLE)
     for Z in (ring.x_block(), ring.y_block()):
         analyze(I, Z)
@@ -192,7 +179,22 @@ def test_cd_is_computed_once_per_module_and_axis(monkeypatch):
             corollary_check(I, Z)
         except bigrade.PreconditionFailed:
             pass  # on Q it refuses, after it has read cd
+    asked = Counter((call["N"], call["Z"]) for call in calls)
     assert asked[Subquotient.cyclic(I), ring.y_block()] == 4
+    assert memo.cache_info().misses == len(asked)
+
+
+def test_ass_by_cd_is_grouped_once_per_ideal_and_axis(record):
+    # mgrade, its witness, the ladder and two checks of check_instance read
+    # Ass(S/I) grouped by cd; over whole check_instance runs each (I, Z) is
+    # grouped once and every other call is a memo hit
+    memo = invariants.ass_by_cd
+    calls = record((invariants, filtration, suite), "ass_by_cd")
+    rng = random.Random(20240811)
+    for _ in range(40):
+        assert check_instance(*random_ideal(rng)) == []
+    asked = {(call["I"], call["Z"]) for call in calls}
+    assert len(calls) > 2 * len(asked)
     assert memo.cache_info().misses == len(asked)
 
 
@@ -318,18 +320,11 @@ def test_copies_equal_their_original_and_hit_its_memo_entry():
     assert invariants._fibers.cache_info().misses == 1
 
 
-def test_building_modules_and_fibers_compares_no_rings_by_value(monkeypatch):
+def test_building_modules_and_fibers_compares_no_rings_by_value(record):
     # a subquotient is its two ideals, and the one same-ring check compares
     # by identity first, so rings shared by reference are never compared field
     # by field
-    calls = []
-    body = RingSpec.__eq__
-
-    def counting(self, other):
-        calls.append(other)
-        return body(self, other)
-
-    monkeypatch.setattr(RingSpec, "__eq__", counting)
+    calls = record(RingSpec, "__eq__")
     ring, I = parse_ideal_text(SAMPLE)
     N = Subquotient.cyclic(I)
     for Z in (ring.x_block(), ring.y_block()):
@@ -347,15 +342,8 @@ def test_a_submodule_outside_a_non_unit_J_is_refused():
     assert Subquotient(J, minimal_generators(ring, [(1, 1)])).Jp.gens == ((1, 1),)
 
 
-def test_a_cyclic_module_makes_no_containment_scan(monkeypatch):
-    calls = []
-    body = MonomialIdeal.contains_ideal
-
-    def counting(self, other):
-        calls.append(other)
-        return body(self, other)
-
-    monkeypatch.setattr(MonomialIdeal, "contains_ideal", counting)
+def test_a_cyclic_module_makes_no_containment_scan(record):
+    calls = record(MonomialIdeal, "contains_ideal")
     ring, I = parse_ideal_text(SAMPLE)
     bigrade.clear_caches()
     # within one memo lifetime the same object, across clear_caches a new one;

@@ -82,10 +82,21 @@ REFUSALS = {
         DimensionMismatch,
         "generator (1,) has length 1, ring has 2 variables",
     ),
+    # colon reads u by the monomial rule of minimal_generators, with its messages
     "colon": (
         lambda: colon(zero_ideal(R11), (1,)),
         DimensionMismatch,
-        f"monomial (1,) has wrong length for {R11}",
+        "monomial (1,) has length 1, ring has 2 variables",
+    ),
+    "colon_negative": (
+        lambda: colon(minimal_generators(R11, [(1, 1)]), (-1, 0)),
+        ValueError,
+        "negative exponent in (-1, 0)",
+    ),
+    "colon_float": (
+        lambda: colon(minimal_generators(R11, [(1, 1)]), (1.0, 0)),
+        ValueError,
+        "exponents must be integers, got (1.0, 0)",
     ),
     "rank": (lambda: kernels.rank([[1, 0], [1]]), ValueError, "rank_char0 expects a rectangular matrix"),
     "rank_mod_p": (

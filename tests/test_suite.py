@@ -1,11 +1,9 @@
 """check_instance: one dimension filtration per ideal, and failures reported, not raised."""
 
-from collections import Counter
-
 import pytest
 
 import bigrade
-from bigrade import filtration, suite
+from bigrade import filtration, homology, suite
 from bigrade.errors import InternalCheckFailed
 from bigrade.filtration import (
     ass_quotients,
@@ -25,38 +23,27 @@ gens: x1*x2, x1*y3, x1*y4, x2*y1, y1*y3, y1*y4, y2*y4, y2*y3
 """
 
 
-def _counting(monkeypatch, name, counts):
-    body = getattr(filtration, name)
-
-    def counted(*args):
-        counts[name] += 1
-        return body(*args)
-
-    monkeypatch.setattr(filtration, name, counted)
-
-
-def test_check_instance_builds_the_ladder_once(monkeypatch, walks):
+def test_check_instance_builds_the_ladder_once(record):
+    walks = record((filtration, homology), "ass_subquotients")
     ring, I = parse_ideal_text(EIGHT_GEN)
     steps = len(dimension_filtration(I, ring.y_block()).steps)
     bigrade.clear_caches()
     walks.clear()
-    counts = Counter()
-    _counting(monkeypatch, "_verify_ass_facts", counts)
+    verified = record(filtration, "_verify_ass_facts")
     assert check_instance(ring, I) == []
-    assert counts["_verify_ass_facts"] == 1
+    assert len(verified) == 1
     # one walk gives Ass(J_i/I) of every step for the ladder, then one walk
     # gives Ass(J_i/J_(i-1)) for each step but the first
     assert len(walks) == steps
 
 
-def test_corollary_check_reuses_the_ladder(monkeypatch):
+def test_corollary_check_reuses_the_ladder(record):
     # (x1*x2) has grade 2 and is generalized CM, so corollary_check runs
     ring = RingSpec(2, 2)
     I = minimal_generators(ring, [(1, 1, 0, 0)])
-    counts = Counter()
-    _counting(monkeypatch, "_verify_ass_facts", counts)
+    verified = record(filtration, "_verify_ass_facts")
     assert check_instance(ring, I) == []
-    assert counts["_verify_ass_facts"] == 1
+    assert len(verified) == 1
 
 
 def test_failing_ladder_is_reported_not_raised(monkeypatch):
@@ -69,23 +56,22 @@ def test_failing_ladder_is_reported_not_raised(monkeypatch):
     assert check_instance(ring, I) == ["ladder_ass_identities"]
 
 
-def test_one_ladder_per_ideal_and_axis(monkeypatch):
+def test_one_ladder_per_ideal_and_axis(record):
     ring = RingSpec(2, 2)
     I = minimal_generators(ring, [(1, 1, 0, 0)])
     Z = ring.y_block()
-    counts = Counter()
-    _counting(monkeypatch, "_verify_ass_facts", counts)
+    verified = record(filtration, "_verify_ass_facts")
     ladder = dimension_filtration(I, Z)
     assert dimension_filtration(I, Z) is ladder
     assert ass_quotients(ladder)
     assert sequentially_cm(I, Z)["verdict"]
     assert mgrade_constancy(I, Z)
     assert corollary_check(I, Z)["seq_cm"]
-    assert counts["_verify_ass_facts"] == 1
+    assert len(verified) == 1
     # another axis builds its own ladder, once
     assert dimension_filtration(I, ring.x_block()) is not ladder
     sequentially_cm(I, ring.x_block())
-    assert counts["_verify_ass_facts"] == 2
+    assert len(verified) == 2
 
 
 def test_a_failed_ladder_is_not_memoized(monkeypatch):
