@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InternalCheckFailed, UnitIdeal
+from .errors import InternalCheckFailed
 from .homology import Subquotient, ass_subquotient, ass_subquotients
-from .invariants import ass_by_cd, cd, cd_prime, grade
+from .invariants import _quotient_axis, ass_by_cd, cd, cd_prime, grade
 from .rings import (
     MonomialIdeal,
     _decomposition,
@@ -53,9 +53,7 @@ def dimension_filtration(I: MonomialIdeal, Z) -> FiltrationLadder:
     the filtration of S along Z is 0 < S, the ladder ((0), S) with the one
     cd value |Z|.
     """
-    if I.is_unit:
-        raise UnitIdeal("filtration of the zero module")
-    return _ladder(I, I.ring.axis(Z))
+    return _ladder(I, _quotient_axis(I, Z, "filtration"))
 
 
 @lru_cache(maxsize=256)

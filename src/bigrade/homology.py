@@ -396,19 +396,27 @@ def _localized_row(N: Subquotient) -> tuple:
     return (1 << len(N.J.gens)) - 1, 0
 
 
+def _lc_index(i, Z: frozenset) -> int:
+    """i as an index of H^i_Z: an integer (`_integer`, so a float or a
+    string is a ValueError) in 0..|Z|, or PreconditionFailed.  The one index
+    rule of `cech_piece_dim`, `local_cohomology.lc_report` and
+    `local_cohomology.growth_scan`, each of which reads Z first."""
+    i = _integer(i, "the local cohomology index")
+    if not 0 <= i <= len(Z):
+        raise PreconditionFailed(f"index {i} outside [0, {len(Z)}]")
+    return i
+
+
 def cech_piece_dim(N: Subquotient, Z, i: int, c) -> int:
     """dim_K of H^i_Z(N) in fine degree c (coordinates on Z may be negative).
 
     Z goes through `RingSpec.axis` first, so a variable outside the ring is
-    a ValueError, then i is read as an integer (a float or a string is a
-    ValueError) and checked against |Z|.  A degree of the wrong
+    a ValueError, then i through `_lc_index`.  A degree of the wrong
     length is a DimensionMismatch and a non-integer coordinate a ValueError;
     `cech_dims_at` takes c unchecked.
     """
     Z = N.ring.axis(Z)
-    i = _integer(i, "the local cohomology index")
-    if not (0 <= i <= len(Z)):
-        raise PreconditionFailed(f"index {i} outside [0, {len(Z)}]")
+    i = _lc_index(i, Z)
     c = tuple(_integer(e, "a degree coordinate") for e in c)
     if len(c) != N.ring.nvars:
         raise DimensionMismatch(f"degree {c} has wrong length for {N.ring}")

@@ -14,21 +14,33 @@ from .errors import BadProfile, BadRing, InternalCheckFailed, ParseError
 from .homology import Subquotient
 from .invariants import grade, mgrade
 from .io_formats import content_lines, parse_int, parse_term
-from .rings import Monomial, RingSpec, minimal_generators
+from .rings import Monomial, RingSpec, _integer, minimal_generators
 
 
 @dataclass(frozen=True)
 class FactorProfile:
-    """Multiset of factor bidegrees (a_i, b_i), each nonzero."""
+    """Multiset of factor bidegrees (a_i, b_i), each nonzero.
+
+    Each factor is a pair of integers (`rings._integer`), stored as a tuple
+    of plain ints, as `RingSpec` stores its fields.
+    """
 
     factors: tuple
 
     def __post_init__(self):
         if not self.factors:
             raise BadProfile("need at least one factor")
-        for a, b in self.factors:
+        factors = []
+        for factor in self.factors:
+            try:
+                a, b = factor
+            except (TypeError, ValueError):
+                raise BadProfile(f"factor {factor!r} is not a bidegree pair (a, b)") from None
+            a, b = _integer(a, "a factor degree"), _integer(b, "a factor degree")
             if a < 0 or b < 0 or a + b < 1:
                 raise BadProfile(f"factor bidegree ({a},{b}) must be nonzero and nonnegative")
+            factors.append((a, b))
+        object.__setattr__(self, "factors", tuple(factors))
 
     @property
     def alpha1(self) -> int:

@@ -224,11 +224,19 @@ def ass_by_cd(I: MonomialIdeal, Z) -> tuple:
     return tuple((gamma, frozenset(classes[gamma])) for gamma in sorted(classes))
 
 
+def _quotient_axis(I: MonomialIdeal, Z, what: str) -> frozenset:
+    """Z read by `RingSpec.axis`, after refusing the zero module S/S with
+    UnitIdeal("<what> of the zero module").  The one rule of `mgrade`,
+    `filtration.dimension_filtration` and `local_cohomology`'s entry points;
+    `analyze` and `ordinary_depth` word their own refusals."""
+    if I.is_unit:
+        raise UnitIdeal(f"{what} of the zero module")
+    return I.ring.axis(Z)
+
+
 def mgrade(I: MonomialIdeal, Z) -> int:
     """min of cd over the associated primes of S/I: the first gamma of `ass_by_cd`."""
-    if I.is_unit:
-        raise UnitIdeal("mgrade of the zero module")
-    return ass_by_cd(I, I.ring.axis(Z))[0][0]
+    return ass_by_cd(I, _quotient_axis(I, Z, "mgrade"))[0][0]
 
 
 def analyze(I: MonomialIdeal, Z) -> InvariantReport:

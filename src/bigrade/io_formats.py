@@ -52,15 +52,10 @@ def parse_term(ring: RingSpec, term: str, lineno=None):
             raise ParseError(f"bad factor {factor!r} in term {term!r}", line=lineno)
         block, idx = mt.group(1), parse_int(mt.group(2), lineno)
         exp = parse_int(mt.group(3) or "1", lineno)
-        if block == "x":
-            if not (1 <= idx <= ring.m):
-                raise ParseError(f"x{idx} out of range (m={ring.m})", line=lineno)
-            pos = idx - 1
-        else:
-            if not (1 <= idx <= ring.n):
-                raise ParseError(f"y{idx} out of range (n={ring.n})", line=lineno)
-            pos = ring.m + idx - 1
-        exps[pos] += exp
+        size, first, name = (ring.m, 0, "m") if block == "x" else (ring.n, ring.m, "n")
+        if not 1 <= idx <= size:
+            raise ParseError(f"{block}{idx} out of range ({name}={size})", line=lineno)
+        exps[first + idx - 1] += exp
     return tuple(exps)
 
 

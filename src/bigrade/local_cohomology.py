@@ -27,10 +27,10 @@ from functools import lru_cache
 from math import prod
 from typing import Optional
 
-from .errors import InternalCheckFailed, PreconditionFailed, UnitIdeal
+from .errors import InternalCheckFailed, PreconditionFailed
 from .filtration import sequentially_cm
-from .homology import Subquotient, _localized_row, _term_dims, cell_bitsets, exponent_cells
-from .invariants import analyze, cd, fibers
+from .homology import Subquotient, _lc_index, _localized_row, _term_dims, cell_bitsets, exponent_cells
+from .invariants import _quotient_axis, analyze, cd, fibers
 from .rings import MonomialIdeal, _integer
 
 
@@ -89,11 +89,8 @@ def _fiber_table(fiber: Subquotient) -> tuple:
 
 
 def _axis_of(I: MonomialIdeal, Z, what: str) -> frozenset:
-    """Z, the y-block by default, after refusing the zero module S/S; a
-    given Z is checked by `RingSpec.axis`."""
-    if I.is_unit:
-        raise UnitIdeal(f"{what} of the zero module")
-    return I.ring.y_block() if Z is None else I.ring.axis(Z)
+    """Z, the y-block by default, read by `invariants._quotient_axis`."""
+    return _quotient_axis(I, I.ring.y_block() if Z is None else Z, what)
 
 
 def lc_report(I: MonomialIdeal, i: int, Z=None) -> LCReport:
@@ -103,11 +100,8 @@ def lc_report(I: MonomialIdeal, i: int, Z=None) -> LCReport:
     and kept in one bounded memo (`_lc_reports`); they are immutable, so
     every caller shares them, and a repeated call returns the same object.
     """
-    i = _integer(i, "the local cohomology index")
     Z = _axis_of(I, Z, "local cohomology")
-    if not (0 <= i <= len(Z)):
-        raise PreconditionFailed(f"index {i} outside [0, {len(Z)}]")
-    return _lc_reports(I, Z)[i]
+    return _lc_reports(I, Z)[_lc_index(i, Z)]
 
 
 @lru_cache(maxsize=1024)
@@ -181,13 +175,11 @@ def growth_scan(I: MonomialIdeal, i: int, box_radii, Z=None) -> list:
     the radius nor the size of the exponents.  Radii must be nonnegative
     integers.
     """
-    i = _integer(i, "the local cohomology index")
     box_radii = [_integer(r, "a growth radius") for r in box_radii]
     if any(r < 0 for r in box_radii):
         raise ValueError(f"growth radii must be nonnegative, got {box_radii}")
     Z = _axis_of(I, Z, "growth scan")
-    if not (0 <= i <= len(Z)):
-        raise PreconditionFailed(f"index {i} outside [0, {len(Z)}]")
+    i = _lc_index(i, Z)
     N = Subquotient.cyclic(I)
 
     # (complement cells, nonzero fiber cells with their dimension) per class

@@ -1,9 +1,10 @@
 """One-line faults that the tests must catch, each with the test that kills it.
 
-Each entry names a file under `src/bigrade`, a text that occurs there exactly
-once, the text that replaces it, and the node id of a Tier-1 test that fails
-on the result.  `test_mutants.py` applies each one to a copy of the tree and
-runs that test there (opt-in: `pytest -m mutants`).  A mutant whose answers
+Each entry names a text that occurs exactly once in the modules of
+`src/bigrade`, so it names its module too, the text that replaces it, and
+the node id of a Tier-1 test that fails on the result.  `test_mutants.py`
+applies each one to a copy of the tree and runs that test there (opt-in:
+`pytest -m mutants`).  A mutant whose answers
 equal the correct code's, such as the depth-0 cap, is killed by a test that
 counts work.
 """
@@ -13,7 +14,6 @@ from typing import NamedTuple
 
 class Mutant(NamedTuple):
     name: str
-    path: str  # relative to src/bigrade
     old: str
     new: str
     killer: str  # node id of the test that fails on it
@@ -22,322 +22,276 @@ class Mutant(NamedTuple):
 MUTANTS = [
     Mutant(
         "boundary sign",
-        "homology.py",
         "mat[row][col] = (-1) ** pos",
         "mat[row][col] = 1",
         "tests/test_acceptance.py::test_criterion_4_property_suite",
     ),
     Mutant(
         "keep test of the term walk",
-        "homology.py",
         "        if miss == full:\n            levels[len(sigma)]",
         "        if True:\n            levels[len(sigma)]",
         "tests/test_acceptance.py::test_criterion_2_two_prime_intersection",
     ),
     Mutant(
         "top Koszul index in depth",
-        "homology.py",
         "[j for j, d in enumerate(dims) if d]",
         "[j for j, d in enumerate(dims[:-1]) if d]",
         "tests/test_homology.py::test_support_bound_depth_matches_box_scan_reference",
     ),
     Mutant(
         "once in ass_subquotients",
-        "homology.py",
         "once = at1 & ~at2",
         "once = at1",
         "tests/test_acceptance.py::test_criterion_1_eight_generator_example",
     ),
     Mutant(
         "cell length",
-        "homology.py",
         "end - e if end else None",
         "end - e + 1 if end else None",
         "tests/test_acceptance.py::test_criterion_2_two_prime_intersection",
     ),
     Mutant(
-        "cech_piece_dim without the integer rule on its index",
-        "homology.py",
+        "local cohomology index rule without its integer test",
         '    i = _integer(i, "the local cohomology index")\n',
         "",
         "tests/test_refusals.py::test_refusal_raises_its_class_and_message[cech_piece_dim_float_index]",
     ),
     Mutant(
         "GF(p) pivot inverse",
-        "kernels.py",
         "inv = pow(piv, -1, p)",
         "inv = piv",
         "tests/test_kernels.py::test_modp_rank_matches_gauss_jordan_oracle",
     ),
     Mutant(
         "rank without the characteristic rule",
-        "kernels.py",
         "if characteristic(char) == 0:",
         "if char == 0:",
         "tests/test_refusals.py::test_refusal_raises_its_class_and_message[rank_float_zero]",
     ),
     Mutant(
         "divisor test of the one minimality pass turned round",
-        "rings.py",
         "all(map(operator.le, v, u))",
         "all(map(operator.le, u, v))",
         "tests/test_rings.py::test_the_minimality_pass_keeps_a_repeated_monomial_once",
     ),
     Mutant(
         "restrict_ideal drops the generators supported on all of Z",
-        "homology.py",
         "if support(g) <= Z]",
         "if support(g) < Z]",
         "tests/test_homology.py::test_restrict_ideal_matches_a_box_reference",
     ),
     Mutant(
         "count of negative degrees in growth",
-        "local_cohomology.py",
         "            count *= r\n",
         "            count *= r + 1\n",
         "tests/test_local_cohomology.py::test_cell_walks_match_box_walk_reference",
     ),
     Mutant(
         "bounded cell clipped at the radius in growth",
-        "local_cohomology.py",
         "min(e + n - 1, r)",
         "(e + n - 1)",
         "tests/test_local_cohomology.py::test_cell_walks_match_box_walk_reference",
     ),
     Mutant(
         "mgrade as max",
-        "invariants.py",
-        "return ass_by_cd(I, I.ring.axis(Z))[0][0]",
-        "return ass_by_cd(I, I.ring.axis(Z))[-1][0]",
+        'return ass_by_cd(I, _quotient_axis(I, Z, "mgrade"))[0][0]',
+        'return ass_by_cd(I, _quotient_axis(I, Z, "mgrade"))[-1][0]',
         "tests/test_acceptance.py::test_criterion_1_eight_generator_example",
     ),
     Mutant(
         "classes of Ass sorted in descending order of cd",
-        "invariants.py",
         "for gamma in sorted(classes))",
         "for gamma in sorted(classes, reverse=True))",
         "tests/test_acceptance.py::test_criterion_1_eight_generator_example",
     ),
     Mutant(
         "Ass(D_i) compared with the step's own class, not the running union",
-        "filtration.py",
         "expected |= primes",
         "expected = set(primes)",
         "tests/test_filtration.py::test_ladder_shape_two_component_ideal",
     ),
     Mutant(
         "depth-0 cap",
-        "homology.py",
         "high = min(nvars - (low < nvars), len(I.gens))",
         "high = min(nvars, len(I.gens))",
         "tests/test_homology.py::test_depth_of_a_dense_draw_is_read_off_its_bounds",
     ),
     Mutant(
         "prod(lengths) in _lc_reports",
-        "local_cohomology.py",
         "sum(d * prod(lengths) for",
         "sum(d for",
         "tests/test_local_cohomology.py::test_cell_walks_match_box_walk_reference",
     ),
     Mutant(
         "bounded cell counted once, not d times, in _lc_reports",
-        "local_cohomology.py",
         "sum(d * prod(lengths) for",
         "sum(prod(lengths) for",
         "tests/test_local_cohomology.py::test_a_cell_of_dimension_two_counts_twice_per_degree",
     ),
     Mutant(
         "witness taken from the last -1 cell in _lc_reports",
-        "local_cohomology.py",
         "in column if None in lengths",
         "in column[::-1] if None in lengths",
         "tests/test_local_cohomology.py::test_cell_walks_match_box_walk_reference",
     ),
     Mutant(
         "growth reads the column of the index below",
-        "local_cohomology.py",
         "_fiber_table(fc.fiber)[i])",
         "_fiber_table(fc.fiber)[i - 1])",
         "tests/test_local_cohomology.py::test_cell_walks_match_box_walk_reference",
     ),
     Mutant(
         "fiber table column keeps its zero cells",
-        "local_cohomology.py",
         "            if d:\n                column.append",
         "            if True:\n                column.append",
         "tests/test_homology.py::test_fiber_tables_match_a_cech_complex_per_cell",
     ),
     Mutant(
         "report total summed without n_single",
-        "local_cohomology.py",
         "sum(e.n_single * e.total_dim for e in per_fiber)",
         "sum(e.total_dim for e in per_fiber)",
         "tests/test_local_cohomology.py::test_cell_walks_match_box_walk_reference",
     ),
     Mutant(
         "depth stop",
-        "homology.py",
         "if support <= projdim or projdim == high:",
         "if support <= projdim + 1 or projdim == high:",
         "tests/test_homology.py::test_support_bound_depth_matches_box_scan_reference",
     ),
     Mutant(
         "mod-p reduction",
-        "kernels.py",
         "_eliminate([[x % p for x in row] for row",
         "_eliminate([[x for x in row] for row",
         "tests/test_kernels.py::test_modp_rank_matches_gauss_jordan_oracle",
     ),
     Mutant(
         "Bareiss rescale of rows with a 0 in the pivot column",
-        "kernels.py",
         "elif piv != prev:",
         "elif False:",
         "tests/test_kernels.py::test_ranks_match_the_oracles_on_seeded_draws",
     ),
     Mutant(
         "row update of the other characteristic",
-        "kernels.py",
         "        if p:\n",
         "        if not p:\n",
         "tests/test_kernels.py::test_ranks_match_the_oracles_on_seeded_draws",
     ),
     Mutant(
         "composite characteristic accepted",
-        "rings.py",
         " or (char > 1 and not _is_prime(char))",
         "",
         "tests/test_refusals.py::test_refusal_raises_its_class_and_message",
     ),
     Mutant(
         "J' bitset of a cell holds every generator of J'",
-        "homology.py",
         "return jin, ((1 << len(N.Jp.gens)) - 1) ^ miss",
         "return jin, (1 << len(N.Jp.gens)) - 1",
         "tests/test_acceptance.py::test_criterion_1_eight_generator_example",
     ),
     Mutant(
         "cell fold drops the J' rows of every coordinate but the last",
-        "homology.py",
         "        miss |= m\n",
         "        miss = m\n",
         "tests/test_homology.py::test_cell_bitsets_match_a_scan_of_the_generators",
     ),
     Mutant(
         "J row of a bounded cell taken from the cell below",
-        "homology.py",
         "_corner_row(N.J.gens, N.Jp, k, e)[:2]",
         "(_corner_row(N.J.gens, N.Jp, k, e - 1)[0], _corner_row(N.J.gens, N.Jp, k, e)[1])",
         "tests/test_homology.py::test_cell_bitsets_match_a_scan_of_the_generators",
     ),
     Mutant(
         "Cech table given the rows of the next cell",
-        "homology.py",
         "product(*([cell[i] for cell in axis] for axis in axes)) for i in range(3)",
         "product(*([cell[i] for cell in axis[i // 2:] + axis[:i // 2]] for axis in axes)) for i in range(3)",
         "tests/test_homology.py::test_fiber_tables_match_a_cech_complex_per_cell",
     ),
     Mutant(
         "per-ideal block test at a leaf of the Ass walk",
-        "homology.py",
         "if jin & block:",
         "if jin:",
         "tests/test_local_cohomology.py::test_one_walk_gives_the_ass_of_every_ladder_step",
     ),
     Mutant(
         "keep test of the pure-power meet",
-        "rings.py",
         "inside = any(g[i] >= a[i] for i in rad)",
         "inside = any(g[i] > a[i] for i in rad)",
         "tests/test_rings.py::test_a_pure_power_meet_is_the_intersection",
     ),
     Mutant(
         "ladder level met with the class one below",
-        "filtration.py",
         "reversed(classes[1:])",
         "reversed(classes[:-1])",
         "tests/test_filtration.py::test_the_chain_of_meets_gives_the_intersection_of_the_higher_components",
     ),
     Mutant(
         "keep test of growth on no axis",
-        "local_cohomology.py",
         "if not cell_bitsets(N, rows)[1]]",
         "if True]",
         "tests/test_cli.py::test_growth_and_filtration_answer_on_an_empty_axis",
     ),
     Mutant(
         "report writer keeps the keys in insertion order",
-        "cli.py",
         "for k in sorted(value)]",
         "for k in value]",
         "tests/test_cli.py::test_the_writer_gives_the_bytes_of_json_dumps",
     ),
     Mutant(
         "report writer without its empty-list case",
-        "cli.py",
         'if not value:\n            return "[]"',
         'if False:\n            return "[]"',
         "tests/test_cli.py::test_the_writer_gives_the_bytes_of_json_dumps",
     ),
     Mutant(
         "report writer escapes strings by repr",
-        "cli.py",
         "_quote = json.encoder.encode_basestring_ascii",
         "_quote = repr",
         "tests/test_cli.py::test_the_writer_gives_the_bytes_of_json_dumps",
     ),
     Mutant(
         "seqCM verdict read off the last ladder step",
-        "filtration.py",
         "verdict = verdict and g == c",
         "verdict = g == c",
         "tests/test_filtration.py::test_a_step_that_is_not_cm_makes_the_seqcm_verdict_false",
     ),
     Mutant(
         "token route without the choices check",
-        "cli.py",
         "if action.choices is not None and not all(",
         "if False and not all(",
         "tests/test_cli.py::test_the_token_route_matches_the_whole_tree_on_seeded_draws",
     ),
     Mutant(
         "token route without the type call",
-        "cli.py",
         "s if action.type is None else action.type(s)",
         "s",
         "tests/test_cli.py::test_the_token_route_matches_the_whole_tree_on_seeded_draws",
     ),
     Mutant(
         "token route without the required-option check",
-        "cli.py",
         "            if action.required:\n                return None",
         "            if False:\n                return None",
         "tests/test_cli.py::test_the_token_route_matches_the_whole_tree_on_seeded_draws",
     ),
     Mutant(
         "cell product refused past the bound no more",
-        "homology.py",
         "    if cells > MAX_CELLS:\n",
         "    if False:\n",
         "tests/test_refusals.py::test_a_cell_product_past_the_bound_exits_3_before_it_is_built",
     ),
     Mutant(
         "cell fold keeps only the J' generators every coordinate misses",
-        "homology.py",
         "miss |= m",
         "miss &= m",
         "tests/test_homology.py::test_cell_bitsets_match_a_scan_of_the_generators",
     ),
     Mutant(
         "Cech table walked past the bound",
-        "homology.py",
         "if cells > MAX_CELLS:",
         "if cells > MAX_CELLS and not cech:",
         "tests/test_refusals.py::test_a_cech_table_at_the_bound_is_not_refused",
     ),
     Mutant(
         "Ass check run at index 0 too",
-        "suite.py",
         "for j, _ in ass_by_cd(I, Z) if j)",
         "for j, _ in ass_by_cd(I, Z))",
         "tests/test_acceptance.py::test_criterion_4_property_suite",
@@ -346,30 +300,57 @@ MUTANTS = [
     # with that check removed
     Mutant(
         "top local cohomology index reported finitely generated",
-        "local_cohomology.py",
         "finitely_generated=fin_gen,",
         "finitely_generated=fin_gen or i == len(Z),",
         "tests/test_acceptance.py::test_criterion_4_property_suite",
     ),
     Mutant(
         "--axis default P in the subcommand table",
-        "cli.py",
         'default="Q"',
         'default="P"',
         "tests/test_cli.py::test_every_subcommand_keeps_its_arguments",
     ),
     Mutant(
         "monomial rule without its nonnegative test",
-        "rings.py",
         "    if min(u) < 0:\n",
         "    if False:\n",
         "tests/test_refusals.py::test_refusal_raises_its_class_and_message[colon_negative]",
     ),
     Mutant(
         "Ass grouped by cd without its memo",
-        "invariants.py",
         "@lru_cache(maxsize=256)\ndef ass_by_cd(",
         "def ass_by_cd(",
         "tests/test_memo.py::test_ass_by_cd_is_grouped_once_per_ideal_and_axis",
+    ),
+    Mutant(
+        "local cohomology index rule without the top index",
+        "if not 0 <= i <= len(Z):",
+        "if not 0 <= i < len(Z):",
+        "tests/test_homology.py::test_cech_point_and_free_modules",
+    ),
+    # S/S then reaches the decomposition, which words its own refusal
+    Mutant(
+        "S/S-and-axis rule without its unit check",
+        '    if I.is_unit:\n        raise UnitIdeal(f"{what} of the zero module")\n',
+        "",
+        "tests/test_refusals.py::test_refusal_raises_its_class_and_message[mgrade_constancy]",
+    ),
+    Mutant(
+        "factor bidegree without the integer rule",
+        '            a, b = _integer(a, "a factor degree"), _integer(b, "a factor degree")\n',
+        "",
+        "tests/test_refusals.py::test_refusal_raises_its_class_and_message[FactorProfile_float]",
+    ),
+    Mutant(
+        "variable range of parse_term from 0",
+        "if not 1 <= idx <= size:",
+        "if not 0 <= idx <= size:",
+        "tests/test_hypersurface.py::test_parse_profile",
+    ),
+    Mutant(
+        "decomposition tests containment without the support pre-test",
+        "not m & ~mask and ",
+        "",
+        "tests/test_rings.py::test_decomposition_cost_follows_the_components",
     ),
 ]

@@ -4,6 +4,11 @@ All checks are exact equalities; runtime budgets are asserted with a wall
 clock.  The frozen expected values come from two independent routes: hand
 computation on the worked examples and the brute-force oracle in
 `bruteforce.py`.
+
+The paper's two worked examples, the eight-generator ideal `EIGHT_GEN` and
+the two-prime intersection `two_prime_ideal`, are defined here once, with
+the generator helper `ideal`, and imported by every test module that uses
+them.
 """
 
 import random
@@ -20,9 +25,21 @@ from bigrade.invariants import analyze, cd, grade, ordinary_depth
 from bigrade.rings import RingSpec, associated_primes, intersect, minimal_generators
 from bigrade.suite import random_ideal, run_property_suite
 
-EX_A = """ring 2 4
+EIGHT_GEN = """ring 2 4
 gens: x1*x2, x1*y3, x1*y4, x2*y1, y1*y3, y1*y4, y2*y4, y2*y3
 """
+
+
+def ideal(ring, *gens):
+    return minimal_generators(ring, gens)
+
+
+def two_prime_ideal():
+    """(x1,y1,y2) cap (x2,y3,y4) in K[x1,x2;y1..y4]."""
+    r = RingSpec(2, 4)
+    i1 = ideal(r, (1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0))
+    i2 = ideal(r, (0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1))
+    return r, intersect(i1, i2)
 
 
 def _verdict(name, started, budget):
@@ -33,7 +50,7 @@ def _verdict(name, started, budget):
 
 def test_criterion_1_eight_generator_example():
     t0 = time.monotonic()
-    ring, I = bg.parse_ideal_text(EX_A)
+    ring, I = bg.parse_ideal_text(EIGHT_GEN)
     names = {
         frozenset(ring.var_name(i) for i in p) for p in associated_primes(I)
     }
@@ -49,20 +66,9 @@ def test_criterion_1_eight_generator_example():
     _verdict("1 eight-generator example", t0, 5)
 
 
-def _two_plane_intersection():
-    r = RingSpec(2, 4)
-    i1 = minimal_generators(
-        r, [(1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0)]
-    )
-    i2 = minimal_generators(
-        r, [(0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)]
-    )
-    return r, intersect(i1, i2)
-
-
 def test_criterion_2_two_prime_intersection():
     t0 = time.monotonic()
-    ring, I = _two_plane_intersection()
+    ring, I = two_prime_ideal()
     rep = analyze(I, ring.y_block())
     assert (rep.grade, rep.mgrade, rep.cd) == (1, 2, 2)
     h0 = bg.lc_report(I, 0)
@@ -150,7 +156,7 @@ def test_criterion_6_hypersurface_exhaustive():
 def test_criterion_7_determinism(tmp_path, capsys):
     t0 = time.monotonic()
     path = tmp_path / "a.ideal"
-    path.write_text(EX_A)
+    path.write_text(EIGHT_GEN)
     outputs = []
     for _ in range(3):
         code = cli_main(["analyze", str(path)])
@@ -159,7 +165,7 @@ def test_criterion_7_determinism(tmp_path, capsys):
     assert outputs[0] == outputs[1] == outputs[2]
 
     # canonical form is independent of generator order
-    ring, I = bg.parse_ideal_text(EX_A)
+    ring, I = bg.parse_ideal_text(EIGHT_GEN)
     shuffled = list(I.gens)
     rng = random.Random(9)
     for _ in range(10):

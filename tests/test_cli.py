@@ -16,12 +16,10 @@ import bigrade
 from bigrade import cli, homology
 from bigrade.cli import main
 from bigrade.errors import ParseError
+from test_acceptance import EIGHT_GEN
 
-SAMPLE = """ring 2 4
-gens: x1*x2, x1*y3, x1*y4, x2*y1, y1*y3, y1*y4, y2*y4, y2*y3
-"""
 
-# one success run of each subcommand; "{sample}" stands for the SAMPLE file
+# one success run of each subcommand; "{sample}" stands for the EIGHT_GEN file
 COMMANDS = [
     ("analyze", "{sample}"),
     ("decompose", "{sample}"),
@@ -41,7 +39,7 @@ AXIS_COMMANDS = ("analyze", "filtration", "seqcm", "lc", "gencm", "growth")
 @pytest.fixture
 def sample_file(tmp_path):
     p = tmp_path / "sample.ideal"
-    p.write_text(SAMPLE)
+    p.write_text(EIGHT_GEN)
     return str(p)
 
 
@@ -329,7 +327,7 @@ def test_internal_check_failure_is_reported_with_its_input(sample_file, capsys, 
     error = json.loads(out)["error"]
     head, canonical = error.split("\n", 1)
     assert head == "internal: invariant chain violated; input ideal:"
-    assert parse_ideal_text(canonical) == parse_ideal_text(SAMPLE)
+    assert parse_ideal_text(canonical) == parse_ideal_text(EIGHT_GEN)
 
 
 def test_a_faulted_fiber_is_named_apart_from_the_input_ideal(tmp_path, capsys, monkeypatch):
@@ -362,7 +360,7 @@ def test_depth_outside_grade_and_dim_exits_internal(sample_file, capsys, monkeyp
     from bigrade import invariants
     from bigrade.io_formats import parse_ideal_text
 
-    ring, _ = parse_ideal_text(SAMPLE)
+    ring, _ = parse_ideal_text(EIGHT_GEN)
     depth = invariants.depth_module
 
     def wrong(N, Z):

@@ -28,11 +28,7 @@ from bigrade.rings import (
 )
 from bigrade.suite import random_ideal
 from bruteforce import bf_grade_cd, bf_subquotient_grade_cd
-
-EIGHT_GEN = """
-ring 2 4
-gens: x1*x2, x1*y3, x1*y4, x2*y1, y1*y3, y1*y4, y2*y4, y2*y3
-"""
+from test_acceptance import EIGHT_GEN
 
 
 def test_ladder_shape_two_component_ideal():

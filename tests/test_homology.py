@@ -40,13 +40,10 @@ from bigrade.rings import (
     var_power,
     zero_ideal,
 )
+from test_acceptance import ideal
 
 R11 = RingSpec(1, 1)
 RY2 = RingSpec(0, 2)
-
-
-def ideal(ring, *gens):
-    return minimal_generators(ring, gens)
 
 
 def test_subquotient_validation():

@@ -17,19 +17,8 @@ from bigrade.invariants import (
     tensor_verdict,
 )
 from bigrade.local_cohomology import growth_scan, lc_report
-from bigrade.rings import RingSpec, intersect, minimal_generators, unit_ideal, var_power, zero_ideal
-
-
-def ideal(ring, *gens):
-    return minimal_generators(ring, gens)
-
-
-def two_prime_ideal():
-    """(x1,y1,y2) cap (x2,y3,y4) in K[x1,x2;y1..y4]."""
-    r = RingSpec(2, 4)
-    i1 = ideal(r, (1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0))
-    i2 = ideal(r, (0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1))
-    return r, intersect(i1, i2)
+from bigrade.rings import RingSpec, minimal_generators, unit_ideal, var_power, zero_ideal
+from test_acceptance import ideal, two_prime_ideal
 
 
 def test_fibers_merge_and_flag_families():

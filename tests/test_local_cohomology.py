@@ -37,24 +37,9 @@ from bigrade.rings import (
     zero_ideal,
 )
 from bigrade.suite import random_ideal
+from test_acceptance import EIGHT_GEN, two_prime_ideal
 from test_closed_forms import FAMILIES, edge_ideal, one_generator
 from test_field_dependence import RP2_16
-
-EIGHT_GEN = """
-ring 2 4
-gens: x1*x2, x1*y3, x1*y4, x2*y1, y1*y3, y1*y4, y2*y4, y2*y3
-"""
-
-
-def two_prime_ideal():
-    r = RingSpec(2, 4)
-    i1 = minimal_generators(
-        r, [(1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0)]
-    )
-    i2 = minimal_generators(
-        r, [(0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)]
-    )
-    return r, intersect(i1, i2)
 
 
 def test_two_prime_reports():

@@ -37,10 +37,7 @@ from bigrade.rings import (
     zero_ideal,
 )
 from bigrade.suite import check_instance, random_ideal
-
-SAMPLE = """ring 2 4
-gens: x1*x2, x1*y3, x1*y4, x2*y1, y1*y3, y1*y4, y2*y4, y2*y3
-"""
+from test_acceptance import EIGHT_GEN
 
 
 def _outcome(query):
@@ -88,7 +85,7 @@ def test_warm_answers_equal_cold_answers():
 
 
 def test_mutating_results_does_not_poison_the_memos():
-    ring, I = parse_ideal_text(SAMPLE)
+    ring, I = parse_ideal_text(EIGHT_GEN)
     N = Subquotient.cyclic(I)
     for query in (
         lambda: irreducible_decomposition(I),
@@ -107,7 +104,7 @@ def test_analyze_decomposes_each_ideal_once():
     # analyze used to decompose I three times: for mgrade, for dim via the
     # minimal primes, and for the witness prime
     memo = rings._decomposition
-    ring, I = parse_ideal_text(SAMPLE)
+    ring, I = parse_ideal_text(EIGHT_GEN)
     analyze(I, ring.y_block())
     misses = memo.cache_info().misses
     assert misses == memo.cache_info().currsize >= 1
@@ -138,7 +135,7 @@ def test_ass_dim_and_mgrade_build_no_component_object(record):
 
 
 def test_one_cyclic_module_per_ideal():
-    ring, I = parse_ideal_text(SAMPLE)
+    ring, I = parse_ideal_text(EIGHT_GEN)
     bigrade.clear_caches()
     first = Subquotient.cyclic(I)
     assert Subquotient.cyclic(I) is first
@@ -159,7 +156,7 @@ def test_a_failed_cd_is_not_memoized(monkeypatch):
         return body(I) + 1
 
     monkeypatch.setattr(invariants, "dim_quotient", off_by_one)
-    ring, I = parse_ideal_text(SAMPLE)
+    ring, I = parse_ideal_text(EIGHT_GEN)
     N = Subquotient.cyclic(I)
     for _ in range(2):
         with pytest.raises(InternalCheckFailed, match="cd mismatch"):
@@ -170,7 +167,7 @@ def test_a_failed_cd_is_not_memoized(monkeypatch):
 def test_cd_is_computed_once_per_module_and_axis(record):
     memo = invariants._cd
     calls = record(invariants, "_cd")
-    ring, I = parse_ideal_text(SAMPLE)
+    ring, I = parse_ideal_text(EIGHT_GEN)
     for Z in (ring.x_block(), ring.y_block()):
         analyze(I, Z)
         generalized_cm(I, Z)
@@ -225,7 +222,7 @@ def _size(memo) -> int:
 
 
 def test_clear_caches_empties_every_memo(tmp_path):
-    ring, I = parse_ideal_text(SAMPLE)
+    ring, I = parse_ideal_text(EIGHT_GEN)
     Z = ring.y_block()
     analyze(I, Z)
     dimension_filtration(I, Z)
@@ -233,7 +230,7 @@ def test_clear_caches_empties_every_memo(tmp_path):
     lc_report(I, 1, Z)
     growth_scan(I, 1, [0, 1], Z)
     path = tmp_path / "sample.ideal"
-    path.write_text(SAMPLE)
+    path.write_text(EIGHT_GEN)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["render", str(path)]) == 0
         assert cli.main(["render", "--char", "7", str(path)]) == 0  # fills the primality memo
@@ -297,7 +294,7 @@ def test_equal_values_built_by_different_routes_hash_equal():
 
 
 def test_copies_equal_their_original_and_hit_its_memo_entry():
-    ring, I = parse_ideal_text(SAMPLE)
+    ring, I = parse_ideal_text(EIGHT_GEN)
     Z = ring.y_block()
     N = Subquotient.cyclic(I)
     bigrade.clear_caches()
@@ -325,7 +322,7 @@ def test_building_modules_and_fibers_compares_no_rings_by_value(record):
     # by identity first, so rings shared by reference are never compared field
     # by field
     calls = record(RingSpec, "__eq__")
-    ring, I = parse_ideal_text(SAMPLE)
+    ring, I = parse_ideal_text(EIGHT_GEN)
     N = Subquotient.cyclic(I)
     for Z in (ring.x_block(), ring.y_block()):
         assert fibers(N, Z)
@@ -344,7 +341,7 @@ def test_a_submodule_outside_a_non_unit_J_is_refused():
 
 def test_a_cyclic_module_makes_no_containment_scan(record):
     calls = record(MonomialIdeal, "contains_ideal")
-    ring, I = parse_ideal_text(SAMPLE)
+    ring, I = parse_ideal_text(EIGHT_GEN)
     bigrade.clear_caches()
     # within one memo lifetime the same object, across clear_caches a new one;
     # neither build scans J' against the unit J
@@ -362,17 +359,17 @@ def test_a_cyclic_module_makes_no_containment_scan(record):
 def test_equal_texts_parse_to_the_same_ring_and_ideal():
     # the parse memo is keyed on the text: a second parse of an equal string
     # in one memo lifetime returns the first parse's objects
-    ring, I = parse_ideal_text(SAMPLE)
-    again = parse_ideal_text("".join(list(SAMPLE)))
+    ring, I = parse_ideal_text(EIGHT_GEN)
+    again = parse_ideal_text("".join(list(EIGHT_GEN)))
     assert again[0] is ring and again[1] is I
     bigrade.clear_caches()
-    cold = parse_ideal_text(SAMPLE)
+    cold = parse_ideal_text(EIGHT_GEN)
     assert cold == (ring, I) and cold[1] is not I
 
 
 def test_the_same_text_over_two_characteristics_gives_two_rings():
-    ring0, I0 = parse_ideal_text(SAMPLE, char=0)
-    ring2, I2 = parse_ideal_text(SAMPLE, char=2)
+    ring0, I0 = parse_ideal_text(EIGHT_GEN, char=0)
+    ring2, I2 = parse_ideal_text(EIGHT_GEN, char=2)
     assert (ring0.char, ring2.char) == (0, 2)
     assert ring0 is not ring2 and I0.ring is ring0 and I2.ring is ring2
 

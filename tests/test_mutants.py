@@ -30,10 +30,11 @@ SKIP = shutil.ignore_patterns(
 def test_mutant_is_killed(tmp_path, mutant):
     tree = tmp_path / "tree"
     shutil.copytree(ROOT, tree, ignore=SKIP)
-    path = tree / "src" / "bigrade" / mutant.path
-    text = path.read_text()
-    assert text.count(mutant.old) == 1, f"{mutant.old!r} is not one text of {mutant.path}"
-    path.write_text(text.replace(mutant.old, mutant.new))
+    texts = {path: path.read_text() for path in (tree / "src" / "bigrade").glob("*.py")}
+    counts = {path: text.count(mutant.old) for path, text in texts.items() if mutant.old in text}
+    assert list(counts.values()) == [1], f"{mutant.old!r} is not one text of src/bigrade"
+    (path,) = counts
+    path.write_text(texts[path].replace(mutant.old, mutant.new))
 
     def run_pytest(*args):
         return subprocess.run(

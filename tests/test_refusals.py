@@ -12,9 +12,17 @@ import pytest
 
 import bigrade
 from bigrade import homology, kernels
-from bigrade.errors import DimensionMismatch, InternalCheckFailed, PreconditionFailed, RingMismatch, UnitIdeal
+from bigrade.errors import (
+    BadProfile,
+    DimensionMismatch,
+    InternalCheckFailed,
+    PreconditionFailed,
+    RingMismatch,
+    UnitIdeal,
+)
 from bigrade.filtration import mgrade_constancy, sequentially_cm
 from bigrade.homology import Subquotient, cech_piece_dim
+from bigrade.hypersurface import FactorProfile, profile_of_monomial
 from bigrade.invariants import InvariantReport, analyze, fibers, ordinary_depth, tensor_verdict
 from bigrade.io_formats import render_ideal
 from bigrade.local_cohomology import (
@@ -162,6 +170,27 @@ REFUSALS = {
         lambda: cech_piece_dim(Subquotient.cyclic(zero_ideal(R11)), R11.y_block(), "1", (0, -1)),
         ValueError,
         "the local cohomology index must be an integer, got '1'",
+    ),
+    # a factor bidegree is a pair of integers, read by RingSpec's integer rule
+    "FactorProfile_float": (
+        lambda: FactorProfile(((0.5, 0.5),)),
+        ValueError,
+        "a factor degree must be an integer, got 0.5",
+    ),
+    "FactorProfile_string": (
+        lambda: FactorProfile((("1", 0),)),
+        ValueError,
+        "a factor degree must be an integer, got '1'",
+    ),
+    "FactorProfile_triple": (
+        lambda: FactorProfile(((1, 0, 2),)),
+        BadProfile,
+        "factor (1, 0, 2) is not a bidegree pair (a, b)",
+    ),
+    "profile_of_monomial_float": (
+        lambda: profile_of_monomial(R11, (1.0, 2)),
+        ValueError,
+        "a factor degree must be an integer, got 1.0",
     ),
 }
 

@@ -15,12 +15,8 @@ from bigrade.io_formats import parse_ideal_text
 from bigrade.local_cohomology import corollary_check
 from bigrade.rings import RingSpec, minimal_generators, zero_ideal
 from bigrade.suite import check_instance, run_property_suite
-
 # grade 1 and not generalized CM, so the gencm triple does not run
-EIGHT_GEN = """
-ring 2 4
-gens: x1*x2, x1*y3, x1*y4, x2*y1, y1*y3, y1*y4, y2*y4, y2*y3
-"""
+from test_acceptance import EIGHT_GEN
 
 
 def test_check_instance_builds_the_ladder_once(record):
