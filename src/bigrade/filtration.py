@@ -18,13 +18,7 @@ from functools import lru_cache
 from .errors import InternalCheckFailed
 from .homology import Subquotient, ass_subquotient, ass_subquotients
 from .invariants import _quotient_axis, ass_by_cd, cd, cd_prime, grade
-from .rings import (
-    MonomialIdeal,
-    _decomposition,
-    associated_primes,
-    intersect_pure_powers,
-    unit_ideal,
-)
+from .rings import MonomialIdeal, associated_primes, meet_components, unit_ideal
 
 
 @dataclass(frozen=True)
@@ -64,18 +58,13 @@ def _ladder(I: MonomialIdeal, Z: frozenset) -> FiltrationLadder:
     irreducible components of I whose radical has cd above gamma_i, so
     J_r = S and J_(i-1) is J_i met with the components whose radical is in
     the class of gamma_i.  The ladder is built as that one chain, from S
-    down, on the (exponent vector, radical) pairs of the decomposition memo:
-    each component is met once (`intersect_pure_powers`), and J_0 is I itself.
+    down, one `rings.meet_components` call per class, so each component is
+    met once; J_0 is I itself.
     """
     classes = ass_by_cd(I, Z)
-    comps = _decomposition(I)
     ideals = [unit_ideal(I.ring)]
     for _, primes in reversed(classes[1:]):
-        J = ideals[-1]
-        for a, rad in comps:
-            if rad in primes:
-                J = intersect_pure_powers(J, a, rad)
-        ideals.append(J)
+        ideals.append(meet_components(ideals[-1], I, primes))
     ideals = [I] + ideals[::-1]
 
     for lower, upper in zip(ideals, ideals[1:]):

@@ -304,11 +304,15 @@ def intersect_all(ideals) -> MonomialIdeal:
 def intersect_pure_powers(I: MonomialIdeal, a: Monomial, rad) -> MonomialIdeal:
     """I cap (x_i^{a_i} : i in rad): I met with a component of `_decomposition`.
 
-    lcm(g, x_i^{a_i}) is g with g_i raised to a_i.  So a generator g with
-    g_i >= a_i for some i in rad lies in the component and stays as it is
-    (its other lcms are its multiples), and any other g gives one monomial
-    per i in rad.  The filtration ladder is one chain of these meets.
+    The package's one construction of a component ideal.  As in `intersect`,
+    S met with the component is the component itself, built here from its
+    sorted pure powers with no canonical-form pass.  Otherwise lcm(g,
+    x_i^{a_i}) is g with g_i raised to a_i, so a generator g with g_i >= a_i
+    for some i in rad lies in the component and stays as it is (its other
+    lcms are its multiples), and any other g gives one monomial per i in rad.
     """
+    if I.is_unit:
+        return MonomialIdeal(I.ring, tuple(sorted(var_power(I.ring, i, a[i]) for i in rad)))
     raw = []
     for g in I.gens:
         inside = any(g[i] >= a[i] for i in rad)
@@ -358,9 +362,9 @@ def irreducible_decomposition(I: MonomialIdeal) -> list:
     dropped.  The decomposition is unique, so it is computed once per ideal
     and kept in a bounded memo (`_decomposition`) as exponent vectors and
     radicals.  Each call builds a fresh list of `PrimaryComponent` objects
-    from it, sorted by generator tuple; `associated_primes` and the
-    filtration ladder (`intersect_pure_powers`) read the memo without
-    building any.
+    from it, each component met from S (`intersect_pure_powers`), sorted by
+    generator tuple; `associated_primes` and `meet_components` read the memo
+    without building any.
 
     The zero ideal is the irreducible monomial ideal with no pure powers, so
     its decomposition is the one empty component PrimaryComponent((0), {}):
@@ -368,11 +372,8 @@ def irreducible_decomposition(I: MonomialIdeal) -> list:
     """
     if I.is_unit:
         raise UnitIdeal("unit ideal has no decomposition")
-    ring = I.ring
-    comps = []
-    for a, rad in _decomposition(I):
-        powers = tuple(sorted(var_power(ring, i, a[i]) for i in rad))
-        comps.append(PrimaryComponent(MonomialIdeal(ring, powers), rad))
+    S = unit_ideal(I.ring)
+    comps = [PrimaryComponent(intersect_pure_powers(S, a, rad), rad) for a, rad in _decomposition(I)]
     return sorted(comps, key=lambda pc: pc.component.gens)
 
 
@@ -413,6 +414,20 @@ def _decomposition(I: MonomialIdeal) -> tuple:
     return tuple((a, support(a)) for a in comps)
 
 
+def meet_components(J: MonomialIdeal, I: MonomialIdeal, radicals) -> MonomialIdeal:
+    """J met with each irreducible component of I whose radical is in `radicals`.
+
+    Reads the decomposition memo (`_decomposition`) and meets each such
+    component once (`intersect_pure_powers`), building no component object.
+    The filtration ladder meets one cd class per step, and
+    `primary_decomposition` one radical from S.
+    """
+    for a, rad in _decomposition(I):
+        if rad in radicals:
+            J = intersect_pure_powers(J, a, rad)
+    return J
+
+
 def associated_primes(I: MonomialIdeal) -> set:
     """Ass(S/I) as a set of variable-index frozensets; {frozenset()} for I = 0.
 
@@ -426,15 +441,16 @@ def associated_primes(I: MonomialIdeal) -> set:
 
 
 def primary_decomposition(I: MonomialIdeal) -> list:
-    """Irredundant primary decomposition: intersect irreducible components per radical."""
-    comps = irreducible_decomposition(I)
-    by_radical = {}
-    for pc in comps:
-        by_radical.setdefault(pc.radical, []).append(pc.component)
-    out = []
-    for rad in sorted(by_radical, key=sorted):
-        out.append(PrimaryComponent(intersect_all(by_radical[rad]), rad))
-    return out
+    """Irredundant primary decomposition, one component per associated prime.
+
+    Per prime, in sorted order, the component is the meet from S of the
+    irreducible components with that radical (`meet_components`).
+    """
+    if I.is_unit:
+        raise UnitIdeal("unit ideal has no decomposition")
+    S = unit_ideal(I.ring)
+    radicals = sorted(associated_primes(I), key=sorted)
+    return [PrimaryComponent(meet_components(S, I, {rad}), rad) for rad in radicals]
 
 
 def dim_quotient(I: MonomialIdeal) -> int:

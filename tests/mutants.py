@@ -353,4 +353,22 @@ MUTANTS = [
         "",
         "tests/test_rings.py::test_decomposition_cost_follows_the_components",
     ),
+    Mutant(
+        "meet_components without its radical filter",
+        "        if rad in radicals:\n",
+        "        if True:\n",
+        "tests/test_rings.py::test_each_primary_component_meets_the_irreducible_components_of_its_radical",
+    ),
+    Mutant(
+        "the meet of S with a component returns S",
+        "return MonomialIdeal(I.ring, tuple(sorted(var_power(I.ring, i, a[i]) for i in rad)))",
+        "return I",
+        "tests/test_rings.py::test_a_pure_power_meet_is_the_intersection",
+    ),
+    Mutant(
+        "primary component met from the previous radical's component, not from S",
+        "meet_components(S, I, {rad})",
+        "(S := meet_components(S, I, {rad}))",
+        "tests/test_rings.py::test_each_primary_component_meets_the_irreducible_components_of_its_radical",
+    ),
 ]

@@ -63,6 +63,7 @@ def test_criterion_1_eight_generator_example():
     assert (rep.grade, rep.mgrade) == (1, 1)
     assert rep.maximal_depth is True
     assert bg.sequentially_cm(I, ring.y_block())["verdict"] is False
+    assert bg.generalized_cm(I) is False
     _verdict("1 eight-generator example", t0, 5)
 
 
@@ -75,6 +76,9 @@ def test_criterion_2_two_prime_intersection():
     assert h0.finitely_generated and h0.total_dim == 0
     h1 = bg.lc_report(I, 1)
     assert h1.finitely_generated and h1.total_dim == 1
+    h2 = bg.lc_report(I, 2)
+    assert not h2.finitely_generated and h2.total_dim is None
+    assert any(e.witness_degree is not None for e in h2.per_fiber)
     assert bg.generalized_cm(I) is True
     triple = bg.corollary_check(I)
     assert triple == {"max_depth": False, "seq_cm": False, "cm_wrt_Q": False}

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 import bigrade
-from bigrade import filtration, homology
+from bigrade import filtration, homology, rings
 from bigrade.invariants import analyze
 from bigrade.cli import main
 from bigrade.errors import UnitIdeal
@@ -92,8 +92,9 @@ def test_filtration_then_seqcm_builds_one_ladder(tmp_path, record):
 
 def test_the_chain_of_meets_gives_the_intersection_of_the_higher_components(record):
     # J_i is the intersection of the irreducible components with cd above
-    # gamma_i, and the chain meets each component above gamma_1 once
-    meets = record(filtration, "intersect_pure_powers")
+    # gamma_i, and the chain meets each component above gamma_1 once; the
+    # reference components are built first, as they too are met in rings
+    meets = record(rings, "intersect_pure_powers")
     ring, I = parse_ideal_text(EIGHT_GEN)
     cases = [(I, ring.x_block()), (I, ring.y_block()), (I, ring.all_vars())]
     rnd = random.Random(20261028)
@@ -105,9 +106,9 @@ def test_the_chain_of_meets_gives_the_intersection_of_the_higher_components(reco
     levels = Counter()
     for I, Z in cases:
         bigrade.clear_caches()
+        comps = irreducible_decomposition(I)
         meets.clear()
         ladder = dimension_filtration(I, Z)
-        comps = irreducible_decomposition(I)
         for J, gamma in ladder.steps:
             higher = [pc.component for pc in comps if cd_prime(pc.radical, Z) > gamma]
             assert J == (intersect_all(higher) if higher else unit_ideal(I.ring)), (str(I), sorted(Z))

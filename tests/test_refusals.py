@@ -38,6 +38,7 @@ from bigrade.rings import (
     intersect,
     intersect_all,
     minimal_generators,
+    primary_decomposition,
     unit_ideal,
     zero_ideal,
 )
@@ -74,6 +75,11 @@ REFUSALS = {
         "filtration of the zero module",
     ),
     "dim_quotient": (lambda: dim_quotient(S), UnitIdeal, "S/S is the zero module"),
+    "primary_decomposition": (
+        lambda: primary_decomposition(S),
+        UnitIdeal,
+        "unit ideal has no decomposition",
+    ),
     "check_same_ring": (
         lambda: intersect(zero_ideal(R11), zero_ideal(R21)),
         RingMismatch,

@@ -378,6 +378,33 @@ def test_primary_groups_by_radical():
     assert len(prim) == 2
 
 
+def test_each_primary_component_meets_the_irreducible_components_of_its_radical(record):
+    # per associated prime, in sorted order, on seeded draws with (0) among
+    # them; primary_decomposition reads the decomposition memo, so it builds
+    # no irreducible list and makes no intersect_all call
+    rnd = random.Random(20261049)
+    cases = []
+    while len(cases) < 200:
+        ring = RingSpec(rnd.randint(1, 3), rnd.randint(1, 3))
+        gens = [tuple(rnd.randint(0, 3) for _ in range(ring.nvars)) for _ in range(rnd.randint(0, 5))]
+        I = minimal_generators(ring, gens)
+        if I.is_unit:
+            continue
+        comps = irreducible_decomposition(I)
+        expected = [
+            PrimaryComponent(intersect_all([pc.component for pc in comps if pc.radical == rad]), rad)
+            for rad in sorted(associated_primes(I), key=sorted)
+        ]
+        cases.append((I, expected))
+    assert any(I.is_zero for I, _ in cases)
+    assert any(len(expected) > 1 for _, expected in cases)
+    decomposed = record(rings, "irreducible_decomposition")
+    met = record(rings, "intersect_all")
+    for I, expected in cases:
+        assert primary_decomposition(I) == expected, str(I)
+    assert decomposed == met == []
+
+
 def test_dim_quotient():
     assert dim_quotient(zero_ideal(R22)) == 4
     assert dim_quotient(ideal(R22, (1, 0, 0, 0))) == 3
