@@ -42,6 +42,19 @@ from test_closed_forms import FAMILIES, edge_ideal, one_generator
 from test_field_dependence import RP2_16
 
 
+def test_two_prime_reports():
+    r, I = two_prime_ideal()
+    h0 = lc_report(I, 0)
+    assert h0.finitely_generated and h0.total_dim == 0
+
+    h1 = lc_report(I, 1)
+    assert h1.finitely_generated and h1.total_dim == 1
+
+    h2 = lc_report(I, 2)
+    assert not h2.finitely_generated and h2.total_dim is None
+    assert any(e.witness_degree is not None for e in h2.per_fiber)
+
+
 def test_fg_with_infinite_k_dimension():
     # S/(y1) = K[x1]: H^0 is the whole module, finitely generated but of
     # infinite K-dimension, so total_dim must be None while fg stays True
@@ -59,6 +72,13 @@ def test_lc_errors():
     I = minimal_generators(r, [(0, 1)])
     with pytest.raises(PreconditionFailed):
         lc_report(I, 5)
+
+
+def test_generalized_cm():
+    r, I = two_prime_ideal()
+    assert generalized_cm(I)
+    ring, J = parse_ideal_text(EIGHT_GEN)
+    assert not generalized_cm(J)
 
 
 def test_growth_two_prime():
@@ -138,6 +158,12 @@ def test_growth_reads_slice_lengths_without_a_second_cell_walk(record):
     calls = record(local_cohomology, "exponent_cells")
     assert growth_scan(I, 1, [0, 1, 2, 5], Q) == [0, 1, 2, 5]
     assert calls == []
+
+
+def test_corollary_check_two_prime():
+    r, I = two_prime_ideal()
+    triple = corollary_check(I)
+    assert triple == {"max_depth": False, "seq_cm": False, "cm_wrt_Q": False}
 
 
 def test_corollary_preconditions():
