@@ -35,10 +35,10 @@ exponent cells instead of the whole exponent box.  `exponent_cells` is the
 one walk over their product, in one form: it yields each cell with the
 `_corner_row` of each coordinate at its corner, taken once per cell of the
 coordinate by `_axis_cells`.  The Cech tables of `local_cohomology` pass
-those rows to `_term_dims`; the fiber classes of `invariants.fibers` and the
-empty-axis growth scan fold them into the generators of J and J' at or below
-the corner (`cell_bitsets`).  One bound, MAX_CELLS, refuses every product
-past it before a cell is walked.
+those rows to `_term_dims`; the fiber classes of `invariants.fibers`, on
+every axis the empty one included, fold them into the generators of J and J'
+at or below the corner (`cell_bitsets`).  One bound, MAX_CELLS, refuses
+every product past it before a cell is walked.
 `ass_subquotients` visits one corner exponent per bounded cell of J' and the
 box on each coordinate, depth first, and skips every subtree whose corners
 all lie outside every J or all inside J'; one walk answers for several J
@@ -488,10 +488,10 @@ def exponent_cells(N: Subquotient, coords, cech=frozenset()):
 
     This is the package's one walk over exponent cells, with one row rule:
     `local_cohomology._fiber_table` passes each cell's rows to `_term_dims`
-    as the outside rows of its Cech complex, and `invariants._fibers` and
-    `growth_scan` on no axis fold them with `cell_bitsets`.  A product of
-    more than MAX_CELLS cells is refused (PreconditionFailed) for every
-    caller, before the first cell is walked.
+    as the outside rows of its Cech complex, and `invariants._fibers` folds
+    them with `cell_bitsets`.  A product of more than MAX_CELLS cells is
+    refused (PreconditionFailed) for every caller, before the first cell is
+    walked.
     """
     axes = [_axis_cells(N, k, k in cech) for k in coords]
     cells = prod(len(axis) for axis in axes)

@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import prod
 from typing import Optional
 
-from .errors import InternalCheckFailed, PreconditionFailed, UnitIdeal, WrongBlock, ZeroModule
+from .errors import InternalCheckFailed, UnitIdeal, WrongBlock, ZeroModule
 from .homology import (
     Subquotient,
     cell_bitsets,
@@ -124,11 +124,14 @@ def _fibers(N: Subquotient, Z: frozenset) -> tuple:
     lengths of its cells in lex order of corners, so its readers
     (`n_single`, `infinite_family` and `local_cohomology.growth_scan`) walk
     no cell again.
+
+    An empty axis takes the same route.  The complement is every
+    coordinate, each restricted colon is (1) or (0) in the point ring K[],
+    and the one class, of the cells whose corner lies in J and not in J',
+    has the fiber K = K[]/(0): along no variable, H^0 of N is N itself.
     """
     if N.is_zero:
         raise ZeroModule("fiber decomposition of the zero module")
-    if not Z:
-        raise PreconditionFailed("the axis has no variables")
     ring = N.ring
     comp = tuple(k for k in range(ring.nvars) if k not in Z)
     groups = {}  # (jin, jpin) -> its cells, in lex order

@@ -29,7 +29,7 @@ from typing import Optional
 
 from .errors import InternalCheckFailed, PreconditionFailed
 from .filtration import sequentially_cm
-from .homology import Subquotient, _lc_index, _localized_row, _term_dims, cell_bitsets, exponent_cells
+from .homology import Subquotient, _lc_index, _localized_row, _term_dims, exponent_cells
 from .invariants import _quotient_axis, analyze, cd, fibers
 from .rings import MonomialIdeal, _integer
 
@@ -167,10 +167,9 @@ def growth_scan(I: MonomialIdeal, i: int, box_radii, Z=None) -> list:
     class's nonzero cells are its complement cells (`FiberClass.patterns`
     and `lengths`) times column i of its fiber table, and the class counts
     (degrees of its complement cells) x (d times the degrees of each cell
-    of that column within r), each by `_degrees`.  On an empty axis,
-    H^0 is S/I itself: its cells are those of `exponent_cells` whose corner
-    no generator of I divides, read off the cell's rows by `cell_bitsets`,
-    with no Cech complex.  Both walks meet the bound of `exponent_cells`.
+    of that column within r), each by `_degrees`.  On an empty axis the
+    one class holds the cells whose corner lies outside I, and its table
+    the one cell of the point ring K[] with d = 1, so H^0 is S/I itself.
     The degrees are counted, not visited, so the cost depends on neither
     the radius nor the size of the exponents.  Radii must be nonnegative
     integers.
@@ -181,15 +180,8 @@ def growth_scan(I: MonomialIdeal, i: int, box_radii, Z=None) -> list:
     Z = _axis_of(I, Z, "growth scan")
     i = _lc_index(i, Z)
     N = Subquotient.cyclic(I)
-
     # (complement cells, nonzero fiber cells with their dimension) per class
-    if Z:
-        classes = [(list(zip(fc.patterns, fc.lengths)), _fiber_table(fc.fiber)[i]) for fc in fibers(N, Z)]
-    else:
-        # `fibers` refuses an empty axis: one class over the point of K[]
-        cells = [(c, n) for c, n, rows in exponent_cells(N, range(I.ring.nvars)) if not cell_bitsets(N, rows)[1]]
-        classes = [(cells, [((), (), 1)])]
-
+    classes = [(list(zip(fc.patterns, fc.lengths)), _fiber_table(fc.fiber)[i]) for fc in fibers(N, Z)]
     return [
         sum(
             sum(_degrees(a, n, r) for a, n in cells)

@@ -25,9 +25,10 @@ PrimeSupport = frozenset  # set of variable indices; the prime generated by them
 class RingSpec:
     """Ambient ring data: m x-variables, n y-variables, rank characteristic.
 
-    The three fields are integers (`_integer`), stored as plain ints.  A memo
-    key: its hash (that of the field tuple) and `nvars` are computed once, at
-    construction.
+    The three fields are integers (`_integer`), stored as plain ints, and
+    m = n = 0 is the point ring K[], over which the fibers along an empty
+    axis live.  A memo key: its hash (that of the field tuple) and `nvars`
+    are computed once, at construction.
     """
 
     m: int
@@ -38,8 +39,8 @@ class RingSpec:
         object.__setattr__(self, "m", _integer(self.m, "m"))
         object.__setattr__(self, "n", _integer(self.n, "n"))
         object.__setattr__(self, "char", _integer(self.char, "the characteristic"))
-        if self.m < 0 or self.n < 0 or self.m + self.n < 1:
-            raise ValueError(f"need m, n >= 0 and m + n >= 1, got m={self.m} n={self.n}")
+        if self.m < 0 or self.n < 0:
+            raise ValueError(f"need m, n >= 0, got m={self.m} n={self.n}")
         # the value rule comes after the m, n check, which names a bad m or n first
         characteristic(self.char)
         object.__setattr__(self, "nvars", self.m + self.n)
@@ -243,7 +244,7 @@ def _monomial(u, nvars: int) -> Monomial:
     The package's one monomial rule, applied to each generator by
     `minimal_generators` and to u by `colon`.  Exponents must be integers
     (`operator.index`): a float or a string is refused with ValueError, not
-    rounded or parsed.
+    rounded or parsed.  The one monomial of K[] is ().
     """
     try:
         u = tuple(map(operator.index, u))
@@ -251,7 +252,7 @@ def _monomial(u, nvars: int) -> Monomial:
         raise ValueError(f"exponents must be integers, got {u!r}") from None
     if len(u) != nvars:
         raise DimensionMismatch(f"monomial {u} has length {len(u)}, ring has {nvars} variables")
-    if min(u) < 0:
+    if u and min(u) < 0:
         raise ValueError(f"negative exponent in {u}")
     return u
 

@@ -224,11 +224,12 @@ MUTANTS = [
         "reversed(classes[:-1])",
         "tests/test_filtration.py::test_the_chain_of_meets_gives_the_intersection_of_the_higher_components",
     ),
+    # on an empty axis the cells inside I then form a second, zero class
     Mutant(
-        "keep test of growth on no axis",
-        "if not cell_bitsets(N, rows)[1]]",
-        "if True]",
-        "tests/test_cli.py::test_growth_and_filtration_answer_on_an_empty_axis",
+        "keep test of the fiber classes",
+        "if key[0] != key[1]:",
+        "if True:",
+        "tests/test_local_cohomology.py::test_an_empty_axis_matches_the_box_walk_references",
     ),
     Mutant(
         "report writer keeps the keys in insertion order",
@@ -312,7 +313,7 @@ MUTANTS = [
     ),
     Mutant(
         "monomial rule without its nonnegative test",
-        "    if min(u) < 0:\n",
+        "    if u and min(u) < 0:\n",
         "    if False:\n",
         "tests/test_refusals.py::test_refusal_raises_its_class_and_message[colon_negative]",
     ),
@@ -370,5 +371,67 @@ MUTANTS = [
         "meet_components(S, I, {rad})",
         "(S := meet_components(S, I, {rad}))",
         "tests/test_rings.py::test_each_primary_component_meets_the_irreducible_components_of_its_radical",
+    ),
+    Mutant(
+        "the point ring K[] refused again",
+        "if self.m < 0 or self.n < 0:",
+        "if self.m < 0 or self.n < 0 or self.m + self.n < 1:",
+        "tests/test_local_cohomology.py::test_an_empty_axis_matches_the_box_walk_references",
+    ),
+    # each theorem check made one-sided, so the fault its test injects no
+    # longer fires it
+    Mutant(
+        "ladder check without strictness",
+        "if not (upper.contains_ideal(lower) and upper != lower):",
+        "if not upper.contains_ideal(lower):",
+        "tests/test_filtration.py::test_each_theorem_check_of_the_filtration_fires_on_its_fault[ladder]",
+    ),
+    Mutant(
+        "Ass(D_i) check fires on an extra prime only",
+        "if actual != expected:",
+        "if actual > expected:",
+        "tests/test_filtration.py::test_each_theorem_check_of_the_filtration_fires_on_its_fault[ass_of_d]",
+    ),
+    Mutant(
+        "Ass(M/D_i) check fires on an extra prime only",
+        "if quotient_ass != ass_total - expected:",
+        "if quotient_ass - (ass_total - expected):",
+        "tests/test_filtration.py::test_each_theorem_check_of_the_filtration_fires_on_its_fault[ass_of_m_over_d]",
+    ),
+    Mutant(
+        "Ass(D_i/D_(i-1)) check fires on an extra prime only",
+        "if i > 0 and ass_subquotient(J_i, prev) != primes:",
+        "if i > 0 and ass_subquotient(J_i, prev) > primes:",
+        "tests/test_filtration.py::test_each_theorem_check_of_the_filtration_fires_on_its_fault[ass_of_step]",
+    ),
+    Mutant(
+        "partition check fires on a missing prime only",
+        "if seen != associated_primes(I):",
+        "if seen - associated_primes(I):",
+        "tests/test_filtration.py::test_each_theorem_check_of_the_filtration_fires_on_its_fault[partition]",
+    ),
+    Mutant(
+        "step cd check fires below the ladder value only",
+        "if c != gamma:",
+        "if c < gamma:",
+        "tests/test_filtration.py::test_each_theorem_check_of_the_filtration_fires_on_its_fault[step_cd]",
+    ),
+    Mutant(
+        "corollary check never fires",
+        "if len(set(triple.values())) != 1:",
+        "if len(set(triple.values())) > 2:",
+        "tests/test_local_cohomology.py::test_the_corollary_check_fires_when_its_statements_disagree",
+    ),
+    Mutant(
+        "tensor check compares mgrade only",
+        "if rep.maximal_depth != verdict or rep.grade != depth_y or rep.mgrade != mdepth_y:",
+        "if rep.mgrade != mdepth_y:",
+        "tests/test_invariants.py::test_each_theorem_check_of_tensor_verdict_fires_on_its_fault[invariants]",
+    ),
+    Mutant(
+        "product Ass check fires on a missing prime sum only",
+        "if associated_primes(I) != expected:",
+        "if expected - associated_primes(I):",
+        "tests/test_invariants.py::test_each_theorem_check_of_tensor_verdict_fires_on_its_fault[ass]",
     ),
 ]

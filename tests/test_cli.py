@@ -178,6 +178,26 @@ def test_exit_code_precondition(tmp_path, capsys):
     assert "precondition" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize(
+    "argv, code, error",
+    [
+        (
+            ("hypersurface", "--factors", "(1,1)"),
+            3,
+            "precondition: the hypersurface classification needs m >= 1 and n >= 1",
+        ),
+        (("crosscheck", "--monomial", "1"), 3, "precondition: the constant monomial is not a hypersurface"),
+        (("crosscheck", "--monomial", "x1"), 2, "parse: x1 out of range (m=0)"),
+    ],
+    ids=["hypersurface", "crosscheck-constant", "crosscheck-range"],
+)
+def test_the_point_ring_is_a_ring_whose_options_meet_their_own_rules(capsys, argv, code, error):
+    # --ring 0 0 is K itself, a valid ring: a profile or monomial on it is
+    # refused by the classification's and the monomial's own rules
+    got, out = run_cli(capsys, *argv, "--ring", "0", "0")
+    assert (got, json.loads(out)["error"]) == (code, error)
+
+
 @pytest.mark.parametrize("command", ["growth", "gencm"])
 def test_unit_ideal_is_a_precondition_error(tmp_path, capsys, command):
     p = tmp_path / "unit.ideal"
@@ -218,11 +238,19 @@ def test_zero_ideal_answers(tmp_path, capsys, argv):
 
 
 def test_zero_ideal_on_an_empty_axis_is_a_precondition_error(tmp_path, capsys):
+    # answered, not refused: along no variable S = K[x1, x2] is its own H^0,
+    # finitely generated and of infinite length, and one step 0 < S with
+    # grade = cd = 0
     p = tmp_path / "zero.ideal"
     p.write_text("ring 2 0\ngens:\n")
     code, out = run_cli(capsys, "seqcm", str(p))
-    assert code == 3
-    assert json.loads(out)["error"] == "precondition: the axis has no variables"
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["per_step"], doc["verdict"]) == ([{"cd": 0, "grade": 0, "is_cm": True}], True)
+    code, out = run_cli(capsys, "lc", str(p), "--i", "0")
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["finitely_generated"], doc["total_dim"]) == (True, "infinite")
 
 
 def test_determinism(sample_file, capsys):
@@ -251,7 +279,7 @@ def test_infinite_encoding(tmp_path, capsys):
     "argv",
     [
         ("hypersurface", "--factors", "(1,1)", "--ring", "2", "2", "--char", "4"),
-        ("hypersurface", "--factors", "(1,1)", "--ring", "0", "0"),
+        ("hypersurface", "--factors", "(1,1)", "--ring", "0", "-1"),
         ("hypersurface", "--ring", "2", "2"),
         ("crosscheck", "--monomial", "x1*y1", "--ring", "2", "2", "--char", "4"),
         ("suite", "--count", "2", "--char", "4"),
@@ -372,6 +400,27 @@ def test_depth_outside_grade_and_dim_exits_internal(sample_file, capsys, monkeyp
     assert json.loads(out)["error"].startswith("internal: depth out of range: grade=1 ")
 
 
+# S/I along an empty axis, for I = (x1^2) in ring 1 0 or (y1^2) in ring 0 1:
+# H^0 is S/I, of length 2, and every invariant is 0
+EMPTY_AXIS_ANALYZE = {
+    "cd": 0, "char": 0, "cm_ordinary": True, "cm_wrt_axis": True, "dim": 0,
+    "grade": 0, "maximal_depth": True, "mgrade": 0,
+}
+EMPTY_AXIS_ANSWERS = {
+    ("analyze",): {**EMPTY_AXIS_ANALYZE, "axis": "Q", "witness_prime": ["x1"]},
+    ("lc", "--i", "0"): {
+        "axis": "Q", "finitely_generated": True, "i": 0, "total_dim": 2,
+        "per_fiber": [{
+            "finite_length": True, "infinite_family": False, "pattern": [0], "total_dim": 1,
+            "witness_degree": None,
+        }],
+    },
+    ("seqcm",): {"axis": "Q", "per_step": [{"cd": 0, "grade": 0, "is_cm": True}], "verdict": True},
+    ("gencm",): {"axis": "Q", "verdict": True},
+    ("analyze", "--axis", "P"): {**EMPTY_AXIS_ANALYZE, "axis": "P", "witness_prime": ["y1"]},
+}
+
+
 @pytest.mark.parametrize(
     "ring, argv",
     [
@@ -383,11 +432,13 @@ def test_depth_outside_grade_and_dim_exits_internal(sample_file, capsys, monkeyp
     ],
 )
 def test_empty_axis_is_a_precondition_error(tmp_path, capsys, ring, argv):
+    # an empty axis is answered through the fibers over the point ring K[],
+    # as any other axis is, not refused
     p = tmp_path / "e.ideal"
     p.write_text(f"ring {ring}\ngens: {'x1' if ring == '1 0' else 'y1'}^2\n")
     code, out = run_cli(capsys, argv[0], str(p), *argv[1:])
-    assert code == 3
-    assert json.loads(out)["error"] == "precondition: the axis has no variables"
+    assert code == 0
+    assert json.loads(out) == {"schema": 1, "command": argv[0], **EMPTY_AXIS_ANSWERS[argv]}
 
 
 @pytest.mark.parametrize("i, axis, top", [("-1", "Q", 4), ("99", "Q", 4), ("3", "P", 2)])
@@ -396,6 +447,23 @@ def test_growth_index_outside_the_axis_is_a_precondition_error(sample_file, caps
     code, out = run_cli(capsys, "growth", sample_file, "--i", i, "--axis", axis)
     assert code == 3
     assert json.loads(out)["error"] == f"precondition: index {i} outside [0, {top}]"
+
+
+# the point ring K = K[] itself, S/(0), on which every axis is empty
+POINT_RING_ANSWERS = {
+    "analyze": {**EMPTY_AXIS_ANALYZE, "witness_prime": []},
+    "filtration": {"cd_values": [0], "steps": [{"ass_quotient": [[]], "cd": 0, "ideal": ["1"]}]},
+    "seqcm": {"per_step": [{"cd": 0, "grade": 0, "is_cm": True}], "verdict": True},
+    "lc": {
+        "finitely_generated": True, "i": 0, "total_dim": 1,
+        "per_fiber": [{
+            "finite_length": True, "infinite_family": False, "pattern": [], "total_dim": 1,
+            "witness_degree": None,
+        }],
+    },
+    "gencm": {"verdict": True},
+    "growth": {"cumulative_dims": [1, 1, 1, 1], "i": 0, "radii": [1, 2, 3, 4]},
+}
 
 
 def test_growth_and_filtration_answer_on_an_empty_axis(tmp_path, capsys):
@@ -407,6 +475,15 @@ def test_growth_and_filtration_answer_on_an_empty_axis(tmp_path, capsys):
     doc = json.loads(out)
     assert code == 0 and doc["cd_values"] == [0]
     assert doc["steps"] == [{"ass_quotient": [["x1"]], "cd": 0, "ideal": ["1"]}]
+    # every --axis subcommand answers on K, along each axis name
+    p.write_text("ring 0 0\ngens:\n")
+    assert sorted(POINT_RING_ANSWERS) == sorted(AXIS_COMMANDS)
+    for command in AXIS_COMMANDS:
+        for axis in ("P", "Q", "all"):
+            index = ("--i", "0") if command in ("lc", "growth") else ()
+            code, out = run_cli(capsys, command, str(p), "--axis", axis, *index)
+            assert code == 0, (command, axis)
+            assert json.loads(out) == {"schema": 1, "command": command, "axis": axis, **POINT_RING_ANSWERS[command]}
 
 
 @pytest.mark.parametrize(

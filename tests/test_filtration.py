@@ -9,7 +9,7 @@ import bigrade
 from bigrade import filtration, homology, rings
 from bigrade.invariants import analyze
 from bigrade.cli import main
-from bigrade.errors import UnitIdeal
+from bigrade.errors import InternalCheckFailed, UnitIdeal
 from bigrade.filtration import (
     ass_quotients,
     dimension_filtration,
@@ -195,3 +195,53 @@ def test_mgrade_constancy():
     assert mgrade_constancy(I, ring.y_block())
     r = RingSpec(1, 2)
     assert mgrade_constancy(minimal_generators(r, [(1, 1, 0)]), r.y_block())
+
+
+def _drop_least(primes):
+    return set(primes) - {min(primes, key=sorted)}
+
+
+# each theorem check of the filtration on EIGHT_GEN along Q (cd classes 1:
+# {x1, y1, y3, y4} and 2: {x2, y3, y4}, {x1, y1, y2}), made to fire by a
+# fault in the one reader it compares against: (binding in `filtration`,
+# fault given the reader and I, query, message)
+THEOREM_CHECKS = {
+    "ladder": (
+        "meet_components", lambda real, I: lambda J, *_: J, "ladder",
+        "filtration ladder is not strictly increasing",
+    ),
+    "ass_of_d": (
+        "ass_subquotients", lambda real, I: lambda Js, Jp: [_drop_least(p) for p in real(Js, Jp)], "ladder",
+        "Ass(D_i) mismatch at cd 1: computed [], expected [[0, 2, 4, 5]]",
+    ),
+    "ass_of_m_over_d": (
+        "associated_primes", lambda real, I: lambda J: real(J) if J == I else _drop_least(real(J)), "ladder",
+        "Ass(M/D_i) mismatch at cd 1",
+    ),
+    "ass_of_step": (
+        "ass_subquotient", lambda real, I: lambda J, Jp: _drop_least(real(J, Jp)), "quotients",
+        "Ass(D_i/D_(i-1)) mismatch at cd 2",
+    ),
+    "partition": (
+        "associated_primes", lambda real, I: lambda J: real(J) | {frozenset()}, "quotients",
+        "step primes do not partition Ass(M)",
+    ),
+    "step_cd": ("cd", lambda real, I: lambda N, Z: real(N, Z) + 1, "seqcm", "step cd 2 differs from ladder value 1"),
+}
+
+
+@pytest.mark.parametrize("reader, fault, query, message", THEOREM_CHECKS.values(), ids=THEOREM_CHECKS)
+def test_each_theorem_check_of_the_filtration_fires_on_its_fault(monkeypatch, reader, fault, query, message):
+    ring, I = parse_ideal_text(EIGHT_GEN)
+    Q = ring.y_block()
+    # a query after the ladder reads it, built before the fault, off its memo
+    ladder = None if query == "ladder" else dimension_filtration(I, Q)
+    monkeypatch.setattr(filtration, reader, fault(getattr(filtration, reader), I))
+    with pytest.raises(InternalCheckFailed) as ei:
+        if query == "ladder":
+            dimension_filtration(I, Q)
+        elif query == "quotients":
+            ass_quotients(ladder)
+        else:
+            sequentially_cm(I, Q)
+    assert str(ei.value) == message

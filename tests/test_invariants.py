@@ -3,8 +3,8 @@ import sys
 import pytest
 
 import bigrade
-from bigrade import homology, rings
-from bigrade.errors import UnitIdeal, WrongBlock, ZeroModule
+from bigrade import homology, invariants, rings
+from bigrade.errors import InternalCheckFailed, UnitIdeal, WrongBlock, ZeroModule
 from bigrade.homology import Subquotient, exponent_cells
 from bigrade.invariants import (
     analyze,
@@ -163,6 +163,31 @@ def test_tensor_without_maximal_depth():
         (0, 0, 1, 0, 1),
     )
     assert tensor_verdict(Ix, Iy) == {"verdict": False}
+
+
+@pytest.mark.parametrize(
+    "reader, fault, message",
+    [
+        (
+            "ordinary_depth", lambda real: lambda J: real(J) + (J.ring == RingSpec(0, 2)),
+            "tensor invariants disagree: grade=1 vs depth=2, mgrade=1 vs mdepth=1",
+        ),
+        (
+            "associated_primes", lambda real: lambda J: set() if J.ring == RingSpec(1, 0) else real(J),
+            "Ass of the product module is not the set of prime sums",
+        ),
+    ],
+    ids=["invariants", "ass"],
+)
+def test_each_theorem_check_of_tensor_verdict_fires_on_its_fault(monkeypatch, reader, fault, message):
+    # (x1) + (y1*y2) in ring 1 2, with maximal depth: the depth of K[y]/Iy
+    # raised by one, or Ass of K[x]/Ix emptied, on the block rings only, so
+    # the product module's own invariants stay right
+    r = RingSpec(1, 2)
+    monkeypatch.setattr(invariants, reader, fault(getattr(invariants, reader)))
+    with pytest.raises(InternalCheckFailed) as ei:
+        tensor_verdict(ideal(r, (1, 0, 0)), ideal(r, (0, 1, 1)))
+    assert str(ei.value) == message
 
 
 def test_tensor_block_checks():

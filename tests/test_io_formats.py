@@ -44,8 +44,10 @@ def test_parse_errors_carry_line_numbers():
         parse_ideal_text("gens: x1\n")
     with pytest.raises(ParseError):
         parse_ideal_text("ring 1 1\n")
-    with pytest.raises(ParseError):
-        parse_ideal_text("ring 0 0\ngens: 1\n")
+    # ring 0 0 is the point ring K; a negative count is no ring
+    with pytest.raises(ParseError) as ei:
+        parse_ideal_text("# c\nring 0 -1\ngens: 1\n")
+    assert ei.value.line == 2
 
 
 def test_ring_line_is_the_exact_token_and_appears_once():

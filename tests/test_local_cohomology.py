@@ -4,10 +4,10 @@ from itertools import combinations
 
 import pytest
 
-from bruteforce import bf_ass_subquotient, bf_fibers, bf_growth_scan, bf_lc_report, fine_piece
+from bruteforce import bf_ass_subquotient, bf_fibers, bf_grade_cd, bf_growth_scan, bf_lc_report, fine_piece
 from bigrade import homology, invariants, local_cohomology, rings
 from bigrade.cli import main
-from bigrade.errors import PreconditionFailed, UnitIdeal
+from bigrade.errors import InternalCheckFailed, PreconditionFailed, UnitIdeal
 from bigrade.filtration import dimension_filtration, sequentially_cm
 from bigrade.homology import (
     Subquotient,
@@ -17,7 +17,7 @@ from bigrade.homology import (
     cech_piece_dim,
     exponent_cells,
 )
-from bigrade.invariants import analyze, cd, fibers, mgrade
+from bigrade.invariants import analyze, cd, fibers, grade, mgrade
 from bigrade.io_formats import parse_ideal_text
 from bigrade.local_cohomology import (
     corollary_check,
@@ -28,6 +28,7 @@ from bigrade.local_cohomology import (
 from bigrade.rings import (
     MonomialIdeal,
     RingSpec,
+    associated_primes,
     colon,
     intersect,
     minimal_generators,
@@ -53,6 +54,17 @@ def test_two_prime_reports():
     h2 = lc_report(I, 2)
     assert not h2.finitely_generated and h2.total_dim is None
     assert any(e.witness_degree is not None for e in h2.per_fiber)
+
+
+def test_the_corollary_check_fires_when_its_statements_disagree(monkeypatch):
+    # the two-prime intersection has grade 1 and is generalized CM, with all
+    # three statements false; a sequential CM verdict faulted to true breaks
+    # the equivalence the corollary proves
+    r, I = two_prime_ideal()
+    monkeypatch.setattr(local_cohomology, "sequentially_cm", lambda I, Z: {"verdict": True, "per_step": []})
+    with pytest.raises(InternalCheckFailed) as ei:
+        corollary_check(I)
+    assert str(ei.value) == "corollary equivalence violated: {'max_depth': False, 'seq_cm': True, 'cm_wrt_Q': False}"
 
 
 def test_fg_with_infinite_k_dimension():
@@ -282,12 +294,47 @@ def test_cell_walks_match_box_walk_reference():
             nonzero = any(e.total_dim is None or e.total_dim > 0 for e in rep.per_fiber)
             assert nonzero == (rep.total_dim != 0), (case, i)
             assert growth_scan(I, i, radii, Z) == bf_growth_scan(I, i, radii, Z), (case, i)
-        # no axis: growth's own branch, as `fibers` refuses an empty axis
+        # no axis: the one fiber class over the point ring K[]
         assert growth_scan(I, 0, radii, frozenset()) == bf_growth_scan(I, 0, radii, frozenset()), case
 
         assert ass_subquotient(unit_ideal(ring), I) == bf_ass_subquotient(unit_ideal(ring), I), case
         J = sum_ideal(I, _random_ideal(rnd, ring, 3, 2))  # proper: no unit generator
         assert ass_subquotient(J, I) == bf_ass_subquotient(J, I), (case, str(J))
+
+
+def test_an_empty_axis_matches_the_box_walk_references():
+    # along no variable H^0 is S/I and nothing else: one fiber class over the
+    # point ring K[], grade = cd = mgrade = 0, one ladder step, and the
+    # corollary's grade > 0 refusal; rings up to 2+3 with m = 0, n = 0 and
+    # ring 0 0, whose one proper ideal is (0), among the draws
+    rnd = random.Random(20261021)
+    radii = [0, 1, 2, 3, 5]
+    Z = frozenset()
+    shapes = set()
+    for k in range(240):
+        m, n = rnd.randint(0, 2), rnd.randint(0, 3)
+        ring = RingSpec(m, n, (0, 2)[k % 2])
+        raw = [tuple(rnd.randint(0, 3) for _ in range(ring.nvars)) for _ in range(rnd.randint(0, 4))]
+        I = minimal_generators(ring, [g for g in raw if any(g)])
+        shapes.add((m and 1, n and 1))
+        N = Subquotient.cyclic(I)
+        case = (str(I), ring)
+        assert _classes(fibers(N, Z)) == _bf_classes(N, Z), case
+        assert (grade(N, Z), cd(N, Z)) == bf_grade_cd(ring.nvars, I.gens, Z) == (0, 0), case
+        rep = lc_report(I, 0, Z)
+        fin_gen, total, entries = bf_lc_report(I, 0, Z)
+        assert (rep.finitely_generated, rep.total_dim) == (fin_gen, total), case
+        assert list(map(_lc_fields, rep.per_fiber)) == list(map(_lc_fields, entries)), case
+        assert growth_scan(I, 0, radii, Z) == bf_growth_scan(I, 0, radii, Z), case
+
+        rep = analyze(I, Z)
+        assert (rep.grade, rep.cd, rep.mgrade, rep.maximal_depth, rep.cm_wrt_Z) == (0, 0, 0, True, True), case
+        assert rep.witness_prime == min(associated_primes(I), key=sorted), case
+        assert sequentially_cm(I, Z) == {"verdict": True, "per_step": [{"grade": 0, "cd": 0, "is_cm": True}]}, case
+        assert generalized_cm(I, Z) is True, case
+        with pytest.raises(PreconditionFailed, match="corollary requires grade > 0"):
+            corollary_check(I, Z)
+    assert shapes == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 def test_a_cell_of_dimension_two_counts_twice_per_degree():
@@ -544,9 +591,9 @@ def test_large_exponents_cost_follows_the_cells(monkeypatch):
     # elsewhere and the corner rows (one per coordinate of each Koszul and
     # Cech degree, one per cell start of each coordinate of `exponent_cells`,
     # and one per candidate exponent of ass_subquotient) are counted too, and
-    # growth on no axis, which reads its cells off the bitsets of
-    # `exponent_cells` with no Cech call: a box walk in any of them would
-    # make these grow with e.
+    # growth on no axis, whose one fiber class reads its cells off the
+    # bitsets of `exponent_cells` and builds one Cech complex, on the one
+    # cell of K[]: a box walk in any of them would make these grow with e.
     calls = {"cech": 0, "colon": 0, "mingens": 0, "corner_row": 0}
     # set after e = 16 to twice its counts, so a walk that grows with e fails
     # at e = 1000 as soon as it passes them instead of running for hours
@@ -609,7 +656,7 @@ def test_large_exponents_cost_follows_the_cells(monkeypatch):
     assert dict(answers_16)["growth 1"] == [4, 36, 144, 400]
     # on no axis no generator lies within radius 4: (r + 1)^4 degrees each
     assert dict(answers_16)["growth none"] == [16, 81, 256, 625]
-    assert dict(counts_16)["growth none"]["cech"] == 0
+    assert dict(counts_16)["growth none"]["cech"] == 1
     assert dict(answers_16)["seqcm"][0] is True
 
 

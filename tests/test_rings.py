@@ -39,8 +39,9 @@ R22 = RingSpec(2, 2)
 def test_ringspec_validation():
     RingSpec(0, 1)
     RingSpec(3, 0, 5)
-    with pytest.raises(ValueError):
-        RingSpec(0, 0)
+    assert RingSpec(0, 0).nvars == 0  # the point ring K[]
+    with pytest.raises(ValueError, match="need m, n >= 0, got m=-1 n=0"):
+        RingSpec(-1, 0)
     with pytest.raises(ValueError):
         RingSpec(1, 1, 4)
     with pytest.raises(ValueError):
