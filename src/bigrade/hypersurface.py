@@ -84,31 +84,30 @@ class HypersurfaceVerdict:
 
 
 def classify(profile: FactorProfile, ring: RingSpec) -> HypersurfaceVerdict:
-    """Theorem-based classification of S/(f) from the factor bidegree profile."""
+    """Theorem-based classification of S/(f) from the kinds of factor f has.
+
+    A factor is pure-x (b = 0), mixed (a, b > 0) or pure-y (a = 0), and
+    the verdict reads only which kinds occur: grade_Q = n - 1 iff b > 0, and
+    mgrade_Q = n - 1 iff some factor is pure-y.  Without a mixed factor f
+    splits into pure blocks (case c: "case3" when both blocks occur, else
+    "pure-block"); with one, a pure-y factor gives case a ("case1") or b
+    ("case2") as a pure-x factor occurs or not, and without a pure-y factor
+    there is no maximal depth ("case4" with a pure-x factor, else "case5").
+    """
     if ring.m < 1 or ring.n < 1:
         raise BadRing("the hypersurface classification needs m >= 1 and n >= 1")
-    a1, a2, b1, b2 = profile.alpha1, profile.alpha2, profile.beta1, profile.beta2
+    # a mixed factor has b > 0 as well as a > 0, so alpha2 > 0 iff beta1 > 0
+    pure_x, mixed, pure_y = profile.alpha1 > 0, profile.alpha2 > 0, profile.beta2 > 0
     n = ring.n
-
     grade_q = n - 1 if profile.b > 0 else n
-    mgrade_q = n - 1 if any(a == 0 and b > 0 for a, b in profile.factors) else n
+    mgrade_q = n - 1 if pure_y else n
 
-    if a1 > 0 and a2 > 0 and b1 > 0 and b2 > 0:
-        label, trace = "a", "case1"
-    elif a1 == 0 and a2 > 0 and b1 > 0 and b2 > 0:
-        label, trace = "b", "case2"
-    elif a2 == 0 and b1 == 0:
-        # no mixed factor: f = (pure x part) * (pure y part)
-        label = "c"
-        if a1 > 0 and b2 > 0:
-            trace = "case3"
-        else:
-            trace = "pure-block"
-    elif b2 == 0 and a1 > 0 and a2 > 0 and b1 > 0:
-        label, trace = "none", "case4"
+    if not mixed:
+        label, trace = "c", "case3" if pure_x and pure_y else "pure-block"
+    elif pure_y:
+        label, trace = ("a", "case1") if pure_x else ("b", "case2")
     else:
-        # a mixed factor, and neither a pure-x nor a pure-y factor
-        label, trace = "none", "case5"
+        label, trace = "none", "case4" if pure_x else "case5"
 
     return HypersurfaceVerdict(
         maximal_depth=(grade_q == mgrade_q),
@@ -141,11 +140,8 @@ def monomial_crosscheck(f: Monomial, ring: RingSpec) -> bool:
     Z = ring.y_block()
     g = grade(Subquotient.cyclic(I), Z)
     mg = mgrade(I, Z)
-    return (
-        verdict.grade_Q == g
-        and verdict.mgrade_Q == mg
-        and verdict.maximal_depth == (g == mg)
-    )
+    # the verdict ties maximal_depth to grade_Q == mgrade_Q itself
+    return (verdict.grade_Q, verdict.mgrade_Q) == (g, mg)
 
 
 def parse_profile(text: str, ring: RingSpec) -> FactorProfile:

@@ -16,7 +16,7 @@ import functools
 import re
 
 from .errors import ParseError
-from .rings import MonomialIdeal, RingSpec, minimal_generators, render_monomial
+from .rings import MonomialIdeal, RingSpec, characteristic, minimal_generators, render_monomial
 
 _FACTOR_RE = re.compile(r"^([xy])(\d+)(?:\^(\d+))?$")
 
@@ -63,9 +63,12 @@ def parse_term(ring: RingSpec, term: str, lineno=None):
 def parse_ideal_text(text: str, char: int = 0):
     """Parse the ideal file format; returns (RingSpec, MonomialIdeal).
 
-    A memo keyed on (text, char): equal texts give the same ring and ideal
-    objects, so every memo keyed on them hits by identity.  Both are frozen,
-    and a `ParseError` is raised again on every call, never kept."""
+    `char` is read by `rings.characteristic` before any line of the text,
+    so a bad one raises its `ValueError`, as `RingSpec` does, and names no
+    line.  A memo keyed on (text, char): equal texts give the same ring and
+    ideal objects, so every memo keyed on them hits by identity.  Both are
+    frozen, and an error is raised again on every call, never kept."""
+    char = characteristic(char)
     ring = None
     gens = None
     for lineno, line in content_lines(text):
@@ -75,10 +78,8 @@ def parse_ideal_text(text: str, char: int = 0):
                 raise ParseError("second ring line", line=lineno)
             if len(parts) != 3 or not all(p.isdecimal() for p in parts[1:]):
                 raise ParseError(f"bad ring line {line!r}", line=lineno)
-            try:
-                ring = RingSpec(parse_int(parts[1], lineno), parse_int(parts[2], lineno), char)
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from exc
+            # decimal fields give m, n >= 0, and char is already read
+            ring = RingSpec(parse_int(parts[1], lineno), parse_int(parts[2], lineno), char)
         elif line.startswith("gens:"):
             if ring is None:
                 raise ParseError("gens before ring line", line=lineno)

@@ -434,4 +434,41 @@ MUTANTS = [
         "if expected - associated_primes(I):",
         "tests/test_invariants.py::test_each_theorem_check_of_tensor_verdict_fires_on_its_fault[ass]",
     ),
+    Mutant(
+        "parse_ideal_text reads its lines before the characteristic",
+        "    char = characteristic(char)\n",
+        "",
+        "tests/test_refusals.py::test_refusal_raises_its_class_and_message[parse_ideal_text_char_before_lines]",
+    ),
+    Mutant(
+        "a property check that returns False goes unreported",
+        "if value is False:",
+        "if value is None:",
+        "tests/test_suite.py::test_a_check_that_returns_false_is_reported",
+    ),
+    # the hypersurface cases, each one rule of classify
+    Mutant(
+        "a pure-y hypersurface labelled case3",
+        '"case3" if pure_x and pure_y else "pure-block"',
+        '"case3" if pure_y else "pure-block"',
+        "tests/test_hypersurface.py::test_classify_matches_the_paper_cases_exhaustively",
+    ),
+    Mutant(
+        "hypersurface cases 1 and 2 swapped",
+        '("a", "case1") if pure_x else ("b", "case2")',
+        '("b", "case2") if pure_x else ("a", "case1")',
+        "tests/test_hypersurface.py::test_classify_matches_the_paper_cases_exhaustively",
+    ),
+    Mutant(
+        "hypersurface mgrade read off b > 0",
+        "mgrade_q = n - 1 if pure_y else n",
+        "mgrade_q = n - 1 if profile.b > 0 else n",
+        "tests/test_hypersurface.py::test_classify_matches_the_paper_cases_exhaustively",
+    ),
+    Mutant(
+        "a mixed factor read as a pure-x one",
+        "profile.alpha2 > 0,",
+        "profile.alpha1 > 0,",
+        "tests/test_hypersurface.py::test_classify_matches_the_paper_cases_exhaustively",
+    ),
 ]

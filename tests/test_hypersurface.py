@@ -1,4 +1,4 @@
-from itertools import product as iproduct
+from itertools import combinations_with_replacement, product as iproduct
 
 import pytest
 
@@ -68,6 +68,44 @@ def test_classify_cases():
     assert (v.case_label, v.case_trace) == ("none", "case5")
     assert (v.grade_Q, v.mgrade_Q) == (1, 2)
     assert not v.maximal_depth
+
+
+def _paper_case(p):
+    """(case_label, case_trace) of the hypersurface theorem, stated in its
+    alpha/beta sums; exactly one case holds."""
+    a1, a2, b1, b2 = p.alpha1, p.alpha2, p.beta1, p.beta2
+    cases = {
+        ("a", "case1"): a1 > 0 and a2 > 0 and b1 > 0 and b2 > 0,
+        ("b", "case2"): a1 == 0 and a2 > 0 and b1 > 0 and b2 > 0,
+        ("c", "case3"): a1 > 0 and a2 == b1 == 0 and b2 > 0,
+        ("c", "pure-block"): a2 == b1 == 0 and (a1 == 0 or b2 == 0),
+        ("none", "case4"): a1 > 0 and a2 > 0 and b1 > 0 and b2 == 0,
+        ("none", "case5"): a1 == 0 and a2 > 0 and b1 > 0 and b2 == 0,
+    }
+    (case,) = [case for case, holds in cases.items() if holds]
+    return case
+
+
+def test_classify_matches_the_paper_cases_exhaustively():
+    # every profile of at most 4 factors with bidegrees in 0..3, in every
+    # ring 1..3 x 1..3: grade_Q drops iff b > 0, mgrade_Q iff beta2 > 0
+    bidegs = [(a, b) for a, b in iproduct(range(4), repeat=2) if a + b >= 1]
+    rings = [RingSpec(m, n) for m in (1, 2, 3) for n in (1, 2, 3)]
+    for k in range(1, 5):
+        for factors in combinations_with_replacement(bidegs, k):
+            p = FactorProfile(factors)
+            label, trace = _paper_case(p)
+            for ring in rings:
+                v = classify(p, ring)
+                expected = (
+                    label != "none",
+                    label,
+                    trace,
+                    ring.n - (p.b > 0),
+                    ring.n - (p.beta2 > 0),
+                )
+                got = (v.maximal_depth, v.case_label, v.case_trace, v.grade_Q, v.mgrade_Q)
+                assert got == expected, (factors, ring)
 
 
 def test_classify_needs_both_blocks():

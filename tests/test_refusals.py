@@ -24,7 +24,7 @@ from bigrade.filtration import mgrade_constancy, sequentially_cm
 from bigrade.homology import Subquotient, cech_piece_dim
 from bigrade.hypersurface import FactorProfile, profile_of_monomial
 from bigrade.invariants import InvariantReport, analyze, fibers, ordinary_depth, tensor_verdict
-from bigrade.io_formats import render_ideal
+from bigrade.io_formats import parse_ideal_text, render_ideal
 from bigrade.local_cohomology import (
     corollary_check,
     generalized_cm,
@@ -149,6 +149,13 @@ REFUSALS = {
         lambda: kernels.rank_mod_p([[1, 1], [1, 1]], 0),
         ValueError,
         "p must be prime, got 0",
+    ),
+    # parse_ideal_text reads char by the same rule before any line, so the
+    # error names no line and comes before the one a line would give
+    "parse_ideal_text_char_before_lines": (
+        lambda: parse_ideal_text("gens: x1\n", 4),
+        ValueError,
+        "characteristic must be 0 or prime, got 4",
     ),
     # a module that is not cyclic is named by both its ideals
     "fibers_subquotient_past_the_bound": (

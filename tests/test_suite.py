@@ -105,3 +105,15 @@ def test_every_check_holds_on_the_zero_ideal(m, n):
     # S = S/(0) is Cohen-Macaulay, and its ladder is 0 < S
     ring = RingSpec(m, n)
     assert check_instance(ring, zero_ideal(ring)) == []
+
+
+@pytest.mark.parametrize(
+    "owner, name, check",
+    [(suite, "dim_quotient", "cd_eq_dim_mod_P"), (filtration, "cd_prime", "ladder_mgrade_constant")],
+)
+def test_a_check_that_returns_false_is_reported(monkeypatch, owner, name, check):
+    # one value off by one makes one check's comparison False, without a raise
+    body = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: body(*args) + 1)
+    ring, I = parse_ideal_text("ring 2 2\ngens: x1*y1, x2*y1*y2\n")
+    assert check_instance(ring, I) == [check]
