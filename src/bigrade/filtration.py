@@ -120,15 +120,19 @@ def ass_quotients(ladder: FiltrationLadder) -> list:
 
 
 def sequentially_cm(I: MonomialIdeal, Z) -> dict:
-    """Sequential CM test on the ladder of (I, Z): every step must have grade = cd."""
+    """Sequential CM test on the ladder of (I, Z): every step must have grade = cd.
+
+    Z is read once, by `dimension_filtration`; each step's grade and cd
+    read the ladder's checked axis.
+    """
     ladder = dimension_filtration(I, Z)
     per_step = []
     verdict = True
     prev = I
     for J_i, gamma in ladder.steps:
         step = Subquotient(J_i, prev)
-        g = grade(step, Z)
-        c = cd(step, Z)
+        g = grade(step, ladder.axis)
+        c = cd(step, ladder.axis)
         if c != gamma:
             raise InternalCheckFailed(f"step cd {c} differs from ladder value {gamma}")
         per_step.append({"grade": g, "cd": c, "is_cm": g == c})

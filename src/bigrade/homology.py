@@ -238,23 +238,28 @@ def koszul_dims_at(N: Subquotient, zvars, b) -> list:
     generator of J, so the walk of `_term_dims` drops every sigma holding z
     at once, and a complex in a degree of small support stays small however
     many variables the ring has.  zvars is not checked: the Betti and depth
-    scans call this per lattice degree after `_refuse_scan` has required all
-    variables of N's ring.
+    scans call this per lattice degree with the axis `_refuse_scan` returned,
+    every variable of N's ring.
     """
     J, Jp = N.J, N.Jp
     rows = [_corner_row(J.gens, Jp, k, e) for k, e in enumerate(b)]
     return _term_dims(N, rows, {z: _corner_row(J.gens, Jp, z, b[z] - 1) for z in zvars})
 
 
-def _refuse_scan(N: Subquotient, Z):
-    """Refuse a proper Z (PreconditionFailed) and the zero module (ZeroModule).
+def _refuse_scan(N: Subquotient, Z) -> frozenset:
+    """Z read by `RingSpec.axis` (ValueError for an entry that is no variable
+    of N's ring), then a proper axis refused (PreconditionFailed) and the
+    zero module (ZeroModule); returns the checked axis, every variable.
 
-    `betti_and_projdim` and `depth_module` call this before any other work.
+    `betti_and_projdim` and `depth_module` call this before any other work
+    and scan over the axis it returns, never over the Z they were given.
     """
-    if frozenset(Z) != N.ring.all_vars():
+    Z = N.ring.axis(Z)
+    if Z != N.ring.all_vars():
         raise PreconditionFailed(f"Betti numbers are taken over all variables, not {sorted(Z)}")
     if N.is_zero:
         raise ZeroModule("Betti numbers of the zero module")
+    return Z
 
 
 def _lattice(N: Subquotient) -> list:
@@ -275,11 +280,12 @@ def betti_and_projdim(N: Subquotient, Z):
     """Graded Betti numbers over all variables of N's ring and the projective dimension.
 
     Betti numbers are read off Koszul homology at every degree of the lcm
-    lattice of the generators of J and J' (`_lattice`).  Z must be all
-    variables of N's ring; PreconditionFailed refuses any other Z before a
-    degree is scanned.
+    lattice of the generators of J and J' (`_lattice`).  Z is read by
+    `_refuse_scan` and must be all variables of N's ring: an entry that is
+    no variable is a ValueError, and any other axis is refused with
+    PreconditionFailed before a degree is scanned.
     """
-    _refuse_scan(N, Z)
+    Z = _refuse_scan(N, Z)
     betti = {}
     projdim = 0
     for _, b in _lattice(N):
@@ -336,12 +342,22 @@ def depth_module(N: Subquotient, Z) -> int:
     |supp b|, keeps the largest j seen with H_j(b) != 0 as p, and stops at
     the first b with |supp b| <= p, where no degree left has a nonzero H_j
     with j > p, or as soon as p reaches the upper bound.
+
+    The memo is looked up first, on (N, frozenset(Z)), the one read of the
+    raw Z; a miss reads that frozenset by `_refuse_scan`, the rule of
+    `betti_and_projdim`, and scans over the axis it returns.  So only the
+    all-variables axis is ever stored, and an entry of Z that is no
+    variable is a ValueError on a miss, such as the 2.0 of [0, 1, 2.0] in
+    three variables.  Warm, that Z hashes as the stored key and is answered
+    with the all-variables depth, the value its set names; and an entry
+    equal to an earlier one, such as the 1.0 of [1, 1.0], is dropped by
+    the key before the rule reads it.
     """
     key = (N, frozenset(Z))
     depth = _depth_cache.get(key)
     if depth is not None:
         return depth
-    _refuse_scan(N, Z)
+    Z = _refuse_scan(N, key[1])
     projdim, high = _projdim_bounds(N)
     if projdim < high:
         for support, b in _lattice(N):

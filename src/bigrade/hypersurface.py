@@ -28,8 +28,6 @@ class FactorProfile:
     factors: tuple
 
     def __post_init__(self):
-        if not self.factors:
-            raise BadProfile("need at least one factor")
         factors = []
         for factor in self.factors:
             try:
@@ -40,6 +38,9 @@ class FactorProfile:
             if a < 0 or b < 0 or a + b < 1:
                 raise BadProfile(f"factor bidegree ({a},{b}) must be nonzero and nonnegative")
             factors.append((a, b))
+        # on the list the loop built: an iterator is truthy however empty
+        if not factors:
+            raise BadProfile("need at least one factor")
         object.__setattr__(self, "factors", tuple(factors))
 
     @property

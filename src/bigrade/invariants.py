@@ -229,9 +229,10 @@ def ass_by_cd(I: MonomialIdeal, Z) -> tuple:
 
 def _quotient_axis(I: MonomialIdeal, Z, what: str) -> frozenset:
     """Z read by `RingSpec.axis`, after refusing the zero module S/S with
-    UnitIdeal("<what> of the zero module").  The one rule of `mgrade`,
-    `filtration.dimension_filtration` and `local_cohomology`'s entry points;
-    `analyze` and `ordinary_depth` word their own refusals."""
+    UnitIdeal("<what> of the zero module").  The one rule of `analyze`,
+    `mgrade`, `filtration.dimension_filtration` and `local_cohomology`'s
+    entry points; `ordinary_depth`, which takes no axis, words its own
+    refusal."""
     if I.is_unit:
         raise UnitIdeal(f"{what} of the zero module")
     return I.ring.axis(Z)
@@ -243,9 +244,13 @@ def mgrade(I: MonomialIdeal, Z) -> int:
 
 
 def analyze(I: MonomialIdeal, Z) -> InvariantReport:
-    """Full invariant report of S/I with respect to the axis Z."""
-    if I.is_unit:
-        raise UnitIdeal("analyze(S) is the zero module")
+    """Full invariant report of S/I with respect to the axis Z.
+
+    (S/I, Z) is read once, by `_quotient_axis`: S/S is refused with
+    UnitIdeal("analyze of the zero module"), and every invariant below
+    reads the checked axis, so an iterator is read once too.
+    """
+    Z = _quotient_axis(I, Z, "analyze")
     N = Subquotient.cyclic(I)
     g = grade(N, Z)
     c = cd(N, Z)
@@ -260,7 +265,7 @@ def analyze(I: MonomialIdeal, Z) -> InvariantReport:
     witness = None
     if maximal:
         # the least prime of the first class, whose cd is mgrade = grade
-        witness = min(ass_by_cd(I, I.ring.axis(Z))[0][1], key=sorted)
+        witness = min(ass_by_cd(I, Z)[0][1], key=sorted)
     return InvariantReport(
         grade=g,
         cd=c,

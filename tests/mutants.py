@@ -471,4 +471,42 @@ MUTANTS = [
         "profile.alpha1 > 0,",
         "tests/test_hypersurface.py::test_classify_matches_the_paper_cases_exhaustively",
     ),
+    # each entry point reads its axis once, by RingSpec.axis, and below it
+    # only the checked frozenset
+    Mutant(
+        "the scans' refusal compares the raw Z as a set",
+        "    Z = N.ring.axis(Z)\n    if Z != N.ring.all_vars():",
+        "    Z = frozenset(Z)\n    if Z != N.ring.all_vars():",
+        "tests/test_local_cohomology.py::test_an_axis_outside_the_ring_is_refused_cold_and_warm[betti_and_projdim]",
+    ),
+    Mutant(
+        "depth_module refuses the raw Z, not its memo key",
+        "Z = _refuse_scan(N, key[1])",
+        "Z = _refuse_scan(N, Z)",
+        "tests/test_local_cohomology.py::test_an_axis_is_read_once_as_a_set",
+    ),
+    Mutant(
+        "betti_and_projdim scans the raw Z, not the checked axis",
+        "    Z = _refuse_scan(N, Z)\n",
+        "    _refuse_scan(N, Z)\n",
+        "tests/test_local_cohomology.py::test_an_axis_is_read_once_as_a_set",
+    ),
+    Mutant(
+        "analyze reads the raw Z below its axis rule",
+        'Z = _quotient_axis(I, Z, "analyze")',
+        '_quotient_axis(I, Z, "analyze")',
+        "tests/test_local_cohomology.py::test_an_axis_is_read_once_as_a_set",
+    ),
+    Mutant(
+        "sequentially_cm takes a step's grade along the raw Z",
+        "g = grade(step, ladder.axis)",
+        "g = grade(step, Z)",
+        "tests/test_local_cohomology.py::test_an_axis_is_read_once_as_a_set",
+    ),
+    Mutant(
+        "FactorProfile tests the factors it was given for emptiness, not the list it built",
+        'if not factors:\n            raise BadProfile("need at least one factor")',
+        'if not self.factors:\n            raise BadProfile("need at least one factor")',
+        "tests/test_refusals.py::test_refusal_raises_its_class_and_message[FactorProfile_empty_iterator]",
+    ),
 ]

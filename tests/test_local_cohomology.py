@@ -1,3 +1,4 @@
+import inspect
 import random
 import time
 from itertools import combinations
@@ -5,19 +6,22 @@ from itertools import combinations
 import pytest
 
 from bruteforce import bf_ass_subquotient, bf_fibers, bf_grade_cd, bf_growth_scan, bf_lc_report, fine_piece
+import bigrade
 from bigrade import homology, invariants, local_cohomology, rings
 from bigrade.cli import main
 from bigrade.errors import InternalCheckFailed, PreconditionFailed, UnitIdeal
-from bigrade.filtration import dimension_filtration, sequentially_cm
+from bigrade.filtration import dimension_filtration, mgrade_constancy, sequentially_cm
 from bigrade.homology import (
     Subquotient,
     ass_subquotient,
     ass_subquotients,
+    betti_and_projdim,
     cech_dims_at,
     cech_piece_dim,
+    depth_module,
     exponent_cells,
 )
-from bigrade.invariants import analyze, cd, fibers, grade, mgrade
+from bigrade.invariants import analyze, cd, fibers, grade, mgrade, ordinary_depth
 from bigrade.io_formats import parse_ideal_text
 from bigrade.local_cohomology import (
     corollary_check,
@@ -41,19 +45,6 @@ from bigrade.suite import random_ideal
 from test_acceptance import EIGHT_GEN, two_prime_ideal
 from test_closed_forms import FAMILIES, edge_ideal, one_generator
 from test_field_dependence import RP2_16
-
-
-def test_two_prime_reports():
-    r, I = two_prime_ideal()
-    h0 = lc_report(I, 0)
-    assert h0.finitely_generated and h0.total_dim == 0
-
-    h1 = lc_report(I, 1)
-    assert h1.finitely_generated and h1.total_dim == 1
-
-    h2 = lc_report(I, 2)
-    assert not h2.finitely_generated and h2.total_dim is None
-    assert any(e.witness_degree is not None for e in h2.per_fiber)
 
 
 def test_the_corollary_check_fires_when_its_statements_disagree(monkeypatch):
@@ -84,13 +75,6 @@ def test_lc_errors():
     I = minimal_generators(r, [(0, 1)])
     with pytest.raises(PreconditionFailed):
         lc_report(I, 5)
-
-
-def test_generalized_cm():
-    r, I = two_prime_ideal()
-    assert generalized_cm(I)
-    ring, J = parse_ideal_text(EIGHT_GEN)
-    assert not generalized_cm(J)
 
 
 def test_growth_two_prime():
@@ -130,32 +114,88 @@ def test_a_non_integer_index_or_radius_is_refused_cold_and_warm():
 
 AXIS_CALLS = {
     "analyze": analyze,
+    "betti_and_projdim": lambda I, Z: betti_and_projdim(Subquotient.cyclic(I), Z),
     "cd": lambda I, Z: cd(Subquotient.cyclic(I), Z),
-    "cech_piece_dim": lambda I, Z: cech_piece_dim(Subquotient.cyclic(I), Z, 1, (0, -1)),
+    "cech_piece_dim": lambda I, Z: cech_piece_dim(Subquotient.cyclic(I), Z, 1, [0] * I.ring.m + [-1] * I.ring.n),
     "corollary_check": corollary_check,
+    "depth_module": lambda I, Z: depth_module(Subquotient.cyclic(I), Z),
     "dimension_filtration": dimension_filtration,
     "fibers": lambda I, Z: fibers(Subquotient.cyclic(I), Z),
     "generalized_cm": generalized_cm,
+    "grade": lambda I, Z: grade(Subquotient.cyclic(I), Z),
     "growth_scan": lambda I, Z: growth_scan(I, 1, [1], Z),
     "lc_report": lambda I, Z: lc_report(I, 1, Z),
     "mgrade": mgrade,
+    "mgrade_constancy": mgrade_constancy,
     "sequentially_cm": sequentially_cm,
 }
+# the Betti and depth scans, whose one legal axis is every variable
+SCANS = {"betti_and_projdim", "depth_module"}
+
+
+def _axis(name, ring) -> list:
+    """A legal axis of the entry point `name`: every variable for a scan, else Q."""
+    return sorted(ring.all_vars() if name in SCANS else ring.y_block())
 
 
 @pytest.mark.parametrize("name", sorted(AXIS_CALLS))
 def test_an_axis_outside_the_ring_is_refused_cold_and_warm(name):
     # -1 would read y1 through negative indexing, 9 and 5 lie past the two
-    # variables, and 1.0 == 1 would read the memo entry of the axis (y1)
+    # variables, and 1.0 == 1 would read the memo entry of the axis (y1);
+    # [0, 1.0] is every variable as a set, and ["a", 1] cannot be sorted
     I = minimal_generators(RingSpec(1, 1), [(1, 1)])
     call = AXIS_CALLS[name]
-    for Z in ([-1], [9], [7], {0, 5}, ["a"], [1.0], [1, 1.0]):
-        with pytest.raises(ValueError, match="axis variable"):
+    for Z in ([-1], [9], [7], {0, 5}, ["a"], ["a", 1], [1.0], [1, 1.0], [0, 1.0]):
+        # depth_module reads Z as its memo key first, where 1.0 after 1 is
+        # the same entry, so it refuses [1, 1.0] as the proper axis {1}
+        proper = (name, Z) == ("depth_module", [1, 1.0])
+        refused = (PreconditionFailed, "all variables") if proper else (ValueError, "axis variable")
+        with pytest.raises(refused[0], match=refused[1]):
             call(I, Z)
     if name != "corollary_check":  # x1*y1 has grade 0 along y1
-        call(I, [1])
+        call(I, _axis(name, I.ring))
     with pytest.raises(ValueError, match="axis variable"):
         call(I, [1.0])
+    if name == "depth_module":
+        # warm, [0, 1.0] hashes as every variable and reads that memo entry,
+        # the all-variables depth; only that axis is ever stored
+        assert call(I, [0, 1.0]) == 1
+        assert [Z for _, Z in homology._depth_cache] == [I.ring.all_vars()]
+
+
+def _outcome(call, I, Z):
+    """call(I, Z), or the class and message of what it raised."""
+    try:
+        return call(I, Z)
+    except Exception as error:
+        return type(error), str(error)
+
+
+def test_an_axis_is_read_once_as_a_set():
+    # a second read of an iterator finds it spent, and |Z| of a list with a
+    # repeated entry counts that entry twice; a depth taken from the raw list
+    # would be stored as the depth over every variable, which ordinary_depth
+    # reads.  S/(x1*y1, y1*y2) has depth 1 and projdim 2.
+    I = minimal_generators(RingSpec(1, 2), [(1, 1, 0), (0, 1, 1)])
+    for name, call in AXIS_CALLS.items():
+        Z = _axis(name, I.ring)
+        want = _outcome(call, I, frozenset(Z))
+        for read in (iter(Z), Z + Z[-1:]):
+            bigrade.clear_caches()
+            assert _outcome(call, I, read) == want, name
+    bigrade.clear_caches()
+    depth_module(Subquotient.cyclic(I), [0, 1, 2, 2])
+    assert ordinary_depth(I) == 1
+
+
+def test_every_entry_point_that_takes_an_axis_is_tested_on_it():
+    # a function exported by bigrade with a parameter Z is in AXIS_CALLS, so
+    # both tests above read its axis
+    takes_z = {
+        name for name, value in vars(bigrade).items()
+        if inspect.isfunction(value) and "Z" in inspect.signature(value).parameters
+    }
+    assert takes_z == set(AXIS_CALLS)
 
 
 def test_growth_reads_slice_lengths_without_a_second_cell_walk(record):
@@ -170,12 +210,6 @@ def test_growth_reads_slice_lengths_without_a_second_cell_walk(record):
     calls = record(local_cohomology, "exponent_cells")
     assert growth_scan(I, 1, [0, 1, 2, 5], Q) == [0, 1, 2, 5]
     assert calls == []
-
-
-def test_corollary_check_two_prime():
-    r, I = two_prime_ideal()
-    triple = corollary_check(I)
-    assert triple == {"max_depth": False, "seq_cm": False, "cm_wrt_Q": False}
 
 
 def test_corollary_preconditions():

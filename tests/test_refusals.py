@@ -195,6 +195,12 @@ REFUSALS = {
         ValueError,
         "a factor degree must be an integer, got '1'",
     ),
+    # emptiness is read off the list the loop built: an iterator is truthy
+    "FactorProfile_empty_iterator": (
+        lambda: FactorProfile(iter([])),
+        BadProfile,
+        "need at least one factor",
+    ),
     "FactorProfile_triple": (
         lambda: FactorProfile(((1, 0, 2),)),
         BadProfile,
