@@ -230,20 +230,34 @@ def _term_dims(N: Subquotient, rows, inside) -> list:
     return _complex_dims(levels, N.ring.char)
 
 
-def koszul_dims_at(N: Subquotient, zvars, b) -> list:
-    """All Koszul homology dimensions [H_0 .. H_k] on the variables zvars in fine degree b.
+def _degree_rows(N: Subquotient, b) -> tuple:
+    """b read as a fine degree of N's ring, with the `_corner_row` of each coordinate at it.
+
+    Each coordinate must be an integer (`_integer`, so a float or a string is
+    a ValueError), and b must have one per variable of N's ring
+    (DimensionMismatch).  The one degree rule of `koszul_dims_at` and
+    `cech_dims_at`, and so of `cech_piece_dim`; returns the checked degree
+    and its rows.
+    """
+    b = tuple(_integer(e, "a degree coordinate") for e in b)
+    if len(b) != N.ring.nvars:
+        raise DimensionMismatch(f"degree {b} has wrong length for {N.ring}")
+    return b, [_corner_row(N.J.gens, N.Jp, k, e) for k, e in enumerate(b)]
+
+
+def koszul_dims_at(N: Subquotient, Z, b) -> list:
+    """All Koszul homology dimensions [H_0 .. H_k] on the variables Z in fine degree b.
 
     The term of sigma is the piece of N at b - e_sigma, so a coordinate z in
     sigma reads the row at b_z - 1.  Where b_z = 0 that row holds no
     generator of J, so the walk of `_term_dims` drops every sigma holding z
     at once, and a complex in a degree of small support stays small however
-    many variables the ring has.  zvars is not checked: the Betti and depth
-    scans call this per lattice degree with the axis `_refuse_scan` returned,
-    every variable of N's ring.
+    many variables the ring has.  Z is read by `RingSpec.axis` (ValueError
+    for an entry that is no variable of N's ring) and b by `_degree_rows`.
     """
-    J, Jp = N.J, N.Jp
-    rows = [_corner_row(J.gens, Jp, k, e) for k, e in enumerate(b)]
-    return _term_dims(N, rows, {z: _corner_row(J.gens, Jp, z, b[z] - 1) for z in zvars})
+    Z = N.ring.axis(Z)
+    b, rows = _degree_rows(N, b)
+    return _term_dims(N, rows, {z: _corner_row(N.J.gens, N.Jp, z, b[z] - 1) for z in Z})
 
 
 def _refuse_scan(N: Subquotient, Z) -> frozenset:
@@ -398,11 +412,12 @@ def cech_dims_at(N: Subquotient, Z, c) -> list:
     The answer is all zeros when c_z is at least the largest exponent of a
     generator at some z in Z (`_axis_cells`), so the tables of
     local_cohomology have no such cell; a direct call still builds its
-    complex.  Z is not checked: `cech_piece_dim` checks its own Z.  The
-    tables build the same complex per cell from the rows `exponent_cells`
-    gives with it.
+    complex.  Z is read by `RingSpec.axis` and c by `_degree_rows`, the
+    rules of `koszul_dims_at`.  The tables build the same complex per cell
+    from the rows `exponent_cells` gives with it.
     """
-    rows = [_corner_row(N.J.gens, N.Jp, k, e) for k, e in enumerate(c)]
+    Z = N.ring.axis(Z)
+    _, rows = _degree_rows(N, c)
     return _term_dims(N, rows, dict.fromkeys(Z, _localized_row(N)))
 
 
@@ -427,15 +442,12 @@ def cech_piece_dim(N: Subquotient, Z, i: int, c) -> int:
     """dim_K of H^i_Z(N) in fine degree c (coordinates on Z may be negative).
 
     Z goes through `RingSpec.axis` first, so a variable outside the ring is
-    a ValueError, then i through `_lc_index`.  A degree of the wrong
-    length is a DimensionMismatch and a non-integer coordinate a ValueError;
-    `cech_dims_at` takes c unchecked.
+    a ValueError, then i through `_lc_index`, then c through `cech_dims_at`'s
+    degree rule (`_degree_rows`): a degree of the wrong length is a
+    DimensionMismatch and a non-integer coordinate a ValueError.
     """
     Z = N.ring.axis(Z)
     i = _lc_index(i, Z)
-    c = tuple(_integer(e, "a degree coordinate") for e in c)
-    if len(c) != N.ring.nvars:
-        raise DimensionMismatch(f"degree {c} has wrong length for {N.ring}")
     return cech_dims_at(N, Z, c)[i]
 
 
@@ -610,16 +622,23 @@ def ass_subquotients(Js, Jp: MonomialIdeal) -> list:
 def restrict_ideal(I: MonomialIdeal, Z) -> MonomialIdeal:
     """I intersected with K[Z], in the ring K[Z] built from I's (`sub_ring_for`).
 
-    Z is a set of variable indices.  I cap K[Z] is generated by the
-    generators of I whose `support` lies in Z, read in K[Z]'s variables.
+    Z is read by `RingSpec.axis`, so an entry that is no variable of I's
+    ring is a ValueError and a list answers as its set.  I cap K[Z] is
+    generated by the generators of I whose `support` lies in Z, read in
+    K[Z]'s variables.
     """
+    Z = I.ring.axis(Z)
     zvars = sorted(Z)
     gens = [tuple(g[z] for z in zvars) for g in I.gens if support(g) <= Z]
     return minimal_generators(sub_ring_for(I.ring, Z), gens)
 
 
 def sub_ring_for(ring: RingSpec, Z) -> RingSpec:
-    """RingSpec of K[Z]; x-variables of Z first, preserving order."""
+    """RingSpec of K[Z]; x-variables of Z first, preserving order.
+
+    Z is not read by `RingSpec.axis`: the caller passes a checked axis of
+    ring, as `restrict_ideal` does.
+    """
     m = sum(1 for z in Z if z < ring.m)
     n = len(Z) - m
     return RingSpec(m, n, ring.char)

@@ -219,7 +219,8 @@ def ass_by_cd(I: MonomialIdeal, Z) -> tuple:
     read off `associated_primes` (the decomposition memo) once per (I, Z)
     and kept in a bounded memo; the value is a tuple of frozensets, so its
     readers share it.  As for `cd_prime`, Z must be an axis already checked
-    by `RingSpec.axis`.
+    by `RingSpec.axis`: it is the memo's key, and every caller passes the
+    frozenset that rule returned, so one axis keys one entry.
     """
     classes = {}
     for p in associated_primes(I):
@@ -230,9 +231,10 @@ def ass_by_cd(I: MonomialIdeal, Z) -> tuple:
 def _quotient_axis(I: MonomialIdeal, Z, what: str) -> frozenset:
     """Z read by `RingSpec.axis`, after refusing the zero module S/S with
     UnitIdeal("<what> of the zero module").  The one rule of `analyze`,
-    `mgrade`, `filtration.dimension_filtration` and `local_cohomology`'s
-    entry points; `ordinary_depth`, which takes no axis, words its own
-    refusal."""
+    `mgrade`, `filtration.dimension_filtration` and of `lc_report`,
+    `generalized_cm`, `growth_scan` and `corollary_check` in
+    `local_cohomology`, each of which takes Z with no default;
+    `ordinary_depth`, which takes no axis, words its own refusal."""
     if I.is_unit:
         raise UnitIdeal(f"{what} of the zero module")
     return I.ring.axis(Z)

@@ -88,19 +88,17 @@ def _fiber_table(fiber: Subquotient) -> tuple:
     return tuple(map(tuple, columns))
 
 
-def _axis_of(I: MonomialIdeal, Z, what: str) -> frozenset:
-    """Z, the y-block by default, read by `invariants._quotient_axis`."""
-    return _quotient_axis(I, I.ring.y_block() if Z is None else Z, what)
+def lc_report(I: MonomialIdeal, i: int, Z) -> LCReport:
+    """Per-fiber report on H^i_Z(S/I).
 
-
-def lc_report(I: MonomialIdeal, i: int, Z=None) -> LCReport:
-    """Per-fiber report on H^i_Z(S/I); Z defaults to the y-block.
-
-    The reports of every index 0..|Z| are computed together, once per (I, Z),
-    and kept in one bounded memo (`_lc_reports`); they are immutable, so
-    every caller shares them, and a repeated call returns the same object.
+    (I, Z) is read by `invariants._quotient_axis`, as in `generalized_cm`,
+    `growth_scan` and `corollary_check`, and i by `homology._lc_index`.
+    The reports of every index 0..|Z| are computed together, once per
+    (I, Z), and kept in one bounded memo (`_lc_reports`); they are
+    immutable, so every caller shares them, and a repeated call returns the
+    same object.
     """
-    Z = _axis_of(I, Z, "local cohomology")
+    Z = _quotient_axis(I, Z, "local cohomology")
     return _lc_reports(I, Z)[_lc_index(i, Z)]
 
 
@@ -134,9 +132,9 @@ def _lc_reports(I: MonomialIdeal, Z: frozenset) -> tuple:
     return tuple(reports)
 
 
-def generalized_cm(I: MonomialIdeal, Z=None) -> bool:
+def generalized_cm(I: MonomialIdeal, Z) -> bool:
     """H^i_Z(S/I) finitely generated for every i below cd."""
-    Z = _axis_of(I, Z, "generalized CM")
+    Z = _quotient_axis(I, Z, "generalized CM")
     top = cd(Subquotient.cyclic(I), Z)
     return all(lc_report(I, i, Z).finitely_generated for i in range(top))
 
@@ -158,7 +156,7 @@ def _degrees(corner, lengths, r: int) -> int:
     return count
 
 
-def growth_scan(I: MonomialIdeal, i: int, box_radii, Z=None) -> list:
+def growth_scan(I: MonomialIdeal, i: int, box_radii, Z) -> list:
     """Cumulative piece dimensions of H^i_Z(S/I) over growing degree boxes.
 
     Radius r covers fine degrees with Z-coordinates in [-r, r] and the rest in
@@ -177,7 +175,7 @@ def growth_scan(I: MonomialIdeal, i: int, box_radii, Z=None) -> list:
     box_radii = [_integer(r, "a growth radius") for r in box_radii]
     if any(r < 0 for r in box_radii):
         raise ValueError(f"growth radii must be nonnegative, got {box_radii}")
-    Z = _axis_of(I, Z, "growth scan")
+    Z = _quotient_axis(I, Z, "growth scan")
     i = _lc_index(i, Z)
     N = Subquotient.cyclic(I)
     # (complement cells, nonzero fiber cells with their dimension) per class
@@ -192,9 +190,9 @@ def growth_scan(I: MonomialIdeal, i: int, box_radii, Z=None) -> list:
     ]
 
 
-def corollary_check(I: MonomialIdeal, Z=None) -> dict:
+def corollary_check(I: MonomialIdeal, Z) -> dict:
     """The three equivalent statements for generalized-CM modules of positive grade."""
-    Z = _axis_of(I, Z, "corollary check")
+    Z = _quotient_axis(I, Z, "corollary check")
     rep = analyze(I, Z)
     if rep.grade <= 0:
         raise PreconditionFailed("corollary requires grade > 0")

@@ -509,4 +509,28 @@ MUTANTS = [
         'if not self.factors:\n            raise BadProfile("need at least one factor")',
         "tests/test_refusals.py::test_refusal_raises_its_class_and_message[FactorProfile_empty_iterator]",
     ),
+    Mutant(
+        "koszul_dims_at keeps the raw Z",
+        "    Z = N.ring.axis(Z)\n    b, rows",
+        "    b, rows",
+        "tests/test_refusals.py::test_refusal_raises_its_class_and_message[koszul_dims_at_negative_variable]",
+    ),
+    Mutant(
+        "cech_dims_at keeps the raw Z",
+        "    Z = N.ring.axis(Z)\n    _, rows",
+        "    _, rows",
+        "tests/test_refusals.py::test_refusal_raises_its_class_and_message[cech_dims_at_negative_variable]",
+    ),
+    Mutant(
+        "restrict_ideal keeps the raw Z",
+        "    Z = I.ring.axis(Z)\n",
+        "",
+        "tests/test_refusals.py::test_refusal_raises_its_class_and_message[restrict_ideal_negative_variable]",
+    ),
+    Mutant(
+        "the degree rule drops its length check",
+        "    if len(b) != N.ring.nvars:\n",
+        "    if False:\n",
+        "tests/test_refusals.py::test_refusal_raises_its_class_and_message[koszul_dims_at_short_degree]",
+    ),
 ]

@@ -11,7 +11,9 @@ the generator helper `ideal`, and imported by every test module that uses
 them.
 """
 
+import os
 import random
+import re
 import time
 from itertools import combinations_with_replacement, product
 
@@ -63,7 +65,7 @@ def test_criterion_1_eight_generator_example():
     assert (rep.grade, rep.mgrade) == (1, 1)
     assert rep.maximal_depth is True
     assert bg.sequentially_cm(I, ring.y_block())["verdict"] is False
-    assert bg.generalized_cm(I) is False
+    assert bg.generalized_cm(I, ring.y_block()) is False
     _verdict("1 eight-generator example", t0, 5)
 
 
@@ -72,15 +74,15 @@ def test_criterion_2_two_prime_intersection():
     ring, I = two_prime_ideal()
     rep = analyze(I, ring.y_block())
     assert (rep.grade, rep.mgrade, rep.cd) == (1, 2, 2)
-    h0 = bg.lc_report(I, 0)
+    h0 = bg.lc_report(I, 0, ring.y_block())
     assert h0.finitely_generated and h0.total_dim == 0
-    h1 = bg.lc_report(I, 1)
+    h1 = bg.lc_report(I, 1, ring.y_block())
     assert h1.finitely_generated and h1.total_dim == 1
-    h2 = bg.lc_report(I, 2)
+    h2 = bg.lc_report(I, 2, ring.y_block())
     assert not h2.finitely_generated and h2.total_dim is None
     assert any(e.witness_degree is not None for e in h2.per_fiber)
-    assert bg.generalized_cm(I) is True
-    triple = bg.corollary_check(I)
+    assert bg.generalized_cm(I, ring.y_block()) is True
+    triple = bg.corollary_check(I, ring.y_block())
     assert triple == {"max_depth": False, "seq_cm": False, "cm_wrt_Q": False}
     _verdict("2 two-prime intersection", t0, 10)
 
@@ -177,3 +179,13 @@ def test_criterion_7_determinism(tmp_path, capsys):
         assert minimal_generators(ring, shuffled) == I
     with capsys.disabled():
         _verdict("7 determinism", t0, 60)
+
+
+def test_the_readme_library_sketch_runs():
+    # README's "Library sketch" shows the library's calls; it runs as
+    # written, so a signature it uses cannot change without it
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    sketch = re.search(r"^## Library sketch\n\n```python\n(.*?)^```", text, re.M | re.S).group(1)
+    exec(compile(sketch, "<README library sketch>", "exec"), {})

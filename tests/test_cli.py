@@ -49,45 +49,6 @@ def run_cli(capsys, *argv):
     return code, out
 
 
-def test_analyze(sample_file, capsys):
-    code, out = run_cli(capsys, "analyze", sample_file)
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["schema"] == 1
-    assert (doc["grade"], doc["mgrade"], doc["cd"], doc["dim"]) == (1, 1, 2, 3)
-    assert doc["maximal_depth"] is True
-    assert doc["witness_prime"] == ["x1", "y1", "y3", "y4"]
-
-
-def test_analyze_axis_all(sample_file, capsys):
-    code, out = run_cli(capsys, "analyze", sample_file, "--axis", "all")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["axis"] == "all"
-    assert doc["grade"] <= doc["cd"]
-
-
-def test_decompose(sample_file, capsys):
-    code, out = run_cli(capsys, "decompose", sample_file)
-    doc = json.loads(out)
-    assert code == 0
-    assert doc["associated_primes"] == [
-        ["x1", "y1", "y2"],
-        ["x1", "y1", "y3", "y4"],
-        ["x2", "y3", "y4"],
-    ]
-
-
-def test_filtration_and_seqcm(sample_file, capsys):
-    code, out = run_cli(capsys, "filtration", sample_file)
-    doc = json.loads(out)
-    assert code == 0 and doc["cd_values"] == [1, 2]
-
-    code, out = run_cli(capsys, "seqcm", sample_file)
-    doc = json.loads(out)
-    assert code == 0 and doc["verdict"] is False
-
-
 def test_lc_and_growth(sample_file, capsys):
     code, out = run_cli(capsys, "lc", sample_file, "--i", "1")
     doc = json.loads(out)
@@ -96,12 +57,6 @@ def test_lc_and_growth(sample_file, capsys):
     code, out = run_cli(capsys, "growth", sample_file, "--i", "1", "--radii", "1,2,3,4")
     doc = json.loads(out)
     assert code == 0 and doc["cumulative_dims"] == [3, 7, 13, 21]
-
-
-def test_gencm(sample_file, capsys):
-    code, out = run_cli(capsys, "gencm", sample_file)
-    doc = json.loads(out)
-    assert code == 0 and doc["verdict"] is False
 
 
 def test_hypersurface_inline(capsys):
@@ -123,14 +78,6 @@ def test_inconsistent_hypersurface_verdict_exits_internal(capsys, monkeypatch):
     code, out = run_cli(capsys, "hypersurface", "--factors", "(1,1)", "--ring", "2", "2")
     assert code == 4
     assert json.loads(out)["error"] == "internal: inconsistent verdict fields"
-
-
-def test_crosscheck(capsys):
-    code, out = run_cli(
-        capsys, "crosscheck", "--monomial", "x1*y1", "--ring", "2", "2"
-    )
-    doc = json.loads(out)
-    assert code == 0 and doc["agrees"] is True
 
 
 def test_render_canonical(tmp_path, capsys):

@@ -135,6 +135,34 @@ def test_every_memo_decorates_a_module_level_function():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def _axis_defaults(path):
+    """Lines of the functions in the module at path that give a parameter named Z a default."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            if any(a.arg == "Z" for a in defaulted):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_no_function_gives_the_axis_a_default():
+    # every invariant is taken along an axis, so each caller names its own:
+    # a default would answer along Q for a caller who forgot the one meant
+    pkg = os.path.dirname(bigrade.__file__)
+    found = {
+        name: _axis_defaults(os.path.join(pkg, name))
+        for name in sorted(os.listdir(pkg))
+        if name.endswith(".py")
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def _tracer_targets():
     """The (module, function) pairs of TRACED and the keys of _EXTRA in perfbench/tracer.py.
 

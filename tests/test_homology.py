@@ -557,6 +557,8 @@ def test_restrict_and_sub_ring():
     J = restrict_ideal(I, r.y_block())
     assert J.ring == sub
     assert J.gens == ((1, 0),)  # only the pure-y generator survives
+    # Z is read by RingSpec.axis, so a list answers as its set
+    assert restrict_ideal(I, sorted(r.y_block())) == J
 
 
 def test_restrict_ideal_matches_a_box_reference():

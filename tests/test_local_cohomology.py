@@ -1,4 +1,6 @@
+import importlib
 import inspect
+import pkgutil
 import random
 import time
 from itertools import combinations
@@ -20,6 +22,8 @@ from bigrade.homology import (
     cech_piece_dim,
     depth_module,
     exponent_cells,
+    koszul_dims_at,
+    restrict_ideal,
 )
 from bigrade.invariants import analyze, cd, fibers, grade, mgrade, ordinary_depth
 from bigrade.io_formats import parse_ideal_text
@@ -54,7 +58,7 @@ def test_the_corollary_check_fires_when_its_statements_disagree(monkeypatch):
     r, I = two_prime_ideal()
     monkeypatch.setattr(local_cohomology, "sequentially_cm", lambda I, Z: {"verdict": True, "per_step": []})
     with pytest.raises(InternalCheckFailed) as ei:
-        corollary_check(I)
+        corollary_check(I, r.y_block())
     assert str(ei.value) == "corollary equivalence violated: {'max_depth': False, 'seq_cm': True, 'cm_wrt_Q': False}"
 
 
@@ -63,7 +67,7 @@ def test_fg_with_infinite_k_dimension():
     # infinite K-dimension, so total_dim must be None while fg stays True
     r = RingSpec(1, 1)
     I = minimal_generators(r, [(0, 1)])
-    rep = lc_report(I, 0)
+    rep = lc_report(I, 0, r.y_block())
     assert rep.finitely_generated
     assert rep.total_dim is None
 
@@ -71,21 +75,21 @@ def test_fg_with_infinite_k_dimension():
 def test_lc_errors():
     r = RingSpec(1, 1)
     with pytest.raises(UnitIdeal):
-        lc_report(unit_ideal(r), 0)
+        lc_report(unit_ideal(r), 0, r.y_block())
     I = minimal_generators(r, [(0, 1)])
     with pytest.raises(PreconditionFailed):
-        lc_report(I, 5)
+        lc_report(I, 5, r.y_block())
 
 
 def test_growth_two_prime():
     r, I = two_prime_ideal()
-    assert growth_scan(I, 1, [1, 2, 3, 4]) == [1, 1, 1, 1]
-    assert growth_scan(I, 0, [1, 2, 3, 4]) == [0, 0, 0, 0]
+    assert growth_scan(I, 1, [1, 2, 3, 4], r.y_block()) == [1, 1, 1, 1]
+    assert growth_scan(I, 0, [1, 2, 3, 4], r.y_block()) == [0, 0, 0, 0]
 
 
 def test_growth_eight_gen_strictly_increasing():
     ring, I = parse_ideal_text(EIGHT_GEN)
-    sums = growth_scan(I, 1, [1, 2, 3, 4])
+    sums = growth_scan(I, 1, [1, 2, 3, 4], ring.y_block())
     assert sums == [3, 7, 13, 21]
     assert all(a < b for a, b in zip(sums, sums[1:]))
 
@@ -93,29 +97,31 @@ def test_growth_eight_gen_strictly_increasing():
 def test_growth_rejects_negative_radius():
     r, I = two_prime_ideal()
     with pytest.raises(ValueError):
-        growth_scan(I, 1, [-3, 0, 3])
+        growth_scan(I, 1, [-3, 0, 3], r.y_block())
 
 
 def test_a_non_integer_index_or_radius_is_refused_cold_and_warm():
     I = minimal_generators(RingSpec(1, 1), [(1, 1)])
+    Q = I.ring.y_block()
     with pytest.raises(ValueError, match="integer"):
-        lc_report(I, 1.0)
-    rep = lc_report(I, 1)
+        lc_report(I, 1.0, Q)
+    rep = lc_report(I, 1, Q)
     # 1.0 == 1 and hashes alike, so unrefused it would read the memo entry of 1
     with pytest.raises(ValueError, match="integer"):
-        lc_report(I, 1.0)
-    assert lc_report(I, True) is rep  # a bool is an integer, as in minimal_generators
+        lc_report(I, 1.0, Q)
+    assert lc_report(I, True, Q) is rep  # a bool is an integer, as in minimal_generators
     for radii in ([0.5, 2.5], ["3"]):
         with pytest.raises(ValueError, match="integer"):
-            growth_scan(I, 1, radii)
+            growth_scan(I, 1, radii, Q)
     with pytest.raises(ValueError, match="integer"):
-        growth_scan(I, 1.0, [1])
+        growth_scan(I, 1.0, [1], Q)
 
 
 AXIS_CALLS = {
     "analyze": analyze,
     "betti_and_projdim": lambda I, Z: betti_and_projdim(Subquotient.cyclic(I), Z),
     "cd": lambda I, Z: cd(Subquotient.cyclic(I), Z),
+    "cech_dims_at": lambda I, Z: cech_dims_at(Subquotient.cyclic(I), Z, [0] * I.ring.m + [-1] * I.ring.n),
     "cech_piece_dim": lambda I, Z: cech_piece_dim(Subquotient.cyclic(I), Z, 1, [0] * I.ring.m + [-1] * I.ring.n),
     "corollary_check": corollary_check,
     "depth_module": lambda I, Z: depth_module(Subquotient.cyclic(I), Z),
@@ -124,11 +130,16 @@ AXIS_CALLS = {
     "generalized_cm": generalized_cm,
     "grade": lambda I, Z: grade(Subquotient.cyclic(I), Z),
     "growth_scan": lambda I, Z: growth_scan(I, 1, [1], Z),
+    "koszul_dims_at": lambda I, Z: koszul_dims_at(Subquotient.cyclic(I), Z, (1,) * I.ring.nvars),
     "lc_report": lambda I, Z: lc_report(I, 1, Z),
     "mgrade": mgrade,
     "mgrade_constancy": mgrade_constancy,
+    "restrict_ideal": restrict_ideal,
     "sequentially_cm": sequentially_cm,
 }
+# helpers whose caller passes an axis it has checked: K[Z]'s ring, the
+# memo keyed on that axis, and cd of a prime, which has no ring to check against
+CHECKED_AXIS = {"sub_ring_for", "ass_by_cd", "cd_prime"}
 # the Betti and depth scans, whose one legal axis is every variable
 SCANS = {"betti_and_projdim", "depth_module"}
 
@@ -189,13 +200,21 @@ def test_an_axis_is_read_once_as_a_set():
 
 
 def test_every_entry_point_that_takes_an_axis_is_tested_on_it():
-    # a function exported by bigrade with a parameter Z is in AXIS_CALLS, so
-    # both tests above read its axis
-    takes_z = {
-        name for name, value in vars(bigrade).items()
-        if inspect.isfunction(value) and "Z" in inspect.signature(value).parameters
-    }
-    assert takes_z == set(AXIS_CALLS)
+    # a public module-level function of a bigrade module with a parameter Z
+    # is in AXIS_CALLS, so both tests above read its axis, or is one of the
+    # CHECKED_AXIS helpers
+    takes_z = set()
+    for info in pkgutil.iter_modules(bigrade.__path__):
+        module = importlib.import_module(f"bigrade.{info.name}")
+        for name, value in vars(module).items():
+            if (
+                not name.startswith("_")
+                and inspect.isroutine(value)
+                and value.__module__ == module.__name__
+                and "Z" in inspect.signature(value).parameters
+            ):
+                takes_z.add(name)
+    assert takes_z == set(AXIS_CALLS) | CHECKED_AXIS
 
 
 def test_growth_reads_slice_lengths_without_a_second_cell_walk(record):
@@ -216,22 +235,22 @@ def test_corollary_preconditions():
     r = RingSpec(1, 1)
     grade0 = minimal_generators(r, [(0, 1)])  # grade(Q, S/(y1)) = 0
     with pytest.raises(PreconditionFailed):
-        corollary_check(grade0)
+        corollary_check(grade0, r.y_block())
     ring, J = parse_ideal_text(EIGHT_GEN)  # not generalized CM
     with pytest.raises(PreconditionFailed):
-        corollary_check(J)
+        corollary_check(J, ring.y_block())
 
 
 def test_corollary_all_true_case():
     # S/(x1) = K[y1,y2] is CM w.r.t. Q, hence all three statements hold
     r = RingSpec(1, 2)
     I = minimal_generators(r, [(1, 0, 0)])
-    triple = corollary_check(I)
+    triple = corollary_check(I, r.y_block())
     assert triple == {"max_depth": True, "seq_cm": True, "cm_wrt_Q": True}
 
 
 def test_corollary_holds_on_the_zero_ideal():
-    triple = corollary_check(zero_ideal(RingSpec(1, 2)))
+    triple = corollary_check(zero_ideal(RingSpec(1, 2)), RingSpec(1, 2).y_block())
     assert triple == {"max_depth": True, "seq_cm": True, "cm_wrt_Q": True}
 
 
@@ -277,7 +296,6 @@ def test_a_repeated_lc_report_is_read_from_its_memo(record):
     assert len(reads) == len(fibers(Subquotient.cyclic(I), Q))
     reads.clear()
     assert lc_report(I, 1, list(Q)) is first
-    assert lc_report(I, 1) is first  # Q is the default axis
     assert reads == []
     assert lc_report(I, 2, Q).i == 2  # a new index of the same (I, Z)
     assert reads == []
@@ -715,7 +733,8 @@ def test_cech_cost_does_not_grow_with_the_free_variables(monkeypatch):
         local_cohomology._fiber_table.cache_clear()
         invariants._fibers.cache_clear()
         counts[n] = 0
-        lc_report(minimal_generators(RingSpec(n, n), [tuple(int(v in (0, n)) for v in range(2 * n))]), 1)
+        ring = RingSpec(n, n)
+        lc_report(minimal_generators(ring, [tuple(int(v in (0, n)) for v in range(2 * n))]), 1, ring.y_block())
     # stricter than the linear bound: the counts do not grow with n at all
     assert counts[2] > 0 and max(counts.values()) == counts[2], counts
 

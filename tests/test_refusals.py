@@ -21,7 +21,7 @@ from bigrade.errors import (
     UnitIdeal,
 )
 from bigrade.filtration import mgrade_constancy, sequentially_cm
-from bigrade.homology import Subquotient, cech_piece_dim
+from bigrade.homology import Subquotient, cech_dims_at, cech_piece_dim, koszul_dims_at, restrict_ideal
 from bigrade.hypersurface import FactorProfile, profile_of_monomial
 from bigrade.invariants import InvariantReport, analyze, fibers, ordinary_depth, tensor_verdict
 from bigrade.io_formats import parse_ideal_text, render_ideal
@@ -48,6 +48,9 @@ R11 = RingSpec(1, 1)
 R21 = RingSpec(2, 1)
 R181 = RingSpec(18, 1)
 S = unit_ideal(R11)
+# S/(x1*y1), whose Koszul and Cech complexes on y1 are nonzero
+XY = minimal_generators(R11, [(1, 1)])
+NXY = Subquotient.cyclic(XY)
 # J = (x1*...*x18) over J' = (x1*...*x18*y1): 2^18 cells off Q
 J18 = minimal_generators(R181, [(1,) * 18 + (0,)])
 J18p = minimal_generators(R181, [(1,) * 19])
@@ -62,10 +65,10 @@ def _report(**fields):
 
 REFUSALS = {
     "ordinary_depth": (lambda: ordinary_depth(S), UnitIdeal, "depth of the zero module"),
-    "generalized_cm": (lambda: generalized_cm(S), UnitIdeal, "generalized CM of the zero module"),
-    "growth_scan": (lambda: growth_scan(S, 0, [1]), UnitIdeal, "growth scan of the zero module"),
+    "generalized_cm": (lambda: generalized_cm(S, R11.y_block()), UnitIdeal, "generalized CM of the zero module"),
+    "growth_scan": (lambda: growth_scan(S, 0, [1], R11.y_block()), UnitIdeal, "growth scan of the zero module"),
     "corollary_check": (
-        lambda: corollary_check(S),
+        lambda: corollary_check(S, R11.y_block()),
         UnitIdeal,
         "corollary check of the zero module",
     ),
@@ -183,6 +186,55 @@ REFUSALS = {
         lambda: cech_piece_dim(Subquotient.cyclic(zero_ideal(R11)), R11.y_block(), "1", (0, -1)),
         ValueError,
         "the local cohomology index must be an integer, got '1'",
+    ),
+    # the Koszul, Cech and restriction doors read their variables by
+    # RingSpec.axis: unread, -1 was dropped without a word (the empty axis's
+    # answer) and 5 read past the ring or was dropped too
+    "koszul_dims_at_negative_variable": (
+        lambda: koszul_dims_at(NXY, [-1], (1, 1)),
+        ValueError,
+        "axis variable -1 outside 0..1",
+    ),
+    "koszul_dims_at_variable_past_the_ring": (
+        lambda: koszul_dims_at(NXY, [5], (1, 1)),
+        ValueError,
+        "axis variable 5 outside 0..1",
+    ),
+    "cech_dims_at_negative_variable": (
+        lambda: cech_dims_at(NXY, [-1], (0, -1)),
+        ValueError,
+        "axis variable -1 outside 0..1",
+    ),
+    "cech_dims_at_variable_past_the_ring": (
+        lambda: cech_dims_at(NXY, [5], (0, -1)),
+        ValueError,
+        "axis variable 5 outside 0..1",
+    ),
+    "restrict_ideal_negative_variable": (
+        lambda: restrict_ideal(XY, {-1}),
+        ValueError,
+        "axis variable -1 outside 0..1",
+    ),
+    # and their degrees by one rule, that of cech_piece_dim
+    "koszul_dims_at_short_degree": (
+        lambda: koszul_dims_at(NXY, [1], (1,)),
+        DimensionMismatch,
+        f"degree (1,) has wrong length for {R11}",
+    ),
+    "koszul_dims_at_float_coordinate": (
+        lambda: koszul_dims_at(NXY, [1], (1, 1.0)),
+        ValueError,
+        "a degree coordinate must be an integer, got 1.0",
+    ),
+    "cech_dims_at_short_degree": (
+        lambda: cech_dims_at(NXY, [1], (0,)),
+        DimensionMismatch,
+        f"degree (0,) has wrong length for {R11}",
+    ),
+    "cech_dims_at_float_coordinate": (
+        lambda: cech_dims_at(NXY, [1], (0, -1.0)),
+        ValueError,
+        "a degree coordinate must be an integer, got -1.0",
     ),
     # a factor bidegree is a pair of integers, read by RingSpec's integer rule
     "FactorProfile_float": (
