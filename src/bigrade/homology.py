@@ -265,8 +265,9 @@ def _refuse_scan(N: Subquotient, Z) -> frozenset:
     of N's ring), then a proper axis refused (PreconditionFailed) and the
     zero module (ZeroModule); returns the checked axis, every variable.
 
-    `betti_and_projdim` and `depth_module` call this before any other work
-    and scan over the axis it returns, never over the Z they were given.
+    `betti_and_projdim` and `depth_module` call this before any other work,
+    `depth_module` before it looks up its memo, and scan over the axis it
+    returns, never over the Z they were given.
     """
     Z = N.ring.axis(Z)
     if Z != N.ring.all_vars():
@@ -310,7 +311,8 @@ def betti_and_projdim(N: Subquotient, Z):
     return betti, projdim
 
 
-# depths of modules, oldest entry dropped when the dict is full
+# the depth of each module over all its variables, keyed by the module;
+# the oldest entry is dropped when the dict is full
 CACHE_SIZE = 4096
 _depth_cache: dict = {}
 _cache_lock = threading.Lock()
@@ -357,21 +359,14 @@ def depth_module(N: Subquotient, Z) -> int:
     the first b with |supp b| <= p, where no degree left has a nonzero H_j
     with j > p, or as soon as p reaches the upper bound.
 
-    The memo is looked up first, on (N, frozenset(Z)), the one read of the
-    raw Z; a miss reads that frozenset by `_refuse_scan`, the rule of
-    `betti_and_projdim`, and scans over the axis it returns.  So only the
-    all-variables axis is ever stored, and an entry of Z that is no
-    variable is a ValueError on a miss, such as the 2.0 of [0, 1, 2.0] in
-    three variables.  Warm, that Z hashes as the stored key and is answered
-    with the all-variables depth, the value its set names; and an entry
-    equal to an earlier one, such as the 1.0 of [1, 1.0], is dropped by
-    the key before the rule reads it.
+    Z is read by `_refuse_scan`, the rule of `betti_and_projdim`, before
+    the memo is looked up, so a call refused cold is refused warm.  The
+    one legal axis is every variable, so the memo is keyed on N alone.
     """
-    key = (N, frozenset(Z))
-    depth = _depth_cache.get(key)
+    Z = _refuse_scan(N, Z)
+    depth = _depth_cache.get(N)
     if depth is not None:
         return depth
-    Z = _refuse_scan(N, key[1])
     projdim, high = _projdim_bounds(N)
     if projdim < high:
         for support, b in _lattice(N):
@@ -383,7 +378,7 @@ def depth_module(N: Subquotient, Z) -> int:
     with _cache_lock:
         if len(_depth_cache) >= CACHE_SIZE:
             del _depth_cache[next(iter(_depth_cache))]
-        _depth_cache[key] = depth
+        _depth_cache[N] = depth
     return depth
 
 

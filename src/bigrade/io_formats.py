@@ -59,18 +59,23 @@ def parse_term(ring: RingSpec, term: str, lineno=None):
     return tuple(exps)
 
 
-@functools.lru_cache(maxsize=256)
 def parse_ideal_text(text: str, char: int = 0):
     """Parse the ideal file format; returns (RingSpec, MonomialIdeal).
 
-    `char` is read by `rings.characteristic` before any line of the text,
-    so a bad one raises its `ValueError`, as `RingSpec` does, and names no
-    line.  A memo keyed on (text, char): equal texts give the same ring and
+    `char` is read by `rings.characteristic` before the memo and before any
+    line of the text, so a bad one raises its `ValueError`, as `RingSpec`
+    does, names no line, and is refused warm as cold: 2.0 is refused after
+    a parse at 2, though it equals 2 and hashes alike.  The memo is keyed on
+    (text, the checked characteristic): equal texts give the same ring and
     ideal objects, so every memo keyed on them hits by identity.  Both are
     frozen, and an error is raised again on every call, never kept."""
-    char = characteristic(char)
-    ring = None
-    gens = None
+    return _parse_ideal_text(text, characteristic(char))
+
+
+@functools.lru_cache(maxsize=256)
+def _parse_ideal_text(text: str, char: int):
+    """The memo behind `parse_ideal_text`; char is already read."""
+    ring = gens = None
     for lineno, line in content_lines(text):
         parts = line.split()
         if parts[0] == "ring":

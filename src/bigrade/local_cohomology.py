@@ -191,7 +191,10 @@ def growth_scan(I: MonomialIdeal, i: int, box_radii, Z) -> list:
 
 
 def corollary_check(I: MonomialIdeal, Z) -> dict:
-    """The three equivalent statements for generalized-CM modules of positive grade."""
+    """The three equivalent statements for generalized-CM modules of positive grade.
+
+    Keyed as `analyze` prints them: CM along the axis Z is `cm_wrt_axis`,
+    whichever axis Z is."""
     Z = _quotient_axis(I, Z, "corollary check")
     rep = analyze(I, Z)
     if rep.grade <= 0:
@@ -201,7 +204,7 @@ def corollary_check(I: MonomialIdeal, Z) -> dict:
     triple = {
         "max_depth": rep.maximal_depth,
         "seq_cm": sequentially_cm(I, Z)["verdict"],
-        "cm_wrt_Q": rep.cm_wrt_Z,
+        "cm_wrt_axis": rep.cm_wrt_Z,
     }
     if len(set(triple.values())) != 1:
         raise InternalCheckFailed(f"corollary equivalence violated: {triple}")

@@ -27,8 +27,10 @@ class RingSpec:
 
     The three fields are integers (`_integer`), stored as plain ints, and
     m = n = 0 is the point ring K[], over which the fibers along an empty
-    axis live.  A memo key: its hash (that of the field tuple) and `nvars`
-    are computed once, at construction.
+    axis live.  A memo key: its hash (that of the field tuple), `nvars` and
+    the set of all variables that `all_vars` returns are computed once, at
+    construction, so the depth scans' axis read on every call compares
+    against a stored set.
     """
 
     m: int
@@ -45,6 +47,7 @@ class RingSpec:
         characteristic(self.char)
         object.__setattr__(self, "nvars", self.m + self.n)
         object.__setattr__(self, "_hash", hash((self.m, self.n, self.char)))
+        object.__setattr__(self, "_all_vars", frozenset(range(self.nvars)))
 
     def __hash__(self):
         return self._hash
@@ -61,7 +64,7 @@ class RingSpec:
         return frozenset(range(self.m, self.m + self.n))
 
     def all_vars(self) -> frozenset:
-        return frozenset(range(self.nvars))
+        return self._all_vars
 
     def axis(self, Z) -> frozenset:
         """Z as a frozenset of variable indices: each entry must be an integer

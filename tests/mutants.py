@@ -435,10 +435,10 @@ MUTANTS = [
         "tests/test_invariants.py::test_each_theorem_check_of_tensor_verdict_fires_on_its_fault[ass]",
     ),
     Mutant(
-        "parse_ideal_text reads its lines before the characteristic",
-        "    char = characteristic(char)\n",
-        "",
-        "tests/test_refusals.py::test_refusal_raises_its_class_and_message[parse_ideal_text_char_before_lines]",
+        "parse_ideal_text keys its memo on the raw char, read only at the ring line",
+        "return _parse_ideal_text(text, characteristic(char))",
+        "return _parse_ideal_text(text, char)",
+        "tests/test_io_formats.py::test_a_characteristic_that_is_no_integer_is_refused_cold_and_warm[float]",
     ),
     Mutant(
         "a property check that returns False goes unreported",
@@ -480,16 +480,29 @@ MUTANTS = [
         "tests/test_local_cohomology.py::test_an_axis_outside_the_ring_is_refused_cold_and_warm[betti_and_projdim]",
     ),
     Mutant(
-        "depth_module refuses the raw Z, not its memo key",
-        "Z = _refuse_scan(N, key[1])",
-        "Z = _refuse_scan(N, Z)",
+        "depth_module scans the raw Z, not the checked axis",
+        "    Z = _refuse_scan(N, Z)\n    depth = _depth_cache.get(N)",
+        "    _refuse_scan(N, Z)\n    depth = _depth_cache.get(N)",
         "tests/test_local_cohomology.py::test_an_axis_is_read_once_as_a_set",
     ),
     Mutant(
         "betti_and_projdim scans the raw Z, not the checked axis",
-        "    Z = _refuse_scan(N, Z)\n",
-        "    _refuse_scan(N, Z)\n",
+        "    Z = _refuse_scan(N, Z)\n    betti = {}",
+        "    _refuse_scan(N, Z)\n    betti = {}",
         "tests/test_local_cohomology.py::test_an_axis_is_read_once_as_a_set",
+    ),
+    # a memo never decides an answer: each key is read by its rule first
+    Mutant(
+        "depth_module looks up its memo before it reads the axis",
+        "    Z = _refuse_scan(N, Z)\n    depth = _depth_cache.get(N)\n    if depth is not None:\n        return depth\n",
+        "    depth = _depth_cache.get(N)\n    if depth is not None:\n        return depth\n    Z = _refuse_scan(N, Z)\n",
+        "tests/test_local_cohomology.py::test_an_axis_outside_the_ring_is_refused_cold_and_warm[depth_module]",
+    ),
+    Mutant(
+        "all_vars misses the last variable",
+        "frozenset(range(self.nvars))",
+        "frozenset(range(self.nvars - 1))",
+        "tests/test_rings.py::test_all_vars_is_every_variable_stored_once",
     ),
     Mutant(
         "analyze reads the raw Z below its axis rule",

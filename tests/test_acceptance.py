@@ -83,7 +83,7 @@ def test_criterion_2_two_prime_intersection():
     assert any(e.witness_degree is not None for e in h2.per_fiber)
     assert bg.generalized_cm(I, ring.y_block()) is True
     triple = bg.corollary_check(I, ring.y_block())
-    assert triple == {"max_depth": False, "seq_cm": False, "cm_wrt_Q": False}
+    assert triple == {"max_depth": False, "seq_cm": False, "cm_wrt_axis": False}
     _verdict("2 two-prime intersection", t0, 10)
 
 

@@ -62,7 +62,7 @@ def test_projective_plane_through_the_library(split, char):
     if expected is None:
         assert rep.grade == 0
     else:
-        assert corollary_check(I, Q) == dict.fromkeys(("max_depth", "seq_cm", "cm_wrt_Q"), expected)
+        assert corollary_check(I, Q) == dict.fromkeys(("max_depth", "seq_cm", "cm_wrt_axis"), expected)
 
 
 @pytest.mark.parametrize("split, char", sorted(FROZEN))

@@ -474,7 +474,7 @@ def test_depth_and_dim_caches_are_bounded(monkeypatch):
         assert (depth_module(N, ring.all_vars()), dim_module(N)) == want
         assert len(homology._depth_cache) <= 3
     # a full dict drops its oldest entry
-    assert [N for N, _ in homology._depth_cache] == modules[-3:]
+    assert list(homology._depth_cache) == modules[-3:]
 
 
 def test_dim_module():

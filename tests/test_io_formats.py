@@ -1,10 +1,12 @@
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
 from bigrade.errors import ParseError
 from bigrade.hypersurface import parse_profile
-from bigrade.io_formats import content_lines, parse_ideal_text, parse_term, render_ideal
+from bigrade.io_formats import content_lines, parse_ideal_file, parse_ideal_text, parse_term, render_ideal
 from bigrade.rings import RingSpec, minimal_generators
 
 
@@ -117,3 +119,19 @@ def test_an_integer_literal_over_the_conversion_limit_is_a_parse_error():
         with pytest.raises(ParseError, match=message) as ei:
             parse_profile(text, RingSpec(1, 1))
         assert ei.value.line == line
+
+
+@pytest.mark.parametrize("char", [2.0, Fraction(2), Decimal(2)], ids=["float", "Fraction", "Decimal"])
+def test_a_characteristic_that_is_no_integer_is_refused_cold_and_warm(tmp_path, char):
+    # each equals 2 and hashes alike, so a memo keyed on the raw char would
+    # answer it warm with the parse at 2; the file parse reads the same memo
+    text = "ring 1 1\ngens: x1*y1\n"
+    path = tmp_path / "x1y1.ideal"
+    path.write_text(text)
+    for parse, source in ((parse_ideal_text, text), (parse_ideal_file, str(path))):
+        with pytest.raises(ValueError) as cold:
+            parse(source, char)
+        assert parse(source, 2)[0].char == 2
+        with pytest.raises(ValueError) as warm:
+            parse(source, char)
+        assert str(cold.value) == str(warm.value) == f"the characteristic must be an integer, got {char!r}"

@@ -61,6 +61,12 @@ def test_ringspec_stores_integer_fields_as_ints():
     assert all(type(v) is int for v in (ring.m, ring.n, ring.char))
 
 
+def test_all_vars_is_every_variable_stored_once():
+    ring = RingSpec(2, 1)
+    assert ring.all_vars() == frozenset({0, 1, 2}) and ring.all_vars() is ring.all_vars()
+    assert RingSpec(0, 0).all_vars() == frozenset()
+
+
 def test_axis_is_a_set_of_variable_indices():
     ring = RingSpec(1, 2)
     assert ring.axis([2, 1, 2]) == frozenset({1, 2})
