@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .errors import InternalCheckFailed
 from .homology import Subquotient, ass_subquotient, ass_subquotients
-from .invariants import _quotient_axis, ass_by_cd, cd, cd_prime, grade
+from .invariants import _ass_by_cd, _cd, _cd_prime, _grade, _quotient_axis
 from .rings import MonomialIdeal, associated_primes, meet_components, unit_ideal
 
 
@@ -52,16 +52,16 @@ def dimension_filtration(I: MonomialIdeal, Z) -> FiltrationLadder:
 
 @lru_cache(maxsize=256)
 def _ladder(I: MonomialIdeal, Z: frozenset) -> FiltrationLadder:
-    """The memo behind `dimension_filtration`.
+    """The memo behind `dimension_filtration`, for an axis already checked.
 
-    The gammas and their classes are those of `ass_by_cd`.  J_i meets the
+    The gammas and their classes are those of `_ass_by_cd`.  J_i meets the
     irreducible components of I whose radical has cd above gamma_i, so
     J_r = S and J_(i-1) is J_i met with the components whose radical is in
     the class of gamma_i.  The ladder is built as that one chain, from S
     down, one `rings.meet_components` call per class, so each component is
     met once; J_0 is I itself.
     """
-    classes = ass_by_cd(I, Z)
+    classes = _ass_by_cd(I, Z)
     ideals = [unit_ideal(I.ring)]
     for _, primes in reversed(classes[1:]):
         ideals.append(meet_components(ideals[-1], I, primes))
@@ -79,7 +79,7 @@ def _verify_ass_facts(I: MonomialIdeal, ideals, classes):
     """Runtime check of the filtration's Ass identities (they are theorems).
 
     `ideals` are the J_1..J_r of the ladder over I and `classes` its
-    `ass_by_cd` classes, so Ass(J_i/I) is the union of the first i classes.
+    `_ass_by_cd` classes, so Ass(J_i/I) is the union of the first i classes.
     Ass(J_i/I) of every step comes from one walk over the corners of I
     (`ass_subquotients`), and Ass(S/J_i) from the decomposition memo of J_i.
     """
@@ -101,12 +101,12 @@ def _verify_ass_facts(I: MonomialIdeal, ideals, classes):
 def ass_quotients(ladder: FiltrationLadder) -> list:
     """Ass(D_i/D_{i-1}) per step: the Ass primes at exactly the step's cd value.
 
-    Step i's primes are class i of `ass_by_cd`.  D_1/D_0 is D_1, whose Ass
+    Step i's primes are class i of `_ass_by_cd`.  D_1/D_0 is D_1, whose Ass
     building the ladder compared with the first class; every later step is
     enumerated and compared here.  Each call returns fresh sets.
     """
     I = ladder.base
-    classes = ass_by_cd(I, ladder.axis)
+    classes = _ass_by_cd(I, ladder.axis)
     seen = set()
     prev = I
     for i, ((J_i, gamma), (_, primes)) in enumerate(zip(ladder.steps, classes)):
@@ -122,17 +122,20 @@ def ass_quotients(ladder: FiltrationLadder) -> list:
 def sequentially_cm(I: MonomialIdeal, Z) -> dict:
     """Sequential CM test on the ladder of (I, Z): every step must have grade = cd.
 
-    Z is read once, by `dimension_filtration`; each step's grade and cd
-    read the ladder's checked axis.
+    Z is read once, by `dimension_filtration`.
     """
-    ladder = dimension_filtration(I, Z)
+    return _sequentially_cm(dimension_filtration(I, Z))
+
+
+def _sequentially_cm(ladder: FiltrationLadder) -> dict:
+    """The core of `sequentially_cm`: each step's grade and cd read the ladder's checked axis."""
     per_step = []
     verdict = True
-    prev = I
+    prev = ladder.base
     for J_i, gamma in ladder.steps:
         step = Subquotient(J_i, prev)
-        g = grade(step, ladder.axis)
-        c = cd(step, ladder.axis)
+        g = _grade(step, ladder.axis)
+        c = _cd(step, ladder.axis)
         if c != gamma:
             raise InternalCheckFailed(f"step cd {c} differs from ladder value {gamma}")
         per_step.append({"grade": g, "cd": c, "is_cm": g == c})
@@ -146,8 +149,8 @@ def mgrade_constancy(I: MonomialIdeal, Z) -> bool:
     ladder = dimension_filtration(I, Z)
     gamma_1 = ladder.cd_values[0]
     primes = set()  # Ass(D_i): the union of the first i classes
-    for _, step in ass_by_cd(I, ladder.axis):
+    for _, step in _ass_by_cd(I, ladder.axis):
         primes |= step
-        if min(cd_prime(p, ladder.axis) for p in primes) != gamma_1:
+        if min(_cd_prime(p, ladder.axis) for p in primes) != gamma_1:
             return False
     return True

@@ -106,12 +106,6 @@ class Subquotient:
     def is_zero(self) -> bool:
         return self.Jp.contains_ideal(self.J)
 
-    def box(self) -> tuple:
-        """Componentwise max generator exponent of J and J' (the lcm box)."""
-        bj = self.J.max_exponents()
-        bp = self.Jp.max_exponents()
-        return tuple(max(a, b) for a, b in zip(bj, bp))
-
 
 @lru_cache(maxsize=1024)
 def _cyclic(I: MonomialIdeal) -> Subquotient:
@@ -194,7 +188,7 @@ def _term_dims(N: Subquotient, rows, inside) -> list:
     term of sigma reads for k not in sigma, and `inside[k]` the row it reads
     for k in sigma; the term is nonzero iff the AND of the `jin` rows is
     nonzero and the OR of the `miss` rows holds every generator of J'.
-    `koszul_dims_at` and `cech_dims_at` build `rows` from their degree, and
+    `koszul_dims_at` and `_cech_dims_at` build `rows` from their degree, and
     `local_cohomology._fiber_table` passes the rows `exponent_cells` gives
     with a cell.  One walk over the coordinates of `inside`, in ascending
     order, grows every node (a partial sigma with the AND of its `jin` rows
@@ -236,7 +230,7 @@ def _degree_rows(N: Subquotient, b) -> tuple:
     Each coordinate must be an integer (`_integer`, so a float or a string is
     a ValueError), and b must have one per variable of N's ring
     (DimensionMismatch).  The one degree rule of `koszul_dims_at` and
-    `cech_dims_at`, and so of `cech_piece_dim`; returns the checked degree
+    `_cech_dims_at`, and so of `cech_piece_dim`; returns the checked degree
     and its rows.
     """
     b = tuple(_integer(e, "a degree coordinate") for e in b)
@@ -254,6 +248,8 @@ def koszul_dims_at(N: Subquotient, Z, b) -> list:
     at once, and a complex in a degree of small support stays small however
     many variables the ring has.  Z is read by `RingSpec.axis` (ValueError
     for an entry that is no variable of N's ring) and b by `_degree_rows`.
+    The scans call it with their checked axis, so the benchmark's tracer
+    counts every Koszul degree, and each call reads Z again.
     """
     Z = N.ring.axis(Z)
     b, rows = _degree_rows(N, b)
@@ -396,7 +392,7 @@ def dim_module(N: Subquotient) -> int:
     return dim_quotient(ann)
 
 
-def cech_dims_at(N: Subquotient, Z, c) -> list:
+def _cech_dims_at(N: Subquotient, Z: frozenset, c) -> list:
     """All Cech cohomology dimensions [H^0 .. H^k] of N on the variables Z in fine degree c.
 
     Coordinates on Z may be negative.  The term of sigma is the piece of N
@@ -407,11 +403,11 @@ def cech_dims_at(N: Subquotient, Z, c) -> list:
     The answer is all zeros when c_z is at least the largest exponent of a
     generator at some z in Z (`_axis_cells`), so the tables of
     local_cohomology have no such cell; a direct call still builds its
-    complex.  Z is read by `RingSpec.axis` and c by `_degree_rows`, the
-    rules of `koszul_dims_at`.  The tables build the same complex per cell
-    from the rows `exponent_cells` gives with it.
+    complex.  Z must be an axis already checked, as `cech_piece_dim` passes
+    it; c is read by `_degree_rows`, the rule of `koszul_dims_at`.  The
+    tables build the same complex per cell from the rows `exponent_cells`
+    gives with it.
     """
-    Z = N.ring.axis(Z)
     _, rows = _degree_rows(N, c)
     return _term_dims(N, rows, dict.fromkeys(Z, _localized_row(N)))
 
@@ -437,13 +433,13 @@ def cech_piece_dim(N: Subquotient, Z, i: int, c) -> int:
     """dim_K of H^i_Z(N) in fine degree c (coordinates on Z may be negative).
 
     Z goes through `RingSpec.axis` first, so a variable outside the ring is
-    a ValueError, then i through `_lc_index`, then c through `cech_dims_at`'s
+    a ValueError, then i through `_lc_index`, then c through `_cech_dims_at`'s
     degree rule (`_degree_rows`): a degree of the wrong length is a
     DimensionMismatch and a non-integer coordinate a ValueError.
     """
     Z = N.ring.axis(Z)
     i = _lc_index(i, Z)
-    return cech_dims_at(N, Z, c)[i]
+    return _cech_dims_at(N, Z, c)[i]
 
 
 def _axis_cells(N: Subquotient, k: int, cech=False) -> list:
@@ -615,24 +611,29 @@ def ass_subquotients(Js, Jp: MonomialIdeal) -> list:
 
 
 def restrict_ideal(I: MonomialIdeal, Z) -> MonomialIdeal:
-    """I intersected with K[Z], in the ring K[Z] built from I's (`sub_ring_for`).
+    """I intersected with K[Z], in the ring K[Z] built from I's.
 
     Z is read by `RingSpec.axis`, so an entry that is no variable of I's
-    ring is a ValueError and a list answers as its set.  I cap K[Z] is
-    generated by the generators of I whose `support` lies in Z, read in
-    K[Z]'s variables.
+    ring is a ValueError and a list answers as its set.
     """
-    Z = I.ring.axis(Z)
+    return _restrict_ideal(I, I.ring.axis(Z))
+
+
+def _restrict_ideal(I: MonomialIdeal, Z: frozenset) -> MonomialIdeal:
+    """The core of `restrict_ideal`, for an axis already checked.
+
+    I cap K[Z] is generated by the generators of I whose `support` lies in
+    Z, read in the variables of K[Z] (`_sub_ring_for`).
+    """
     zvars = sorted(Z)
     gens = [tuple(g[z] for z in zvars) for g in I.gens if support(g) <= Z]
-    return minimal_generators(sub_ring_for(I.ring, Z), gens)
+    return minimal_generators(_sub_ring_for(I.ring, Z), gens)
 
 
-def sub_ring_for(ring: RingSpec, Z) -> RingSpec:
+def _sub_ring_for(ring: RingSpec, Z: frozenset) -> RingSpec:
     """RingSpec of K[Z]; x-variables of Z first, preserving order.
 
-    Z is not read by `RingSpec.axis`: the caller passes a checked axis of
-    ring, as `restrict_ideal` does.
+    Z must be an axis already checked: it takes no other reading here.
     """
     m = sum(1 for z in Z if z < ring.m)
     n = len(Z) - m

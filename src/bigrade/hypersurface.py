@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import BadProfile, BadRing, InternalCheckFailed, ParseError
 from .homology import Subquotient
-from .invariants import grade, mgrade
+from .invariants import _grade, _mgrade
 from .io_formats import content_lines, parse_int, parse_term
 from .rings import Monomial, RingSpec, _integer, minimal_generators
 
@@ -139,8 +139,8 @@ def monomial_crosscheck(f: Monomial, ring: RingSpec) -> bool:
     verdict = classify(profile, ring)
     I = minimal_generators(ring, [f])
     Z = ring.y_block()
-    g = grade(Subquotient.cyclic(I), Z)
-    mg = mgrade(I, Z)
+    g = _grade(Subquotient.cyclic(I), Z)
+    mg = _mgrade(I, Z)
     # the verdict ties maximal_depth to grade_Q == mgrade_Q itself
     return (verdict.grade_Q, verdict.mgrade_Q) == (g, mg)
 

@@ -19,12 +19,12 @@ from typing import Optional
 from .errors import InternalCheckFailed, UnitIdeal, WrongBlock, ZeroModule
 from .homology import (
     Subquotient,
+    _restrict_ideal,
+    _sub_ring_for,
     cell_bitsets,
     depth_module,
     dim_module,
     exponent_cells,
-    restrict_ideal,
-    sub_ring_for,
 )
 from .rings import (
     MonomialIdeal,
@@ -92,14 +92,16 @@ def fibers(N: Subquotient, Z) -> list:
     stands for the whole cell.  Only the classes whose fiber is nonzero are
     listed, as only they contribute to H^i_Z(N); a nonzero N has at least
     one.  The decomposition is computed once per (N, Z) and kept in a
-    bounded memo; each call returns a fresh list.
+    bounded memo; each call returns a fresh list.  The engine's cores call
+    `fibers`, not `_fibers`, so the benchmark's tracer counts every fiber
+    decomposition, and each call reads Z again.
     """
     return list(_fibers(N, N.ring.axis(Z)))
 
 
 @lru_cache(maxsize=256)
 def _fibers(N: Subquotient, Z: frozenset) -> tuple:
-    """The memo behind `fibers`.
+    """The memo behind `fibers`, for an axis already checked.
 
     A slice u is supported off Z, so (J : u) cap K[Z] is generated by the
     Z-parts of the generators g of J with g_k <= u_k for every k off Z.
@@ -147,7 +149,7 @@ def _fibers(N: Subquotient, Z: frozenset) -> tuple:
         if key[0] != key[1]:
             classes.setdefault(key, []).extend(cells)
 
-    sub = sub_ring_for(ring, Z)
+    sub = _sub_ring_for(ring, Z)
     out = []
     for (J_gens, Jp_gens), cells in classes.items():
         patterns, lengths = zip(*sorted(cells))  # corners are distinct: only they are compared
@@ -170,6 +172,16 @@ def _restricted_colons(gens, zvars, sels) -> dict:
 
 def grade(N: Subquotient, Z) -> int:
     """min{i : H^i_Z(N) != 0} = min depth over the fibers."""
+    return _grade(N, N.ring.axis(Z))
+
+
+def _grade(N: Subquotient, Z: frozenset) -> int:
+    """The core of `grade`, for an axis already checked.
+
+    It reads the fibers and their depths through `fibers` and
+    `depth_module`, the entry points whose calls the benchmark's tracer
+    counts, so each of those reads its axis again.
+    """
     return min(depth_module(fc.fiber, fc.fiber.ring.all_vars()) for fc in fibers(N, Z))
 
 
@@ -184,7 +196,7 @@ def cd(N: Subquotient, Z) -> int:
 
 @lru_cache(maxsize=256)
 def _cd(N: Subquotient, Z: frozenset) -> int:
-    """The memo behind `cd`.
+    """The memo behind `cd`, for an axis already checked.
 
     A raised InternalCheckFailed is not cached, so every reader sees it.
     """
@@ -192,7 +204,7 @@ def _cd(N: Subquotient, Z: frozenset) -> int:
     if N.J.is_unit:
         # cyclic case cross-check: cd(Z, S/I) = dim S/(I + P') for the ideal
         # P' of the variables off Z, and S/(I + P') is K[Z]/(I cap K[Z])
-        expected = dim_quotient(restrict_ideal(N.Jp, Z))
+        expected = dim_quotient(_restrict_ideal(N.Jp, Z))
         if expected != value:
             raise InternalCheckFailed(
                 f"cd mismatch: fibers give {value}, dim S/(I+P') gives {expected}"
@@ -200,17 +212,16 @@ def _cd(N: Subquotient, Z: frozenset) -> int:
     return value
 
 
-def cd_prime(p: frozenset, Z) -> int:
+def _cd_prime(p: frozenset, Z: frozenset) -> int:
     """cd(Z, S/p) for a variable prime p: the Z-variables avoiding p.
 
-    It takes no ring, so Z must be an axis already checked by `RingSpec.axis`,
-    as every caller in the package passes; not exported from `bigrade`.
+    Z must be an axis already checked: it has no ring to be read against.
     """
-    return len(frozenset(Z) - p)
+    return len(Z - p)
 
 
 @lru_cache(maxsize=256)
-def ass_by_cd(I: MonomialIdeal, Z) -> tuple:
+def _ass_by_cd(I: MonomialIdeal, Z: frozenset) -> tuple:
     """Ass(S/I) grouped by cd(Z, S/p) = |Z \\ p|: ((gamma, primes), ...), ascending in gamma.
 
     The package's one reading of that grouping: the least gamma is mgrade,
@@ -218,45 +229,54 @@ def ass_by_cd(I: MonomialIdeal, Z) -> tuple:
     gamma_r of the dimension filtration and the primes of its steps.  It is
     read off `associated_primes` (the decomposition memo) once per (I, Z)
     and kept in a bounded memo; the value is a tuple of frozensets, so its
-    readers share it.  As for `cd_prime`, Z must be an axis already checked
-    by `RingSpec.axis`: it is the memo's key, and every caller passes the
-    frozenset that rule returned, so one axis keys one entry.
+    readers share it.  Z must be an axis already checked: it is the memo's
+    key, so one axis keys one entry.
     """
     classes = {}
     for p in associated_primes(I):
-        classes.setdefault(cd_prime(p, Z), set()).add(p)
+        classes.setdefault(_cd_prime(p, Z), set()).add(p)
     return tuple((gamma, frozenset(classes[gamma])) for gamma in sorted(classes))
 
 
 def _quotient_axis(I: MonomialIdeal, Z, what: str) -> frozenset:
     """Z read by `RingSpec.axis`, after refusing the zero module S/S with
-    UnitIdeal("<what> of the zero module").  The one rule of `analyze`,
-    `mgrade`, `filtration.dimension_filtration` and of `lc_report`,
-    `generalized_cm`, `growth_scan` and `corollary_check` in
-    `local_cohomology`, each of which takes Z with no default;
-    `ordinary_depth`, which takes no axis, words its own refusal."""
+    UnitIdeal("<what> of the zero module").
+
+    The boundary rule of each public function that takes (S/I, Z): it reads
+    them here once and hands the checked frozenset to its core, and the
+    engine calls the cores.  `ordinary_depth`, which takes no axis, words
+    its own refusal."""
     if I.is_unit:
         raise UnitIdeal(f"{what} of the zero module")
     return I.ring.axis(Z)
 
 
 def mgrade(I: MonomialIdeal, Z) -> int:
-    """min of cd over the associated primes of S/I: the first gamma of `ass_by_cd`."""
-    return ass_by_cd(I, _quotient_axis(I, Z, "mgrade"))[0][0]
+    """min of cd over the associated primes of S/I."""
+    return _mgrade(I, _quotient_axis(I, Z, "mgrade"))
+
+
+def _mgrade(I: MonomialIdeal, Z: frozenset) -> int:
+    """The core of `mgrade`, for an axis already checked: the first gamma of `_ass_by_cd`."""
+    return _ass_by_cd(I, Z)[0][0]
 
 
 def analyze(I: MonomialIdeal, Z) -> InvariantReport:
     """Full invariant report of S/I with respect to the axis Z.
 
     (S/I, Z) is read once, by `_quotient_axis`: S/S is refused with
-    UnitIdeal("analyze of the zero module"), and every invariant below
-    reads the checked axis, so an iterator is read once too.
+    UnitIdeal("analyze of the zero module"), and `_analyze` reads the
+    checked axis, so an iterator is read once too.
     """
-    Z = _quotient_axis(I, Z, "analyze")
+    return _analyze(I, _quotient_axis(I, Z, "analyze"))
+
+
+def _analyze(I: MonomialIdeal, Z: frozenset) -> InvariantReport:
+    """The core of `analyze`, for a proper I and an axis already checked."""
     N = Subquotient.cyclic(I)
-    g = grade(N, Z)
-    c = cd(N, Z)
-    mg = mgrade(I, Z)
+    g = _grade(N, Z)
+    c = _cd(N, Z)
+    mg = _mgrade(I, Z)
     d = dim_quotient(I)
     depth = ordinary_depth(I)
     # grade(Z, M) <= grade(m, M) = depth M as Z lies in m, and depth M <= dim S/p
@@ -267,7 +287,7 @@ def analyze(I: MonomialIdeal, Z) -> InvariantReport:
     witness = None
     if maximal:
         # the least prime of the first class, whose cd is mgrade = grade
-        witness = min(ass_by_cd(I, Z)[0][1], key=sorted)
+        witness = min(_ass_by_cd(I, Z)[0][1], key=sorted)
     return InvariantReport(
         grade=g,
         cd=c,
@@ -307,11 +327,11 @@ def tensor_verdict(Ix: MonomialIdeal, Iy: MonomialIdeal) -> dict:
         raise UnitIdeal("block ideal must be proper")
 
     I = sum_ideal(Ix, Iy)
-    rep = analyze(I, ring.y_block())
+    rep = _analyze(I, ring.y_block())
 
-    Iy_small = restrict_ideal(Iy, ring.y_block())
+    Iy_small = _restrict_ideal(Iy, ring.y_block())
     depth_y = ordinary_depth(Iy_small)
-    mdepth_y = mgrade(Iy_small, Iy_small.ring.all_vars())
+    mdepth_y = _mgrade(Iy_small, Iy_small.ring.all_vars())
     verdict = depth_y == mdepth_y
 
     if rep.maximal_depth != verdict or rep.grade != depth_y or rep.mgrade != mdepth_y:
@@ -323,7 +343,7 @@ def tensor_verdict(Ix: MonomialIdeal, Iy: MonomialIdeal) -> dict:
     # Ass of the product module is the set of sums of block primes
     expected = {
         frozenset(px) | frozenset(ring.m + i for i in py)
-        for px in associated_primes(restrict_ideal(Ix, ring.x_block()))
+        for px in associated_primes(_restrict_ideal(Ix, ring.x_block()))
         for py in associated_primes(Iy_small)
     }
     if associated_primes(I) != expected:

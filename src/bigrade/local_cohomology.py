@@ -28,9 +28,9 @@ from math import prod
 from typing import Optional
 
 from .errors import InternalCheckFailed, PreconditionFailed
-from .filtration import sequentially_cm
+from .filtration import _ladder, _sequentially_cm
 from .homology import Subquotient, _lc_index, _localized_row, _term_dims, exponent_cells
-from .invariants import _quotient_axis, analyze, cd, fibers
+from .invariants import _analyze, _cd, _quotient_axis, fibers
 from .rings import MonomialIdeal, _integer
 
 
@@ -73,8 +73,9 @@ def _fiber_table(fiber: Subquotient) -> tuple:
     `exponent_cells` gives each cell with the `_corner_row` of every
     coordinate at its corner, taken once per cell of that coordinate, and
     those rows go to `_term_dims` as the outside rows of the cell's
-    complex, the rows `cech_dims_at` would build at the corner.  A table of
-    more than `homology.MAX_CELLS` cells is refused before its first cell.
+    complex, the rows `homology._cech_dims_at` would build at the corner.
+    A table of more than `homology.MAX_CELLS` cells is refused before its
+    first cell.
     Kept in a bounded memo per fiber, which every index, report and growth
     scan on that fiber shares.
     """
@@ -104,7 +105,8 @@ def lc_report(I: MonomialIdeal, i: int, Z) -> LCReport:
 
 @lru_cache(maxsize=1024)
 def _lc_reports(I: MonomialIdeal, Z: frozenset) -> tuple:
-    """The memo behind `lc_report`: the `LCReport` of every index 0..|Z|.
+    """The memo behind `lc_report`, for an axis already checked: the
+    `LCReport` of every index 0..|Z|.
 
     One walk over `fibers` reads each class's `_fiber_table` once, and
     column i of it gives the class's entry of index i.  H^i of the class has
@@ -134,9 +136,13 @@ def _lc_reports(I: MonomialIdeal, Z: frozenset) -> tuple:
 
 def generalized_cm(I: MonomialIdeal, Z) -> bool:
     """H^i_Z(S/I) finitely generated for every i below cd."""
-    Z = _quotient_axis(I, Z, "generalized CM")
-    top = cd(Subquotient.cyclic(I), Z)
-    return all(lc_report(I, i, Z).finitely_generated for i in range(top))
+    return _generalized_cm(I, _quotient_axis(I, Z, "generalized CM"))
+
+
+def _generalized_cm(I: MonomialIdeal, Z: frozenset) -> bool:
+    """The core of `generalized_cm`, for a proper I and an axis already checked."""
+    top = _cd(Subquotient.cyclic(I), Z)
+    return all(_lc_reports(I, Z)[i].finitely_generated for i in range(top))
 
 
 def _degrees(corner, lengths, r: int) -> int:
@@ -196,14 +202,14 @@ def corollary_check(I: MonomialIdeal, Z) -> dict:
     Keyed as `analyze` prints them: CM along the axis Z is `cm_wrt_axis`,
     whichever axis Z is."""
     Z = _quotient_axis(I, Z, "corollary check")
-    rep = analyze(I, Z)
+    rep = _analyze(I, Z)
     if rep.grade <= 0:
         raise PreconditionFailed("corollary requires grade > 0")
-    if not generalized_cm(I, Z):
+    if not _generalized_cm(I, Z):
         raise PreconditionFailed("corollary requires the generalized CM hypothesis")
     triple = {
         "max_depth": rep.maximal_depth,
-        "seq_cm": sequentially_cm(I, Z)["verdict"],
+        "seq_cm": _sequentially_cm(_ladder(I, Z))["verdict"],
         "cm_wrt_axis": rep.cm_wrt_Z,
     }
     if len(set(triple.values())) != 1:

@@ -16,7 +16,7 @@ import random
 from .errors import InternalCheckFailed
 from .filtration import ass_quotients, dimension_filtration, mgrade_constancy, sequentially_cm
 from .homology import Subquotient
-from .invariants import analyze, ass_by_cd, cd, grade
+from .invariants import _ass_by_cd, analyze, cd, grade
 from .local_cohomology import corollary_check, generalized_cm, lc_report
 from .rings import (
     MonomialIdeal,
@@ -187,7 +187,7 @@ def _ass_lc_not_fg(I: MonomialIdeal, Z) -> bool:
        every d with d_F low enough.  The degrees of 2. reach every d_F < 0,
        so H^|F|_Z(S/I) is not finitely generated.
     """
-    return not any(lc_report(I, j, Z).finitely_generated for j, _ in ass_by_cd(I, Z) if j)
+    return not any(lc_report(I, j, Z).finitely_generated for j, _ in _ass_by_cd(I, Z) if j)
 
 
 def run_property_suite(count=200, seed=20240811, char=0) -> dict:

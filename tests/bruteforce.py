@@ -27,7 +27,7 @@ from itertools import combinations, product
 from bigrade.errors import InternalCheckFailed
 from bigrade.homology import (
     Subquotient,
-    cech_dims_at,
+    _cech_dims_at,
     koszul_dims_at,
     restrict_ideal,
 )
@@ -42,6 +42,13 @@ def bf_divides(g, u):
 
 def bf_in_ideal(u, gens):
     return any(bf_divides(g, u) for g in gens)
+
+
+def bf_box(N):
+    """The lcm box of J/J': the largest exponent of each variable over the
+    generators of J and J', 0 where none uses it."""
+    gens = N.J.gens + N.Jp.gens
+    return tuple(max((g[k] for g in gens), default=0) for k in range(N.ring.nvars))
 
 
 def bf_minimal_generators(ring, raw):
@@ -308,7 +315,7 @@ def bf_scan_koszul(N, Z, max_retries=3):
     The shell (some coordinate = box + 1) must vanish entirely; a violation
     doubles the offending coordinate and rescans.
     """
-    box = list(N.box())
+    box = list(bf_box(N))
     for _ in range(max_retries):
         table = {}
         violation = None
@@ -348,7 +355,7 @@ def bf_fibers(N, Z):
     """
     ring = N.ring
     comp = tuple(sorted(set(range(ring.nvars)) - set(Z)))
-    box = N.box()
+    box = bf_box(N)
     caps = [box[i] for i in comp]
     Z = frozenset(Z)
     classes = {}
@@ -391,8 +398,8 @@ def _bf_fiber_dims(I, Z):
         if fiber.is_zero:
             continue
         allvars = fiber.ring.all_vars()
-        box = fiber.box()
-        out.append((fc, box, [(c, cech_dims_at(fiber, allvars, c)) for c in _box_degrees(box, allvars)]))
+        box = bf_box(fiber)
+        out.append((fc, box, [(c, _cech_dims_at(fiber, allvars, c)) for c in _box_degrees(box, allvars)]))
     return out
 
 
@@ -450,7 +457,7 @@ def bf_growth_scan(I, i, radii, Z):
     `bf_lc_report` makes; over no axis, H^0 is S/I, one box degree at a time.
     """
     N = Subquotient.cyclic(I)
-    box = N.box()
+    box = bf_box(N)
     if Z:
         caps = tuple(b for k, b in enumerate(box) if k not in Z)
         points = [
@@ -471,7 +478,7 @@ def bf_ass_subquotient(J, Jp):
     """Ass of J/J' from the annihilator of every monomial of the capped box."""
     N = Subquotient(J, Jp)
     found = set()
-    for u in product(*(range(e + 1) for e in N.box())):
+    for u in product(*(range(e + 1) for e in bf_box(N))):
         if not fine_piece(N, u):
             continue
         ann = colon(Jp, u)

@@ -94,8 +94,8 @@ MUTANTS = [
     ),
     Mutant(
         "mgrade as max",
-        'return ass_by_cd(I, _quotient_axis(I, Z, "mgrade"))[0][0]',
-        'return ass_by_cd(I, _quotient_axis(I, Z, "mgrade"))[-1][0]',
+        "return _ass_by_cd(I, Z)[0][0]",
+        "return _ass_by_cd(I, Z)[-1][0]",
         "tests/test_acceptance.py::test_criterion_1_eight_generator_example",
     ),
     Mutant(
@@ -293,8 +293,8 @@ MUTANTS = [
     ),
     Mutant(
         "Ass check run at index 0 too",
-        "for j, _ in ass_by_cd(I, Z) if j)",
-        "for j, _ in ass_by_cd(I, Z))",
+        "for j, _ in _ass_by_cd(I, Z) if j)",
+        "for j, _ in _ass_by_cd(I, Z))",
         "tests/test_acceptance.py::test_criterion_4_property_suite",
     ),
     # on the suite's draws only ass_lc_not_fg catches it: the suite passes
@@ -319,8 +319,8 @@ MUTANTS = [
     ),
     Mutant(
         "Ass grouped by cd without its memo",
-        "@lru_cache(maxsize=256)\ndef ass_by_cd(",
-        "def ass_by_cd(",
+        "@lru_cache(maxsize=256)\ndef _ass_by_cd(",
+        "def _ass_by_cd(",
         "tests/test_memo.py::test_ass_by_cd_is_grouped_once_per_ideal_and_axis",
     ),
     Mutant(
@@ -505,15 +505,9 @@ MUTANTS = [
         "tests/test_rings.py::test_all_vars_is_every_variable_stored_once",
     ),
     Mutant(
-        "analyze reads the raw Z below its axis rule",
-        'Z = _quotient_axis(I, Z, "analyze")',
-        '_quotient_axis(I, Z, "analyze")',
-        "tests/test_local_cohomology.py::test_an_axis_is_read_once_as_a_set",
-    ),
-    Mutant(
-        "sequentially_cm takes a step's grade along the raw Z",
-        "g = grade(step, ladder.axis)",
-        "g = grade(step, Z)",
+        "analyze passes the raw Z to its core",
+        '    return _analyze(I, _quotient_axis(I, Z, "analyze"))',
+        '    _quotient_axis(I, Z, "analyze")\n    return _analyze(I, Z)',
         "tests/test_local_cohomology.py::test_an_axis_is_read_once_as_a_set",
     ),
     Mutant(
@@ -529,15 +523,15 @@ MUTANTS = [
         "tests/test_refusals.py::test_refusal_raises_its_class_and_message[koszul_dims_at_negative_variable]",
     ),
     Mutant(
-        "cech_dims_at keeps the raw Z",
-        "    Z = N.ring.axis(Z)\n    _, rows",
-        "    _, rows",
-        "tests/test_refusals.py::test_refusal_raises_its_class_and_message[cech_dims_at_negative_variable]",
+        "cech_piece_dim keeps the raw Z",
+        "    Z = N.ring.axis(Z)\n    i = _lc_index(i, Z)",
+        "    i = _lc_index(i, Z)",
+        "tests/test_refusals.py::test_refusal_raises_its_class_and_message[cech_piece_dim_negative_variable]",
     ),
     Mutant(
         "restrict_ideal keeps the raw Z",
-        "    Z = I.ring.axis(Z)\n",
-        "",
+        "return _restrict_ideal(I, I.ring.axis(Z))",
+        "return _restrict_ideal(I, Z)",
         "tests/test_refusals.py::test_refusal_raises_its_class_and_message[restrict_ideal_negative_variable]",
     ),
     Mutant(
@@ -545,5 +539,25 @@ MUTANTS = [
         "    if len(b) != N.ring.nvars:\n",
         "    if False:\n",
         "tests/test_refusals.py::test_refusal_raises_its_class_and_message[koszul_dims_at_short_degree]",
+    ),
+    # one read where a user calls: the engine calls the cores, and the
+    # traced entry points it keeps on its path read once more each
+    Mutant(
+        "analyze takes its grade through the public grade, a second read",
+        "    g = _grade(N, Z)",
+        "    g = grade(N, Z)",
+        "tests/test_local_cohomology.py::test_each_public_call_reads_its_axis_once[analyze]",
+    ),
+    Mutant(
+        "grade's core reads the fibers' memo, off the traced path",
+        "fc.fiber.ring.all_vars()) for fc in fibers(N, Z))",
+        "fc.fiber.ring.all_vars()) for fc in _fibers(N, Z))",
+        "tests/test_local_cohomology.py::test_the_traced_entry_points_stay_on_the_engines_path",
+    ),
+    Mutant(
+        "a public name left out of __all__",
+        '    "clear_caches",\n]',
+        "]",
+        "tests/test_acceptance.py::test_the_readme_table_lists_exactly_the_library_api",
     ),
 ]

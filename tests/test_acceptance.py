@@ -11,6 +11,7 @@ the generator helper `ideal`, and imported by every test module that uses
 them.
 """
 
+import inspect
 import os
 import random
 import re
@@ -181,11 +182,27 @@ def test_criterion_7_determinism(tmp_path, capsys):
         _verdict("7 determinism", t0, 60)
 
 
+def _readme() -> str:
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def test_the_readme_library_sketch_runs():
     # README's "Library sketch" shows the library's calls; it runs as
     # written, so a signature it uses cannot change without it
-    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
-    with open(readme, encoding="utf-8") as fh:
-        text = fh.read()
-    sketch = re.search(r"^## Library sketch\n\n```python\n(.*?)^```", text, re.M | re.S).group(1)
+    sketch = re.search(r"^## Library sketch\n\n```python\n(.*?)^```", _readme(), re.M | re.S).group(1)
     exec(compile(sketch, "<README library sketch>", "exec"), {})
+
+
+def test_the_readme_table_lists_exactly_the_library_api():
+    # `from bigrade import *` binds __all__, every other public name of the
+    # package is a module, and README's API table has one line per name of
+    # __all__, in its order
+    star = {}
+    exec("from bigrade import *", star)
+    assert set(star) - {"__builtins__"} == set(bg.__all__)
+    modules = {name for name, value in vars(bg).items() if inspect.ismodule(value)}
+    assert {name for name in vars(bg) if not name.startswith("_")} - modules == set(bg.__all__)
+    table = re.search(r"^## Library API\n(.*?)^## ", _readme(), re.M | re.S).group(1)
+    assert re.findall(r"^\| `(\w+)` \|", table, re.M) == bg.__all__

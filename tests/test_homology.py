@@ -4,7 +4,14 @@ from itertools import combinations, product
 
 import pytest
 
-from bruteforce import bf_betti_and_projdim, bf_cech_piece, bf_koszul_dims, bf_minimal_generators, fine_piece
+from bruteforce import (
+    bf_betti_and_projdim,
+    bf_box,
+    bf_cech_piece,
+    bf_koszul_dims,
+    bf_minimal_generators,
+    fine_piece,
+)
 from bigrade import homology, local_cohomology
 from bigrade.errors import (
     DimensionMismatch,
@@ -15,9 +22,10 @@ from bigrade.errors import (
 )
 from bigrade.homology import (
     Subquotient,
+    _cech_dims_at,
+    _sub_ring_for,
     ass_subquotient,
     betti_and_projdim,
-    cech_dims_at,
     cech_piece_dim,
     cell_bitsets,
     depth_module,
@@ -25,7 +33,6 @@ from bigrade.homology import (
     exponent_cells,
     koszul_dims_at,
     restrict_ideal,
-    sub_ring_for,
 )
 from bigrade.invariants import ordinary_depth
 from bigrade.io_formats import render_ideal
@@ -33,6 +40,7 @@ from bigrade.rings import (
     MonomialIdeal,
     RingSpec,
     associated_primes,
+    colon,
     intersect,
     minimal_generators,
     sum_ideal,
@@ -40,7 +48,9 @@ from bigrade.rings import (
     var_power,
     zero_ideal,
 )
+from bigrade.suite import random_ideal
 from test_acceptance import ideal
+from test_closed_forms import edge_ideal
 
 R11 = RingSpec(1, 1)
 RY2 = RingSpec(0, 2)
@@ -57,7 +67,7 @@ def test_subquotient_validation():
     N = Subquotient.cyclic(I)
     assert not N.is_zero
     assert Subquotient(I, I).is_zero
-    assert N.box() == (1, 1)
+    assert bf_box(N) == (1, 1)
 
 
 def test_fine_piece_cyclic():
@@ -72,8 +82,8 @@ def test_cech_localization():
     # S/(y1) localized at y1 is zero, so H^0_(y1) is its y1-torsion, the whole
     # module; localized at x1 it keeps the x-line, so H^1_(x1) lives at x1^-2
     N = Subquotient.cyclic(ideal(R11, (0, 1)))
-    assert cech_dims_at(N, {1}, (0, 0)) == [1, 0]
-    assert cech_dims_at(N, {0}, (-2, 0)) == [0, 1]
+    assert _cech_dims_at(N, {1}, (0, 0)) == [1, 0]
+    assert _cech_dims_at(N, {0}, (-2, 0)) == [0, 1]
 
 
 def test_koszul_socle_of_plane_curve():
@@ -256,6 +266,35 @@ def test_depth_of_a_dense_draw_is_read_off_its_bounds(record):
     assert calls == []
 
 
+def _depth(I) -> float:
+    """depth S/I, and infinity for the zero module S/S."""
+    return float("inf") if I.is_unit else ordinary_depth(I)
+
+
+def test_the_depth_lemma_holds_on_the_colon_and_sum_by_each_variable():
+    # 0 -> S/(I : x) -> S/I -> S/(I, x) -> 0 is exact, the first map
+    # multiplication by x, so the depth lemma (Bruns-Herzog, Prop. 1.2.9)
+    # ties the three depths, and S/(I : x) embeds in S/I, so its Ass lies in
+    # Ass(S/I); no oracle: the engine's depths must satisfy the lemma
+    rng = random.Random(1209)
+    ideals = [random_ideal(rng)[1] for _ in range(400)]
+    ideals += [edge_ideal(n, cycle) for n in range(3, 11) for cycle in (False, True)]
+    cases = 0
+    for I in ideals:
+        ring = I.ring
+        for x in range(ring.nvars):
+            u = var_power(ring, x)
+            J, K = colon(I, u), sum_ideal(I, minimal_generators(ring, [u]))
+            dJ, dI, dK = _depth(J), _depth(I), _depth(K)
+            case = (render_ideal(I), x, dJ, dI, dK)
+            assert dJ >= min(dI, dK + 1), case
+            assert dI >= min(dJ, dK), case
+            assert dK >= min(dJ - 1, dI), case
+            assert J.is_unit or associated_primes(J) <= associated_primes(I), case
+            cases += not J.is_unit
+    assert cases > 1000
+
+
 def test_koszul_dims_match_independent_reference():
     # all variables and a proper subset, every degree of the box and one past it
     rnd = random.Random(20261018)
@@ -264,7 +303,7 @@ def test_koszul_dims_match_independent_reference():
         nvars = N.ring.nvars
         subsets = [N.ring.all_vars(), frozenset(rnd.sample(range(nvars), rnd.randint(1, nvars - 1)))]
         for Z in subsets:
-            for b in product(*(range(e + 2) for e in N.box())):
+            for b in product(*(range(e + 2) for e in bf_box(N))):
                 want = bf_koszul_dims(nvars, N.J.gens, N.Jp.gens, Z, b)
                 assert koszul_dims_at(N, Z, b) == want, (N, sorted(Z), b)
 
@@ -309,7 +348,7 @@ def test_cell_bitsets_match_a_scan_of_the_generators():
 @pytest.mark.parametrize("char", [0, 2])
 def test_fiber_tables_match_a_cech_complex_per_cell(char):
     # `_fiber_table` builds each cell's complex from the rows `exponent_cells`
-    # gives with the cell; `cech_dims_at` at the cell's corner builds the rows
+    # gives with the cell; `_cech_dims_at` at the cell's corner builds the rows
     # itself, so column i must list the cells with H^i != 0 and that dim
     rnd = random.Random(20261021 + char)
     nonzero = 0
@@ -318,7 +357,7 @@ def test_fiber_tables_match_a_cech_complex_per_cell(char):
         allvars = N.ring.all_vars()
         want = [[] for _ in range(N.ring.nvars + 1)]
         for corner, lengths, *_ in exponent_cells(N, range(N.ring.nvars), allvars):
-            for column, d in zip(want, cech_dims_at(N, allvars, corner), strict=True):
+            for column, d in zip(want, _cech_dims_at(N, allvars, corner), strict=True):
                 if d:
                     column.append((corner, lengths, d))
         assert local_cohomology._fiber_table.__wrapped__(N) == tuple(map(tuple, want)), N
@@ -348,7 +387,7 @@ def test_cech_dims_match_independent_reference():
             )
             shifted = tuple(a - b for a, b in zip(c, shift))
             want = [bf_cech_piece(nvars, colon_gens, Z, i, shifted) for i in range(len(Z) + 1)]
-            assert cech_dims_at(N, Z, c) == want, (N, sorted(Z), c)
+            assert _cech_dims_at(N, Z, c) == want, (N, sorted(Z), c)
 
 
 def _kept_by_every_subset(N, deg, inside):
@@ -398,7 +437,7 @@ def test_the_term_walk_keeps_what_every_subset_keeps(record, char):
         else:
             deg = tuple(rnd.choice([-1] * (v in Z) + sorted({g[v] for g in gens})) for v in range(nvars))
             inside = dict.fromkeys(Z, ((1 << len(J.gens)) - 1, 0))
-            dims = cech_dims_at(N, Z, deg)
+            dims = _cech_dims_at(N, Z, deg)
         want = _kept_by_every_subset(N, deg, inside)
         case = (str(J), str(Jp), char, sorted(Z), deg)
         assert [sorted(level) for level in seen.pop()["levels"]] == want, case
@@ -422,7 +461,7 @@ def test_cech_vanishes_past_the_box_on_an_axis_variable():
         N = Subquotient(J, intersect(J, _random_ideal(rnd, ring, rnd.randint(1, 5 - nvars // 2))))
         Z = frozenset(rnd.sample(range(nvars), rnd.randint(1, nvars)))
         colon_gens = [tuple(max(a - b, 0) for a, b in zip(g, shift)) for g in N.Jp.gens]
-        box = N.box()
+        box = bf_box(N)
         capped = rnd.sample(sorted(Z), rnd.randint(1, len(Z)))
         for _ in range(4):
             c = tuple(
@@ -432,7 +471,7 @@ def test_cech_vanishes_past_the_box_on_an_axis_variable():
             )
             shifted = tuple(a - b for a, b in zip(c, shift))
             want = [bf_cech_piece(nvars, colon_gens, Z, i, shifted) for i in range(len(Z) + 1)]
-            assert cech_dims_at(N, Z, c) == want == [0] * (len(Z) + 1), (N, sorted(Z), c)
+            assert _cech_dims_at(N, Z, c) == want == [0] * (len(Z) + 1), (N, sorted(Z), c)
 
 
 def test_large_exponents_scan_only_the_lcm_lattice(monkeypatch, record):
@@ -551,7 +590,7 @@ def test_ass_subquotient_skips_paths_every_generator_misses_twice():
 
 def test_restrict_and_sub_ring():
     r = RingSpec(2, 2)
-    sub = sub_ring_for(r, r.y_block())
+    sub = _sub_ring_for(r, r.y_block())
     assert (sub.m, sub.n) == (0, 2)
     I = minimal_generators(r, [(0, 0, 1, 0), (1, 0, 0, 1)])
     J = restrict_ideal(I, r.y_block())
@@ -582,5 +621,5 @@ def test_restrict_ideal_matches_a_box_reference():
                         w[z] = e
                     if I.contains(tuple(w)):
                         inside.append(u)
-                expected = bf_minimal_generators(sub_ring_for(r, Z), inside)
+                expected = bf_minimal_generators(_sub_ring_for(r, Z), inside)
                 assert restrict_ideal(I, Z) == expected, (str(I), zvars)

@@ -7,9 +7,9 @@ from bigrade import homology, invariants, rings
 from bigrade.errors import InternalCheckFailed, UnitIdeal, WrongBlock, ZeroModule
 from bigrade.homology import Subquotient, exponent_cells
 from bigrade.invariants import (
+    _cd_prime,
     analyze,
     cd,
-    cd_prime,
     fibers,
     grade,
     mgrade,
@@ -107,8 +107,8 @@ def test_grade_cd_simple():
 
 
 def test_cd_prime():
-    assert cd_prime(frozenset({0, 2}), frozenset({2, 3})) == 1
-    assert cd_prime(frozenset(), frozenset({2, 3})) == 2
+    assert _cd_prime(frozenset({0, 2}), frozenset({2, 3})) == 1
+    assert _cd_prime(frozenset(), frozenset({2, 3})) == 2
 
 
 def test_analyze_two_prime():

@@ -16,10 +16,10 @@ from bigrade.errors import InternalCheckFailed, PreconditionFailed, UnitIdeal
 from bigrade.filtration import dimension_filtration, mgrade_constancy, sequentially_cm
 from bigrade.homology import (
     Subquotient,
+    _cech_dims_at,
     ass_subquotient,
     ass_subquotients,
     betti_and_projdim,
-    cech_dims_at,
     cech_piece_dim,
     depth_module,
     exponent_cells,
@@ -57,7 +57,7 @@ def test_the_corollary_check_fires_when_its_statements_disagree(monkeypatch):
     # three statements false; a sequential CM verdict faulted to true breaks
     # the equivalence the corollary proves
     r, I = two_prime_ideal()
-    monkeypatch.setattr(local_cohomology, "sequentially_cm", lambda I, Z: {"verdict": True, "per_step": []})
+    monkeypatch.setattr(local_cohomology, "_sequentially_cm", lambda ladder: {"verdict": True, "per_step": []})
     with pytest.raises(InternalCheckFailed) as ei:
         corollary_check(I, r.y_block())
     assert str(ei.value) == "corollary equivalence violated: {'max_depth': False, 'seq_cm': True, 'cm_wrt_axis': False}"
@@ -122,7 +122,6 @@ AXIS_CALLS = {
     "analyze": analyze,
     "betti_and_projdim": lambda I, Z: betti_and_projdim(Subquotient.cyclic(I), Z),
     "cd": lambda I, Z: cd(Subquotient.cyclic(I), Z),
-    "cech_dims_at": lambda I, Z: cech_dims_at(Subquotient.cyclic(I), Z, [0] * I.ring.m + [-1] * I.ring.n),
     "cech_piece_dim": lambda I, Z: cech_piece_dim(Subquotient.cyclic(I), Z, 1, [0] * I.ring.m + [-1] * I.ring.n),
     "corollary_check": corollary_check,
     "depth_module": lambda I, Z: depth_module(Subquotient.cyclic(I), Z),
@@ -138,9 +137,6 @@ AXIS_CALLS = {
     "restrict_ideal": restrict_ideal,
     "sequentially_cm": sequentially_cm,
 }
-# helpers whose caller passes an axis it has checked: K[Z]'s ring, the
-# memo keyed on that axis, and cd of a prime, which has no ring to check against
-CHECKED_AXIS = {"sub_ring_for", "ass_by_cd", "cd_prime"}
 # the Betti and depth scans, whose one legal axis is every variable
 SCANS = {"betti_and_projdim", "depth_module"}
 
@@ -192,22 +188,58 @@ def test_an_axis_is_read_once_as_a_set():
     assert ordinary_depth(I) == 1
 
 
+# the traced entry points the engine keeps on its path, whose calls the
+# benchmark's tracer counts: each reads its axis again
+ON_PATH = ("fibers", "depth_module", "koszul_dims_at")
+
+
+def _on_path_calls(record) -> dict:
+    """name -> the list `record` fills with the engine's calls of that entry point."""
+    return {
+        name: record(tuple(m for m in (homology, invariants, local_cohomology) if name in vars(m)), name)
+        for name in ON_PATH
+    }
+
+
+@pytest.mark.parametrize("name", sorted(AXIS_CALLS))
+def test_each_public_call_reads_its_axis_once(record, name):
+    # one cold call reads its axis once where it is called, and the engine
+    # below it once more per call of an entry point of ON_PATH, and never
+    # else; the call itself is made through this module's binding, which
+    # `record` leaves as it is
+    r, I = two_prime_ideal()
+    calls = _on_path_calls(record)
+    reads = record(RingSpec, "axis")
+    AXIS_CALLS[name](I, _axis(name, r))
+    assert len(reads) == 1 + sum(map(len, calls.values())), {k: len(v) for k, v in calls.items()}
+
+
+def test_the_traced_entry_points_stay_on_the_engines_path(record):
+    # analyze reaches the fibers (from its grade and its cd), the depths and
+    # a Koszul scan through the entry points the benchmark's tracer counts,
+    # not through their cores
+    r, I = two_prime_ideal()
+    calls = _on_path_calls(record)
+    analyze(I, r.y_block())
+    assert len(calls["fibers"]) == 2
+    assert calls["depth_module"] and calls["koszul_dims_at"]
+
+
+def _takes_z(value) -> bool:
+    return inspect.isroutine(value) and "Z" in inspect.signature(value).parameters
+
+
 def test_every_entry_point_that_takes_an_axis_is_tested_on_it():
-    # a public module-level function of a bigrade module with a parameter Z
-    # is in AXIS_CALLS, so both tests above read its axis, or is one of the
-    # CHECKED_AXIS helpers
-    takes_z = set()
+    # every name of bigrade.__all__ and every public module-level function
+    # of a bigrade module with a parameter Z is in AXIS_CALLS, so both tests
+    # above read its axis; a function that takes a checked axis is private
+    takes_z = {name for name in bigrade.__all__ if _takes_z(getattr(bigrade, name))}
     for info in pkgutil.iter_modules(bigrade.__path__):
         module = importlib.import_module(f"bigrade.{info.name}")
         for name, value in vars(module).items():
-            if (
-                not name.startswith("_")
-                and inspect.isroutine(value)
-                and value.__module__ == module.__name__
-                and "Z" in inspect.signature(value).parameters
-            ):
+            if not name.startswith("_") and _takes_z(value) and value.__module__ == module.__name__:
                 takes_z.add(name)
-    assert takes_z == set(AXIS_CALLS) | CHECKED_AXIS
+    assert takes_z == set(AXIS_CALLS)
 
 
 def test_growth_reads_slice_lengths_without_a_second_cell_walk(record):
@@ -278,7 +310,7 @@ def test_each_associated_prime_gives_a_witness_family_on_both_axes():
                 case = (str(I), sorted(p), sorted(Z))
                 for low in (-1, -2):
                     d = tuple(low if k in F else w[k] for k in range(ring.nvars))
-                    assert cech_dims_at(N, Z, d) == [int(i == len(F)) for i in range(len(Z) + 1)], case
+                    assert _cech_dims_at(N, Z, d) == [int(i == len(F)) for i in range(len(Z) + 1)], case
                 assert not lc_report(I, len(F), Z).finitely_generated, case
                 cases += 1
     assert cases > 1500

@@ -15,7 +15,7 @@ import pytest
 from bruteforce import bf_irreducible_decomposition
 
 import bigrade
-from bigrade import cli, filtration, invariants, rings, suite
+from bigrade import cli, filtration, invariants, local_cohomology, rings, suite
 from bigrade.errors import InternalCheckFailed
 from bigrade.filtration import dimension_filtration, sequentially_cm
 from bigrade.homology import Subquotient
@@ -166,7 +166,7 @@ def test_a_failed_cd_is_not_memoized(monkeypatch):
 
 def test_cd_is_computed_once_per_module_and_axis(record):
     memo = invariants._cd
-    calls = record(invariants, "_cd")
+    calls = record((invariants, filtration, local_cohomology), "_cd")
     ring, I = parse_ideal_text(EIGHT_GEN)
     for Z in (ring.x_block(), ring.y_block()):
         analyze(I, Z)
@@ -185,8 +185,8 @@ def test_ass_by_cd_is_grouped_once_per_ideal_and_axis(record):
     # mgrade, its witness, the ladder and two checks of check_instance read
     # Ass(S/I) grouped by cd; over whole check_instance runs each (I, Z) is
     # grouped once and every other call is a memo hit
-    memo = invariants.ass_by_cd
-    calls = record((invariants, filtration, suite), "ass_by_cd")
+    memo = invariants._ass_by_cd
+    calls = record((invariants, filtration, suite), "_ass_by_cd")
     rng = random.Random(20240811)
     for _ in range(40):
         assert check_instance(*random_ideal(rng)) == []

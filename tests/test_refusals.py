@@ -21,7 +21,7 @@ from bigrade.errors import (
     UnitIdeal,
 )
 from bigrade.filtration import mgrade_constancy, sequentially_cm
-from bigrade.homology import Subquotient, cech_dims_at, cech_piece_dim, koszul_dims_at, restrict_ideal
+from bigrade.homology import Subquotient, _cech_dims_at, cech_piece_dim, koszul_dims_at, restrict_ideal
 from bigrade.hypersurface import FactorProfile, profile_of_monomial
 from bigrade.invariants import InvariantReport, analyze, fibers, ordinary_depth, tensor_verdict
 from bigrade.io_formats import parse_ideal_text, render_ideal
@@ -200,13 +200,13 @@ REFUSALS = {
         ValueError,
         "axis variable 5 outside 0..1",
     ),
-    "cech_dims_at_negative_variable": (
-        lambda: cech_dims_at(NXY, [-1], (0, -1)),
+    "cech_piece_dim_negative_variable": (
+        lambda: cech_piece_dim(NXY, [-1], 0, (0, -1)),
         ValueError,
         "axis variable -1 outside 0..1",
     ),
-    "cech_dims_at_variable_past_the_ring": (
-        lambda: cech_dims_at(NXY, [5], (0, -1)),
+    "cech_piece_dim_variable_past_the_ring": (
+        lambda: cech_piece_dim(NXY, [5], 0, (0, -1)),
         ValueError,
         "axis variable 5 outside 0..1",
     ),
@@ -227,12 +227,12 @@ REFUSALS = {
         "a degree coordinate must be an integer, got 1.0",
     ),
     "cech_dims_at_short_degree": (
-        lambda: cech_dims_at(NXY, [1], (0,)),
+        lambda: _cech_dims_at(NXY, frozenset({1}), (0,)),
         DimensionMismatch,
         f"degree (0,) has wrong length for {R11}",
     ),
     "cech_dims_at_float_coordinate": (
-        lambda: cech_dims_at(NXY, [1], (0, -1.0)),
+        lambda: _cech_dims_at(NXY, frozenset({1}), (0, -1.0)),
         ValueError,
         "a degree coordinate must be an integer, got -1.0",
     ),

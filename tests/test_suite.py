@@ -109,7 +109,7 @@ def test_every_check_holds_on_the_zero_ideal(m, n):
 
 @pytest.mark.parametrize(
     "owner, name, check",
-    [(suite, "dim_quotient", "cd_eq_dim_mod_P"), (filtration, "cd_prime", "ladder_mgrade_constant")],
+    [(suite, "dim_quotient", "cd_eq_dim_mod_P"), (filtration, "_cd_prime", "ladder_mgrade_constant")],
 )
 def test_a_check_that_returns_false_is_reported(monkeypatch, owner, name, check):
     # one value off by one makes one check's comparison False, without a raise
